@@ -178,12 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multigraph immersion search, path-like and tree-cut "
         "decompositions, and their certificates.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker budget for independent flow computations (1 = serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a generated multigraph as JSON")

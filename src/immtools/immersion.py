@@ -6,6 +6,14 @@ vertices in descending degree order) and then routes pattern edges one at
 a time, enumerating every simple path (or cycle, for loops) over the
 still-unused host edges.  "Absent" is reported only after the whole space
 is exhausted; the optional budget caps the number of search steps.
+
+Parallel host edges are interchangeable.  When a route grows from a vertex
+and two parallel edges to the same neighbour are both available and both
+off the partial route, swapping them is an automorphism of the host that
+fixes the assignment, every route chosen so far and the partial route.  Any
+completion through the second edge maps to one through the first, so once
+the first has been tried (and failed) the second is skipped.  The same
+holds for two available loops at the vertex a loop is routed from.
 """
 
 from __future__ import annotations
@@ -177,6 +185,15 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _degrees(G: Multigraph) -> Dict[str, int]:
+    """Every vertex's degree from one pass over the edges; a loop counts 2."""
+    deg = dict.fromkeys(G.vertices, 0)
+    for a, b in G.edges.values():
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
 class _Searcher:
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -184,8 +201,8 @@ class _Searcher:
         self.strong = strong
         self.steps_left = budget if budget is not None else -1
         self.gadj = G.adjacency()
-        self.hdeg = {v: H.degree(v) for v in H.vertices}
-        self.gdeg = {v: G.degree(v) for v in G.vertices}
+        self.hdeg = _degrees(H)
+        self.gdeg = _degrees(G)
         self.horder = sorted(H.vertices, key=lambda v: (-self.hdeg[v], v))
         self.hedges = sorted(H.edges)
         self.assign: Dict[str, str] = {}
@@ -256,20 +273,29 @@ class _Searcher:
         self, x: str, y: str, forbidden: Set[str]
     ) -> Iterator[Tuple[str, ...]]:
         """All simple x-y paths over available edges, interiors avoiding
-        the forbidden vertex set."""
+        the forbidden vertex set, up to swapping parallel edges.  With
+        y == x these are the non-loop cycles through x."""
         path: List[str] = []
         visited = {x}
 
         def step(cur: str) -> Iterator[Tuple[str, ...]]:
             self.tick()
+            # Neighbours reached by an edge already tried from cur.  A later
+            # parallel edge to one of them is also available and off the
+            # path, so swapping it with the tried edge is a host automorphism
+            # fixing the assignment, the earlier routes and the path so far:
+            # its completions mirror ones that have already failed.
+            tried: Set[str] = set()
             for e, nb in self.gadj[cur]:
-                if e not in self.avail or e in path or nb == cur:
+                if e not in self.avail or e in path or nb == cur or nb in tried:
                     continue
                 if nb == y:
+                    tried.add(nb)
                     path.append(e)
                     yield tuple(path)
                     path.pop()
                 elif nb not in visited and nb not in forbidden:
+                    tried.add(nb)
                     path.append(e)
                     visited.add(nb)
                     yield from step(nb)
@@ -279,32 +305,16 @@ class _Searcher:
         return step(x)
 
     def _cycles(self, x: str, forbidden: Set[str]) -> Iterator[Tuple[str, ...]]:
-        """All cycles through x over available edges: a loop at x, or a
-        closed simple walk with distinct edges and interior vertices."""
+        """All cycles through x over available edges, up to swapping
+        parallel edges or loops: a loop at x, or a closed simple walk with
+        distinct edges and interior vertices."""
+        # Two available loops at x are swapped by a host automorphism that
+        # fixes everything chosen so far, so only the first is offered.
         for e, nb in self.gadj[x]:
             if nb == x and e in self.avail:
                 yield (e,)
-        path: List[str] = []
-        visited: Set[str] = set()
-
-        def step(cur: str) -> Iterator[Tuple[str, ...]]:
-            self.tick()
-            for e, nb in self.gadj[cur]:
-                if e not in self.avail or e in path or nb == cur:
-                    continue
-                if nb == x:
-                    if len(path) >= 1:
-                        path.append(e)
-                        yield tuple(path)
-                        path.pop()
-                elif nb not in visited and nb not in forbidden:
-                    path.append(e)
-                    visited.add(nb)
-                    yield from step(nb)
-                    visited.discard(nb)
-                    path.pop()
-
-        yield from step(x)
+                break
+        yield from self._paths(x, x, forbidden)
 
 
 def find_immersion(

@@ -7,12 +7,17 @@ from immtools import (
     ImmersionCertificate,
     StarMinorModel,
     find_immersion,
+    canonical_key,
     gen_complete,
     gen_pk,
+    gen_pk_chorded,
+    gen_random_multigraph,
     star_minor_to_immersion,
     verify_immersion,
 )
+from enumerate_graphs import multigraph_classes
 from helpers import mg, sg
+from oracle_lift_closure import strong_closure, weak_closure
 
 
 def identity_cert(G, strong=True):
@@ -123,6 +128,66 @@ def test_strong_certificate_also_verifies_weakly():
     r = find_immersion(G, H, strong=True)
     assert r.status == FOUND
     assert verify_immersion(G, H, r.certificate, strong=False) == []
+
+
+# -- parallel host edges ----------------------------------------------
+
+# Without the parallel-edge rule K4 in pk_chorded(5) alone takes over 1.2M
+# steps; with it the largest of these, K4 in pk_chorded(6), takes under 70k.
+PRUNED_BUDGET = 200_000
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [
+        (gen_pk(6), gen_complete(3)),
+        (gen_pk(7), gen_complete(3)),
+        (gen_pk_chorded(5), gen_complete(4)),
+        (gen_pk_chorded(6), gen_complete(4)),
+    ],
+    ids=["K3-in-pk6", "K3-in-pk7", "K4-in-pk_chorded5", "K4-in-pk_chorded6"],
+)
+def test_witness_family_absent_within_budget(host, pattern):
+    r = find_immersion(host, pattern, strong=True, budget=PRUNED_BUDGET)
+    assert r.status == ABSENT
+
+
+@pytest.mark.parametrize(
+    "host, pattern",
+    [
+        # the host's only cycle is the parallel pair a-b
+        (mg("abc", {"1": "ab", "2": "ab", "3": "bc"}), mg("x", {"l": "xx"})),
+        (mg("ab", {"1": "ab", "2": "ab", "3": "ab"}), mg("xy", {"p": "xy", "q": "xy"})),
+        (
+            mg("abc", {"1": "ab", "2": "ab", "3": "bc", "4": "bc", "5": "ac", "6": "ac"}),
+            gen_complete(3),
+        ),
+        # two loops at one vertex: the first loop routes, the second must too
+        (mg("a", {"1": "aa", "2": "aa"}), mg("x", {"l": "xx", "m": "xx"})),
+        (mg("ab", {"1": "aa", "2": "ab", "3": "ab"}), mg("x", {"l": "xx", "m": "xx"})),
+    ],
+    ids=["loop-on-pair", "pair-in-triple", "K3-in-doubled-triangle",
+         "two-loops-on-two-loops", "two-loops-on-loop-and-pair"],
+)
+@pytest.mark.parametrize("strong", [True, False])
+def test_solutions_only_through_parallel_copies_are_found(host, pattern, strong):
+    r = find_immersion(host, pattern, strong=strong)
+    assert r.status == FOUND
+    assert verify_immersion(host, pattern, r.certificate, strong) == []
+
+
+def test_oracle_agreement_on_hosts_with_many_parallel_edges():
+    patterns = [(H, canonical_key(H)) for H in multigraph_classes(4, 5)]
+    for seed in range(12):
+        G = gen_random_multigraph(5, 8, 3, seed)
+        closures = {True: strong_closure(G), False: weak_closure(G)}
+        for H, key in patterns:
+            for strong in (True, False):
+                got = find_immersion(G, H, strong=strong).status == FOUND
+                assert got == (key in closures[strong]), (
+                    f"seed {seed}, strong={strong}: host {sorted(G.edges.values())}"
+                    f" pattern {sorted(H.edges.values())}: search={got}"
+                )
 
 
 # -- star-minor-to-immersion ------------------------------------------
