@@ -14,7 +14,6 @@ from .connectivity import (
     edge_disjoint_paths,
     is_k_edge_connected_set,
     max_flow_min_cut,
-    min_cut_min_source_side,
 )
 from .generators import (
     gen_complete,

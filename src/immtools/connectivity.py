@@ -66,11 +66,6 @@ def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWi
     return CutWitness(value=value, cut_edges=cut, source_side=side)
 
 
-def min_cut_min_source_side(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWitness:
-    """Among all minimum S-T cuts, the one with inclusion-minimal source side."""
-    return max_flow_min_cut(G, S, T)
-
-
 def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> List[List[str]]:
     """A maximum family of edge-disjoint S-T paths as edge-id sequences."""
     S, T = _check_terminals(G, S, T)

@@ -1,17 +1,18 @@
 """Unit-capacity max-flow core behind the connectivity queries.
 
-Undirected multigraph edges are encoded as two opposite directed arcs
-marked as partners.  After a max flow is computed, partner flows are
-resolved during path extraction by splicing, so every undirected edge ends
-up on at most one extracted path.  Augmentation is BFS shortest-path with
-arcs visited in insertion order, which makes all results deterministic
-when callers add arcs in sorted edge-id order.
+Every arc i is stored with a residual companion at i ^ 1, and the flow on
+the companion is always the negation of the flow on i.  A directed arc's
+companion has capacity 0.  An undirected edge is one arc whose companion
+has the same capacity, so the pair carries flow in at most one direction
+and a flow can never use an edge both ways.  Augmentation is BFS
+shortest-path with arcs visited in insertion order, which makes all
+results deterministic when callers add arcs in sorted edge-id order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 INF = 10**9
 
@@ -22,48 +23,29 @@ class FlowNetwork:
         self.head: List[Hashable] = []
         self.cap: List[int] = []
         self.flow: List[int] = []
-        self.tail: List[Hashable] = []
-        # arc index -> partner arc index for the opposite orientation of the
-        # same undirected edge (None for plain directed arcs)
-        self.partner: List[Optional[int]] = []
         # arc index -> caller label (e.g. multigraph edge id)
         self.label: List[Optional[str]] = []
 
     def add_node(self, n: Hashable) -> None:
         self.adj.setdefault(n, [])
 
-    def _push_arc(self, u, v, cap, label) -> int:
-        idx = len(self.head)
-        self.tail.append(u)
-        self.head.append(v)
-        self.cap.append(cap)
-        self.flow.append(0)
-        self.partner.append(None)
-        self.label.append(label)
-        self.adj.setdefault(u, []).append(idx)
-        return idx
-
-    def add_arc(self, u, v, cap, label=None) -> int:
-        """Directed arc with a zero-capacity residual companion at index+1."""
-        i = self._push_arc(u, v, cap, label)
-        self._push_arc(v, u, 0, label)
+    def _add_pair(self, u, v, cap, back_cap, label) -> int:
+        i = len(self.head)
+        self.head += (v, u)
+        self.cap += (cap, back_cap)
+        self.flow += (0, 0)
+        self.label += (label, label)
+        self.adj.setdefault(u, []).append(i)
+        self.adj.setdefault(v, []).append(i + 1)
         return i
 
-    def add_undirected(self, u, v, cap, label=None) -> Tuple[int, int]:
-        """Undirected edge: opposite partner arcs sharing one unit of use."""
-        i = self.add_arc(u, v, cap, label)
-        j = self.add_arc(v, u, cap, label)
-        self.partner[i] = j
-        self.partner[j] = i
-        return i, j
+    def add_arc(self, u, v, cap, label=None) -> int:
+        """Directed arc u->v; its companion at index+1 has capacity 0."""
+        return self._add_pair(u, v, cap, 0, label)
 
-    def add_undirected_between(self, u1, v1, u2, v2, cap, label=None) -> Tuple[int, int]:
-        """Partnered arcs u1->v1 and u2->v2 (split-vertex encodings)."""
-        i = self.add_arc(u1, v1, cap, label)
-        j = self.add_arc(u2, v2, cap, label)
-        self.partner[i] = j
-        self.partner[j] = i
-        return i, j
+    def add_undirected(self, u, v, cap, label=None) -> int:
+        """Undirected edge: one arc whose companion has the same capacity."""
+        return self._add_pair(u, v, cap, cap, label)
 
     # -- residual helpers ---------------------------------------------
 
@@ -91,13 +73,13 @@ class FlowNetwork:
         while v != source:
             i = prev_arc[v]
             amt = min(amt, self._residual(i))
-            v = self.tail[i]
+            v = self.head[i ^ 1]
         v = sink
         while v != source:
             i = prev_arc[v]
             self.flow[i] += amt
             self.flow[i ^ 1] -= amt
-            v = self.tail[i]
+            v = self.head[i ^ 1]
         return amt
 
     def max_flow(self, source, sink) -> int:
@@ -127,9 +109,10 @@ class FlowNetwork:
     def extract_paths(self, source, sink) -> List[List[int]]:
         """Decompose the current flow into unit source->sink arc paths.
 
-        Internal cycles on a walk are trimmed off, leftover circulations are
-        dropped, and opposite uses of partnered arcs are spliced away, so the
-        returned paths use each undirected edge at most once.
+        Only arcs with positive flow are walked, so an arc pair contributes
+        at most one of its two arcs.  Cycles met on a walk are trimmed off
+        (their flow stays consumed) and leftover circulations are dropped,
+        so the returned paths are simple and use each edge at most once.
         """
         remaining = [max(f, 0) for f in self.flow]
         paths: List[List[int]] = []
@@ -137,16 +120,10 @@ class FlowNetwork:
             walk: List[int] = []
             nodes: List[Hashable] = [source]
             node = source
-            stuck = False
             while node != sink:
-                chosen = None
-                for i in self.adj[node]:
-                    if self.cap[i] > 0 and remaining[i] > 0:
-                        chosen = i
-                        break
+                chosen = next((i for i in self.adj[node] if remaining[i] > 0), None)
                 if chosen is None:
-                    stuck = True
-                    break
+                    return paths
                 remaining[chosen] -= 1
                 nxt = self.head[chosen]
                 if nxt in nodes:
@@ -158,66 +135,4 @@ class FlowNetwork:
                     walk.append(chosen)
                     nodes.append(nxt)
                 node = nxt
-            if stuck:
-                break
             paths.append(walk)
-        self._splice_partner_conflicts(paths)
-        return [self._trim_cycles(p) for p in paths]
-
-    def _nodes_of(self, path: List[int], start) -> List[Hashable]:
-        nodes = [start]
-        for arc in path:
-            nodes.append(self.head[arc])
-        return nodes
-
-    def _trim_cycles(self, path: List[int]) -> List[int]:
-        if not path:
-            return path
-        out: List[int] = []
-        nodes: List[Hashable] = [self.tail[path[0]]]
-        for arc in path:
-            nxt = self.head[arc]
-            if nxt in nodes:
-                p = nodes.index(nxt)
-                out = out[:p]
-                nodes = nodes[:p + 1]
-            else:
-                out.append(arc)
-                nodes.append(nxt)
-        return out
-
-    def _splice_partner_conflicts(self, paths: List[List[int]]) -> None:
-        """Resolve pairs of paths using both orientations of one edge.
-
-        The prefix of one path is rerouted onto the suffix of the other at
-        the first node where the suffix passes the prefix's break point;
-        each round strictly shrinks the total arc count, so this terminates.
-        """
-        while True:
-            where: Dict[int, Tuple[int, int]] = {}
-            conflict = None
-            for pi, path in enumerate(paths):
-                for pos, arc in enumerate(path):
-                    where[arc] = (pi, pos)
-                    p = self.partner[arc]
-                    if p is not None and p in where:
-                        conflict = (where[p], (pi, pos))
-                        break
-                if conflict:
-                    break
-            if not conflict:
-                return
-            (pa, ia), (pb, ib) = conflict
-            a, b = paths[pa], paths[pb]
-            nodes_b = self._nodes_of(b, self.tail[b[0]])
-            cut_a = self.tail[a[ia]]
-            q = next(k for k in range(ib + 1, len(nodes_b)) if nodes_b[k] == cut_a)
-            new_a = a[:ia] + b[q:]
-            if pa == pb:
-                paths[pa] = new_a
-                continue
-            nodes_a = self._nodes_of(a, self.tail[a[0]])
-            cut_b = self.tail[b[ib]]
-            r = next(k for k in range(ia + 1, len(nodes_a)) if nodes_a[k] == cut_b)
-            paths[pa] = new_a
-            paths[pb] = b[:ib] + a[r:]

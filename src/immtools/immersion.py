@@ -291,6 +291,14 @@ class _Searcher:
                     continue
                 if nb == y:
                     tried.add(nb)
+                    # With y == x the closing edge e ends a cycle that the
+                    # search also walks the other way round, leaving x by e
+                    # and returning by path[0].  Both end edges are tried
+                    # from x in sorted order, so keeping the traversal that
+                    # leaves by the smaller one keeps each cycle's first
+                    # occurrence and the order of the distinct routes.
+                    if y == x and e < path[0]:
+                        continue
                     path.append(e)
                     yield tuple(path)
                     path.pop()
@@ -305,9 +313,9 @@ class _Searcher:
         return step(x)
 
     def _cycles(self, x: str, forbidden: Set[str]) -> Iterator[Tuple[str, ...]]:
-        """All cycles through x over available edges, up to swapping
-        parallel edges or loops: a loop at x, or a closed simple walk with
-        distinct edges and interior vertices."""
+        """All cycles through x over available edges, each in one
+        direction and up to swapping parallel edges or loops: a loop at x,
+        or a closed simple walk with distinct edges and interior vertices."""
         # Two available loops at x are swapped by a host automorphism that
         # fixes everything chosen so far, so only the first is offered.
         for e, nb in self.gadj[x]:
@@ -378,27 +386,26 @@ def star_minor_to_immersion(
     for v in fverts:
         demand[theta[v]] = len(half_edges[v])
 
+    # Used leaves are the sources and the center feeds the sink.  A path may
+    # neither pass through a used leaf nor leave the center, so an edge at a
+    # used leaf is only an arc out of it, an edge at the center only an arc
+    # into it, and an edge between two used leaves (or a loop) is no arc.
     used_leaves = {theta[v] for v in fverts}
     net = FlowNetwork()
-    for v in sorted(G.vertices):
-        net.add_node(("in", v))
-        net.add_node(("out", v))
-        if v == center or v in used_leaves:
-            transit = 0
-        else:
-            transit = INF
-        net.add_arc(("in", v), ("out", v), transit)
+    src, snk = ("super", "s"), ("super", "t")
     for e in sorted(G.edges):
         a, b = G.edges[e]
-        if a == b:
+        if b in used_leaves or a == center:
+            a, b = b, a
+        if a == b or (a in used_leaves and b in used_leaves):
             continue
-        net.add_undirected_between(
-            ("out", a), ("in", b), ("out", b), ("in", a), 1, label=e
-        )
-    src, snk = ("super", "s"), ("super", "t")
+        if a in used_leaves or b == center:
+            net.add_arc(a, b, 1, label=e)
+        else:
+            net.add_undirected(a, b, 1, label=e)
     for z in sorted(used_leaves):
-        net.add_arc(src, ("out", z), demand[z])
-    net.add_arc(("in", center), snk, INF)
+        net.add_arc(src, z, demand[z])
+    net.add_arc(center, snk, INF)
 
     total = 2 * len(F.edges)
     value = net.max_flow(src, snk)
@@ -410,7 +417,7 @@ def star_minor_to_immersion(
     arc_paths = net.extract_paths(src, snk)
     by_leaf: Dict[str, List[List[str]]] = {z: [] for z in used_leaves}
     for arcs in arc_paths:
-        leaf = net.head[arcs[0]][1]  # first arc is super-source -> ("out", z)
+        leaf = net.head[arcs[0]]  # first arc is super-source -> z
         edge_ids = [net.label[i] for i in arcs if net.label[i] is not None]
         by_leaf[leaf].append(edge_ids)
 

@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .connectivity import CutWitness, max_flow_min_cut, min_cut_min_source_side
+from .connectivity import CutWitness, max_flow_min_cut
 from .multigraph import Multigraph
 from .simplegraph import SimpleGraph, StarMinorModel
 
@@ -259,7 +259,7 @@ def compute_separator(
     prefix = frozenset(ordering[: i - 1])
     suffix = frozenset(ordering[i:])
     reduced = G.without_vertices(A | {xi})
-    witness = min_cut_min_source_side(reduced, prefix, suffix)
+    witness = max_flow_min_cut(reduced, prefix, suffix)
     return witness.source_side, witness.value
 
 
@@ -326,7 +326,7 @@ def linear_decompose(
             L, cost = compute_separator(G, A, ordering, i)
             if cost >= w_limit:
                 reduced = G.without_vertices(A | {ordering[i - 1]})
-                witness = min_cut_min_source_side(
+                witness = max_flow_min_cut(
                     reduced, frozenset(ordering[: i - 1]), frozenset(ordering[i:])
                 )
                 return FailureWitness(kind=SMALL_CUT, payload=witness)

@@ -6,7 +6,9 @@ vertices."""
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union,
+)
 
 from .connectivity import CutWitness, is_k_edge_connected_set, max_flow_min_cut
 from .multigraph import Multigraph, consolidate
@@ -218,32 +220,27 @@ def compose_decompositions(
         edge_sum(G1, v1, G2, v2, pi)  # precondition check only
     owner1 = next(n for n in sorted(D1.bags) if v1 in D1.bags[n])
     owner2 = next(n for n in sorted(D2.bags) if v2 in D2.bags[n])
+    return _join_trees(D1, owner1, {v1}, D2, owner2, {v2})
+
+
+def _join_trees(
+    D1: TreeCutDecomposition,
+    n1: str,
+    drop1: AbstractSet[str],
+    D2: TreeCutDecomposition,
+    n2: str,
+    drop2: AbstractSet[str],
+) -> TreeCutDecomposition:
+    """The two trees (nodes prefixed "1:" and "2:") joined by an edge
+    between n1 and n2, with drop1 and drop2 removed from their bags."""
     nodes = {f"1:{n}" for n in D1.tree_nodes} | {f"2:{n}" for n in D2.tree_nodes}
     edges = (
         {frozenset((f"1:{a}", f"1:{b}")) for a, b in map(sorted, D1.tree_edges)}
         | {frozenset((f"2:{a}", f"2:{b}")) for a, b in map(sorted, D2.tree_edges)}
-        | {frozenset((f"1:{owner1}", f"2:{owner2}"))}
+        | {frozenset((f"1:{n1}", f"2:{n2}"))}
     )
-    bags = {f"1:{n}": bag - {v1} for n, bag in D1.bags.items()}
-    bags.update({f"2:{n}": bag - {v2} for n, bag in D2.bags.items()})
-    return TreeCutDecomposition(
-        tree_nodes=frozenset(nodes), tree_edges=frozenset(edges), bags=bags
-    )
-
-
-def _join_disjoint(D1: TreeCutDecomposition, D2: TreeCutDecomposition) -> TreeCutDecomposition:
-    """Join decompositions of vertex-disjoint graphs by an arbitrary tree
-    edge (the zero-order analogue of composition)."""
-    a = f"1:{min(D1.tree_nodes)}"
-    b = f"2:{min(D2.tree_nodes)}"
-    nodes = {f"1:{n}" for n in D1.tree_nodes} | {f"2:{n}" for n in D2.tree_nodes}
-    edges = (
-        {frozenset((f"1:{x}", f"1:{y}")) for x, y in map(sorted, D1.tree_edges)}
-        | {frozenset((f"2:{x}", f"2:{y}")) for x, y in map(sorted, D2.tree_edges)}
-        | {frozenset((a, b))}
-    )
-    bags = {f"1:{n}": bag for n, bag in D1.bags.items()}
-    bags.update({f"2:{n}": bag for n, bag in D2.bags.items()})
+    bags = {f"1:{n}": bag - drop1 for n, bag in D1.bags.items()}
+    bags.update({f"2:{n}": bag - drop2 for n, bag in D2.bags.items()})
     return TreeCutDecomposition(
         tree_nodes=frozenset(nodes), tree_edges=frozenset(edges), bags=bags
     )
@@ -325,7 +322,11 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
         GX = G.induced(X)
         GY = G.without_vertices(X)
         assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges()
-        return _join_disjoint(_structure_tree(GX, alpha), _structure_tree(GY, alpha))
+        DX, DY = _structure_tree(GX, alpha), _structure_tree(GY, alpha)
+        # the zero-order analogue of composition: any tree edge will do
+        return _join_trees(
+            DX, min(DX.tree_nodes), frozenset(), DY, min(DY.tree_nodes), frozenset()
+        )
     vy = "cut:(" + "+".join(sorted(G.vertices - X)) + ")"
     vx = "cut:(" + "+".join(sorted(X)) + ")"
     GX = consolidate(G, G.vertices - X, name=vy)

@@ -6,7 +6,6 @@ from immtools import (
     gen_pk,
     is_k_edge_connected_set,
     max_flow_min_cut,
-    min_cut_min_source_side,
 )
 from helpers import all_min_cut_sides, check_path, mg
 
@@ -56,6 +55,20 @@ def test_paths_are_edge_disjoint_and_count_matches():
         check_path(G, p, {"v0"}, {"v2"})
 
 
+def test_paths_never_use_an_edge_both_ways():
+    # After s-b-a-t, the shortest augmenting path s-c-a-b-d-t crosses
+    # edge 5 back from a to b.  The edge's single arc pair cancels that
+    # flow instead of carrying it both ways, so the paths share no edge.
+    G = mg("sabcdt", {"0": "ac", "1": "sb", "3": "at", "5": "ab", "6": "sc",
+                      "7": "dt", "8": "bd"})
+    paths = edge_disjoint_paths(G, {"s"}, {"t"})
+    assert len(paths) == 2
+    used = [e for p in paths for e in p]
+    assert len(used) == len(set(used))
+    for p in paths:
+        check_path(G, p, {"s"}, {"t"})
+
+
 def test_unique_tree_path():
     G = mg("abcd", {"1": "ab", "2": "bc", "3": "cd"})
     paths = edge_disjoint_paths(G, {"a"}, {"d"})
@@ -91,7 +104,7 @@ def test_k_edge_connected_monotone_in_k():
 
 def test_min_source_side_prefers_small_side():
     G = mg("sat", {"1": "as", "2": "as", "3": "at", "4": "at"})
-    w = min_cut_min_source_side(G, {"s"}, {"t"})
+    w = max_flow_min_cut(G, {"s"}, {"t"})
     assert w.value == 2
     assert w.source_side == frozenset({"s"})
 
@@ -101,13 +114,13 @@ def test_min_source_side_contained_in_every_min_cut():
         "abcde",
         {"1": "ab", "2": "ab", "3": "bc", "4": "cd", "5": "de", "6": "be", "7": "ce"},
     )
-    w = min_cut_min_source_side(G, {"a"}, {"d"})
+    w = max_flow_min_cut(G, {"a"}, {"d"})
     for side in all_min_cut_sides(G, {"a"}, {"d"}, w.value):
         assert w.source_side <= side
 
 
 def test_value_zero_side_is_reachable_set():
     G = mg("abc", {"1": "ab"})
-    w = min_cut_min_source_side(G, {"a"}, {"c"})
+    w = max_flow_min_cut(G, {"a"}, {"c"})
     assert w.value == 0
     assert w.source_side == frozenset({"a", "b"})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from immtools import (
@@ -15,6 +17,8 @@ from immtools import (
     star_minor_to_immersion,
     verify_immersion,
 )
+from immtools.immersion import _Searcher
+from immtools.pathdecomp import build_auxiliary_graph, has_k1k_minor
 from enumerate_graphs import multigraph_classes
 from helpers import mg, sg
 from oracle_lift_closure import strong_closure, weak_closure
@@ -176,6 +180,16 @@ def test_solutions_only_through_parallel_copies_are_found(host, pattern, strong)
     assert verify_immersion(host, pattern, r.certificate, strong) == []
 
 
+def test_cycles_yields_each_cycle_once():
+    triangle = mg("123", {"a": "12", "b": "23", "c": "13"})
+    searcher = _Searcher(triangle, mg("x", {"l": "xx"}), strong=False, budget=None)
+    assert list(searcher._cycles("1", set())) == [("a", "b", "c")]
+    # K4: three triangles and three 4-cycles pass through each vertex
+    searcher = _Searcher(gen_complete(4), mg("x", {"l": "xx"}), strong=False, budget=None)
+    routes = list(searcher._cycles("v0", set()))
+    assert len(routes) == len({frozenset(r) for r in routes}) == 6
+
+
 def test_oracle_agreement_on_hosts_with_many_parallel_edges():
     patterns = [(H, canonical_key(H)) for H in multigraph_classes(4, 5)]
     for seed in range(12):
@@ -262,3 +276,60 @@ def test_invalid_model_rejected():
     )
     with pytest.raises(ValueError):
         star_minor_to_immersion(G, G.vertices, 6, bad, gen_complete(1))
+
+
+def test_star_minor_routes_avoid_used_leaves():
+    # h3 routes last, and its shortest ways to c run through the used leaf
+    # h1: directly (e-edges) or via s (a- and b-edges).  A route of h3
+    # through h1 would put h1 in the image of the pattern edge between h2
+    # and h3, so both paths of h3 must go round by t and u.
+    parts = [("a", 2, "h3", "s"), ("b", 2, "s", "h1"), ("d", 8, "h1", "c"),
+             ("e", 2, "h1", "h3"), ("w", 6, "h2", "c"), ("x", 6, "h3", "t"),
+             ("y", 6, "t", "u"), ("z", 6, "u", "c")]
+    G = mg(
+        ["h1", "h2", "h3", "c", "s", "t", "u"],
+        {f"{p}{i}": (v, w) for p, count, v, w in parts for i in range(count)},
+    )
+    model = StarMinorModel(
+        center="c",
+        leaves=frozenset({"h1", "h2", "h3"}),
+        tree=sg(["c", "h1", "h2", "h3"], [("c", "h1"), ("c", "h2"), ("c", "h3")]),
+    )
+    F = gen_complete(3)
+    cert = star_minor_to_immersion(G, {"c", "h1", "h2", "h3"}, 6, model, F)
+    assert verify_immersion(G, F, cert, strong=True) == []
+    assert not any(e[0] in "abe" for es in cert.edge_map.values() for e in es)
+
+
+STAR_PATTERNS = [
+    gen_complete(1),
+    gen_complete(2),
+    gen_complete(3),
+    mg("u", {"l": "uu"}),
+    mg("uv", {"a": "uv", "b": "uv"}),
+]
+
+
+def test_star_minor_construction_on_random_hosts():
+    built = transit = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(6, 10)
+        G = gen_random_multigraph(n, rng.randint(2 * n, 4 * n), 3, seed)
+        W = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.8)
+        F = rng.choice(STAR_PATTERNS)
+        m = max(1, 2 * len(F.edges) + rng.randint(0, 1))
+        if len(W) < 3:
+            continue
+        model = has_k1k_minor(build_auxiliary_graph(G, W, m), max(2, len(F.vertices)))
+        if model is False:
+            continue
+        cert = star_minor_to_immersion(G, W, m, model, F)
+        assert verify_immersion(G, F, cert, strong=True) == [], f"seed {seed}"
+        built += 1
+        ends = set(cert.vertex_map.values()) | {model.center}
+        spanned = {x for es in cert.edge_map.values() for e in es for x in G.ends(e)}
+        transit += bool(spanned - ends)
+    assert built >= 50
+    # some routes pass through vertices other than the leaves and the center
+    assert transit >= 1
