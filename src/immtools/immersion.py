@@ -19,7 +19,7 @@ holds for two available loops at the vertex a loop is routed from.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .flow import INF, FlowNetwork
 from .multigraph import Multigraph
@@ -46,64 +46,18 @@ class SearchResult:
 # -- verification -----------------------------------------------------
 
 
-def _edge_subgraph_vertices(G: Multigraph, edge_ids) -> Set[str]:
-    verts: Set[str] = set()
-    for e in edge_ids:
-        a, b = G.ends(e)
-        verts.add(a)
-        verts.add(b)
-    return verts
-
-
-def _edge_set_connected(G: Multigraph, edge_ids) -> bool:
-    edge_ids = set(edge_ids)
-    if not edge_ids:
-        return True
-    verts = _edge_subgraph_vertices(G, edge_ids)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
+def _reach(G: Multigraph, edge_ids: AbstractSet[str], x: str) -> Set[str]:
+    """Vertices reachable from x over the host edges in edge_ids."""
+    adj = G.adjacency()
+    seen = {x}
+    stack = [x]
     while stack:
         v = stack.pop()
-        for e in edge_ids:
-            a, b = G.ends(e)
-            if a == v and b not in seen:
-                seen.add(b)
-                stack.append(b)
-            elif b == v and a not in seen:
-                seen.add(a)
-                stack.append(a)
-    return seen == verts
-
-
-def _has_cycle_through(G: Multigraph, edge_ids, v: str) -> bool:
-    edge_ids = set(edge_ids)
-    for e in edge_ids:
-        a, b = G.ends(e)
-        if a == b == v:
-            return True
-    # a non-loop cycle through v: leave v by one edge, return by a different one
-    for first in sorted(edge_ids):
-        a, b = G.ends(first)
-        if v not in (a, b) or a == b:
-            continue
-        start = b if a == v else a
-        # DFS back to v avoiding the first edge and revisits
-        stack = [(start, {start}, {first})]
-        while stack:
-            cur, seen, used = stack.pop()
-            for e in edge_ids - used:
-                x, y = G.ends(e)
-                if x == y:
-                    continue
-                if cur not in (x, y):
-                    continue
-                nxt = y if x == cur else x
-                if nxt == v:
-                    return True
-                if nxt not in seen:
-                    stack.append((nxt, seen | {nxt}, used | {e}))
-    return False
+        for e, u in adj[v]:
+            if e in edge_ids and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 def verify_immersion(
@@ -153,19 +107,25 @@ def verify_immersion(
 
     for he in sorted(H.edges):
         hu, hv = H.ends(he)
-        edge_ids = em[he]
-        spanned = _edge_subgraph_vertices(G, edge_ids)
+        edge_ids = frozenset(em[he])
+        spanned = {v for e in edge_ids for v in G.edges[e]}
         if hu == hv:
-            if not _has_cycle_through(G, edge_ids, vm[hu]):
+            # A cycle through x: a loop at x, or an edge at x whose other
+            # end still reaches x without it.
+            x = vm[hu]
+            if not any(
+                e in edge_ids and (u == x or x in _reach(G, edge_ids - {e}, u))
+                for e, u in G.adjacency()[x]
+            ):
                 violations.append(
-                    f"loop {he!r}: image contains no cycle through {vm[hu]!r}"
+                    f"loop {he!r}: image contains no cycle through {x!r}"
                 )
         else:
             if vm[hu] not in spanned or vm[hv] not in spanned:
                 violations.append(
                     f"edge {he!r}: image misses an endpoint image"
                 )
-        if not _edge_set_connected(G, edge_ids):
+        if spanned and _reach(G, edge_ids, next(iter(spanned))) != spanned:
             violations.append(f"edge {he!r}: image is not connected")
         if strong:
             ends = {hu, hv}
@@ -185,15 +145,6 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _degrees(G: Multigraph) -> Dict[str, int]:
-    """Every vertex's degree from one pass over the edges; a loop counts 2."""
-    deg = dict.fromkeys(G.vertices, 0)
-    for a, b in G.edges.values():
-        deg[a] += 1
-        deg[b] += 1
-    return deg
-
-
 class _Searcher:
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -201,8 +152,8 @@ class _Searcher:
         self.strong = strong
         self.steps_left = budget if budget is not None else -1
         self.gadj = G.adjacency()
-        self.hdeg = _degrees(H)
-        self.gdeg = _degrees(G)
+        self.hdeg = H.degrees
+        self.gdeg = G.degrees
         self.horder = sorted(H.vertices, key=lambda v: (-self.hdeg[v], v))
         self.hedges = sorted(H.edges)
         self.assign: Dict[str, str] = {}

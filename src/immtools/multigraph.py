@@ -3,12 +3,17 @@
 Vertices and edge identifiers are opaque strings.  Parallel edges are
 distinct entries with equal endpoint pairs; a loop stores the same vertex
 twice.  All operations are pure and return new graphs.
+
+Each graph works out its incidence once, on the first query that needs
+it, and keeps it: the degree map and the adjacency are shared by every
+later query and caller, and must not be modified.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Iterable, Mapping
+import functools
+from collections.abc import Iterable
 from typing import Dict, FrozenSet, List, Tuple
 
 
@@ -35,10 +40,6 @@ class Multigraph:
             norm[eid] = (u, v) if u <= v else (v, u)
         object.__setattr__(self, "edges", norm)
 
-    @classmethod
-    def build(cls, vertices: Iterable[str], edges: Mapping[str, Tuple[str, str]]) -> "Multigraph":
-        return cls(frozenset(vertices), dict(edges))
-
     # -- basic queries -------------------------------------------------
 
     def ends(self, eid: str) -> Tuple[str, str]:
@@ -55,30 +56,18 @@ class Multigraph:
         """Edge ids touching v (loops listed once), sorted."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        return sorted(e for e, (a, b) in self.edges.items() if a == v or b == v)
+        return [e for e, _ in self._adjacency[v]]
 
     def degree(self, v: str) -> int:
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        d = 0
-        for a, b in self.edges.values():
-            if a == v:
-                d += 1
-            if b == v:
-                d += 1
-        return d
+        return self.degrees[v]
 
     def neighbors(self, v: str) -> FrozenSet[str]:
         """Vertices joined to v by a non-loop edge."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        out = set()
-        for a, b in self.edges.values():
-            if a == v and b != v:
-                out.add(b)
-            elif b == v and a != v:
-                out.add(a)
-        return frozenset(out)
+        return frozenset(u for _, u in self._adjacency[v] if u != v)
 
     def boundary(self, X: Iterable[str]) -> FrozenSet[str]:
         """delta(X): non-loop edges with exactly one endpoint in X."""
@@ -90,15 +79,29 @@ class Multigraph:
             e for e, (a, b) in self.edges.items() if (a in X) != (b in X)
         )
 
-    def adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
-        """vertex -> sorted list of (edge id, other endpoint); loops appear once."""
+    def adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
+        """vertex -> (edge id, other endpoint) pairs sorted by edge id;
+        loops appear once.  The mapping is shared: do not modify it."""
+        return self._adjacency
+
+    @functools.cached_property
+    def degrees(self) -> Dict[str, int]:
+        """vertex -> degree, a loop counting 2.  Shared: do not modify it."""
+        deg = dict.fromkeys(self.vertices, 0)
+        for a, b in self.edges.values():
+            deg[a] += 1
+            deg[b] += 1
+        return deg
+
+    @functools.cached_property
+    def _adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
         adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.vertices}
         for e in sorted(self.edges):
             a, b = self.edges[e]
             adj[a].append((e, b))
             if b != a:
                 adj[b].append((e, a))
-        return adj
+        return {v: tuple(pairs) for v, pairs in adj.items()}
 
     # -- derived graphs ------------------------------------------------
 

@@ -326,9 +326,7 @@ def linear_decompose(
             L, cost = compute_separator(G, A, ordering, i)
             if cost >= w_limit:
                 reduced = G.without_vertices(A | {ordering[i - 1]})
-                witness = max_flow_min_cut(
-                    reduced, frozenset(ordering[: i - 1]), frozenset(ordering[i:])
-                )
+                witness = CutWitness(cost, reduced.boundary(L), L)
                 return FailureWitness(kind=SMALL_CUT, payload=witness)
             seps[i] = L
         seps[t] = G.vertices - A - {ordering[t - 1]}

@@ -4,6 +4,7 @@ graph) and star-minor models over them."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 
@@ -26,21 +27,25 @@ class SimpleGraph:
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
 
-    def adjacency(self) -> Dict[str, List[str]]:
+    def adjacency(self) -> Dict[str, Tuple[str, ...]]:
+        """vertex -> sorted neighbours, built once and shared: do not
+        modify it."""
+        return self._adjacency
+
+    @functools.cached_property
+    def _adjacency(self) -> Dict[str, Tuple[str, ...]]:
         adj: Dict[str, List[str]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            u, v = sorted(e)
+            u, v = e
             adj[u].append(v)
             adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     def neighbors(self, v: str) -> FrozenSet[str]:
-        return frozenset(u for e in self.edges if v in e for u in e if u != v)
+        return frozenset(self._adjacency.get(v, ()))
 
     def degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return len(self._adjacency.get(v, ()))
 
     def without(self, X: Iterable[str]) -> "SimpleGraph":
         X = frozenset(X)

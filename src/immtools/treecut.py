@@ -6,6 +6,7 @@ vertices."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import (
     AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union,
 )
@@ -34,6 +35,11 @@ class TreeCutDecomposition:
     bags: Dict[str, FrozenSet[str]]
 
     def tree(self) -> SimpleGraph:
+        """The decomposition tree, built on the first call and shared."""
+        return self._tree
+
+    @functools.cached_property
+    def _tree(self) -> SimpleGraph:
         return SimpleGraph(self.tree_nodes, self.tree_edges)
 
     def violations(self, G: Multigraph) -> List[str]:
@@ -183,7 +189,7 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
     for G, v in ((G1, v1), (G2, v2)):
         if v not in G.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        if any(G.is_loop(e) for e in G.incident(v)):
+        if (v, v) in G.edges.values():
             raise ValueError(f"{v!r} carries a loop")
         k = G.degree(v)
         if k < 1:
@@ -246,26 +252,20 @@ def _join_trees(
     )
 
 
-def is_alpha_basic(
-    H: Multigraph, alpha: int, m: int = 1
-) -> Union[LinearityCertificate, FailureWitness]:
+def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, FailureWitness]:
     """Certify that the set of degree->=alpha vertices of H is alpha-linear,
-    via the auxiliary-graph decomposition with thresholds a = w = p = alpha.
-
-    m tunes the auxiliary graph only; the default of 1 keeps it as connected
-    as possible so the certificate search is as permissive as the algorithm
-    allows.
-    """
+    via the auxiliary-graph decomposition with thresholds a = w = p = alpha
+    and m = 1."""
     if alpha < 1:
         raise ValueError("alpha must be positive")
     W = frozenset(v for v in H.vertices if H.degree(v) >= alpha)
-    result = linear_decompose(H, W, m=m, w_limit=alpha)
+    result = linear_decompose(H, W, m=1, w_limit=alpha)
     if isinstance(result, FailureWitness):
         return result
     bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
     if not bad:
         return result
-    aux = build_auxiliary_graph(H, W, m)
+    aux = build_auxiliary_graph(H, W, 1)
     if len(result.A) > alpha:
         # a linearizing set above 4k forces a K_{1,k} minor of the
         # auxiliary graph; surface the largest such star

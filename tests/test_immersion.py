@@ -7,6 +7,7 @@ from immtools import (
     BUDGET,
     FOUND,
     ImmersionCertificate,
+    Multigraph,
     StarMinorModel,
     find_immersion,
     canonical_key,
@@ -20,8 +21,9 @@ from immtools import (
 from immtools.immersion import _Searcher
 from immtools.pathdecomp import build_auxiliary_graph, has_k1k_minor
 from enumerate_graphs import multigraph_classes
-from helpers import mg, sg
+from helpers import mg, random_multigraph, sg
 from oracle_lift_closure import strong_closure, weak_closure
+import oracle_verify
 
 
 def identity_cert(G, strong=True):
@@ -98,6 +100,94 @@ def test_dangling_identifiers_raise():
             G, mg("x", {"e": "xx"}),
             ImmersionCertificate({"x": "a"}, {"e": frozenset({"nope"})}, False),
         )
+
+
+def test_disconnected_image_is_rejected():
+    G = mg("abcd", {"1": "ab", "2": "cd"})
+    H = mg("xy", {"p": "xy"})
+    cert = ImmersionCertificate(
+        vertex_map={"x": "a", "y": "d"}, edge_map={"p": frozenset({"1", "2"})}, strong=False
+    )
+    assert verify_immersion(G, H, cert) == ["edge 'p': image is not connected"]
+
+
+def test_image_missing_an_endpoint_is_rejected():
+    G = mg("abc", {"1": "ab", "2": "bc"})
+    H = mg("xy", {"p": "xy"})
+    cert = ImmersionCertificate(
+        vertex_map={"x": "a", "y": "c"}, edge_map={"p": frozenset({"1"})}, strong=False
+    )
+    assert verify_immersion(G, H, cert) == ["edge 'p': image misses an endpoint image"]
+
+
+def test_loop_image_whose_only_cycles_avoid_the_branch_vertex():
+    # x hangs off K9 by a bridge: the image is connected and full of
+    # cycles, but none passes through x
+    K9 = gen_complete(9)
+    G = Multigraph(K9.vertices | {"x"}, {**K9.edges, "bridge": ("x", "v0")})
+    H = mg("y", {"l": "yy"})
+    cert = ImmersionCertificate(
+        vertex_map={"y": "x"}, edge_map={"l": frozenset(G.edges)}, strong=True
+    )
+    assert verify_immersion(G, H, cert) == ["loop 'l': image contains no cycle through 'x'"]
+    # a second edge from x into K9 closes a cycle through x
+    G2 = Multigraph(G.vertices, {**G.edges, "back": ("x", "v8")})
+    cert2 = ImmersionCertificate(
+        vertex_map={"y": "x"}, edge_map={"l": frozenset(G2.edges)}, strong=True
+    )
+    assert verify_immersion(G2, H, cert2) == []
+
+
+_MESSAGE_KINDS = (
+    "not injective", "share host edge", "no cycle through",
+    "misses an endpoint", "not connected", "branch vertex",
+)
+
+
+def _random_certificate(rng, G, H):
+    """A found certificate with up to two random edits, or a random one."""
+    r = find_immersion(G, H, strong=rng.random() < 0.5, budget=2000)
+    if r.status != FOUND:
+        gverts, gedges = sorted(G.vertices), sorted(G.edges)
+        return ImmersionCertificate(
+            vertex_map={v: rng.choice(gverts) for v in sorted(H.vertices)},
+            edge_map={
+                e: frozenset(rng.sample(gedges, rng.randint(0, min(3, len(gedges)))))
+                for e in sorted(H.edges)
+            },
+            strong=False,
+        )
+    vm = dict(r.certificate.vertex_map)
+    em = dict(r.certificate.edge_map)
+    for _ in range(rng.randint(0, 2)):
+        if vm and rng.random() < 0.3:
+            vm[rng.choice(sorted(vm))] = rng.choice(sorted(G.vertices))
+        elif em:
+            he = rng.choice(sorted(em))
+            ge = rng.choice(sorted(G.edges))
+            em[he] = em[he] - {ge} if ge in em[he] else em[he] | {ge}
+    return ImmersionCertificate(vm, em, r.certificate.strong)
+
+
+def test_verifier_agrees_with_the_edge_scanning_oracle():
+    rng = random.Random(20140)
+    kinds = {kind: 0 for kind in _MESSAGE_KINDS}
+    accepted = 0
+    for _ in range(2000):
+        G = random_multigraph(rng, max_n=6, max_edges=10)
+        H = random_multigraph(rng, max_n=3, max_edges=3)
+        cert = _random_certificate(rng, G, H)
+        for strong in (True, False):
+            got = verify_immersion(G, H, cert, strong)
+            assert got == oracle_verify.violations(G, H, cert, strong), (
+                sorted(G.edges.values()), sorted(H.edges.values()), cert, strong
+            )
+            accepted += not got
+            for msg in got:
+                for kind in kinds:
+                    kinds[kind] += kind in msg
+    assert accepted > 0
+    assert all(kinds.values()), kinds
 
 
 def test_k3_in_p2_weak_yes_strong_no():

@@ -1,6 +1,15 @@
+import itertools
+
 import pytest
 
-from immtools import Multigraph, consolidate, is_separation, lift, split_off_vertex
+from immtools import (
+    Multigraph,
+    consolidate,
+    gen_random_multigraph,
+    is_separation,
+    lift,
+    split_off_vertex,
+)
 from helpers import mg
 
 
@@ -145,3 +154,64 @@ def test_is_separation():
     assert not is_separation(G, {"a"}, {"b", "c", "d"})  # edge 1 crosses
     assert not is_separation(G, {"a", "b"}, {"c"})  # not covering
     assert not is_separation(G, set(), G.vertices)
+
+
+def _scan(G, v):
+    """Incident edge ids, degree and neighbours of v from a scan of every edge."""
+    incident = sorted(e for e, (a, b) in G.edges.items() if v in (a, b))
+    degree = sum((a == v) + (b == v) for a, b in G.edges.values())
+    nbrs = frozenset(a if b == v else b for a, b in G.edges.values() if v in (a, b)) - {v}
+    return incident, degree, nbrs
+
+
+def _index_graphs():
+    """Seeded random multigraphs with loops and parallel edges, and graphs
+    derived from them by consolidation, lifting and vertex deletion."""
+    for seed in range(40):
+        G = gen_random_multigraph(6, 12, 3, seed)
+        yield G
+        X = sorted(G.vertices)[:2]
+        yield consolidate(G, X)
+        yield G.without_vertices(X[:1])
+        non_loops = [e for e in sorted(G.edges) if not G.is_loop(e)]
+        for e, f in itertools.combinations(non_loops, 2):
+            shared = set(G.ends(e)) & set(G.ends(f))
+            if shared:
+                yield lift(G, e, f, pivot=min(shared))
+                break
+
+
+def test_incidence_index_matches_an_edge_scan():
+    loops = parallels = 0
+    for G in _index_graphs():
+        ends = list(G.edges.values())
+        loops += any(a == b for a, b in ends)
+        parallels += len(set(ends)) < len(ends)
+        adj = G.adjacency()
+        assert set(adj) == G.vertices
+        for v in sorted(G.vertices):
+            incident, degree, nbrs = _scan(G, v)
+            assert G.incident(v) == incident
+            assert G.degree(v) == G.degrees[v] == degree
+            assert G.neighbors(v) == nbrs
+            assert adj[v] == tuple(
+                (e, b if a == v else a) for e in incident for a, b in [G.edges[e]]
+            )
+    assert loops and parallels
+
+
+def test_index_queries_reject_unknown_vertices():
+    G = mg("ab", {"l": "aa", "e": "ab"})
+    for query in (G.degree, G.incident, G.neighbors):
+        with pytest.raises(ValueError):
+            query("z")
+
+
+def test_querying_leaves_equality_and_repr_unchanged():
+    G = gen_random_multigraph(5, 9, 2, 3)
+    fresh = Multigraph(G.vertices, dict(G.edges))
+    for v in G.vertices:
+        G.degree(v), G.incident(v), G.neighbors(v)
+    G.adjacency()
+    assert G == fresh
+    assert repr(G) == repr(fresh)
