@@ -318,8 +318,6 @@ def linear_decompose(
         bags = (frozenset(rest),)
     elif t == 1:
         bags = (frozenset(), frozenset(rest))
-    elif t == 2:
-        bags = (frozenset(), frozenset(rest), frozenset())
     else:
         seps: Dict[int, FrozenSet[str]] = {1: frozenset()}
         for i in range(2, t):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union,
+    AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
 from .connectivity import CutWitness, is_k_edge_connected_set, max_flow_min_cut
@@ -28,6 +28,11 @@ from .pathdecomp import (
 from .simplegraph import SimpleGraph
 
 
+class _Shape(NamedTuple):
+    problems: Tuple[str, ...]
+    owner: Optional[Dict[str, str]]  # vertex -> first node, sorted, whose bag has it
+
+
 @dataclasses.dataclass(frozen=True)
 class TreeCutDecomposition:
     tree_nodes: FrozenSet[str]
@@ -42,27 +47,33 @@ class TreeCutDecomposition:
     def _tree(self) -> SimpleGraph:
         return SimpleGraph(self.tree_nodes, self.tree_edges)
 
-    def violations(self, G: Multigraph) -> List[str]:
-        out = []
+    @functools.cached_property
+    def _shape(self) -> _Shape:
+        """The checks that do not depend on G, made once: do not modify the bags."""
         if not self.tree_nodes:
-            out.append("decomposition tree has no nodes")
-            return out
-        t = self.tree()
-        if not t.is_tree():
+            return _Shape(("decomposition tree has no nodes",), None)
+        out = []
+        if not self.tree().is_tree():
             out.append("decomposition tree is not a tree")
         if set(self.bags) != set(self.tree_nodes):
             out.append("bag index set differs from the tree nodes")
-            return out
-        seen: Dict[str, str] = {}
+            return _Shape(tuple(out), None)
+        owner: Dict[str, str] = {}
         for n in sorted(self.bags):
             for v in self.bags[n]:
-                if v in seen:
-                    out.append(f"bags {seen[v]!r} and {n!r} both contain {v!r}")
+                if v in owner:
+                    out.append(f"bags {owner[v]!r} and {n!r} both contain {v!r}")
                 else:
-                    seen[v] = n
-        if frozenset(seen) != G.vertices:
-            missing = G.vertices - frozenset(seen)
-            extra = frozenset(seen) - G.vertices
+                    owner[v] = n
+        return _Shape(tuple(out), owner)
+
+    def violations(self, G: Multigraph) -> List[str]:
+        """The shape problems, then whether the bags cover exactly G.vertices."""
+        problems, owner = self._shape
+        out = list(problems)
+        if owner is not None and owner.keys() != G.vertices:
+            missing = G.vertices - owner.keys()
+            extra = owner.keys() - G.vertices
             if missing:
                 out.append(f"bags miss vertices: {sorted(missing)}")
             if extra:
@@ -83,56 +94,44 @@ class StructureDecomposition:
     certificates: Dict[str, LinearityCertificate]
 
 
-def _tree_side(D: TreeCutDecomposition, u: str, v: str) -> FrozenSet[str]:
-    """Nodes of the component of T - uv containing v."""
-    adj = D.tree().adjacency()
-    comp = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if (x, y) in ((u, v), (v, u)):
-                continue
-            if y not in comp:
-                comp.add(y)
-                stack.append(y)
-    return frozenset(comp)
+def _require_valid(bad: List[str]) -> None:
+    if bad:
+        raise ValueError("malformed decomposition: " + "; ".join(bad))
 
 
 def adhesion(G: Multigraph, D: TreeCutDecomposition) -> int:
-    bad = D.violations(G)
-    if bad:
-        raise ValueError("malformed decomposition: " + "; ".join(bad))
-    best = 0
-    for e in D.tree_edges:
-        u, v = sorted(e)
-        side = frozenset().union(*(D.bags[n] for n in _tree_side(D, u, v)))
-        best = max(best, len(G.boundary(side)))
-    return best
+    """The largest |delta_G(Z)| over the sides Z of the tree edges, read
+    off the torsos: consolidating Z keeps every edge with exactly one end
+    in Z and drops the edges inside Z, so Z's peripheral vertex has degree
+    |delta_G(Z)|.  An empty side makes no vertex, and delta(empty) = 0."""
+    _require_valid(D.violations(G))
+    torsos = (torso_at(G, D, t) for t in sorted(D.tree_nodes))
+    return max((T.graph.degree(z) for T in torsos for z in T.peripheral), default=0)
 
 
 def torso_at(G: Multigraph, D: TreeCutDecomposition, t: str) -> Torso:
     """Consolidate the bag union of each component of T - t to one
     peripheral vertex (named after the neighbor node it hangs off);
     component unions that are empty contribute nothing."""
-    bad = D.violations(G)
-    if bad:
-        raise ValueError("malformed decomposition: " + "; ".join(bad))
+    _require_valid(D.violations(G))
     if t not in D.tree_nodes:
         raise ValueError(f"unknown tree node {t!r}")
-    if len(D.tree_nodes) == 1:
-        return Torso(graph=G, core=G.vertices, peripheral=frozenset())
     adj = D.tree().adjacency()
+    hangs_off: Dict[str, Optional[str]] = {t: None, **{n: n for n in adj[t]}}
+    stack = list(adj[t])
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in hangs_off:
+                hangs_off[y] = hangs_off[x]
+                stack.append(y)
+    sides: Dict[Optional[str], List[str]] = {n: [] for n in (None, *adj[t])}
+    for v, n in D._shape.owner.items():
+        sides[hangs_off[n]].append(v)
     graph = G
-    peripheral = []
     for n in adj[t]:
-        side = _tree_side(D, t, n)
-        Z = frozenset().union(*(D.bags[x] for x in side))
-        if not Z:
-            continue
-        before = graph.vertices
-        graph = consolidate(graph, Z, name=f"peri:{n}")
-        peripheral.extend(graph.vertices - before)
+        if sides[n]:
+            graph = consolidate(graph, sides[n], name=f"peri:{n}")
     core = D.bags[t]
     return Torso(graph=graph, core=core, peripheral=graph.vertices - core)
 
@@ -219,14 +218,13 @@ def compose_decompositions(
     The bags do not depend on the edge bijection; pi is accepted so callers
     can keep the full edge-sum data together, and is validated when given.
     """
-    bad = D1.violations(G1) + D2.violations(G2)
-    if bad:
-        raise ValueError("malformed decomposition: " + "; ".join(bad))
+    _require_valid(D1.violations(G1) + D2.violations(G2))
     if pi is not None:
         edge_sum(G1, v1, G2, v2, pi)  # precondition check only
-    owner1 = next(n for n in sorted(D1.bags) if v1 in D1.bags[n])
-    owner2 = next(n for n in sorted(D2.bags) if v2 in D2.bags[n])
-    return _join_trees(D1, owner1, {v1}, D2, owner2, {v2})
+    for G, v in ((G1, v1), (G2, v2)):
+        if v not in G.vertices:
+            raise ValueError(f"unknown vertex {v!r}")
+    return _join_trees(D1, D1._shape.owner[v1], {v1}, D2, D2._shape.owner[v2], {v2})
 
 
 def _join_trees(

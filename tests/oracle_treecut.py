@@ -1,0 +1,90 @@
+"""Reference tree-cut queries: the per-edge versions that
+`immtools.treecut` replaced.
+
+`violations` runs the whole near-partition check on every call,
+`_tree_side` walks the tree once per tree edge, `adhesion` takes the
+boundary of each tree edge's side in G, and `torso_at` consolidates each
+side found by its own walk.  Each gives the same answer, message or
+exception type as its `immtools` namesake.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, List
+
+from immtools import Multigraph, SimpleGraph, Torso, TreeCutDecomposition, consolidate
+
+
+def violations(G: Multigraph, D: TreeCutDecomposition) -> List[str]:
+    out = []
+    if not D.tree_nodes:
+        out.append("decomposition tree has no nodes")
+        return out
+    if not SimpleGraph(D.tree_nodes, D.tree_edges).is_tree():
+        out.append("decomposition tree is not a tree")
+    if set(D.bags) != set(D.tree_nodes):
+        out.append("bag index set differs from the tree nodes")
+        return out
+    seen: Dict[str, str] = {}
+    for n in sorted(D.bags):
+        for v in D.bags[n]:
+            if v in seen:
+                out.append(f"bags {seen[v]!r} and {n!r} both contain {v!r}")
+            else:
+                seen[v] = n
+    if frozenset(seen) != G.vertices:
+        missing = G.vertices - frozenset(seen)
+        extra = frozenset(seen) - G.vertices
+        if missing:
+            out.append(f"bags miss vertices: {sorted(missing)}")
+        if extra:
+            out.append(f"bags contain foreign vertices: {sorted(extra)}")
+    return out
+
+
+def _require_valid(G: Multigraph, D: TreeCutDecomposition) -> None:
+    bad = violations(G, D)
+    if bad:
+        raise ValueError("malformed decomposition: " + "; ".join(bad))
+
+
+def _tree_side(D: TreeCutDecomposition, u: str, v: str) -> FrozenSet[str]:
+    """Nodes of the component of T - uv containing v."""
+    adj = SimpleGraph(D.tree_nodes, D.tree_edges).adjacency()
+    comp = {v}
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if (x, y) in ((u, v), (v, u)):
+                continue
+            if y not in comp:
+                comp.add(y)
+                stack.append(y)
+    return frozenset(comp)
+
+
+def adhesion(G: Multigraph, D: TreeCutDecomposition) -> int:
+    _require_valid(G, D)
+    best = 0
+    for e in D.tree_edges:
+        u, v = sorted(e)
+        side = frozenset().union(*(D.bags[n] for n in _tree_side(D, u, v)))
+        best = max(best, len(G.boundary(side)))
+    return best
+
+
+def torso_at(G: Multigraph, D: TreeCutDecomposition, t: str) -> Torso:
+    _require_valid(G, D)
+    if t not in D.tree_nodes:
+        raise ValueError(f"unknown tree node {t!r}")
+    if len(D.tree_nodes) == 1:
+        return Torso(graph=G, core=G.vertices, peripheral=frozenset())
+    adj = SimpleGraph(D.tree_nodes, D.tree_edges).adjacency()
+    graph = G
+    for n in adj[t]:
+        Z = frozenset().union(*(D.bags[x] for x in _tree_side(D, t, n)))
+        if Z:
+            graph = consolidate(graph, Z, name=f"peri:{n}")
+    core = D.bags[t]
+    return Torso(graph=graph, core=core, peripheral=graph.vertices - core)

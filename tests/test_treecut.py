@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
+import oracle_treecut
 from immtools import (
     FailureWitness,
     LinearityCertificate,
+    Multigraph,
+    SimpleGraph,
     StructureDecomposition,
     TreeCutDecomposition,
     adhesion,
@@ -11,6 +16,7 @@ from immtools import (
     edge_sum,
     gen_complete,
     gen_pk,
+    gen_random_multigraph,
     is_alpha_basic,
     is_grounded,
     structure_decompose,
@@ -99,6 +105,151 @@ def test_torso_unknown_node():
         torso_at(C4, single_node(C4), "zz")
 
 
+# -- shape checks ------------------------------------------------------
+
+
+def _decomp(nodes, edges, bags):
+    return TreeCutDecomposition(
+        tree_nodes=frozenset(nodes),
+        tree_edges=frozenset(frozenset(e) for e in edges),
+        bags={n: frozenset(b) for n, b in bags.items()},
+    )
+
+
+def test_violation_no_nodes():
+    D = _decomp([], [], {})
+    assert D.violations(C4) == ["decomposition tree has no nodes"]
+
+
+def test_violation_not_a_tree():
+    D = _decomp("pq", [], {"p": "ab", "q": "cd"})
+    assert D.violations(C4) == ["decomposition tree is not a tree"]
+
+
+def test_violation_bag_index_set():
+    D = _decomp("pq", ["pq"], {"p": "abcd"})
+    assert D.violations(C4) == ["bag index set differs from the tree nodes"]
+    cyclic = _decomp("pqr", ["pq", "qr", "pr"], {"p": "abcd", "q": "", "s": ""})
+    assert cyclic.violations(C4) == [
+        "decomposition tree is not a tree",
+        "bag index set differs from the tree nodes",
+    ]
+
+
+def test_violation_overlapping_bags():
+    D = _decomp("pq", ["pq"], {"p": "abc", "q": "cd"})
+    assert D.violations(C4) == ["bags 'p' and 'q' both contain 'c'"]
+
+
+def test_violation_missing_vertices():
+    D = _decomp("pq", ["pq"], {"p": "a", "q": "c"})
+    assert D.violations(C4) == ["bags miss vertices: ['b', 'd']"]
+
+
+def test_violation_foreign_vertices():
+    D = _decomp("pq", ["pq"], {"p": "abx", "q": "cdy"})
+    assert D.violations(C4) == ["bags contain foreign vertices: ['x', 'y']"]
+
+
+def test_violations_are_not_bound_to_the_first_graph():
+    G2 = mg("abce", {"1": "ab", "2": "bc", "3": "ce"})
+    expected = ["bags miss vertices: ['e']", "bags contain foreign vertices: ['d']"]
+    D = _decomp("pq", ["pq"], {"p": "ab", "q": "cd"})
+    assert D.violations(C4) == []
+    assert D.violations(G2) == expected
+    D = _decomp("pq", ["pq"], {"p": "ab", "q": "cd"})
+    assert D.violations(G2) == expected
+    assert D.violations(C4) == []
+
+
+def test_mutating_returned_violations_changes_nothing():
+    D = _decomp("pq", [], {"p": "abc", "q": "cx"})
+    first = D.violations(C4)
+    assert len(first) == 4
+    kept = list(first)
+    first.clear()
+    again = D.violations(C4)
+    assert again == kept
+    again.append("extra")
+    assert D.violations(C4) == kept
+
+
+def test_shape_is_checked_once_per_decomposition(monkeypatch):
+    calls = []
+    is_tree = SimpleGraph.is_tree
+    monkeypatch.setattr(SimpleGraph, "is_tree", lambda T: calls.append(T) or is_tree(T))
+    D = _decomp("pqr", ["pq", "qr"], {"p": "a", "q": "bc", "r": "d"})
+    for t in "pqr":
+        torso_at(C4, D, t)
+    assert adhesion(C4, D) == 2
+    assert len(calls) == 1
+
+
+def _random_case(rng: random.Random):
+    """A seeded random graph and a decomposition of it; about three in ten
+    of the decompositions are malformed in one of seven ways."""
+    n = rng.randint(1, 7)
+    G = gen_random_multigraph(n, rng.randint(0, 2 * n), 2, rng.randrange(10**6))
+    if rng.random() < 0.2:  # a vertex named like a peripheral vertex
+        rename = {"v0": "peri:n1"}
+        G = Multigraph(
+            frozenset(rename.get(v, v) for v in G.vertices),
+            {e: (rename.get(a, a), rename.get(b, b)) for e, (a, b) in G.edges.items()},
+        )
+    c = rng.randint(1, 6)
+    nodes = [f"n{i}" for i in range(c)]
+    edges = {frozenset((nodes[i], nodes[rng.randrange(i)])) for i in range(1, c)}
+    bags = {x: set() for x in nodes}
+    for v in sorted(G.vertices):
+        bags[rng.choice(nodes)].add(v)
+    flaw = rng.randrange(21)
+    if flaw == 0 and edges:
+        edges.remove(rng.choice(sorted(edges, key=sorted)))
+    elif flaw == 1 and c >= 3:
+        edges.add(frozenset(rng.sample(nodes, 2)))
+    elif flaw == 2 and c >= 2:
+        v = rng.choice(sorted(G.vertices))
+        bags[rng.choice(nodes)].add(v)
+    elif flaw == 3:
+        v = rng.choice(sorted(G.vertices))
+        for bag in bags.values():
+            bag.discard(v)
+    elif flaw == 4:
+        bags[rng.choice(nodes)].add("x")
+    elif flaw == 5 and rng.random() < 0.5:
+        del bags[rng.choice(nodes)]
+    elif flaw == 5:
+        bags["zz"] = set()
+    elif flaw == 6:
+        nodes, edges, bags = [], set(), {}
+    return G, _decomp(nodes, edges, bags)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # compare the exception type, not the message
+        return type(exc)
+
+
+def test_queries_agree_with_the_per_edge_oracle():
+    rng = random.Random(0x7C5)
+    malformed = torsos = 0
+    for _ in range(600):
+        G, D = _random_case(rng)
+        expected = oracle_treecut.violations(G, D)
+        assert D.violations(G) == expected
+        assert D.violations(G) == expected
+        malformed += bool(expected)
+        assert _outcome(adhesion, G, D) == _outcome(oracle_treecut.adhesion, G, D)
+        for t in sorted(D.tree_nodes) + ["zz"]:
+            got = _outcome(torso_at, G, D, t)
+            assert got == _outcome(oracle_treecut.torso_at, G, D, t)
+            torsos += not isinstance(got, type)
+    assert 100 < malformed < 400
+    assert torsos > 1000
+
+
 # -- edge sums ---------------------------------------------------------
 
 
@@ -170,6 +321,13 @@ def test_compose_bridge_adhesion_one():
     D = compose_decompositions(G1, single_node(G1), G2, single_node(G2), "p1", "p2")
     G = edge_sum(G1, "p1", G2, "p2", {"e": "f"})
     assert adhesion(G, D) == 1
+
+
+@pytest.mark.parametrize("v1, v2", [("zz", "a1"), ("a1", "zz")])
+def test_compose_rejects_unknown_glue_vertex(v1, v2):
+    D = single_node(TRI_A)
+    with pytest.raises(ValueError, match="unknown vertex 'zz'"):
+        compose_decompositions(TRI_A, D, TRI_A, D, v1, v2)
 
 
 def test_compose_torsos_match_inputs():
