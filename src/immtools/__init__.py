@@ -69,6 +69,7 @@ from .treecut import (
     is_grounded,
     structure_decompose,
     torso_at,
+    torsos,
     verify_structure,
 )
 

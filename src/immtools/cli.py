@@ -8,6 +8,7 @@ streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, List, Optional
@@ -172,7 +173,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not modify
+    it, and each call to `main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="immtools",
         description="Multigraph immersion search, path-like and tree-cut "

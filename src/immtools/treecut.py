@@ -100,40 +100,110 @@ def _require_valid(bad: List[str]) -> None:
 
 
 def adhesion(G: Multigraph, D: TreeCutDecomposition) -> int:
-    """The largest |delta_G(Z)| over the sides Z of the tree edges, read
-    off the torsos: consolidating Z keeps every edge with exactly one end
-    in Z and drops the edges inside Z, so Z's peripheral vertex has degree
-    |delta_G(Z)|.  An empty side makes no vertex, and delta(empty) = 0."""
-    _require_valid(D.violations(G))
-    torsos = (torso_at(G, D, t) for t in sorted(D.tree_nodes))
-    return max((T.graph.degree(z) for T in torsos for z in T.peripheral), default=0)
+    """The largest |delta_G(Z)| over the sides Z of the tree edges."""
+    return _adhesion(torsos(G, D))
+
+
+def _adhesion(parts: Mapping[str, Torso]) -> int:
+    """Adhesion read off the torsos: Z's peripheral vertex keeps exactly the
+    edges with one end in Z, so its degree is |delta_G(Z)|.  An empty side
+    makes no vertex, and delta(empty) = 0."""
+    return max(
+        (T.graph.degree(z) for T in parts.values() for z in T.peripheral), default=0
+    )
 
 
 def torso_at(G: Multigraph, D: TreeCutDecomposition, t: str) -> Torso:
-    """Consolidate the bag union of each component of T - t to one
-    peripheral vertex (named after the neighbor node it hangs off);
-    component unions that are empty contribute nothing."""
+    """The torso of D at node t; see `torsos`."""
     _require_valid(D.violations(G))
     if t not in D.tree_nodes:
         raise ValueError(f"unknown tree node {t!r}")
+    return torsos(G, D)[t]
+
+
+def torsos(G: Multigraph, D: TreeCutDecomposition) -> Dict[str, Torso]:
+    """Every torso of D, by node, in one pass over G's edges.
+
+    The torso at t consolidates the bag union of each component of T - t
+    to one peripheral vertex, named `peri:<n>` after the neighbour n it
+    hangs off; components whose union is empty contribute nothing.  An
+    edge whose ends lie in the bags of p and q is kept, with its ends
+    replaced by peripheral vertices, exactly in the torsos of the nodes on
+    the tree path from p to q (only in p's when p == q), and the edges of
+    each torso keep G's order.  The cost is O(|T| + the size of all
+    torsos), which is the size of the output.
+    """
+    _require_valid(D.violations(G))
+    owner = D._shape.owner
     adj = D.tree().adjacency()
-    hangs_off: Dict[str, Optional[str]] = {t: None, **{n: n for n in adj[t]}}
-    stack = list(adj[t])
-    while stack:
-        x = stack.pop()
+    root = min(D.tree_nodes)
+    parent: Dict[str, Optional[str]] = {root: None}
+    depth = {root: 0}
+    order = [root]
+    for x in order:
         for y in adj[x]:
-            if y not in hangs_off:
-                hangs_off[y] = hangs_off[x]
-                stack.append(y)
-    sides: Dict[Optional[str], List[str]] = {n: [] for n in (None, *adj[t])}
-    for v, n in D._shape.owner.items():
-        sides[hangs_off[n]].append(v)
-    graph = G
-    for n in adj[t]:
-        if sides[n]:
-            graph = consolidate(graph, sides[n], name=f"peri:{n}")
-    core = D.bags[t]
-    return Torso(graph=graph, core=core, peripheral=graph.vertices - core)
+            if y not in parent:
+                parent[y] = x
+                depth[y] = depth[x] + 1
+                order.append(y)
+    owned = dict.fromkeys(order, 0)  # vertices owned in the subtree below a node
+    for n in owner.values():
+        owned[n] += 1
+    for x in reversed(order[1:]):
+        owned[parent[x]] += owned[x]
+
+    def side(t: str, x: str) -> str:
+        """The neighbour of t whose component of T - t holds the node x != t."""
+        while depth[x] > depth[t] + 1:
+            x = parent[x]
+        return x if parent[x] == t else parent[t]
+
+    # Name each side as consolidating the sides one by one in adjacency
+    # order would: the name must avoid what is left of G at that step, the
+    # bag, the earlier peripheral vertices and the vertices of later sides.
+    peri: Dict[str, Dict[str, str]] = {}
+    for t in order:
+        bag = D.bags[t]
+        rank = {n: i for i, n in enumerate(adj[t])}
+        names: Dict[str, str] = {}
+        used = set()
+        for i, n in enumerate(adj[t]):
+            if not (owned[n] if parent[n] == t else owned[root] - owned[t]):
+                continue
+            name = f"peri:{n}"
+            while (
+                name in bag
+                or name in used
+                or (name in owner and rank[side(t, owner[name])] > i)
+            ):
+                name += "'"
+            names[n] = name
+            used.add(name)
+        peri[t] = names
+
+    edges: Dict[str, Dict[str, Tuple[str, str]]] = {t: {} for t in order}
+    for e, (a, b) in G.edges.items():
+        up, down = [owner[a]], [owner[b]]
+        while up[-1] != down[-1]:
+            if depth[up[-1]] >= depth[down[-1]]:
+                up.append(parent[up[-1]])
+            else:
+                down.append(parent[down[-1]])
+        path = up + down[-2::-1]
+        last = len(path) - 1
+        for i, t in enumerate(path):
+            edges[t][e] = (
+                a if i == 0 else peri[t][path[i - 1]],
+                b if i == last else peri[t][path[i + 1]],
+            )
+    out = {}
+    for t in sorted(D.tree_nodes):
+        core = D.bags[t]
+        peripheral = frozenset(peri[t].values())
+        out[t] = Torso(
+            graph=Multigraph(core | peripheral, edges[t]), core=core, peripheral=peripheral
+        )
+    return out
 
 
 def edge_sum(
@@ -293,10 +363,10 @@ def structure_decompose(
     if alpha < 1:
         raise ValueError("alpha must be positive")
     D = _structure_tree(G, alpha)
-    assert adhesion(G, D) < alpha
+    parts = torsos(G, D)
+    assert _adhesion(parts) < alpha
     certs: Dict[str, LinearityCertificate] = {}
-    for t in sorted(D.tree_nodes):
-        torso = torso_at(G, D, t)
+    for t, torso in parts.items():
         outcome = is_alpha_basic(torso.graph, alpha)
         if isinstance(outcome, FailureWitness):
             return outcome
@@ -349,14 +419,14 @@ def verify_structure(
     out = D.violations(G)
     if out:
         return out
-    a = adhesion(G, D)
+    parts = torsos(G, D)
+    a = _adhesion(parts)
     if a >= alpha:
         out.append(f"adhesion {a} is not less than alpha = {alpha}")
     if set(certs) != set(D.tree_nodes):
         out.append("certificate index set differs from the tree nodes")
         return out
-    for t in sorted(D.tree_nodes):
-        torso = torso_at(G, D, t)
+    for t, torso in parts.items():
         W = frozenset(v for v in torso.graph.vertices if torso.graph.degree(v) >= alpha)
         bad = verify_linear_certificate(torso.graph, W, certs[t], alpha, alpha, alpha)
         for msg in bad:

@@ -4,8 +4,9 @@
 `violations` runs the whole near-partition check on every call,
 `_tree_side` walks the tree once per tree edge, `adhesion` takes the
 boundary of each tree edge's side in G, and `torso_at` consolidates each
-side found by its own walk.  Each gives the same answer, message or
-exception type as its `immtools` namesake.
+side found by its own walk, one side after another.  Each gives the same
+answer, message or exception type as its `immtools` namesake, and
+`torso_at` the same torso, edge order included, as `immtools.torsos`.
 """
 
 from __future__ import annotations

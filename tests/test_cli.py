@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from immtools import cli, gen_random_multigraph
+from immtools.jsonio import graph_to_json
 from immtools.cli import main
 
 
@@ -215,3 +217,42 @@ def test_unknown_w_vertices_exit_code(tmp_path, capsys):
     )
     assert code == 1
     assert err
+
+
+def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    strengths = []
+    search = cli.find_immersion
+
+    def spy(G, H, strong, budget):
+        strengths.append(strong)
+        return search(G, H, strong=strong, budget=budget)
+
+    monkeypatch.setattr(cli, "find_immersion", spy)
+    _, host, _ = run(capsys, "gen", "pk", "2")
+    _, pat, _ = run(capsys, "gen", "complete", "3")
+    h = write(tmp_path, "h.json", json.loads(host))
+    p = write(tmp_path, "p.json", json.loads(pat))
+    assert run(capsys, "find-immersion", "--host", h, "--pattern", p, "--strong")[1] != (
+        run(capsys, "find-immersion", "--host", h, "--pattern", p)[1]
+    )
+    assert strengths == [True, False]
+
+    _, seeded, _ = run(capsys, "gen", "random", "6", "9", "2", "--seed", "3")
+    _, default, _ = run(capsys, "gen", "random", "6", "9", "2")
+    assert json.loads(seeded) == graph_to_json(gen_random_multigraph(6, 9, 2, 3))
+    assert json.loads(default) == graph_to_json(gen_random_multigraph(6, 9, 2, 0))
+    assert seeded != default
+
+    handlers = [
+        (["gen", "pk", "2"], cli._cmd_gen),
+        (["find-immersion", "--host", h, "--pattern", p], cli._cmd_find_immersion),
+        (["verify", "immersion", "--host", h, "--pattern", p, "--cert", p], cli._cmd_verify),
+        (["decompose", "structure", "--graph", h, "--alpha", "2"], cli._cmd_decompose),
+        (["edge-sum", "--g1", h, "--v1", "a", "--g2", h, "--v2", "b", "--pi", p],
+         cli._cmd_edge_sum),
+        (["torso", "--graph", h, "--decomp", p, "--node", "n"], cli._cmd_torso),
+        (["bounds", "d-of-k", "1"], cli._cmd_bounds),
+    ]
+    for argv, handler in handlers + handlers[::-1]:
+        assert cli._build_parser().parse_args(argv).func is handler

@@ -21,8 +21,10 @@ from immtools import (
     is_grounded,
     structure_decompose,
     torso_at,
+    torsos,
     verify_structure,
 )
+from immtools import treecut
 from helpers import mg
 
 
@@ -234,7 +236,7 @@ def _outcome(f, *args):
 
 def test_queries_agree_with_the_per_edge_oracle():
     rng = random.Random(0x7C5)
-    malformed = torsos = 0
+    malformed = built = 0
     for _ in range(600):
         G, D = _random_case(rng)
         expected = oracle_treecut.violations(G, D)
@@ -242,12 +244,110 @@ def test_queries_agree_with_the_per_edge_oracle():
         assert D.violations(G) == expected
         malformed += bool(expected)
         assert _outcome(adhesion, G, D) == _outcome(oracle_treecut.adhesion, G, D)
+        every = _outcome(torsos, G, D)
+        if isinstance(every, type):
+            assert every is _outcome(oracle_treecut.torso_at, G, D, min(D.tree_nodes, default="zz"))
+        else:
+            assert every.keys() == D.tree_nodes
         for t in sorted(D.tree_nodes) + ["zz"]:
             got = _outcome(torso_at, G, D, t)
-            assert got == _outcome(oracle_treecut.torso_at, G, D, t)
-            torsos += not isinstance(got, type)
+            expected = _outcome(oracle_treecut.torso_at, G, D, t)
+            assert got == expected
+            if not isinstance(got, type):
+                assert every[t] == expected
+                assert list(every[t].graph.edges.items()) == list(expected.graph.edges.items())
+                built += 1
     assert 100 < malformed < 400
-    assert torsos > 1000
+    assert built > 1000
+
+
+# Peripheral names: the side toward n is named `peri:<n>`, with a `'` added
+# while the name is taken by a vertex of the bag, by an earlier peripheral
+# name, or by a vertex of a later side (but not of an earlier side, which
+# the sequential consolidation has already removed).  The star has centre
+# t and leaves in adjacency order; the vertex named `peri:...` sits where
+# each case says.
+_FRESHENING = {
+    "bag": ({"t": ["a", "peri:x"], "x": ["b"], "y": ["c"]}, {"x": "peri:x'", "y": "peri:y"}),
+    "earlier side": ({"t": ["a"], "x": ["peri:y"], "y": ["c"]}, {"x": "peri:x", "y": "peri:y"}),
+    "later side": ({"t": ["a"], "x": ["b"], "y": ["peri:x"]}, {"x": "peri:x'", "y": "peri:y"}),
+    "earlier name": (
+        {"t": ["a"], "y": ["b"], "y'": ["peri:y"]}, {"y": "peri:y'", "y'": "peri:y''"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FRESHENING))
+def test_peripheral_names_are_freshened_like_sequential_consolidation(case):
+    bags, names = _FRESHENING[case]
+    leaves = sorted(set(bags) - {"t"})
+    G = mg(
+        [v for bag in bags.values() for v in bag],
+        {f"e{i}": (bags["t"][0], bags[n][0]) for i, n in enumerate(leaves)},
+    )
+    D = _decomp(bags, [("t", n) for n in leaves], bags)
+    got = torsos(G, D)
+    for t in D.tree_nodes:
+        expected = oracle_treecut.torso_at(G, D, t)
+        assert got[t] == expected
+        assert list(got[t].graph.edges.items()) == list(expected.graph.edges.items())
+    assert got["t"].peripheral == frozenset(names.values())
+    for i, n in enumerate(leaves):
+        assert got["t"].graph.edges[f"e{i}"] == tuple(sorted((bags["t"][0], names[n])))
+
+
+def _beads(n):
+    """A path on n vertices in which every third link is single and the
+    others triple: alpha 3 splits it at the single links."""
+    edges = {}
+    for i in range(n - 1):
+        for c in range(1 if i % 3 == 2 else 3):
+            edges[f"e{i}c{c}"] = (f"v{i}", f"v{i + 1}")
+    return mg([f"v{i}" for i in range(n)], edges)
+
+
+def _necklace(blocks, size):
+    """A ring of doubled K_size blocks joined by single edges: every cut
+    around a run of blocks has 2 edges."""
+    edges = {}
+    for b in range(blocks):
+        for i in range(size):
+            for j in range(i + 1, size):
+                for c in range(2):
+                    edges[f"b{b}e{i}{j}c{c}"] = (f"b{b}v{i}", f"b{b}v{j}")
+        edges[f"link{b}"] = (f"b{b}v0", f"b{(b + 1) % blocks}v1")
+    return mg([f"b{b}v{i}" for b in range(blocks) for i in range(size)], edges)
+
+
+@pytest.mark.parametrize("G, alpha", [(_beads(60), 3), (_necklace(6, 4), 4)])
+def test_each_torso_is_built_once(monkeypatch, G, alpha):
+    calls, inside, consolidated_inside = [], [], []
+    build, consolidate = treecut.torsos, treecut.consolidate
+
+    def counted(*args):
+        calls.append(args)
+        inside.append(True)
+        try:
+            return build(*args)
+        finally:
+            inside.pop()
+
+    def watched(*args, **kwargs):
+        if inside:
+            consolidated_inside.append(args)
+        return consolidate(*args, **kwargs)
+
+    monkeypatch.setattr(treecut, "torsos", counted)
+    monkeypatch.setattr(treecut, "consolidate", watched)
+    r = structure_decompose(G, alpha)
+    assert isinstance(r, StructureDecomposition)
+    assert len(r.decomposition.tree_nodes) > 4
+    assert len(calls) == 1
+    assert verify_structure(G, r.decomposition, r.certificates, alpha) == []
+    assert len(calls) == 2
+    adhesion(G, r.decomposition)
+    torso_at(G, r.decomposition, min(r.decomposition.tree_nodes))
+    assert consolidated_inside == []
 
 
 # -- edge sums ---------------------------------------------------------
