@@ -16,9 +16,6 @@ from typing import FrozenSet, Iterable, List, Tuple, Union
 from .flow import INF, FlowNetwork
 from .multigraph import Multigraph
 
-_SRC = ("super", "source")
-_SNK = ("super", "sink")
-
 
 @dataclasses.dataclass(frozen=True)
 class CutWitness:
@@ -39,39 +36,60 @@ def _check_terminals(G: Multigraph, S, T) -> Tuple[FrozenSet[str], FrozenSet[str
     return S, T
 
 
-def _build_network(G: Multigraph, S, T) -> FlowNetwork:
-    net = FlowNetwork()
-    for v in sorted(G.vertices):
-        net.add_node(v)
-    for e in sorted(G.edges):
-        u, v = G.edges[e]
-        if u == v:
-            continue
-        net.add_undirected(u, v, 1, label=e)
-    for s in sorted(S):
-        net.add_arc(_SRC, s, INF)
-    for t in sorted(T):
-        net.add_arc(t, _SNK, INF)
-    return net
+class GraphFlows:
+    """One flow network of G that serves a batch of S-T flows.
+
+    A query appends a super source and a super sink arc per terminal, in
+    sorted order and after G's arcs, runs the flow, and leaves them for
+    `restore` to drop at the next query, so each query sees the network
+    it would see alone.  Vertices a query closes are skipped as if they
+    had been deleted from G.
+    """
+
+    def __init__(self, G: Multigraph):
+        self.G = G
+        self.net, self.index = FlowNetwork.of_graph(G, free_nodes=2)
+        self.src = len(self.index)
+        self.snk = self.src + 1
+        self.arcs = len(self.net.head)
+        self.closed: List[int] = []
+
+    def max_flow(self, S: Iterable[str], T: Iterable[str], closed: Iterable[str] = ()) -> int:
+        """The maximum S-T flow value in G - closed."""
+        net, index = self.net, self.index
+        net.restore(self.arcs)
+        for s in sorted(S):
+            net.add_arc(self.src, index[s], INF)
+        for t in sorted(T):
+            net.add_arc(index[t], self.snk, INF)
+        self.closed = [index[c] for c in closed]
+        return net.max_flow(self.src, self.snk, self.closed)
+
+    def witness(self, value: int) -> CutWitness:
+        """The last flow's cut, with the inclusion-minimal source side."""
+        reached = self.net.residual_reachable(self.src, self.closed)
+        names, G = list(self.index), self.G
+        side = frozenset(names[i] for i in reached if i < self.src)
+        closed = {names[i] for i in self.closed}
+        cut = frozenset(e for e in G.boundary(side) if closed.isdisjoint(G.edges[e]))
+        assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
+        return CutWitness(value=value, cut_edges=cut, source_side=side)
 
 
 def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWitness:
     """Maximum number of edge-disjoint S-T paths and a minimum cut witness."""
     S, T = _check_terminals(G, S, T)
-    net = _build_network(G, S, T)
-    value = net.max_flow(_SRC, _SNK)
-    side = frozenset(net.residual_reachable(_SRC)) & G.vertices
-    cut = G.boundary(side)
-    assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
-    return CutWitness(value=value, cut_edges=cut, source_side=side)
+    flows = GraphFlows(G)
+    return flows.witness(flows.max_flow(S, T))
 
 
 def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> List[List[str]]:
     """A maximum family of edge-disjoint S-T paths as edge-id sequences."""
     S, T = _check_terminals(G, S, T)
-    net = _build_network(G, S, T)
-    value = net.max_flow(_SRC, _SNK)
-    arc_paths = net.extract_paths(_SRC, _SNK)
+    flows = GraphFlows(G)
+    net = flows.net
+    value = flows.max_flow(S, T)
+    arc_paths = net.extract_paths(flows.src, flows.snk)
     paths = []
     for arcs in arc_paths:
         paths.append([net.label[i] for i in arcs if net.label[i] is not None])
@@ -82,15 +100,17 @@ def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> Li
 def is_k_edge_connected_set(
     G: Multigraph, W: Iterable[str], k: int
 ) -> Union[bool, CutWitness]:
-    """True if every pair of W has min cut >= k, else a violating CutWitness."""
+    """True if every pair of W has min cut >= k, else the CutWitness of the
+    first violating pair in sorted order."""
     W = frozenset(W)
     unknown = W - G.vertices
     if unknown:
         raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
     if len(W) <= 1:
         return True
+    flows = GraphFlows(G)
     for x, y in itertools.combinations(sorted(W), 2):
-        witness = max_flow_min_cut(G, {x}, {y})
-        if witness.value < k:
-            return witness
+        value = flows.max_flow((x,), (y,))
+        if value < k:
+            return flows.witness(value)
     return True

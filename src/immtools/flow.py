@@ -1,112 +1,145 @@
 """Unit-capacity max-flow core behind the connectivity queries.
 
-Every arc i is stored with a residual companion at i ^ 1, and the flow on
-the companion is always the negation of the flow on i.  A directed arc's
-companion has capacity 0.  An undirected edge is one arc whose companion
-has the same capacity, so the pair carries flow in at most one direction
-and a flow can never use an edge both ways.  Augmentation is BFS
-shortest-path with arcs visited in insertion order, which makes all
-results deterministic when callers add arcs in sorted edge-id order.
+Nodes are the integers 0..n-1.  Every arc i is stored with a residual
+companion at i ^ 1, and the flow on the companion is always the negation
+of the flow on i.  A directed arc's companion has capacity 0.  An
+undirected edge is one arc whose companion has the same capacity, so the
+pair carries flow in at most one direction and a flow can never use an
+edge both ways.  Augmentation is BFS shortest-path with arcs visited in
+insertion order, which makes all results deterministic when callers add
+arcs in sorted edge-id order.
+
+A network is built once and serves a batch of flows: `restore` zeroes
+the flow and drops the arcs a query appended, and a query may close
+nodes, which every search then skips as if they had been deleted.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from .multigraph import Multigraph
 
 INF = 10**9
 
+_UNSEEN = -2  # BFS predecessor arc of a node not reached yet
+_ROOT = -1  # ... of the search's start node, and of a closed node
+
 
 class FlowNetwork:
-    def __init__(self):
-        self.adj: Dict[Hashable, List[int]] = {}
-        self.head: List[Hashable] = []
+    def __init__(self, num_nodes: int):
+        self.adj: List[List[int]] = [[] for _ in range(num_nodes)]
+        self.head: List[int] = []
         self.cap: List[int] = []
         self.flow: List[int] = []
         # arc index -> caller label (e.g. multigraph edge id)
         self.label: List[Optional[str]] = []
 
-    def add_node(self, n: Hashable) -> None:
-        self.adj.setdefault(n, [])
+    @classmethod
+    def of_graph(cls, G: Multigraph, free_nodes: int = 0) -> Tuple["FlowNetwork", Dict[str, int]]:
+        """The network of G: node i is the i-th vertex in sorted order,
+        followed by `free_nodes` nodes without arcs.  Each non-loop edge is
+        one undirected unit arc pair labelled with its id, pairs in sorted
+        edge-id order, so every node lists its arcs in that order too.
+        Returns the network and the vertex -> node map, in node order."""
+        names = sorted(G.vertices)
+        index = {v: i for i, v in enumerate(names)}
+        net = cls(len(names) + free_nodes)
+        head, adj = net.head, net.adj
+        edges = G.edges
+        ids = sorted(e for e, (a, b) in edges.items() if a != b)
+        for i, e in enumerate(ids):
+            a, b = edges[e]  # the pair's first arc runs a -> b
+            a, b = index[a], index[b]
+            head += (b, a)
+            adj[a].append(2 * i)
+            adj[b].append(2 * i + 1)
+        net.cap = [1] * len(head)
+        net.flow = [0] * len(head)
+        net.label = [e for e in ids for _ in (0, 1)]
+        return net, index
 
-    def _add_pair(self, u, v, cap, back_cap, label) -> int:
+    def add_arc(self, u: int, v: int, cap: int) -> None:
+        """Directed unlabelled arc u->v; its companion has capacity 0."""
         i = len(self.head)
         self.head += (v, u)
-        self.cap += (cap, back_cap)
+        self.cap += (cap, 0)
         self.flow += (0, 0)
-        self.label += (label, label)
-        self.adj.setdefault(u, []).append(i)
-        self.adj.setdefault(v, []).append(i + 1)
-        return i
+        self.label += (None, None)
+        self.adj[u].append(i)
+        self.adj[v].append(i + 1)
 
-    def add_arc(self, u, v, cap, label=None) -> int:
-        """Directed arc u->v; its companion at index+1 has capacity 0."""
-        return self._add_pair(u, v, cap, 0, label)
+    def restore(self, num_arcs: int) -> None:
+        """Zero the flow and drop the arcs added after the first num_arcs,
+        last first, so every node's arc list is as it was then."""
+        head, adj = self.head, self.adj
+        for i in range(len(head) - 2, num_arcs - 1, -2):
+            adj[head[i + 1]].pop()
+            adj[head[i]].pop()
+        del head[num_arcs:], self.cap[num_arcs:], self.label[num_arcs:]
+        self.flow = [0] * num_arcs
 
-    def add_undirected(self, u, v, cap, label=None) -> int:
-        """Undirected edge: one arc whose companion has the same capacity."""
-        return self._add_pair(u, v, cap, cap, label)
+    # -- searches -----------------------------------------------------
 
-    # -- residual helpers ---------------------------------------------
+    def _unseen(self, source: int, closed: Iterable[int]) -> List[int]:
+        prev = [_UNSEEN] * len(self.adj)
+        for c in closed:
+            prev[c] = _ROOT
+        prev[source] = _ROOT
+        return prev
 
-    def _residual(self, i: int) -> int:
-        return self.cap[i] - self.flow[i]
-
-    def _augment(self, source, sink) -> int:
-        """One BFS round; returns the amount pushed (0 when done)."""
-        prev_arc: Dict[Hashable, int] = {source: -1}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for i in self.adj[u]:
-                v = self.head[i]
-                if v not in prev_arc and self._residual(i) > 0:
-                    prev_arc[v] = i
-                    queue.append(v)
-        if sink not in prev_arc:
-            return 0
-        # bottleneck
-        amt = INF
-        v = sink
-        while v != source:
-            i = prev_arc[v]
-            amt = min(amt, self._residual(i))
-            v = self.head[i ^ 1]
-        v = sink
-        while v != source:
-            i = prev_arc[v]
-            self.flow[i] += amt
-            self.flow[i ^ 1] -= amt
-            v = self.head[i ^ 1]
-        return amt
-
-    def max_flow(self, source, sink) -> int:
-        self.add_node(source)
-        self.add_node(sink)
+    def max_flow(self, source: int, sink: int, closed: Iterable[int] = ()) -> int:
+        """Augment the current flow to a maximum one; returns the amount
+        added.  Closed nodes are never entered."""
+        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
+        start = self._unseen(source, closed)
         total = 0
         while True:
-            pushed = self._augment(source, sink)
-            if pushed == 0:
+            # one BFS round; the sink's predecessor is fixed when it is
+            # first reached, so the round can stop there
+            prev = start.copy()
+            queue = [source]
+            for u in queue:
+                for i in adj[u]:
+                    v = head[i]
+                    if prev[v] == _UNSEEN and cap[i] > flow[i]:
+                        prev[v] = i
+                        queue.append(v)
+                if prev[sink] != _UNSEEN:
+                    break
+            else:
                 return total
-            total += pushed
+            amt = INF
+            v = sink
+            while v != source:
+                i = prev[v]
+                amt = min(amt, cap[i] - flow[i])
+                v = head[i ^ 1]
+            v = sink
+            while v != source:
+                i = prev[v]
+                flow[i] += amt
+                flow[i ^ 1] -= amt
+                v = head[i ^ 1]
+            total += amt
 
-    def residual_reachable(self, source) -> set:
-        seen = {source}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for i in self.adj[u]:
-                v = self.head[i]
-                if v not in seen and self._residual(i) > 0:
-                    seen.add(v)
+    def residual_reachable(self, source: int, closed: Iterable[int] = ()) -> List[int]:
+        """Nodes reachable from source in the residual network, in BFS
+        order; closed nodes are neither entered nor listed."""
+        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
+        prev = self._unseen(source, closed)
+        queue = [source]
+        for u in queue:
+            for i in adj[u]:
+                v = head[i]
+                if prev[v] == _UNSEEN and cap[i] > flow[i]:
+                    prev[v] = i
                     queue.append(v)
-        return seen
+        return queue
 
     # -- flow decomposition -------------------------------------------
 
-    def extract_paths(self, source, sink) -> List[List[int]]:
+    def extract_paths(self, source: int, sink: int) -> List[List[int]]:
         """Decompose the current flow into unit source->sink arc paths.
 
         Only arcs with positive flow are walked, so an arc pair contributes
@@ -114,18 +147,19 @@ class FlowNetwork:
         (their flow stays consumed) and leftover circulations are dropped,
         so the returned paths are simple and use each edge at most once.
         """
+        adj, head = self.adj, self.head
         remaining = [max(f, 0) for f in self.flow]
         paths: List[List[int]] = []
         while True:
             walk: List[int] = []
-            nodes: List[Hashable] = [source]
+            nodes: List[int] = [source]
             node = source
             while node != sink:
-                chosen = next((i for i in self.adj[node] if remaining[i] > 0), None)
+                chosen = next((i for i in adj[node] if remaining[i] > 0), None)
                 if chosen is None:
                     return paths
                 remaining[chosen] -= 1
-                nxt = self.head[chosen]
+                nxt = head[chosen]
                 if nxt in nodes:
                     # trim the cycle; its flow stays consumed
                     p = nodes.index(nxt)

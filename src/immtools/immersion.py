@@ -338,25 +338,23 @@ def star_minor_to_immersion(
         demand[theta[v]] = len(half_edges[v])
 
     # Used leaves are the sources and the center feeds the sink.  A path may
-    # neither pass through a used leaf nor leave the center, so an edge at a
-    # used leaf is only an arc out of it, an edge at the center only an arc
-    # into it, and an edge between two used leaves (or a loop) is no arc.
+    # neither pass through a used leaf nor leave the center, so no arc into a
+    # used leaf and no arc out of the center has capacity: an edge at a used
+    # leaf is only an arc out of it, an edge at the center only an arc into
+    # it, and an edge between two used leaves carries nothing.
     used_leaves = {theta[v] for v in fverts}
-    net = FlowNetwork()
-    src, snk = ("super", "s"), ("super", "t")
-    for e in sorted(G.edges):
-        a, b = G.edges[e]
-        if b in used_leaves or a == center:
-            a, b = b, a
-        if a == b or (a in used_leaves and b in used_leaves):
-            continue
-        if a in used_leaves or b == center:
-            net.add_arc(a, b, 1, label=e)
-        else:
-            net.add_undirected(a, b, 1, label=e)
+    net, index = FlowNetwork.of_graph(G, free_nodes=2)
+    names = list(index)
+    sources = {index[z] for z in used_leaves}
+    hub = index[center]
+    head, cap = net.head, net.cap
+    for i in range(len(head)):
+        if head[i] in sources or head[i ^ 1] == hub:
+            cap[i] = 0
+    src, snk = len(names), len(names) + 1
     for z in sorted(used_leaves):
-        net.add_arc(src, z, demand[z])
-    net.add_arc(center, snk, INF)
+        net.add_arc(src, index[z], demand[z])
+    net.add_arc(hub, snk, INF)
 
     total = 2 * len(F.edges)
     value = net.max_flow(src, snk)
@@ -368,7 +366,7 @@ def star_minor_to_immersion(
     arc_paths = net.extract_paths(src, snk)
     by_leaf: Dict[str, List[List[str]]] = {z: [] for z in used_leaves}
     for arcs in arc_paths:
-        leaf = net.head[arcs[0]]  # first arc is super-source -> z
+        leaf = names[net.head[arcs[0]]]  # first arc is super-source -> z
         edge_ids = [net.label[i] for i in arcs if net.label[i] is not None]
         by_leaf[leaf].append(edge_ids)
 

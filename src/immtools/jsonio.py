@@ -28,6 +28,11 @@ def _expect(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer; true and false decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _str_list(obj: Any, what: str) -> List[str]:
     _expect(isinstance(obj, list) and all(isinstance(x, str) for x in obj),
             f"{what} must be a list of strings")
@@ -79,7 +84,7 @@ def cut_witness_to_json(w: CutWitness) -> Dict[str, Any]:
 
 
 def cut_witness_from_json(obj: Any) -> CutWitness:
-    _expect(isinstance(obj, dict) and isinstance(obj.get("value"), int),
+    _expect(isinstance(obj, dict) and _is_int(obj.get("value")),
             'cut witness needs an integer "value"')
     return CutWitness(
         value=obj["value"],
@@ -139,7 +144,7 @@ def linearity_from_json(obj: Any) -> LinearityCertificate:
     bags = tuple(frozenset(_str_list(b, "bag")) for b in raw_bags)
     ach = obj.get("achieved")
     _expect(isinstance(ach, dict) and all(
-        isinstance(ach.get(k), int) for k in ("a", "w", "p")),
+        _is_int(ach.get(k)) for k in ("a", "w", "p")),
         '"achieved" needs integer fields a, w, p')
     return LinearityCertificate(
         A=A,

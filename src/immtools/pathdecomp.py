@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .connectivity import CutWitness, max_flow_min_cut
+from .connectivity import CutWitness, GraphFlows, max_flow_min_cut
 from .multigraph import Multigraph
 from .simplegraph import SimpleGraph, StarMinorModel
 
@@ -160,10 +160,11 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
     if m < 1:
         raise ValueError("m must be at least 1")
     edges = []
-    for x, y in itertools.combinations(sorted(W), 2):
-        reduced = G.without_vertices(W - {x, y})
-        if max_flow_min_cut(reduced, {x}, {y}).value >= m:
-            edges.append((x, y))
+    if len(W) > 1:
+        flows = GraphFlows(G)
+        for x, y in itertools.combinations(sorted(W), 2):
+            if flows.max_flow((x,), (y,), closed=W - {x, y}) >= m:
+                edges.append((x, y))
     return SimpleGraph.build(W, edges)
 
 

@@ -11,7 +11,7 @@ from typing import (
     AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
-from .connectivity import CutWitness, is_k_edge_connected_set, max_flow_min_cut
+from .connectivity import CutWitness, GraphFlows, is_k_edge_connected_set
 from .multigraph import Multigraph, consolidate
 from .pathdecomp import (
     NOT_PATH_SHAPED,
@@ -263,12 +263,10 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
         k = G.degree(v)
         if k < 1:
             raise ValueError(f"{v!r} has degree 0")
-        ok = False
-        for other in sorted(G.vertices - {v}):
-            if max_flow_min_cut(G, {v}, {other}).value >= k:
-                ok = True
-                break
-        if not ok:
+        flows = GraphFlows(G)
+        if not any(
+            flows.max_flow((v,), (other,)) >= k for other in sorted(G.vertices - {v})
+        ):
             return False
     return True
 

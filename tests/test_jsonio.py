@@ -75,6 +75,12 @@ def test_cut_witness_round_trip():
     assert cut_witness_from_json(cut_witness_to_json(w)) == w
 
 
+@pytest.mark.parametrize("value", [True, False, 1.0, "1", None])
+def test_cut_witness_rejects_a_value_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match='integer "value"'):
+        cut_witness_from_json({"value": value, "cut": [], "source_side": []})
+
+
 def test_immersion_round_trip():
     G = gen_pk(2)
     r = find_immersion(G, gen_complete(3), strong=False)
@@ -87,6 +93,16 @@ def test_linearity_round_trip():
     G = gen_pk(3)
     cert = linear_decompose(G, G.vertices, m=3, w_limit=3)
     assert linearity_from_json(linearity_to_json(cert)) == cert
+
+
+@pytest.mark.parametrize("field", ["a", "w", "p"])
+@pytest.mark.parametrize("bad", [True, False, 2.0])
+def test_linearity_rejects_an_achieved_field_that_is_not_an_integer(field, bad):
+    G = gen_pk(3)
+    obj = linearity_to_json(linear_decompose(G, G.vertices, m=3, w_limit=3))
+    obj["achieved"][field] = bad
+    with pytest.raises(ValueError, match="integer fields a, w, p"):
+        linearity_from_json(obj)
 
 
 def test_failure_round_trip_small_cut():
