@@ -36,60 +36,42 @@ def _check_terminals(G: Multigraph, S, T) -> Tuple[FrozenSet[str], FrozenSet[str
     return S, T
 
 
-class GraphFlows:
-    """One flow network of G that serves a batch of S-T flows.
+def _witness(G: Multigraph, net: FlowNetwork, source: int, value: int) -> CutWitness:
+    """The cut of net's maximum flow from source, whose value is `value`,
+    with the inclusion-minimal source side."""
+    names = net.names
+    side = frozenset(
+        names[i] for i in net.residual_reachable(source) if i < len(names)
+    )
+    cut = G.boundary(side)
+    assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
+    return CutWitness(value=value, cut_edges=cut, source_side=side)
 
-    A query appends a super source and a super sink arc per terminal, in
-    sorted order and after G's arcs, runs the flow, and leaves them for
-    `restore` to drop at the next query, so each query sees the network
-    it would see alone.  Vertices a query closes are skipped as if they
-    had been deleted from G.
-    """
 
-    def __init__(self, G: Multigraph):
-        self.G = G
-        self.net, self.index = FlowNetwork.of_graph(G, free_nodes=2)
-        self.src = len(self.index)
-        self.snk = self.src + 1
-        self.arcs = len(self.net.head)
-        self.closed: List[int] = []
-
-    def max_flow(self, S: Iterable[str], T: Iterable[str], closed: Iterable[str] = ()) -> int:
-        """The maximum S-T flow value in G - closed."""
-        net, index = self.net, self.index
-        net.restore(self.arcs)
-        for s in sorted(S):
-            net.add_arc(self.src, index[s], INF)
-        for t in sorted(T):
-            net.add_arc(index[t], self.snk, INF)
-        self.closed = [index[c] for c in closed]
-        return net.max_flow(self.src, self.snk, self.closed)
-
-    def witness(self, value: int) -> CutWitness:
-        """The last flow's cut, with the inclusion-minimal source side."""
-        reached = self.net.residual_reachable(self.src, self.closed)
-        names, G = list(self.index), self.G
-        side = frozenset(names[i] for i in reached if i < self.src)
-        closed = {names[i] for i in self.closed}
-        cut = frozenset(e for e in G.boundary(side) if closed.isdisjoint(G.edges[e]))
-        assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
-        return CutWitness(value=value, cut_edges=cut, source_side=side)
+def _set_flow(G: Multigraph, S, T) -> Tuple[FlowNetwork, int]:
+    """A maximum S-T flow on a fresh network of G, whose super source has
+    an arc to each of S and each of T an arc to the super sink, in sorted
+    order and after G's arcs; returns the network and the flow value."""
+    S, T = _check_terminals(G, S, T)
+    net = FlowNetwork(G)
+    index = net.index
+    for s in sorted(S):
+        net.add_arc(net.source, index[s], INF)
+    for t in sorted(T):
+        net.add_arc(index[t], net.sink, INF)
+    return net, net.max_flow(net.source, net.sink)
 
 
 def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWitness:
     """Maximum number of edge-disjoint S-T paths and a minimum cut witness."""
-    S, T = _check_terminals(G, S, T)
-    flows = GraphFlows(G)
-    return flows.witness(flows.max_flow(S, T))
+    net, value = _set_flow(G, S, T)
+    return _witness(G, net, net.source, value)
 
 
 def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> List[List[str]]:
     """A maximum family of edge-disjoint S-T paths as edge-id sequences."""
-    S, T = _check_terminals(G, S, T)
-    flows = GraphFlows(G)
-    net = flows.net
-    value = flows.max_flow(S, T)
-    arc_paths = net.extract_paths(flows.src, flows.snk)
+    net, value = _set_flow(G, S, T)
+    arc_paths = net.extract_paths(net.source, net.sink)
     paths = []
     for arcs in arc_paths:
         paths.append([net.label[i] for i in arcs if net.label[i] is not None])
@@ -108,9 +90,10 @@ def is_k_edge_connected_set(
         raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
     if len(W) <= 1:
         return True
-    flows = GraphFlows(G)
+    net = FlowNetwork(G)  # one network serves every pair
+    index = net.index
     for x, y in itertools.combinations(sorted(W), 2):
-        value = flows.max_flow((x,), (y,))
+        value = net.max_flow(index[x], index[y])
         if value < k:
-            return flows.witness(value)
+            return _witness(G, net, index[x], value)
     return True

@@ -9,14 +9,14 @@ edge both ways.  Augmentation is BFS shortest-path with arcs visited in
 insertion order, which makes all results deterministic when callers add
 arcs in sorted edge-id order.
 
-A network is built once and serves a batch of flows: `restore` zeroes
-the flow and drops the arcs a query appended, and a query may close
-nodes, which every search then skips as if they had been deleted.
+A network is built once per graph and serves a batch of flows: each
+`max_flow` starts from the zero flow, and may close nodes, which its
+search then skips as if they had been deleted.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from .multigraph import Multigraph
 
@@ -27,25 +27,19 @@ _ROOT = -1  # ... of the search's start node, and of a closed node
 
 
 class FlowNetwork:
-    def __init__(self, num_nodes: int):
-        self.adj: List[List[int]] = [[] for _ in range(num_nodes)]
-        self.head: List[int] = []
-        self.cap: List[int] = []
-        self.flow: List[int] = []
-        # arc index -> caller label (e.g. multigraph edge id)
-        self.label: List[Optional[str]] = []
+    """The network of a multigraph G.  Node i is `names[i]`, the i-th
+    vertex of G in sorted order, and `index` maps each vertex to its node.
+    Each non-loop edge is one undirected unit arc pair labelled with its
+    id, pairs in sorted edge-id order, so every node lists its arcs in
+    that order too.  Two more nodes without arcs follow the vertices:
+    `source` and `sink`, for super-terminal arcs a query adds after G's.
+    """
 
-    @classmethod
-    def of_graph(cls, G: Multigraph, free_nodes: int = 0) -> Tuple["FlowNetwork", Dict[str, int]]:
-        """The network of G: node i is the i-th vertex in sorted order,
-        followed by `free_nodes` nodes without arcs.  Each non-loop edge is
-        one undirected unit arc pair labelled with its id, pairs in sorted
-        edge-id order, so every node lists its arcs in that order too.
-        Returns the network and the vertex -> node map, in node order."""
+    def __init__(self, G: Multigraph):
         names = sorted(G.vertices)
         index = {v: i for i, v in enumerate(names)}
-        net = cls(len(names) + free_nodes)
-        head, adj = net.head, net.adj
+        adj: List[List[int]] = [[] for _ in range(len(names) + 2)]
+        head: List[int] = []
         edges = G.edges
         ids = sorted(e for e, (a, b) in edges.items() if a != b)
         for i, e in enumerate(ids):
@@ -54,10 +48,13 @@ class FlowNetwork:
             head += (b, a)
             adj[a].append(2 * i)
             adj[b].append(2 * i + 1)
-        net.cap = [1] * len(head)
-        net.flow = [0] * len(head)
-        net.label = [e for e in ids for _ in (0, 1)]
-        return net, index
+        self.names, self.index = names, index
+        self.source, self.sink = len(names), len(names) + 1
+        self.adj, self.head = adj, head
+        self.cap: List[int] = [1] * len(head)
+        self.flow: List[int] = [0] * len(head)
+        # arc index -> multigraph edge id; None on an added arc
+        self.label: List[Optional[str]] = [e for e in ids for _ in (0, 1)]
 
     def add_arc(self, u: int, v: int, cap: int) -> None:
         """Directed unlabelled arc u->v; its companion has capacity 0."""
@@ -69,30 +66,17 @@ class FlowNetwork:
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
 
-    def restore(self, num_arcs: int) -> None:
-        """Zero the flow and drop the arcs added after the first num_arcs,
-        last first, so every node's arc list is as it was then."""
-        head, adj = self.head, self.adj
-        for i in range(len(head) - 2, num_arcs - 1, -2):
-            adj[head[i + 1]].pop()
-            adj[head[i]].pop()
-        del head[num_arcs:], self.cap[num_arcs:], self.label[num_arcs:]
-        self.flow = [0] * num_arcs
-
     # -- searches -----------------------------------------------------
 
-    def _unseen(self, source: int, closed: Iterable[int]) -> List[int]:
-        prev = [_UNSEEN] * len(self.adj)
-        for c in closed:
-            prev[c] = _ROOT
-        prev[source] = _ROOT
-        return prev
-
     def max_flow(self, source: int, sink: int, closed: Iterable[int] = ()) -> int:
-        """Augment the current flow to a maximum one; returns the amount
-        added.  Closed nodes are never entered."""
-        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
-        start = self._unseen(source, closed)
+        """A maximum source-sink flow, found from the zero flow; returns
+        its value.  Closed nodes are never entered."""
+        adj, head, cap = self.adj, self.head, self.cap
+        self.flow = flow = [0] * len(head)
+        start = [_UNSEEN] * len(adj)
+        for c in closed:
+            start[c] = _ROOT
+        start[source] = _ROOT
         total = 0
         while True:
             # one BFS round; the sink's predecessor is fixed when it is
@@ -123,17 +107,18 @@ class FlowNetwork:
                 v = head[i ^ 1]
             total += amt
 
-    def residual_reachable(self, source: int, closed: Iterable[int] = ()) -> List[int]:
+    def residual_reachable(self, source: int) -> List[int]:
         """Nodes reachable from source in the residual network, in BFS
-        order; closed nodes are neither entered nor listed."""
+        order."""
         adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
-        prev = self._unseen(source, closed)
+        seen = [False] * len(adj)
+        seen[source] = True
         queue = [source]
         for u in queue:
             for i in adj[u]:
                 v = head[i]
-                if prev[v] == _UNSEEN and cap[i] > flow[i]:
-                    prev[v] = i
+                if not seen[v] and cap[i] > flow[i]:
+                    seen[v] = True
                     queue.append(v)
         return queue
 

@@ -343,15 +343,14 @@ def star_minor_to_immersion(
     # leaf is only an arc out of it, an edge at the center only an arc into
     # it, and an edge between two used leaves carries nothing.
     used_leaves = {theta[v] for v in fverts}
-    net, index = FlowNetwork.of_graph(G, free_nodes=2)
-    names = list(index)
+    net = FlowNetwork(G)
+    index, src, snk = net.index, net.source, net.sink
     sources = {index[z] for z in used_leaves}
     hub = index[center]
     head, cap = net.head, net.cap
     for i in range(len(head)):
         if head[i] in sources or head[i ^ 1] == hub:
             cap[i] = 0
-    src, snk = len(names), len(names) + 1
     for z in sorted(used_leaves):
         net.add_arc(src, index[z], demand[z])
     net.add_arc(hub, snk, INF)
@@ -366,7 +365,7 @@ def star_minor_to_immersion(
     arc_paths = net.extract_paths(src, snk)
     by_leaf: Dict[str, List[List[str]]] = {z: [] for z in used_leaves}
     for arcs in arc_paths:
-        leaf = names[net.head[arcs[0]]]  # first arc is super-source -> z
+        leaf = net.names[net.head[arcs[0]]]  # first arc is super-source -> z
         edge_ids = [net.label[i] for i in arcs if net.label[i] is not None]
         by_leaf[leaf].append(edge_ids)
 

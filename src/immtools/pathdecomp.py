@@ -9,7 +9,8 @@ import dataclasses
 import itertools
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .connectivity import CutWitness, GraphFlows, max_flow_min_cut
+from .connectivity import CutWitness, max_flow_min_cut
+from .flow import FlowNetwork
 from .multigraph import Multigraph
 from .simplegraph import SimpleGraph, StarMinorModel
 
@@ -161,9 +162,11 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
         raise ValueError("m must be at least 1")
     edges = []
     if len(W) > 1:
-        flows = GraphFlows(G)
+        net = FlowNetwork(G)  # one network serves every pair
+        index = net.index
         for x, y in itertools.combinations(sorted(W), 2):
-            if flows.max_flow((x,), (y,), closed=W - {x, y}) >= m:
+            closed = [index[w] for w in W - {x, y}]
+            if net.max_flow(index[x], index[y], closed) >= m:
                 edges.append((x, y))
     return SimpleGraph.build(W, edges)
 

@@ -11,7 +11,8 @@ from typing import (
     AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union,
 )
 
-from .connectivity import CutWitness, GraphFlows, is_k_edge_connected_set
+from .connectivity import CutWitness, is_k_edge_connected_set
+from .flow import FlowNetwork
 from .multigraph import Multigraph, consolidate
 from .pathdecomp import (
     NOT_PATH_SHAPED,
@@ -263,9 +264,11 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
         k = G.degree(v)
         if k < 1:
             raise ValueError(f"{v!r} has degree 0")
-        flows = GraphFlows(G)
+        net = FlowNetwork(G)  # one network serves every candidate
+        index = net.index
         if not any(
-            flows.max_flow((v,), (other,)) >= k for other in sorted(G.vertices - {v})
+            net.max_flow(index[v], index[other]) >= k
+            for other in sorted(G.vertices - {v})
         ):
             return False
     return True
