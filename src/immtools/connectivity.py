@@ -90,7 +90,14 @@ def is_k_edge_connected_set(
         raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
     if len(W) <= 1:
         return True
-    net = FlowNetwork(G)  # one network serves every pair
+    return _first_violation(G, FlowNetwork(G), W, k)
+
+
+def _first_violation(
+    G: Multigraph, net: FlowNetwork, W: FrozenSet[str], k: int
+) -> Union[bool, CutWitness]:
+    """`is_k_edge_connected_set` for known vertices W, with every pair's
+    flow on net, a network of G."""
     index = net.index
     for x, y in itertools.combinations(sorted(W), 2):
         value = net.max_flow(index[x], index[y])

@@ -173,24 +173,71 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
 
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     """A K_{1,k} minor model (as a subtree with k leaves and a non-leaf
-    vertex) or False after exhaustive search over connected center sets."""
+    vertex) or False after exhaustive search over connected center sets,
+    by increasing size, each size in lexicographic order."""
     if k < 2:
         raise ValueError("k must be at least 2")
+    verts, nbr = _neighbour_masks(H)
+    n = len(verts)
+    for size in range(1, n + 1):
+        for combo in itertools.combinations(range(n), size):
+            C = outside = 0
+            for i in combo:
+                C |= 1 << i
+                outside |= nbr[i]
+            outside &= ~C
+            if outside.bit_count() >= k and _components(nbr, C) == 1:
+                leaves = [verts[i] for i in range(n) if outside >> i & 1][:k]
+                return _star_model(H, frozenset(verts[i] for i in combo), leaves)
+    return False
+
+
+def _neighbour_masks(H: SimpleGraph) -> Tuple[List[str], List[int]]:
+    """H's vertices in sorted order, and for the i-th of them the bitmask
+    of its neighbours, bit j standing for the j-th vertex.  Raises above
+    the subset-search ceiling."""
     if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
         raise ValueError("instance above configured size limit")
     verts = sorted(H.vertices)
-    for size in range(1, len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            C = frozenset(combo)
-            sub = SimpleGraph(C, frozenset(e for e in H.edges if e <= C))
-            if not sub.is_connected():
-                continue
-            outside = frozenset().union(
-                *(H.neighbors(v) for v in C)
-            ) - C
-            if len(outside) >= k:
-                return _star_model(H, C, sorted(outside)[:k])
-    return False
+    index = {v: i for i, v in enumerate(verts)}
+    nbr = [0] * len(verts)
+    for e in H.edges:
+        u, v = e
+        nbr[index[u]] |= 1 << index[v]
+        nbr[index[v]] |= 1 << index[u]
+    return verts, nbr
+
+
+def _components(nbr: List[int], keep: int) -> int:
+    """The number of components of the subgraph induced on the mask keep."""
+    count = 0
+    while keep:
+        comp = frontier = keep & -keep
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & keep & ~comp
+            comp |= new
+            frontier |= new
+        keep &= ~comp
+        count += 1
+    return count
+
+
+def _is_path_union(nbr: List[int], keep: int) -> bool:
+    """Whether the subgraph induced on the mask keep is a disjoint union
+    of paths: max degree <= 2 and acyclic, i.e. edges = vertices -
+    components."""
+    degrees = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (nbr[low.bit_length() - 1] & keep).bit_count()
+        if d > 2:
+            return False
+        degrees += d
+    return degrees // 2 == keep.bit_count() - _components(nbr, keep)
 
 
 def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
@@ -231,13 +278,16 @@ def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> Star
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     """Smallest X with H - X a disjoint union of paths, by increasing-size
     subset enumeration (first hit in lexicographic order)."""
-    if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
-        raise ValueError("instance above configured size limit")
-    verts = sorted(H.vertices)
-    for size in range(len(verts) + 1):
-        for combo in itertools.combinations(verts, size):
-            if H.without(combo).is_disjoint_union_of_paths():
-                return frozenset(combo)
+    verts, nbr = _neighbour_masks(H)
+    n = len(verts)
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            removed = 0
+            for i in combo:
+                removed |= 1 << i
+            if _is_path_union(nbr, full ^ removed):
+                return frozenset(verts[i] for i in combo)
     raise AssertionError("removing every vertex always leaves a path union")
 
 

@@ -1,19 +1,19 @@
 """Tree-cut decompositions: adhesion, torsos, edge sums, groundedness,
-decomposition composition, alpha-basic testing and the recursive
-structure algorithm that splits on small cuts between high-degree
-vertices."""
+decomposition composition, alpha-basic testing and the structure
+algorithm that splits on small cuts between high-degree vertices."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
 from typing import (
-    AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple, Union,
+    AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple,
+    Union,
 )
 
-from .connectivity import CutWitness, is_k_edge_connected_set
+from .connectivity import CutWitness, _first_violation
 from .flow import FlowNetwork
-from .multigraph import Multigraph, consolidate
+from .multigraph import Multigraph, _fresh_name, consolidate
 from .pathdecomp import (
     NOT_PATH_SHAPED,
     SMALL_CUT,
@@ -261,17 +261,22 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
             raise ValueError(f"unknown vertex {v!r}")
         if (v, v) in G.edges.values():
             raise ValueError(f"{v!r} carries a loop")
-        k = G.degree(v)
-        if k < 1:
+        if G.degree(v) < 1:
             raise ValueError(f"{v!r} has degree 0")
-        net = FlowNetwork(G)  # one network serves every candidate
-        index = net.index
-        if not any(
-            net.max_flow(index[v], index[other]) >= k
-            for other in sorted(G.vertices - {v})
-        ):
+        if not _grounded(G, FlowNetwork(G), v):
             return False
     return True
+
+
+def _grounded(G: Multigraph, net: FlowNetwork, v: str) -> bool:
+    """Whether some other vertex of G is joined to v by deg(v)
+    edge-disjoint paths, with every candidate's flow on net, a network
+    of G."""
+    k = G.degree(v)
+    index = net.index
+    return any(
+        net.max_flow(index[v], index[other]) >= k for other in sorted(G.vertices - {v})
+    )
 
 
 def compose_decompositions(
@@ -358,8 +363,8 @@ def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, Fai
 def structure_decompose(
     G: Multigraph, alpha: int
 ) -> Union[StructureDecomposition, FailureWitness]:
-    """Split recursively on minimum cuts below alpha between high-degree
-    vertices, stitch the parts' decompositions together, and certify every
+    """Split on minimum cuts below alpha between high-degree vertices until
+    every piece is done, make each piece a tree node, and certify every
     torso of the result as alpha-basic."""
     if alpha < 1:
         raise ValueError("alpha must be positive")
@@ -376,37 +381,79 @@ def structure_decompose(
 
 
 def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
-    high = frozenset(v for v in G.vertices if G.degree(v) >= alpha)
-    witness = is_k_edge_connected_set(G, high, alpha)
-    if witness is True:
-        return TreeCutDecomposition(
-            tree_nodes=frozenset({"n"}),
-            tree_edges=frozenset(),
-            bags={"n": G.vertices},
+    """The tree-cut tree of G, one split per loop step over a stack of
+    pieces.
+
+    A piece whose high-degree vertices (degree >= alpha) are pairwise
+    alpha-edge-connected is finished and becomes a tree node, its bag
+    the piece's vertices less the glue vertices.  Any other piece splits
+    on the witness of its first violating pair, a cut of order k < alpha
+    with the inclusion-minimal side X:
+      - k > 0: the X side keeps X and consolidates the rest to a fresh
+        glue vertex vy, the other side consolidates X to vx, and the
+        tree edge joins the nodes whose bags end up holding vy and vx
+        (the two summands of a k-edge sum, each grounded at its glue
+        vertex);
+      - k = 0: the sides are G[X] and G - X, and the tree edge joins the
+        first node of each side.
+    The X side is done first, so the nodes come out in depth-first
+    order, X before Y, and the first node of a piece is the first one
+    finished after it is taken.  Each piece builds one flow network,
+    which serves both its groundedness check and its pair flows.
+    Node names are `n` and the node's number in that order, zero-padded
+    to one width, so sorting them keeps the order.
+    """
+    glue: Set[str] = set()
+    owner: Dict[str, int] = {}  # glue vertex -> number of the node holding it
+    links: List[Tuple[str, str]] = []  # glue vertices whose owners are joined
+    zero_links: List[Tuple[int, int]] = []  # numbers of the nodes joined
+    bags: List[FrozenSet[str]] = []
+    # (piece, glue vertex it is grounded at, number of the first node of
+    # the X side when it is the Y side of a zero cut)
+    stack: List[Tuple[Multigraph, Optional[str], Optional[int]]] = [(G, None, None)]
+    while stack:
+        piece, v, joined_to = stack.pop()
+        first = len(bags)
+        if joined_to is not None:
+            zero_links.append((joined_to, first))
+        high = frozenset(u for u, d in piece.degrees.items() if d >= alpha)
+        witness: Union[bool, CutWitness] = True
+        if v is not None or len(high) > 1:
+            net = FlowNetwork(piece)  # one network serves the whole piece
+            if v is not None:
+                assert _grounded(piece, net, v), "minimum-order witness cut must be grounded"
+            if len(high) > 1:
+                witness = _first_violation(piece, net, high, alpha)
+        if witness is True:
+            for u in piece.vertices & glue:
+                owner[u] = first
+            bags.append(piece.vertices - glue)
+            continue
+        X = witness.source_side
+        if witness.value == 0:
+            GX = piece.induced(X)
+            GY = piece.without_vertices(X)
+            sides = ((GY, None, first), (GX, None, None))
+        else:
+            vy = _fresh_name(f"cut:{len(glue)}", G.vertices)
+            vx = _fresh_name(f"cut:{len(glue) + 1}", G.vertices)
+            glue |= {vy, vx}
+            GX = consolidate(piece, piece.vertices - X, name=vy)
+            GY = consolidate(piece, X, name=vx)
+            links.append((vy, vx))
+            sides = ((GY, vx, None), (GX, vy, None))
+        assert GX.num_edges() < piece.num_edges() and GY.num_edges() < piece.num_edges(), (
+            "splitting on the witness cut must shed edges on both sides"
         )
-    assert isinstance(witness, CutWitness)
-    X = witness.source_side
-    k = witness.value
-    if k == 0:
-        GX = G.induced(X)
-        GY = G.without_vertices(X)
-        assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges()
-        DX, DY = _structure_tree(GX, alpha), _structure_tree(GY, alpha)
-        # the zero-order analogue of composition: any tree edge will do
-        return _join_trees(
-            DX, min(DX.tree_nodes), frozenset(), DY, min(DY.tree_nodes), frozenset()
-        )
-    vy = "cut:(" + "+".join(sorted(G.vertices - X)) + ")"
-    vx = "cut:(" + "+".join(sorted(X)) + ")"
-    GX = consolidate(G, G.vertices - X, name=vy)
-    GY = consolidate(G, X, name=vx)
-    assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges(), (
-        "splitting on the witness cut must shed edges on both sides"
+        stack += sides
+    width = len(str(len(bags) - 1))
+    names = [f"n{i:0{width}d}" for i in range(len(bags))]
+    edges = [(owner[a], owner[b]) for a, b in links] + zero_links
+    return TreeCutDecomposition(
+        tree_nodes=frozenset(names),
+        tree_edges=frozenset(frozenset((names[i], names[j])) for i, j in edges),
+        bags=dict(zip(names, bags)),
     )
-    assert is_grounded(GX, vy, GY, vx), "minimum-order witness cut must be grounded"
-    DX = _structure_tree(GX, alpha)
-    DY = _structure_tree(GY, alpha)
-    return compose_decompositions(GX, DX, GY, DY, vy, vx)
 
 
 def verify_structure(

@@ -7,13 +7,32 @@ boundary of each tree edge's side in G, and `torso_at` consolidates each
 side found by its own walk, one side after another.  Each gives the same
 answer, message or exception type as its `immtools` namesake, and
 `torso_at` the same torso, edge order included, as `immtools.torsos`.
+
+`structure_tree` is the recursive tree builder that `structure_decompose`
+replaced with a loop over a stack of pieces: it makes the same splits,
+validates both halves and renames every node with a "1:" or "2:" prefix
+at every level, and names each glue vertex after every vertex on the
+other side of its cut.  Its bags and tree edges are the loop's up to the
+renaming that maps the i-th smallest node name to the i-th.  It fails on
+a graph with a vertex that already bears a glue vertex's name.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List
 
-from immtools import Multigraph, SimpleGraph, Torso, TreeCutDecomposition, consolidate
+from immtools import (
+    CutWitness,
+    Multigraph,
+    SimpleGraph,
+    Torso,
+    TreeCutDecomposition,
+    compose_decompositions,
+    consolidate,
+    is_grounded,
+    is_k_edge_connected_set,
+)
+from immtools.treecut import _join_trees
 
 
 def violations(G: Multigraph, D: TreeCutDecomposition) -> List[str]:
@@ -89,3 +108,37 @@ def torso_at(G: Multigraph, D: TreeCutDecomposition, t: str) -> Torso:
             graph = consolidate(graph, Z, name=f"peri:{n}")
     core = D.bags[t]
     return Torso(graph=graph, core=core, peripheral=graph.vertices - core)
+
+
+def structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
+    high = frozenset(v for v in G.vertices if G.degree(v) >= alpha)
+    witness = is_k_edge_connected_set(G, high, alpha)
+    if witness is True:
+        return TreeCutDecomposition(
+            tree_nodes=frozenset({"n"}),
+            tree_edges=frozenset(),
+            bags={"n": G.vertices},
+        )
+    assert isinstance(witness, CutWitness)
+    X = witness.source_side
+    k = witness.value
+    if k == 0:
+        GX = G.induced(X)
+        GY = G.without_vertices(X)
+        assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges()
+        DX, DY = structure_tree(GX, alpha), structure_tree(GY, alpha)
+        # the zero-order analogue of composition: any tree edge will do
+        return _join_trees(
+            DX, min(DX.tree_nodes), frozenset(), DY, min(DY.tree_nodes), frozenset()
+        )
+    vy = "cut:(" + "+".join(sorted(G.vertices - X)) + ")"
+    vx = "cut:(" + "+".join(sorted(X)) + ")"
+    GX = consolidate(G, G.vertices - X, name=vy)
+    GY = consolidate(G, X, name=vx)
+    assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges(), (
+        "splitting on the witness cut must shed edges on both sides"
+    )
+    assert is_grounded(GX, vy, GY, vx), "minimum-order witness cut must be grounded"
+    DX = structure_tree(GX, alpha)
+    DY = structure_tree(GY, alpha)
+    return compose_decompositions(GX, DX, GY, DY, vy, vx)

@@ -2,9 +2,18 @@ import json
 
 import pytest
 
-from immtools import cli, gen_random_multigraph
-from immtools.jsonio import graph_to_json
+import oracle_treecut
+from immtools import (
+    StructureDecomposition,
+    cli,
+    gen_pk,
+    gen_random_multigraph,
+    is_alpha_basic,
+    torsos,
+)
+from immtools.jsonio import graph_to_json, structure_to_json
 from immtools.cli import main
+from helpers import mg
 
 
 def run(capsys, *argv):
@@ -116,6 +125,42 @@ def test_decompose_structure_and_verify(tmp_path, capsys):
         capsys, "verify", "structure", "--graph", g, "--structure", s, "--alpha", "4"
     )
     assert code == 0
+
+
+def _two_triangles_and_a_path():
+    edges = {"1": "ab", "2": "bc", "3": "ac", "4": "de", "5": "ef", "6": "df"}
+    edges.update({f"p{i}": (f"x{i}", f"x{i + 1}") for i in range(12)})
+    return mg(list("abcdef") + [f"x{i}" for i in range(13)], edges)
+
+
+@pytest.mark.parametrize("G, alpha", [
+    (gen_pk(3), 4),
+    (_two_triangles_and_a_path(), 2),
+    (gen_random_multigraph(12, 30, 2, seed=5), 4),
+])
+def test_verify_structure_accepts_certificates_with_recursion_node_names(
+    tmp_path, capsys, G, alpha
+):
+    # certificates written before the split loop name their tree nodes
+    # "1:2:...:n", one prefix per level of the old recursion
+    D = oracle_treecut.structure_tree(G, alpha)
+    assert len(D.tree_nodes) > 1 and all(n.endswith(":n") for n in D.tree_nodes)
+    certs = {t: is_alpha_basic(T.graph, alpha) for t, T in torsos(G, D).items()}
+    g = write(tmp_path, "g.json", graph_to_json(G))
+    old = write(tmp_path, "old.json", structure_to_json(StructureDecomposition(D, certs)))
+    code, out, err = run(
+        capsys, "verify", "structure", "--graph", g, "--structure", old, "--alpha", str(alpha)
+    )
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "decompose", "structure", "--graph", g, "--alpha", str(alpha))
+    assert code == 0
+    result = json.loads(out)
+    assert len(result["decomposition"]["tree"]["nodes"]) == len(D.tree_nodes)
+    new = write(tmp_path, "new.json", result)
+    code, out, err = run(
+        capsys, "verify", "structure", "--graph", g, "--structure", new, "--alpha", str(alpha)
+    )
+    assert (code, err) == (0, "")
 
 
 def test_decompose_structure_failure_exit_code(tmp_path, capsys):

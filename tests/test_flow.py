@@ -14,6 +14,7 @@ from immtools import (
     is_k_edge_connected_set,
     max_flow_min_cut,
 )
+from immtools import treecut
 from immtools.flow import FlowNetwork
 from helpers import mg
 
@@ -97,6 +98,29 @@ def test_each_batch_builds_one_network(monkeypatch):
     built.clear()
     assert is_grounded(G1, "z", G2, "y") is True
     assert len(built) == 2
+
+
+def test_each_structure_piece_builds_one_network(monkeypatch):
+    # a doubled P_40 at alpha 3 splits 37 times into 75 pieces, one per
+    # inner vertex and two glue vertices per split: each piece's
+    # groundedness flows run on the network of its own pair test, and the
+    # groundedness check still runs on both sides of every split
+    built = _count_networks(monkeypatch)
+    grounded = []
+    check = treecut._grounded
+
+    def counted(G, net, v):
+        grounded.append(v)
+        return check(G, net, v)
+
+    monkeypatch.setattr(treecut, "_grounded", counted)
+    G = mg([f"v{i}" for i in range(40)], {
+        f"e{i}c{c}": (f"v{i}", f"v{i + 1}") for i in range(39) for c in range(2)
+    })
+    D = treecut._structure_tree(G, 3)
+    assert len(D.tree_nodes) == 38
+    assert len(built) == 75
+    assert len(grounded) == len(set(grounded)) == 74
 
 
 def test_first_violating_pair_in_sorted_order_is_the_witness():

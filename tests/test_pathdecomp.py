@@ -1,10 +1,16 @@
+import itertools
+import random
+
 import pytest
 
+import oracle_pathdecomp
+from enumerate_graphs import connected_simple_graphs
 from immtools import (
     FailureWitness,
     LinearityCertificate,
     PathLikeDecomposition,
     SMALL_CUT,
+    SimpleGraph,
     boundedness,
     build_auxiliary_graph,
     compute_separator,
@@ -194,6 +200,52 @@ def test_min_linearizing_set_examples():
     assert len(min_linearizing_set(star)) == 1
     K4 = sg("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")])
     assert len(min_linearizing_set(K4)) == 2
+
+
+def _agree_with_the_oracle(H, ks):
+    """The bitmask searches return the oracle's set and star model."""
+    assert min_linearizing_set(H) == oracle_pathdecomp.min_linearizing_set(H)
+    models = [has_k1k_minor(H, k) for k in ks]
+    assert models == [oracle_pathdecomp.has_k1k_minor(H, k) for k in ks], ks
+    return models
+
+
+def test_subset_searches_agree_with_the_oracle_on_small_graphs():
+    graphs = stars = 0
+    for H in connected_simple_graphs(7):
+        models = _agree_with_the_oracle(H, range(2, len(H.vertices)))
+        graphs += 1
+        stars += sum(m is not False for m in models)
+    assert graphs == 996  # every connected simple graph on 1..7 vertices
+    assert stars > 500
+
+
+def test_subset_searches_agree_with_the_oracle_on_random_graphs():
+    rng = random.Random(11)
+    largest = no_star = big_sets = 0
+    for _ in range(40):
+        n = rng.randint(6, 16)
+        p = rng.choice((0.1, 0.18, 0.25))
+        verts = [f"v{i}" for i in range(n)]  # v10 sorts before v2
+        H = SimpleGraph.build(
+            verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p]
+        )
+        # a large k without a star minor tries every subset: keep those small
+        models = _agree_with_the_oracle(H, (2, 3, rng.randint(4, n) if n <= 12 else 4))
+        largest = max(largest, n)
+        no_star += models.count(False)
+        big_sets += len(min_linearizing_set(H)) >= 3
+    assert largest == 16 and no_star > 10 and big_sets > 5
+
+
+def test_subset_searches_keep_the_ceiling():
+    verts = [f"v{i}" for i in range(17)]
+    assert min_linearizing_set(SimpleGraph.build(verts[:16], zip(verts, verts[1:16]))) == set()
+    H = SimpleGraph.build(verts, zip(verts, verts[1:]))
+    with pytest.raises(ValueError, match="instance above configured size limit"):
+        min_linearizing_set(H)
+    with pytest.raises(ValueError, match="instance above configured size limit"):
+        has_k1k_minor(H, 3)
 
 
 # -- separators and the decomposition algorithm ------------------------

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from immtools import (
     edge_sum,
     gen_complete,
     gen_pk,
+    gen_pk_chorded,
     gen_random_multigraph,
     is_alpha_basic,
     is_grounded,
@@ -25,6 +27,7 @@ from immtools import (
     verify_structure,
 )
 from immtools import treecut
+from immtools.jsonio import structure_to_json
 from helpers import mg
 
 
@@ -350,6 +353,89 @@ def test_each_torso_is_built_once(monkeypatch, G, alpha):
     assert consolidated_inside == []
 
 
+def _path(n, links=1):
+    """P_n with every link repeated `links` times."""
+    edges = {
+        f"e{i}c{c}": (f"v{i}", f"v{i + 1}") for i in range(n - 1) for c in range(links)
+    }
+    return mg([f"v{i}" for i in range(n)], edges)
+
+
+def _structure_inputs():
+    """Seeded random multigraphs, paths, necklaces and the witness family."""
+    rng = random.Random(5)
+    graphs = []
+    for seed in range(120):
+        n = rng.randint(1, 14)
+        mult = rng.randint(1, 3)
+        m = rng.randint(0, min(3 * n, n * (n + 1) // 2 * mult))
+        graphs.append(gen_random_multigraph(n, m, mult, seed=seed))
+    graphs += [_path(30), _path(25, 2), _beads(40), _necklace(5, 3), _necklace(6, 4)]
+    graphs += [gen_pk(k) for k in range(2, 7)] + [gen_pk_chorded(k) for k in range(3, 6)]
+    return graphs
+
+
+def _same_tree(D, E):
+    """D and E agree up to the renaming that maps the i-th smallest node
+    name of one to that of the other: a bijection of node names that also
+    keeps their order, so torsos, certificates and failures come out in
+    the same order."""
+    rename = dict(zip(sorted(D.tree_nodes), sorted(E.tree_nodes)))
+    return (
+        len(D.tree_nodes) == len(E.tree_nodes)
+        and all(D.bags[n] == E.bags[rename[n]] for n in D.tree_nodes)
+        and {frozenset(map(rename.get, e)) for e in D.tree_edges} == E.tree_edges
+    )
+
+
+def test_split_loop_matches_the_recursion():
+    splits = zero_cuts = 0
+    for G in _structure_inputs():
+        for alpha in range(1, 6):
+            got = treecut._structure_tree(G, alpha)
+            want = oracle_treecut.structure_tree(G, alpha)
+            assert _same_tree(got, want), (sorted(G.vertices), G.edges, alpha)
+            assert got.violations(G) == []
+            splits += len(got.tree_nodes) - 1
+            zero_cuts += any(
+                T.graph.degree(z) == 0 for T in torsos(G, got).values() for z in T.peripheral
+            )
+    assert splits > 400 and zero_cuts > 20
+
+
+def _structure_outcome(G, alpha):
+    try:
+        r = structure_decompose(G, alpha)
+    except ValueError as exc:
+        return ("limit", str(exc))
+    if isinstance(r, FailureWitness):
+        return ("failure", r.kind)
+    assert verify_structure(G, r.decomposition, r.certificates, alpha) == []
+    return ("success", len(r.decomposition.tree_nodes))
+
+
+def test_structure_outcome_matches_the_recursion(monkeypatch):
+    cases = [(G, alpha) for G in _structure_inputs() for alpha in range(1, 6)]
+    got = [_structure_outcome(G, alpha) for G, alpha in cases]
+    monkeypatch.setattr(treecut, "_structure_tree", oracle_treecut.structure_tree)
+    want = [_structure_outcome(G, alpha) for G, alpha in cases]
+    assert got == want
+    kinds = {o[0] for o in got}
+    assert kinds == {"success", "failure", "limit"}
+
+
+def test_structure_certificate_of_a_long_path_stays_small():
+    # every vertex of P_300 is its own node at alpha 2; the recursion named
+    # nodes by one "1:"/"2:" prefix per level (up to 401 characters) and
+    # its JSON certificate took 388 KB
+    G = _path(300)
+    r = structure_decompose(G, 2)
+    assert isinstance(r, StructureDecomposition)
+    assert len(r.decomposition.tree_nodes) == 298
+    assert max(len(n) for n in r.decomposition.tree_nodes) <= 8
+    assert len(json.dumps(structure_to_json(r))) < 100_000
+
+
 # -- edge sums ---------------------------------------------------------
 
 
@@ -499,6 +585,22 @@ def test_structure_disconnected_input():
     r = structure_decompose(G, 2)
     assert isinstance(r, StructureDecomposition)
     assert verify_structure(G, r.decomposition, r.certificates, 2) == []
+
+
+def test_structure_with_vertices_named_like_glue_vertices():
+    # b (two loops) hangs off a triple link by one edge, so alpha 3 splits
+    # off {b}.  The recursion named the glue vertex for {b} "cut:(b)",
+    # found that name taken, freshened it, then dropped the real vertex
+    # "cut:(b)" from the bags and raised "malformed decomposition"; the
+    # loop's glue names "cut:0", "cut:1" are freshened against G as well
+    G = mg(["b", "cut:0", "cut:(b)"], {
+        "l1": ("b", "b"), "l2": ("b", "b"), "e": ("b", "cut:0"),
+        "t1": ("cut:0", "cut:(b)"), "t2": ("cut:0", "cut:(b)"), "t3": ("cut:0", "cut:(b)"),
+    })
+    r = structure_decompose(G, 3)
+    assert isinstance(r, StructureDecomposition)
+    assert sorted(map(sorted, r.decomposition.bags.values())) == [["b"], ["cut:(b)", "cut:0"]]
+    assert verify_structure(G, r.decomposition, r.certificates, 3) == []
 
 
 def test_verify_structure_rejects_tampering():
