@@ -46,6 +46,7 @@ from .pathdecomp import (
     FailureWitness,
     LinearityCertificate,
     PathLikeDecomposition,
+    SizeLimitError,
     boundedness,
     build_auxiliary_graph,
     compute_separator,

@@ -2,12 +2,15 @@
 
 Subcommands read and write the shared JSON formats on files or standard
 streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
-2 verification or decomposition rejection, 3 search budget exhausted.
+2 verification or decomposition rejection, 3 a resource limit reached:
+the immersion search budget ran out, or a subset search met more than
+16 auxiliary-graph vertices.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -31,13 +34,18 @@ from .jsonio import (
     treecut_from_json,
 )
 from .multigraph import Multigraph
-from .pathdecomp import FailureWitness, linear_decompose, verify_linear_certificate
+from .pathdecomp import (
+    FailureWitness,
+    SizeLimitError,
+    linear_decompose,
+    verify_linear_certificate,
+)
 from .treecut import edge_sum, structure_decompose, torso_at, verify_structure
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_REJECTED = 2
-EXIT_BUDGET = 3
+EXIT_LIMIT = 3
 
 
 def _read_json(path: str) -> Any:
@@ -86,7 +94,7 @@ def _cmd_find_immersion(args: argparse.Namespace) -> int:
     result = find_immersion(G, H, strong=args.strong, budget=args.budget)
     if result.status == BUDGET:
         _emit("budget")
-        return EXIT_BUDGET
+        return EXIT_LIMIT
     if result.status == ABSENT:
         _emit("absent")
         return EXIT_OK
@@ -123,16 +131,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     if args.shape == "linear":
         W = _parse_W(args.W, G)
         result = linear_decompose(G, W, m=args.m, w_limit=args.w_limit)
-        if isinstance(result, FailureWitness):
-            _emit(failure_to_json(result))
-            return EXIT_REJECTED
-        _emit(linearity_to_json(result))
-        return EXIT_OK
-    result = structure_decompose(G, args.alpha)
+        encode = linearity_to_json
+    else:
+        result = structure_decompose(G, args.alpha)
+        encode = structure_to_json
     if isinstance(result, FailureWitness):
         _emit(failure_to_json(result))
         return EXIT_REJECTED
-    _emit(structure_to_json(result))
+    _emit(encode(result))
     return EXIT_OK
 
 
@@ -159,13 +165,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.quantity == "d-of-k":
         print(bounds_mod.d_of_k(args.k))
     elif args.quantity == "theorem31":
-        c = bounds_mod.theorem31_constants(_read_graph(args.pattern))
-        _emit(
-            {
-                field: getattr(c, field)
-                for field in ("m", "a", "a0", "k", "s", "w0", "w", "p")
-            }
-        )
+        _emit(dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(args.pattern))))
     elif args.quantity == "converse":
         print(bounds_mod.converse_n(args.d, args.a, args.w, args.p))
     else:
@@ -276,7 +276,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+        return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -36,13 +36,11 @@ def _check_terminals(G: Multigraph, S, T) -> Tuple[FrozenSet[str], FrozenSet[str
     return S, T
 
 
-def _witness(G: Multigraph, net: FlowNetwork, source: int, value: int) -> CutWitness:
-    """The cut of net's maximum flow from source, whose value is `value`,
-    with the inclusion-minimal source side."""
+def _witness(G: Multigraph, net: FlowNetwork, value: int) -> CutWitness:
+    """The cut of net's last maximum flow, whose value is `value`, with
+    the inclusion-minimal source side."""
     names = net.names
-    side = frozenset(
-        names[i] for i in net.residual_reachable(source) if i < len(names)
-    )
+    side = frozenset(names[i] for i in net.residual_side if i < len(names))
     cut = G.boundary(side)
     assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
     return CutWitness(value=value, cut_edges=cut, source_side=side)
@@ -65,16 +63,13 @@ def _set_flow(G: Multigraph, S, T) -> Tuple[FlowNetwork, int]:
 def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWitness:
     """Maximum number of edge-disjoint S-T paths and a minimum cut witness."""
     net, value = _set_flow(G, S, T)
-    return _witness(G, net, net.source, value)
+    return _witness(G, net, value)
 
 
 def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> List[List[str]]:
     """A maximum family of edge-disjoint S-T paths as edge-id sequences."""
     net, value = _set_flow(G, S, T)
-    arc_paths = net.extract_paths(net.source, net.sink)
-    paths = []
-    for arcs in arc_paths:
-        paths.append([net.label[i] for i in arcs if net.label[i] is not None])
+    paths = [net.path_edges(arcs) for arcs in net.extract_paths(net.source, net.sink)]
     assert len(paths) == value, "flow decomposition lost a path"
     return paths
 
@@ -102,5 +97,5 @@ def _first_violation(
     for x, y in itertools.combinations(sorted(W), 2):
         value = net.max_flow(index[x], index[y])
         if value < k:
-            return _witness(G, net, index[x], value)
+            return _witness(G, net, value)
     return True

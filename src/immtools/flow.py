@@ -16,7 +16,7 @@ search then skips as if they had been deleted.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from .multigraph import Multigraph
 
@@ -29,10 +29,11 @@ _ROOT = -1  # ... of the search's start node, and of a closed node
 class FlowNetwork:
     """The network of a multigraph G.  Node i is `names[i]`, the i-th
     vertex of G in sorted order, and `index` maps each vertex to its node.
-    Each non-loop edge is one undirected unit arc pair labelled with its
-    id, pairs in sorted edge-id order, so every node lists its arcs in
-    that order too.  Two more nodes without arcs follow the vertices:
-    `source` and `sink`, for super-terminal arcs a query adds after G's.
+    Each non-loop edge is one undirected unit arc pair, pairs in the
+    order of `edge_ids`, G's non-loop edge ids sorted, so every node lists
+    its arcs in that order too.  Two more nodes without arcs follow the
+    vertices: `source` and `sink`, for super-terminal arcs a query adds
+    after G's.
     """
 
     def __init__(self, G: Multigraph):
@@ -52,17 +53,14 @@ class FlowNetwork:
         self.source, self.sink = len(names), len(names) + 1
         self.adj, self.head = adj, head
         self.cap: List[int] = [1] * len(head)
-        self.flow: List[int] = [0] * len(head)
-        # arc index -> multigraph edge id; None on an added arc
-        self.label: List[Optional[str]] = [e for e in ids for _ in (0, 1)]
+        self.edge_ids = ids
 
     def add_arc(self, u: int, v: int, cap: int) -> None:
-        """Directed unlabelled arc u->v; its companion has capacity 0."""
+        """An added directed arc u->v, with no edge id; its companion has
+        capacity 0."""
         i = len(self.head)
         self.head += (v, u)
         self.cap += (cap, 0)
-        self.flow += (0, 0)
-        self.label += (None, None)
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
 
@@ -70,7 +68,9 @@ class FlowNetwork:
 
     def max_flow(self, source: int, sink: int, closed: Iterable[int] = ()) -> int:
         """A maximum source-sink flow, found from the zero flow; returns
-        its value.  Closed nodes are never entered."""
+        its value.  Closed nodes are never entered.  Sets `flow`, the flow
+        on each arc, and `residual_side`, the nodes reachable from source
+        in the residual network, in BFS order."""
         adj, head, cap = self.adj, self.head, self.cap
         self.flow = flow = [0] * len(head)
         start = [_UNSEEN] * len(adj)
@@ -92,6 +92,7 @@ class FlowNetwork:
                 if prev[sink] != _UNSEEN:
                     break
             else:
+                self.residual_side = queue
                 return total
             amt = INF
             v = sink
@@ -106,21 +107,6 @@ class FlowNetwork:
                 flow[i ^ 1] -= amt
                 v = head[i ^ 1]
             total += amt
-
-    def residual_reachable(self, source: int) -> List[int]:
-        """Nodes reachable from source in the residual network, in BFS
-        order."""
-        adj, head, cap, flow = self.adj, self.head, self.cap, self.flow
-        seen = [False] * len(adj)
-        seen[source] = True
-        queue = [source]
-        for u in queue:
-            for i in adj[u]:
-                v = head[i]
-                if not seen[v] and cap[i] > flow[i]:
-                    seen[v] = True
-                    queue.append(v)
-        return queue
 
     # -- flow decomposition -------------------------------------------
 
@@ -155,3 +141,8 @@ class FlowNetwork:
                     nodes.append(nxt)
                 node = nxt
             paths.append(walk)
+
+    def path_edges(self, arcs: Iterable[int]) -> List[str]:
+        """The edge ids of G along an arc path; added arcs carry none."""
+        ids = self.edge_ids
+        return [ids[i >> 1] for i in arcs if i < 2 * len(ids)]

@@ -282,7 +282,10 @@ def find_immersion(
     strong: bool = False,
     budget: Optional[int] = None,
 ) -> SearchResult:
-    """Exhaustive immersion search; certificates always re-verify."""
+    """Exhaustive immersion search; certificates always re-verify.  A
+    budget caps the search steps (0 allows none); None means no cap."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     searcher = _Searcher(G, H, strong, budget)
     try:
         cert = searcher.run()
@@ -309,8 +312,8 @@ def star_minor_to_immersion(
     Pattern vertices map to the first |V(F)| leaves; 2|E(F)| edge-disjoint
     leaf-to-center paths are extracted by a single flow computation (leaf z
     supplying one path per half-edge at its pattern vertex, with transit
-    through used leaves blocked); half-edges pair off with the paths and
-    each pattern edge becomes the union of its two paths.
+    through used leaves blocked); each pattern edge, in sorted order,
+    takes the next path at each of its ends and becomes their union.
     """
     from .pathdecomp import build_auxiliary_graph
 
@@ -328,15 +331,6 @@ def star_minor_to_immersion(
     theta = dict(zip(fverts, leaves))
     center = model.center
 
-    demand: Dict[str, int] = {}
-    half_edges: Dict[str, List[str]] = {v: [] for v in fverts}
-    for e in sorted(F.edges):
-        u, v = F.ends(e)
-        half_edges[u].append(e)
-        half_edges[v].append(e)  # loops contribute two half-edges at u == v
-    for v in fverts:
-        demand[theta[v]] = len(half_edges[v])
-
     # Used leaves are the sources and the center feeds the sink.  A path may
     # neither pass through a used leaf nor leave the center, so no arc into a
     # used leaf and no arc out of the center has capacity: an edge at a used
@@ -351,8 +345,8 @@ def star_minor_to_immersion(
     for i in range(len(head)):
         if head[i] in sources or head[i ^ 1] == hub:
             cap[i] = 0
-    for z in sorted(used_leaves):
-        net.add_arc(src, index[z], demand[z])
+    for v in fverts:  # theta keeps the order, so the leaves come sorted
+        net.add_arc(src, index[theta[v]], F.degree(v))
     net.add_arc(hub, snk, INF)
 
     total = 2 * len(F.edges)
@@ -362,30 +356,19 @@ def star_minor_to_immersion(
             f"only {value} of {total} leaf-to-center paths exist;"
             " m is too small or the model is wrong"
         )
-    arc_paths = net.extract_paths(src, snk)
     by_leaf: Dict[str, List[List[str]]] = {z: [] for z in used_leaves}
-    for arcs in arc_paths:
+    for arcs in net.extract_paths(src, snk):
         leaf = net.names[net.head[arcs[0]]]  # first arc is super-source -> z
-        edge_ids = [net.label[i] for i in arcs if net.label[i] is not None]
-        by_leaf[leaf].append(edge_ids)
-
-    assignment: Dict[Tuple[str, int], List[str]] = {}
+        by_leaf[leaf].append(net.path_edges(arcs))
     for v in fverts:
-        paths = by_leaf[theta[v]]
-        if len(paths) != len(half_edges[v]):
+        if len(by_leaf[theta[v]]) != F.degree(v):
             raise ValueError("path extraction does not match the half-edge counts")
-        for k, path in enumerate(paths):
-            assignment[(v, k)] = path
 
+    unused = {v: iter(by_leaf[theta[v]]) for v in fverts}
     edge_map: Dict[str, FrozenSet[str]] = {}
-    slot: Dict[str, int] = {v: 0 for v in fverts}
     for e in sorted(F.edges):
         u, v = F.ends(e)
-        pu = assignment[(u, slot[u])]
-        slot[u] += 1
-        pv = assignment[(v, slot[v])]
-        slot[v] += 1
-        edge_map[e] = frozenset(pu) | frozenset(pv)
+        edge_map[e] = frozenset(next(unused[u])) | frozenset(next(unused[v]))
 
     cert = ImmersionCertificate(vertex_map=theta, edge_map=edge_map, strong=True)
     bad = verify_immersion(G, F, cert, strong=True)

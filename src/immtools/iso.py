@@ -81,10 +81,6 @@ def are_isomorphic(G: Multigraph, H: Multigraph) -> bool:
     return canonical_key(G) == canonical_key(H)
 
 
-def _pair_multiplicities(G: Multigraph) -> Counter:
-    return Counter(G.edges.values())
-
-
 def isomorphic_with_pins(
     G: Multigraph,
     H: Multigraph,
@@ -103,8 +99,8 @@ def isomorphic_with_pins(
     for g, h in pins.items():
         if g not in G.vertices or h not in H.vertices:
             return False
-    mg = _pair_multiplicities(G)
-    mh = _pair_multiplicities(H)
+    mg = Counter(G.edges.values())  # sorted end pair -> multiplicity
+    mh = Counter(H.edges.values())
     gverts = sorted(pins) + sorted(G.vertices - set(pins))
     mapped: Dict[str, str] = {}
     used = set()

@@ -7,7 +7,7 @@ sorted so serialization is byte-stable for a fixed input.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping
+from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from .connectivity import CutWitness
 from .immersion import ImmersionCertificate
@@ -159,28 +159,18 @@ def _star_model_to_json(model: StarMinorModel) -> Dict[str, Any]:
     return {
         "center": model.center,
         "leaves": sorted(model.leaves),
-        "tree": {
-            "nodes": sorted(model.tree.vertices),
-            "edges": sorted(sorted(e) for e in model.tree.edges),
-        },
+        "tree": _tree_to_json(model.tree.vertices, model.tree.edges),
     }
 
 
 def _star_model_from_json(obj: Any) -> StarMinorModel:
     _expect(isinstance(obj, dict) and isinstance(obj.get("center"), str),
             'star model needs a string "center"')
-    tree = obj.get("tree")
-    _expect(isinstance(tree, dict), 'star model needs a "tree" object')
-    nodes = _str_list(tree.get("nodes"), '"nodes"')
-    raw = tree.get("edges")
-    _expect(isinstance(raw, list), '"edges" must be a list of pairs')
-    edges = frozenset(
-        frozenset(_str_list(e, "tree edge")) for e in raw
-    )
+    nodes, edges = _tree_from_json(obj.get("tree"), "star model")
     return StarMinorModel(
         center=obj["center"],
         leaves=frozenset(_str_list(obj.get("leaves"), '"leaves"')),
-        tree=SimpleGraph(frozenset(nodes), edges),
+        tree=SimpleGraph(nodes, edges),
     )
 
 
@@ -206,22 +196,15 @@ def failure_from_json(obj: Any) -> FailureWitness:
     return FailureWitness(kind=kind, payload=payload)
 
 
-# -- tree-cut decompositions --------------------------------------------------
+# -- trees and tree-cut decompositions ----------------------------------------
 
-def treecut_to_json(D: TreeCutDecomposition) -> Dict[str, Any]:
-    return {
-        "tree": {
-            "nodes": sorted(D.tree_nodes),
-            "edges": sorted(sorted(e) for e in D.tree_edges),
-        },
-        "bags": {n: sorted(D.bags[n]) for n in sorted(D.bags)},
-    }
+def _tree_to_json(nodes: Iterable[str], edges: Iterable[FrozenSet[str]]) -> Dict[str, Any]:
+    return {"nodes": sorted(nodes), "edges": sorted(sorted(e) for e in edges)}
 
 
-def treecut_from_json(obj: Any) -> TreeCutDecomposition:
-    _expect(isinstance(obj, dict), "decomposition must be a JSON object")
-    tree = obj.get("tree")
-    _expect(isinstance(tree, dict), 'decomposition needs a "tree" object')
+def _tree_from_json(tree: Any, owner: str) -> Tuple[FrozenSet[str], FrozenSet[FrozenSet[str]]]:
+    """The nodes and the edges of the "tree" object of an `owner`."""
+    _expect(isinstance(tree, dict), f'{owner} needs a "tree" object')
     nodes = _str_list(tree.get("nodes"), '"nodes"')
     raw = tree.get("edges")
     _expect(isinstance(raw, list), '"edges" must be a list of pairs')
@@ -230,14 +213,25 @@ def treecut_from_json(obj: Any) -> TreeCutDecomposition:
         pair = frozenset(_str_list(e, "tree edge"))
         _expect(len(pair) == 2, "tree edges must join two distinct nodes")
         edges.add(pair)
+    return frozenset(nodes), frozenset(edges)
+
+
+def treecut_to_json(D: TreeCutDecomposition) -> Dict[str, Any]:
+    return {
+        "tree": _tree_to_json(D.tree_nodes, D.tree_edges),
+        "bags": {n: sorted(D.bags[n]) for n in sorted(D.bags)},
+    }
+
+
+def treecut_from_json(obj: Any) -> TreeCutDecomposition:
+    _expect(isinstance(obj, dict), "decomposition must be a JSON object")
+    nodes, edges = _tree_from_json(obj.get("tree"), "decomposition")
     bags_obj = obj.get("bags")
     _expect(isinstance(bags_obj, dict), '"bags" must be an object')
     bags = {
         n: frozenset(_str_list(b, f"bag at {n!r}")) for n, b in bags_obj.items()
     }
-    return TreeCutDecomposition(
-        tree_nodes=frozenset(nodes), tree_edges=frozenset(edges), bags=bags
-    )
+    return TreeCutDecomposition(tree_nodes=nodes, tree_edges=edges, bags=bags)
 
 
 def torso_to_json(t: Torso) -> Dict[str, Any]:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .connectivity import CutWitness, max_flow_min_cut
 from .flow import FlowNetwork
@@ -19,6 +19,10 @@ STAR_MINOR = "star-minor"
 NOT_PATH_SHAPED = "not-path-shaped"
 
 _SUBSET_SEARCH_LIMIT = 16
+
+
+class SizeLimitError(ValueError):
+    """The input is valid but larger than a search accepts."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,25 +44,39 @@ class PathLikeDecomposition:
             out.append("ordering repeats a vertex")
         if set(self.ordering) != X:
             out.append("ordering is not exactly the decomposed vertex set")
-        seen: Dict[str, int] = {}
-        for i, bag in enumerate(self.bags):
-            for v in bag:
-                if v in seen:
-                    out.append(f"bags {seen[v]} and {i} both contain {v!r}")
-                else:
-                    seen[v] = i
-        covered = frozenset(seen)
-        if covered & set(self.ordering):
+        owner, overlaps = _bag_owners(enumerate(self.bags))
+        out += overlaps
+        if owner.keys() & set(self.ordering):
             out.append("a bag contains an ordering vertex")
-        expected = G.vertices - X
-        if covered != expected:
-            missing = expected - covered
-            extra = covered - expected
-            if missing:
-                out.append(f"bags miss vertices: {sorted(missing)}")
-            if extra:
-                out.append(f"bags contain foreign vertices: {sorted(extra)}")
-        return out
+        return out + _cover_violations(owner.keys(), G.vertices - X)
+
+
+def _bag_owners(bags: Iterable[Tuple[object, AbstractSet[str]]]) -> Tuple[dict, List[str]]:
+    """The owner map of (label, bag) pairs, vertex -> label of the first
+    bag that holds it, and a message for each later bag that holds it
+    again."""
+    owner: dict = {}
+    overlaps = []
+    for label, bag in bags:
+        for v in bag:
+            if v in owner:
+                overlaps.append(f"bags {owner[v]!r} and {label!r} both contain {v!r}")
+            else:
+                owner[v] = label
+    return owner, overlaps
+
+
+def _cover_violations(covered: AbstractSet[str], expected: AbstractSet[str]) -> List[str]:
+    """Where bags whose union is `covered` fail to cover exactly `expected`:
+    the vertices they miss, then those they hold beyond it."""
+    out = []
+    missing = expected - covered
+    extra = covered - expected
+    if missing:
+        out.append(f"bags miss vertices: {sorted(missing)}")
+    if extra:
+        out.append(f"bags contain foreign vertices: {sorted(extra)}")
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -197,7 +215,7 @@ def _neighbour_masks(H: SimpleGraph) -> Tuple[List[str], List[int]]:
     of its neighbours, bit j standing for the j-th vertex.  Raises above
     the subset-search ceiling."""
     if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
-        raise ValueError("instance above configured size limit")
+        raise SizeLimitError("instance above configured size limit")
     verts = sorted(H.vertices)
     index = {v: i for i, v in enumerate(verts)}
     nbr = [0] * len(verts)
@@ -355,6 +373,8 @@ def linear_decompose(
     W = frozenset(W)
     if m < 1:
         raise ValueError("m must be at least 1")
+    if w_limit < 1:
+        raise ValueError("w_limit must be at least 1")
     H = build_auxiliary_graph(G, W, m)
     comps = H.connected_components()
     if len(comps) > 1:

@@ -20,7 +20,8 @@ from .pathdecomp import (
     STAR_MINOR,
     FailureWitness,
     LinearityCertificate,
-    PathLikeDecomposition,
+    _bag_owners,
+    _cover_violations,
     build_auxiliary_graph,
     has_k1k_minor,
     linear_decompose,
@@ -59,27 +60,15 @@ class TreeCutDecomposition:
         if set(self.bags) != set(self.tree_nodes):
             out.append("bag index set differs from the tree nodes")
             return _Shape(tuple(out), None)
-        owner: Dict[str, str] = {}
-        for n in sorted(self.bags):
-            for v in self.bags[n]:
-                if v in owner:
-                    out.append(f"bags {owner[v]!r} and {n!r} both contain {v!r}")
-                else:
-                    owner[v] = n
-        return _Shape(tuple(out), owner)
+        owner, overlaps = _bag_owners((n, self.bags[n]) for n in sorted(self.bags))
+        return _Shape(tuple(out + overlaps), owner)
 
     def violations(self, G: Multigraph) -> List[str]:
         """The shape problems, then whether the bags cover exactly G.vertices."""
         problems, owner = self._shape
-        out = list(problems)
-        if owner is not None and owner.keys() != G.vertices:
-            missing = G.vertices - owner.keys()
-            extra = owner.keys() - G.vertices
-            if missing:
-                out.append(f"bags miss vertices: {sorted(missing)}")
-            if extra:
-                out.append(f"bags contain foreign vertices: {sorted(extra)}")
-        return out
+        if owner is None:
+            return list(problems)
+        return list(problems) + _cover_violations(owner.keys(), G.vertices)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,10 +105,10 @@ def _adhesion(parts: Mapping[str, Torso]) -> int:
 
 def torso_at(G: Multigraph, D: TreeCutDecomposition, t: str) -> Torso:
     """The torso of D at node t; see `torsos`."""
-    _require_valid(D.violations(G))
-    if t not in D.tree_nodes:
+    parts = torsos(G, D)
+    if t not in parts:
         raise ValueError(f"unknown tree node {t!r}")
-    return torsos(G, D)[t]
+    return parts[t]
 
 
 def torsos(G: Multigraph, D: TreeCutDecomposition) -> Dict[str, Torso]:
@@ -246,10 +235,7 @@ def edge_sum(
         x = b if a == v1 else a
         c, d = G2.ends(e2)
         y = d if c == v2 else c
-        new_id = f"{e1}~{e2}"
-        while new_id in edges:
-            new_id += "'"
-        edges[new_id] = (x, y)
+        edges[_fresh_name(f"{e1}~{e2}", edges)] = (x, y)
     return Multigraph(A.vertices | B.vertices, edges)
 
 

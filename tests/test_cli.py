@@ -245,6 +245,39 @@ def test_bounds_subcommands(tmp_path, capsys):
     assert obj["m"] == 6 and obj["a"] == 12 and obj["k"] == 3
 
 
+def test_negative_budget_exit_code(tmp_path, capsys):
+    _, host, _ = run(capsys, "gen", "pk", "3")
+    _, pat, _ = run(capsys, "gen", "complete", "3")
+    h = write(tmp_path, "h.json", json.loads(host))
+    p = write(tmp_path, "p.json", json.loads(pat))
+    code, out, err = run(
+        capsys, "find-immersion", "--host", h, "--pattern", p, "--strong",
+        "--budget", "-1",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: budget must be nonnegative, got -1\n"
+
+
+def test_w_limit_below_one_exit_code(tmp_path, capsys):
+    _, host, _ = run(capsys, "gen", "pk", "3")
+    g = write(tmp_path, "g.json", json.loads(host))
+    code, out, err = run(
+        capsys, "decompose", "linear", "--graph", g, "--W", "all", "--m", "3",
+        "--w-limit", "0",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: w_limit must be at least 1\n"
+
+
+def test_subset_search_ceiling_is_a_limit_exit_code(tmp_path, capsys):
+    # more than 16 high-degree vertices reach the linearity subset search
+    _, host, _ = run(capsys, "gen", "random", "20", "60", "2", "--seed", "7")
+    g = write(tmp_path, "g.json", json.loads(host))
+    code, out, err = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
+    assert (code, out) == (3, "")
+    assert err == "error: instance above configured size limit\n"
+
+
 def test_malformed_input_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -140,10 +140,10 @@ def test_a_network_serves_a_batch_unchanged():
     G = gen_random_multigraph(9, 20, 2, seed=3)
     net = FlowNetwork(G)
     index = net.index
-    before = ([list(a) for a in net.adj], list(net.head), list(net.cap), list(net.label))
+    before = ([list(a) for a in net.adj], list(net.head), list(net.cap), list(net.edge_ids))
     for x, y in itertools.combinations(sorted(G.vertices), 2):
         closed = {"v0", "v8"} - {x, y}
         value = net.max_flow(index[x], index[y], [index[c] for c in closed])
         want = oracle_flow.max_flow_min_cut(G.without_vertices(closed), {x}, {y})
         assert value == want.value, (x, y)
-    assert ([list(a) for a in net.adj], net.head, net.cap, net.label) == before
+    assert ([list(a) for a in net.adj], net.head, net.cap, net.edge_ids) == before

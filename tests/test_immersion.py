@@ -216,6 +216,14 @@ def test_budget_exhaustion_reported():
     assert find_immersion(G, K3, strong=True, budget=5).status == BUDGET
 
 
+def test_a_negative_budget_is_rejected_and_zero_is_a_budget():
+    G = gen_pk(4)
+    K3 = gen_complete(3)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        find_immersion(G, K3, strong=True, budget=-1)
+    assert find_immersion(G, K3, strong=True, budget=0).status == BUDGET
+
+
 def test_strong_certificate_also_verifies_weakly():
     G = gen_pk(3)
     H = mg("xy", {"p": "xy", "q": "xy", "r": "xy"})

@@ -123,6 +123,19 @@ def test_treecut_round_trip():
     assert structure_from_json(structure_to_json(r)) == r
 
 
+def test_star_model_rejects_a_tree_edge_with_one_node():
+    obj = {
+        "kind": "star-minor",
+        "payload": {
+            "center": "a",
+            "leaves": ["b"],
+            "tree": {"nodes": ["a", "b"], "edges": [["a", "a"]]},
+        },
+    }
+    with pytest.raises(ValueError, match="tree edges must join two distinct nodes"):
+        failure_from_json(obj)
+
+
 def test_treecut_rejects_bad_tree_edges():
     with pytest.raises(ValueError):
         treecut_from_json(

@@ -11,6 +11,7 @@ from immtools import (
     PathLikeDecomposition,
     SMALL_CUT,
     SimpleGraph,
+    SizeLimitError,
     boundedness,
     build_auxiliary_graph,
     compute_separator,
@@ -78,6 +79,18 @@ def test_decomposition_violations_catch_overlap_and_gaps():
     assert any("both contain" in v for v in P.violations(G, {"x1"}))
     P2 = PathLikeDecomposition(("x1",), (frozenset(), frozenset()))
     assert any("miss" in v for v in P2.violations(G, {"x1"}))
+
+
+def test_decomposition_violations_pin_the_near_partition_messages():
+    # overlaps in bag order, then the ordering vertex, then the cover
+    G = mg(["a", "b", "c", "x1"], {})
+    P = PathLikeDecomposition(("x1",), (frozenset({"a", "y"}), frozenset({"a", "x1"})))
+    assert P.violations(G, {"x1"}) == [
+        "bags 0 and 1 both contain 'a'",
+        "a bag contains an ordering vertex",
+        "bags miss vertices: ['b', 'c']",
+        "bags contain foreign vertices: ['x1', 'y']",
+    ]
 
 
 def test_verify_vacuous_certificate():
@@ -246,6 +259,8 @@ def test_subset_searches_keep_the_ceiling():
         min_linearizing_set(H)
     with pytest.raises(ValueError, match="instance above configured size limit"):
         has_k1k_minor(H, 3)
+    with pytest.raises(SizeLimitError):
+        has_k1k_minor(H, 3)
 
 
 # -- separators and the decomposition algorithm ------------------------
@@ -323,3 +338,10 @@ def test_linear_decompose_respects_w_limit():
     assert r.kind == SMALL_CUT
     assert r.payload.value == 1
     assert "long" in r.payload.cut_edges
+
+
+def test_linear_decompose_rejects_a_w_limit_below_one():
+    G = gen_pk(3)
+    with pytest.raises(ValueError, match="w_limit must be at least 1"):
+        linear_decompose(G, G.vertices, m=3, w_limit=0)
+    assert isinstance(linear_decompose(G, G.vertices, m=3, w_limit=1), LinearityCertificate)

@@ -156,6 +156,16 @@ def test_violation_foreign_vertices():
     assert D.violations(C4) == ["bags contain foreign vertices: ['x', 'y']"]
 
 
+def test_violations_list_overlaps_in_node_order_then_the_cover():
+    D = _decomp("pqr", ["pq", "qr"], {"r": "ax", "q": "b", "p": "ab"})
+    assert D.violations(C4) == [
+        "bags 'p' and 'q' both contain 'b'",
+        "bags 'p' and 'r' both contain 'a'",
+        "bags miss vertices: ['c', 'd']",
+        "bags contain foreign vertices: ['x']",
+    ]
+
+
 def test_violations_are_not_bound_to_the_first_graph():
     G2 = mg("abce", {"1": "ab", "2": "bc", "3": "ce"})
     expected = ["bags miss vertices: ['e']", "bags contain foreign vertices: ['d']"]
