@@ -15,7 +15,7 @@ from immtools import (
 def main() -> None:
     K3 = gen_complete(3)
     K4 = gen_complete(4)
-    for k in range(2, 8):
+    for k in range(2, 9):
         G = gen_pk(k)
         connected = is_k_edge_connected_set(G, G.vertices, k) is True
         status = find_immersion(G, K3, strong=True).status
@@ -23,7 +23,7 @@ def main() -> None:
             f"pk({k}): {len(G.vertices)} vertices, {G.num_edges()} edges; "
             f"{k}-edge-connected: {connected}; strong K3: {status}"
         )
-    for k in range(3, 7):
+    for k in range(3, 8):
         G = gen_pk_chorded(k)
         status = find_immersion(G, K4, strong=True).status
         print(

@@ -14,6 +14,33 @@ fixes the assignment, every route chosen so far and the partial route.  Any
 completion through the second edge maps to one through the first, so once
 the first has been tried (and failed) the second is skipped.  The same
 holds for two available loops at the vertex a loop is routed from.
+
+Three more necessary conditions cut subtrees that hold no immersion.  The
+depth-first order is unchanged, so the first certificate found is the one
+the unpruned search finds.
+
+- Counting and degree domination.  Every immersion needs at least as many
+  host vertices and edges as the pattern has, and an injective map onto
+  host vertices of at least the pattern degree (a loop counting 2).  So
+  H's degrees, sorted in descending order, must be at most G's, place by
+  place.  A query that fails this is absent before any search step.
+- Residual slack, weak routing.  Once the assignment is complete, each
+  branch image gv = phi(a) gets slack deg_G(gv) - deg_H(a).  A route uses
+  one edge-end at each of its own ends, and a loop route two at its
+  vertex, so slack changes only where a route passes through a branch
+  image, by 2.  Slack below 0 leaves some remaining pattern edge without
+  a free host edge-end, so a path enters a branch image as an interior
+  vertex only when its slack is at least 2.  A strong route has no branch
+  image inside, so the rule applies to weak routing only.
+- Pattern twins.  Two pattern vertices are twins when they have the same
+  loop count and the same multiplicity to every third vertex.  Swapping
+  them is an automorphism of H, and twinhood is an equivalence relation.
+  Swapping two twins' images maps an immersion to an immersion, and it
+  makes the assignment lexicographically smaller (in pattern order, then
+  host vertex name) when the earlier twin has the larger image.  The
+  first feasible assignment therefore gives twins increasing images, so
+  each pattern vertex takes only images greater than its nearest earlier
+  twin's.
 """
 
 from __future__ import annotations
@@ -145,6 +172,47 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _degrees_dominated(G: Multigraph, H: Multigraph) -> bool:
+    """Whether G has as many vertices and edges as H, and H's degrees,
+    sorted in descending order, are at most G's, place by place."""
+    if len(H.vertices) > len(G.vertices) or len(H.edges) > len(G.edges):
+        return False
+    gdeg = sorted(G.degrees.values(), reverse=True)
+    hdeg = sorted(H.degrees.values(), reverse=True)
+    return all(h <= g for h, g in zip(hdeg, gdeg))
+
+
+def _earlier_twins(H: Multigraph, horder: List[str]) -> List[Optional[str]]:
+    """For each pattern vertex in horder, its nearest earlier twin, or None.
+
+    Twins have the same loop count and the same multiplicity to every
+    third vertex, so they have equal degree and sit in one run of horder.
+    Within such a run, equal multiplicities to third vertices already
+    force equal loop counts.
+    """
+    adj = H.adjacency()
+    mult: Dict[str, Dict[str, int]] = {}
+    for v in horder:
+        counts: Dict[str, int] = {}
+        for _, u in adj[v]:
+            counts[u] = counts.get(u, 0) + 1
+        mult[v] = counts
+
+    def third(v: str, other: str) -> Dict[str, int]:
+        return {u: m for u, m in mult[v].items() if u != other and u != v}
+
+    twin: List[Optional[str]] = [None] * len(horder)
+    for i in range(1, len(horder)):
+        v = horder[i]
+        for u in reversed(horder[:i]):
+            if H.degrees[u] != H.degrees[v]:
+                break
+            if third(u, v) == third(v, u):
+                twin[i] = u
+                break
+    return twin
+
+
 class _Searcher:
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -155,11 +223,15 @@ class _Searcher:
         self.hdeg = H.degrees
         self.gdeg = G.degrees
         self.horder = sorted(H.vertices, key=lambda v: (-self.hdeg[v], v))
+        self.twin = _earlier_twins(H, self.horder)
         self.hedges = sorted(H.edges)
         self.assign: Dict[str, str] = {}
         self.used_g: Set[str] = set()
         self.avail: Set[str] = set(G.edges)
         self.routes: Dict[str, Tuple[str, ...]] = {}
+        # branch image -> free edge-ends minus the pattern edge-ends still
+        # to route there; filled for weak routing only
+        self.slack: Dict[str, int] = {}
 
     def tick(self) -> None:
         if self.steps_left == 0:
@@ -168,10 +240,6 @@ class _Searcher:
             self.steps_left -= 1
 
     def run(self) -> Optional[ImmersionCertificate]:
-        if len(self.H.vertices) > len(self.G.vertices):
-            return None
-        if len(self.H.edges) > len(self.G.edges):
-            return None
         if self._assign(0):
             return ImmersionCertificate(
                 vertex_map=dict(self.assign),
@@ -183,11 +251,17 @@ class _Searcher:
     def _assign(self, i: int) -> bool:
         self.tick()
         if i == len(self.horder):
+            if not self.strong:
+                self.slack = {
+                    gv: self.gdeg[gv] - self.hdeg[hv] for hv, gv in self.assign.items()
+                }
             return self._route(0)
         hv = self.horder[i]
         need = self.hdeg[hv]
+        twin = self.twin[i]
+        low = None if twin is None else self.assign[twin]
         for gv in sorted(self.G.vertices - self.used_g):
-            if self.gdeg[gv] < need:
+            if self.gdeg[gv] < need or (low is not None and gv <= low):
                 continue
             self.assign[hv] = gv
             self.used_g.add(gv)
@@ -228,6 +302,7 @@ class _Searcher:
         y == x these are the non-loop cycles through x."""
         path: List[str] = []
         visited = {x}
+        slack = self.slack
 
         def step(cur: str) -> Iterator[Tuple[str, ...]]:
             self.tick()
@@ -254,12 +329,21 @@ class _Searcher:
                     yield tuple(path)
                     path.pop()
                 elif nb not in visited and nb not in forbidden:
+                    # passing through a branch image takes two of its
+                    # edge-ends, and its remaining pattern edges need theirs
+                    branch = nb in slack
+                    if branch:
+                        if slack[nb] < 2:
+                            continue
+                        slack[nb] -= 2
                     tried.add(nb)
                     path.append(e)
                     visited.add(nb)
                     yield from step(nb)
                     visited.discard(nb)
                     path.pop()
+                    if branch:
+                        slack[nb] += 2
 
         return step(x)
 
@@ -286,6 +370,8 @@ def find_immersion(
     budget caps the search steps (0 allows none); None means no cap."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
+    if not _degrees_dominated(G, H):
+        return SearchResult(status=ABSENT)
     searcher = _Searcher(G, H, strong, budget)
     try:
         cert = searcher.run()

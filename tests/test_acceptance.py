@@ -112,14 +112,14 @@ def _components(G: Multigraph) -> List[FrozenSet[str]]:
 
 @criterion(1, "witness family")
 def test_criterion_01_witness_family():
-    for k in range(2, 8):
+    for k in range(2, 9):
         G = gen_pk(k)
         assert is_k_edge_connected_set(G, G.vertices, k) is True
         assert find_immersion(G, gen_complete(3), strong=True).status == ABSENT
-    for k in range(3, 7):
+    for k in range(3, 8):
         G = gen_pk_chorded(k)
         assert find_immersion(G, gen_complete(4), strong=True).status == ABSENT
-    return "pk(2..7) K3-free strongly, pk-chorded(3..6) K4-free strongly"
+    return "pk(2..8) K3-free strongly, pk-chorded(3..7) K4-free strongly"
 
 
 @criterion(2, "oracle equivalence")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -19,10 +20,12 @@ from immtools import (
     verify_immersion,
 )
 from immtools.immersion import _Searcher
+from immtools.jsonio import immersion_to_json
 from immtools.pathdecomp import build_auxiliary_graph, has_k1k_minor
 from enumerate_graphs import multigraph_classes
 from helpers import mg, random_multigraph, sg
 from oracle_lift_closure import strong_closure, weak_closure
+import oracle_search
 import oracle_verify
 
 
@@ -235,7 +238,8 @@ def test_strong_certificate_also_verifies_weakly():
 # -- parallel host edges ----------------------------------------------
 
 # Without the parallel-edge rule K4 in pk_chorded(5) alone takes over 1.2M
-# steps; with it the largest of these, K4 in pk_chorded(6), takes under 70k.
+# steps.  With it the largest of these, K4 in pk_chorded(6), takes 67,624
+# steps, and twin breaking brings that down to 1,490.
 PRUNED_BUDGET = 200_000
 
 
@@ -300,6 +304,76 @@ def test_oracle_agreement_on_hosts_with_many_parallel_edges():
                     f"seed {seed}, strong={strong}: host {sorted(G.edges.values())}"
                     f" pattern {sorted(H.edges.values())}: search={got}"
                 )
+
+
+# -- pruning by slack, twins and degree domination --------------------
+
+# Loops and parallel edges; K_{2,2} has two twin classes; in the last two,
+# c's nearest earlier twin is a, past the equal-degree non-twin b.
+PRUNING_PATTERNS = {
+    "K4": gen_complete(4),
+    "two-twin-classes": mg("abcd", {"1": "ac", "2": "ad", "3": "bc", "4": "bd"}),
+    "twins-with-loops-and-pair": mg(
+        "abc", {"1": "aa", "2": "bb", "3": "ab", "4": "ab", "5": "ac", "6": "bc"}
+    ),
+    "non-twin-between-degree-2-twins": mg(
+        "abcx", {"1": "ax", "2": "ax", "3": "cx", "4": "cx", "5": "bb"}
+    ),
+    "non-twin-between-degree-1-twins": mg(
+        "abcxy", {"1": "ax", "2": "cx", "3": "by", "4": "xy", "5": "xy"}
+    ),
+}
+
+
+def _answer(result):
+    cert = result.certificate
+    return result.status, None if cert is None else json.dumps(
+        immersion_to_json(cert), sort_keys=True
+    )
+
+
+def test_pruned_search_gives_the_oracle_certificates():
+    statuses = []
+    for name, H in sorted(PRUNING_PATTERNS.items()):
+        for seed in range(12):
+            n = 5 + seed % 3
+            G = gen_random_multigraph(n, 2 * n + seed % 5, 2, seed)
+            for strong in (True, False):
+                want = _answer(oracle_search.find_immersion(G, H, strong=strong))
+                got = _answer(find_immersion(G, H, strong=strong))
+                assert got == want, f"{name}, host seed {seed}, strong={strong}"
+                statuses.append(want[0])
+    assert statuses.count(FOUND) >= 80 and statuses.count(ABSENT) >= 10
+
+
+def test_residual_slack_finds_weak_k5_in_a_random_host():
+    # Without the slack rule the search routes paths through branch images
+    # whose remaining pattern edges then have no free host edge, and it
+    # exhausts a 2,000,000-step budget; with the rule it takes 448 steps.
+    G = gen_random_multigraph(8, 30, 2, 7)
+    K5 = gen_complete(5)
+    r = find_immersion(G, K5, strong=False, budget=5_000)
+    assert r.status == FOUND
+    assert verify_immersion(G, K5, r.certificate, strong=False) == []
+
+
+def test_twin_breaking_refutes_strong_k4_in_pk_chorded_7():
+    # K4's four vertices are pairwise twins, so only one order of each
+    # image set is tried: 5,951 steps, where every order takes 331,797.
+    r = find_immersion(gen_pk_chorded(7), gen_complete(4), strong=True, budget=20_000)
+    assert r.status == ABSENT
+
+
+def test_degree_domination_answers_without_a_step():
+    # enough vertices, edges and top degrees for K4, but only three
+    # vertices of degree 3 or more
+    G = mg(
+        "abcde",
+        {"1": "ab", "2": "ab", "3": "bc", "4": "bc", "5": "ac", "6": "ac",
+         "7": "ad", "8": "be"},
+    )
+    for strong in (True, False):
+        assert find_immersion(G, gen_complete(4), strong=strong, budget=0).status == ABSENT
 
 
 # -- star-minor-to-immersion ------------------------------------------
