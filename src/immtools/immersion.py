@@ -7,6 +7,22 @@ a time, enumerating every simple path (or cycle, for loops) over the
 still-unused host edges.  "Absent" is reported only after the whole space
 is exhausted; the optional budget caps the number of search steps.
 
+Search and verification run on each graph's integer index
+(`Multigraph.index`, built once per graph and kept): vertex ids in name
+order, one bit per edge in id order, and adjacency as (edge bit,
+neighbour id) pairs.  The available host edges are one int bitmask, and
+branch images and slack are lists indexed by vertex id.  The pattern's
+vertex order and twins are also kept on the pattern graph.
+
+The search is one loop over an explicit stack of frames: one frame per
+assigned pattern vertex, per pattern edge being routed, and per vertex of
+the path being grown.  So its depth is bounded by memory, not by the
+interpreter's recursion limit, and a route may run along thousands of
+host vertices.  Each frame is one search step and is visited in the
+depth-first order of a recursion (assign, then route, then extend the
+path), so step counts, the budget boundary and the first certificate are
+those of the recursive search this loop replaced.
+
 Parallel host edges are interchangeable.  When a route grows from a vertex
 and two parallel edges to the same neighbour are both available and both
 off the partial route, swapping them is an automorphism of the host that
@@ -46,7 +62,8 @@ the unpruned search finds.
 from __future__ import annotations
 
 import dataclasses
-from typing import AbstractSet, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+import sys
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .flow import INF, FlowNetwork
 from .multigraph import Multigraph
@@ -73,15 +90,15 @@ class SearchResult:
 # -- verification -----------------------------------------------------
 
 
-def _reach(G: Multigraph, edge_ids: AbstractSet[str], x: str) -> Set[str]:
-    """Vertices reachable from x over the host edges in edge_ids."""
-    adj = G.adjacency()
+def _reach(adj, mask: int, x: int) -> Set[int]:
+    """Vertex ids reachable from x over the host edges whose bits are in
+    mask."""
     seen = {x}
     stack = [x]
     while stack:
         v = stack.pop()
         for e, u in adj[v]:
-            if e in edge_ids and u not in seen:
+            if mask & e and u not in seen:
                 seen.add(u)
                 stack.append(u)
     return seen
@@ -102,62 +119,73 @@ def verify_immersion(
     vm, em = cert.vertex_map, cert.edge_map
     if set(vm) != H.vertices:
         raise ValueError("vertex_map keys do not match the pattern's vertices")
-    if set(em) != set(H.edges):
+    if set(em) != H.edges.keys():
         raise ValueError("edge_map keys do not match the pattern's edges")
+    index = G.index
+    ids, bits, ends, adj = index.ids, index.bits, index.ends, index.adj
     for hv, gv in vm.items():
-        if gv not in G.vertices:
+        if gv not in ids:
             raise ValueError(f"vertex_map sends {hv!r} to unknown vertex {gv!r}")
+    # each image as an edge bitmask and the vertex ids it spans
+    images: Dict[str, Tuple[int, Set[int]]] = {}
+    claims = union = 0
     for he, ge in em.items():
+        mask = 0
+        spanned: Set[int] = set()
         for e in ge:
-            if e not in G.edges:
+            if e not in bits:
                 raise ValueError(f"edge_map of {he!r} references unknown edge {e!r}")
+            bit = bits[e]
+            mask |= bit
+            spanned.update(ends[bit.bit_length() - 1])
+        images[he] = mask, spanned
+        claims += len(ge)
+        union |= mask
 
     violations: List[str] = []
-    images: Dict[str, List[str]] = {}
-    for hv, gv in vm.items():
-        images.setdefault(gv, []).append(hv)
-    for gv, hvs in sorted(images.items()):
-        if len(hvs) > 1:
-            violations.append(
-                f"vertex_map not injective: {sorted(hvs)} all map to {gv!r}"
-            )
-
-    claimed: Dict[str, str] = {}
-    for he in sorted(em):
-        for e in sorted(em[he]):
-            if e in claimed:
+    if len(set(vm.values())) < len(vm):
+        preimages: Dict[str, List[str]] = {}
+        for hv, gv in vm.items():
+            preimages.setdefault(gv, []).append(hv)
+        for gv, hvs in sorted(preimages.items()):
+            if len(hvs) > 1:
                 violations.append(
-                    f"edges {claimed[e]!r} and {he!r} share host edge {e!r}"
+                    f"vertex_map not injective: {sorted(hvs)} all map to {gv!r}"
                 )
-            else:
-                claimed[e] = he
 
-    for he in sorted(H.edges):
-        hu, hv = H.ends(he)
-        edge_ids = frozenset(em[he])
-        spanned = {v for e in edge_ids for v in G.edges[e]}
+    if union.bit_count() < claims:
+        claimed: Dict[str, str] = {}
+        for he in sorted(em):
+            for e in sorted(em[he]):
+                if e in claimed:
+                    violations.append(
+                        f"edges {claimed[e]!r} and {he!r} share host edge {e!r}"
+                    )
+                else:
+                    claimed[e] = he
+
+    for he in H.index.edges:
+        hu, hv = H.edges[he]
+        mask, spanned = images[he]
         if hu == hv:
             # A cycle through x: a loop at x, or an edge at x whose other
             # end still reaches x without it.
-            x = vm[hu]
+            x = ids[vm[hu]]
             if not any(
-                e in edge_ids and (u == x or x in _reach(G, edge_ids - {e}, u))
-                for e, u in G.adjacency()[x]
+                mask & e and (u == x or x in _reach(adj, mask & ~e, u))
+                for e, u in adj[x]
             ):
                 violations.append(
-                    f"loop {he!r}: image contains no cycle through {x!r}"
+                    f"loop {he!r}: image contains no cycle through {vm[hu]!r}"
                 )
-        else:
-            if vm[hu] not in spanned or vm[hv] not in spanned:
-                violations.append(
-                    f"edge {he!r}: image misses an endpoint image"
-                )
-        if spanned and _reach(G, edge_ids, next(iter(spanned))) != spanned:
+        elif ids[vm[hu]] not in spanned or ids[vm[hv]] not in spanned:
+            violations.append(f"edge {he!r}: image misses an endpoint image")
+        # one edge is connected; more are when one end reaches every end
+        if mask & (mask - 1) and _reach(adj, mask, next(iter(spanned))) != spanned:
             violations.append(f"edge {he!r}: image is not connected")
         if strong:
-            ends = {hu, hv}
-            for hw in sorted(H.vertices - ends):
-                if vm[hw] in spanned:
+            for hw in H.sorted_vertices:
+                if hw != hu and hw != hv and ids[vm[hw]] in spanned:
                     violations.append(
                         f"edge {he!r}: image contains branch vertex {vm[hw]!r}"
                         f" (= image of non-incident {hw!r})"
@@ -175,189 +203,223 @@ class _BudgetExhausted(Exception):
 def _degrees_dominated(G: Multigraph, H: Multigraph) -> bool:
     """Whether G has as many vertices and edges as H, and H's degrees,
     sorted in descending order, are at most G's, place by place."""
-    if len(H.vertices) > len(G.vertices) or len(H.edges) > len(G.edges):
+    gseq, hseq = G.degree_sequence, H.degree_sequence
+    if len(hseq) > len(gseq) or len(H.edges) > len(G.edges):
         return False
-    gdeg = sorted(G.degrees.values(), reverse=True)
-    hdeg = sorted(H.degrees.values(), reverse=True)
-    return all(h <= g for h, g in zip(hdeg, gdeg))
+    for h, g in zip(hseq, gseq):
+        if h > g:
+            return False
+    return True
 
 
-def _earlier_twins(H: Multigraph, horder: List[str]) -> List[Optional[str]]:
-    """For each pattern vertex in horder, its nearest earlier twin, or None.
-
-    Twins have the same loop count and the same multiplicity to every
-    third vertex, so they have equal degree and sit in one run of horder.
-    Within such a run, equal multiplicities to third vertices already
-    force equal loop counts.
-    """
-    adj = H.adjacency()
-    mult: Dict[str, Dict[str, int]] = {}
-    for v in horder:
-        counts: Dict[str, int] = {}
-        for _, u in adj[v]:
-            counts[u] = counts.get(u, 0) + 1
-        mult[v] = counts
-
-    def third(v: str, other: str) -> Dict[str, int]:
-        return {u: m for u, m in mult[v].items() if u != other and u != v}
-
-    twin: List[Optional[str]] = [None] * len(horder)
-    for i in range(1, len(horder)):
-        v = horder[i]
-        for u in reversed(horder[:i]):
-            if H.degrees[u] != H.degrees[v]:
-                break
-            if third(u, v) == third(v, u):
-                twin[i] = u
-                break
-    return twin
+# Frame kinds of the search stack.
+_ASSIGN, _ROUTE, _STEP = 0, 1, 2
+# The slack of a host vertex that is no branch image: a path may always
+# pass through it.
+_FREE = 1 << 62
 
 
 class _Searcher:
+    """Depth-first search for immersions of H in G on their integer
+    indexes; see the module docstring.  `steps` counts the search steps
+    taken so far."""
+
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
         self.H = H
         self.strong = strong
-        self.steps_left = budget if budget is not None else -1
-        self.gadj = G.adjacency()
-        self.hdeg = H.degrees
-        self.gdeg = G.degrees
-        self.horder = sorted(H.vertices, key=lambda v: (-self.hdeg[v], v))
-        self.twin = _earlier_twins(H, self.horder)
-        self.hedges = sorted(H.edges)
-        self.assign: Dict[str, str] = {}
-        self.used_g: Set[str] = set()
-        self.avail: Set[str] = set(G.edges)
-        self.routes: Dict[str, Tuple[str, ...]] = {}
-        # branch image -> free edge-ends minus the pattern edge-ends still
-        # to route there; filled for weak routing only
-        self.slack: Dict[str, int] = {}
-
-    def tick(self) -> None:
-        if self.steps_left == 0:
-            raise _BudgetExhausted
-        if self.steps_left > 0:
-            self.steps_left -= 1
+        self.budget = budget
+        self.steps = 0
 
     def run(self) -> Optional[ImmersionCertificate]:
-        if self._assign(0):
-            return ImmersionCertificate(
-                vertex_map=dict(self.assign),
-                edge_map={e: frozenset(r) for e, r in self.routes.items()},
-                strong=self.strong,
-            )
-        return None
+        """The first immersion in search order, or None; raises
+        _BudgetExhausted when the budget runs out first."""
+        return next(self.immersions(), None)
 
-    def _assign(self, i: int) -> bool:
-        self.tick()
-        if i == len(self.horder):
-            if not self.strong:
-                self.slack = {
-                    gv: self.gdeg[gv] - self.hdeg[hv] for hv, gv in self.assign.items()
-                }
-            return self._route(0)
-        hv = self.horder[i]
-        need = self.hdeg[hv]
-        twin = self.twin[i]
-        low = None if twin is None else self.assign[twin]
-        for gv in sorted(self.G.vertices - self.used_g):
-            if self.gdeg[gv] < need or (low is not None and gv <= low):
-                continue
-            self.assign[hv] = gv
-            self.used_g.add(gv)
-            if self._assign(i + 1):
-                return True
-            del self.assign[hv]
-            self.used_g.discard(gv)
-        return False
+    def immersions(self) -> Iterator[ImmersionCertificate]:
+        """The immersions the search reaches, in depth-first order; the
+        pruning skips those that differ from an earlier one only by
+        swapping parallel host edges or twins' images."""
+        gindex, hindex = self.G.index, self.H.index
+        adj, gdeg = gindex.adj, gindex.degree
+        ng = len(gdeg)
+        order, twin = self.H.degree_order, self.H.earlier_twins
+        hdeg, hends = hindex.degree, hindex.ends
+        nh, mh = len(order), len(hends)
+        strong = self.strong
+        limit = sys.maxsize if self.budget is None else self.budget
+        full = (1 << len(gindex.edges)) - 1
 
-    def _route(self, j: int) -> bool:
-        self.tick()
-        if j == len(self.hedges):
-            return True
-        he = self.hedges[j]
-        hu, hv = self.H.ends(he)
-        if self.strong:
-            forbidden = {self.assign[w] for w in self.H.vertices if w not in (hu, hv)}
-        else:
-            forbidden = set()
-        if hu == hv:
-            gen = self._cycles(self.assign[hu], forbidden)
-        else:
-            gen = self._paths(self.assign[hu], self.assign[hv], forbidden)
-        for route in gen:
-            self.avail.difference_update(route)
-            self.routes[he] = route
-            if self._route(j + 1):
-                return True
-            del self.routes[he]
-            self.avail.update(route)
-        return False
+        img = [-1] * nh  # pattern vertex id -> host vertex id
+        used = [False] * ng
+        # host vertex id -> free edge-ends minus the pattern edge-ends still
+        # to route there, for branch images in weak routing; 0 (never pass)
+        # for branch images in strong routing; _FREE for every other vertex
+        slack = [_FREE] * ng
+        # per route level: its ends, its first path edge, and the available
+        # edges when it began (so its route is what later levels lack)
+        xs, ys, firsts = [-1] * mh, [-1] * mh, [0] * mh
+        level_avail = [0] * (mh + 1)
+        j = -1  # the route level being built
+        x = y = -1
+        first = 0
 
-    def _paths(
-        self, x: str, y: str, forbidden: Set[str]
-    ) -> Iterator[Tuple[str, ...]]:
-        """All simple x-y paths over available edges, interiors avoiding
-        the forbidden vertex set, up to swapping parallel edges.  With
-        y == x these are the non-loop cycles through x."""
-        path: List[str] = []
-        visited = {x}
-        slack = self.slack
-
-        def step(cur: str) -> Iterator[Tuple[str, ...]]:
-            self.tick()
-            # Neighbours reached by an edge already tried from cur.  A later
-            # parallel edge to one of them is also available and off the
-            # path, so swapping it with the tried edge is a host automorphism
-            # fixing the assignment, the earlier routes and the path so far:
-            # its completions mirror ones that have already failed.
-            tried: Set[str] = set()
-            for e, nb in self.gadj[cur]:
-                if e not in self.avail or e in path or nb == cur or nb in tried:
-                    continue
-                if nb == y:
-                    tried.add(nb)
-                    # With y == x the closing edge e ends a cycle that the
-                    # search also walks the other way round, leaving x by e
-                    # and returning by path[0].  Both end edges are tried
-                    # from x in sorted order, so keeping the traversal that
-                    # leaves by the smaller one keeps each cycle's first
-                    # occurrence and the order of the distinct routes.
-                    if y == x and e < path[0]:
+        # Frames:
+        #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
+        #     none yet); i == nh starts the routing;
+        #   [_ROUTE, phase, avail]: route pattern edge j; phase 0 to start,
+        #     1 after the loop route, 2 after the paths; j == mh is a find;
+        #   [_STEP, cur, iterator over adj[cur], tried neighbours (bits),
+        #     path vertices (bits), avail]: a path of level j at cur.
+        # Pushing a frame is one search step.  A frame resumes with its own
+        # avail, which undoes its children's routes, and a path frame gives
+        # back its vertex's slack when it is popped.
+        steps = 1
+        stack: List[list] = [[_ASSIGN, 0, -1]]
+        while stack:
+            if steps > limit:
+                self.steps = steps
+                raise _BudgetExhausted
+            f = stack[-1]
+            kind = f[0]
+            if kind == _STEP:
+                # tried: neighbours reached by an edge already tried from
+                # cur.  A later parallel edge to one of them is also
+                # available and off the path, so swapping it with the tried
+                # edge is a host automorphism fixing the assignment, the
+                # earlier routes and the path so far: its completions
+                # mirror ones that have already failed.
+                _, cur, pairs, tried, visited, avail = f
+                for e, nb in pairs:
+                    if not avail & e or nb == cur:
                         continue
-                    path.append(e)
-                    yield tuple(path)
-                    path.pop()
-                elif nb not in visited and nb not in forbidden:
+                    nbit = 1 << nb
+                    if tried & nbit:
+                        continue
+                    if nb == y:
+                        tried |= nbit
+                        # With y == x the closing edge e ends a cycle that
+                        # the search also walks the other way round, leaving
+                        # x by e and returning by the first edge.  Both end
+                        # edges are tried from x in edge order, so keeping
+                        # the traversal that leaves by the smaller one keeps
+                        # each cycle's first occurrence and the order of the
+                        # distinct routes.
+                        if y == x and e < first:
+                            continue
+                        f[3] = tried
+                        avail &= ~e
+                        stack.append([_ROUTE, 0, avail])
+                        j += 1
+                        steps += 1
+                        break
+                    if visited & nbit:
+                        continue
                     # passing through a branch image takes two of its
                     # edge-ends, and its remaining pattern edges need theirs
-                    branch = nb in slack
-                    if branch:
-                        if slack[nb] < 2:
-                            continue
-                        slack[nb] -= 2
-                    tried.add(nb)
-                    path.append(e)
-                    visited.add(nb)
-                    yield from step(nb)
-                    visited.discard(nb)
-                    path.pop()
-                    if branch:
-                        slack[nb] += 2
+                    s = slack[nb]
+                    if s < 2:
+                        continue
+                    slack[nb] = s - 2
+                    tried |= nbit
+                    f[3] = tried
+                    if cur == x:
+                        first = firsts[j] = e
+                    stack.append([_STEP, nb, iter(adj[nb]), 0, visited | nbit, avail & ~e])
+                    steps += 1
+                    break
+                else:
+                    stack.pop()
+                    if cur != x:
+                        slack[cur] += 2
+            elif kind == _ROUTE:
+                phase = f[1]
+                if j == mh or phase == 2:
+                    stack.pop()
+                    if j == mh:
+                        level_avail[mh] = f[2]
+                        self.steps = steps
+                        yield self._certificate(img, level_avail)
+                    j -= 1
+                    if j >= 0:
+                        x, y, first = xs[j], ys[j], firsts[j]
+                elif phase == 0:
+                    avail = level_avail[j] = f[2]
+                    hu, hv = hends[j]
+                    x = xs[j] = img[hu]
+                    y = ys[j] = img[hv]
+                    loop = 0
+                    if hu == hv:
+                        # Two available loops at x are swapped by a host
+                        # automorphism that fixes everything chosen so far,
+                        # so only the first is offered, before the cycles.
+                        for e, nb in adj[x]:
+                            if nb == x and avail & e:
+                                loop = e
+                                break
+                    if loop:
+                        f[1] = 1
+                        stack.append([_ROUTE, 0, avail & ~loop])
+                        j += 1
+                    else:
+                        f[1] = 2
+                        stack.append([_STEP, x, iter(adj[x]), 0, 1 << x, avail])
+                    steps += 1
+                else:
+                    f[1] = 2
+                    stack.append([_STEP, x, iter(adj[x]), 0, 1 << x, f[2]])
+                    steps += 1
+            else:
+                _, i, gv = f
+                if i == nh:
+                    if gv < 0:
+                        f[2] = 0
+                        for hv in range(nh):
+                            gv = img[hv]
+                            slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
+                        stack.append([_ROUTE, 0, full])
+                        j = 0
+                        steps += 1
+                    else:
+                        stack.pop()
+                        for gv in img:
+                            slack[gv] = _FREE
+                    continue
+                if gv >= 0:
+                    used[gv] = False
+                hv = order[i]
+                need = hdeg[hv]
+                low = gv + 1
+                if twin[i] >= 0 and img[twin[i]] >= low:
+                    low = img[twin[i]] + 1
+                for gv in range(low, ng):
+                    if not used[gv] and gdeg[gv] >= need:
+                        f[2] = img[hv] = gv
+                        used[gv] = True
+                        stack.append([_ASSIGN, i + 1, -1])
+                        steps += 1
+                        break
+                else:
+                    stack.pop()
+        self.steps = steps
 
-        return step(x)
-
-    def _cycles(self, x: str, forbidden: Set[str]) -> Iterator[Tuple[str, ...]]:
-        """All cycles through x over available edges, each in one
-        direction and up to swapping parallel edges or loops: a loop at x,
-        or a closed simple walk with distinct edges and interior vertices."""
-        # Two available loops at x are swapped by a host automorphism that
-        # fixes everything chosen so far, so only the first is offered.
-        for e, nb in self.gadj[x]:
-            if nb == x and e in self.avail:
-                yield (e,)
-                break
-        yield from self._paths(x, x, forbidden)
+    def _certificate(self, img: List[int], level_avail: List[int]) -> ImmersionCertificate:
+        gindex, hindex = self.G.index, self.H.index
+        gnames, gedges = gindex.vertices, gindex.edges
+        edge_map: Dict[str, FrozenSet[str]] = {}
+        for k, he in enumerate(hindex.edges):
+            route = level_avail[k] & ~level_avail[k + 1]
+            names = []
+            while route:
+                bit = route & -route
+                names.append(gedges[bit.bit_length() - 1])
+                route ^= bit
+            edge_map[he] = frozenset(names)
+        return ImmersionCertificate(
+            vertex_map={hindex.vertices[h]: gnames[img[h]] for h in self.H.degree_order},
+            edge_map=edge_map,
+            strong=self.strong,
+        )
 
 
 def find_immersion(

@@ -5,8 +5,9 @@ distinct entries with equal endpoint pairs; a loop stores the same vertex
 twice.  All operations are pure and return new graphs.
 
 Each graph works out its incidence once, on the first query that needs
-it, and keeps it: the degree map and the adjacency are shared by every
-later query and caller, and must not be modified.
+it, and keeps it: the degree map, the adjacency and the facts the
+immersion search reads (see `Multigraph`) are shared by every later query
+and caller, and must not be modified.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Iterable
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -24,9 +25,37 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
+class GraphIndex(NamedTuple):
+    """A multigraph on integers.  Vertex i is the i-th smallest vertex name
+    and the edge with the k-th smallest id is the bit 1 << k, so comparing
+    ids or bits compares names."""
+
+    vertices: Tuple[str, ...]  # vertex id -> name
+    ids: Dict[str, int]  # name -> vertex id
+    edges: Tuple[str, ...]  # k -> the edge id of bit 1 << k
+    bits: Dict[str, int]  # edge id -> its bit
+    ends: Tuple[Tuple[int, int], ...]  # k -> end ids, the smaller first
+    # vertex id -> (edge bit, neighbour id) pairs in edge order; loops once
+    adj: Tuple[Tuple[Tuple[int, int], ...], ...]
+    degree: Tuple[int, ...]  # vertex id -> degree, a loop counting 2
+
+
 @dataclasses.dataclass(frozen=True)
 class Multigraph:
-    """Undirected multigraph; loops contribute 2 to the degree."""
+    """Undirected multigraph; loops contribute 2 to the degree.
+
+    Facts cached on first use (lazy, so building a graph costs nothing
+    more; equality still compares only the vertices and edges):
+
+    - `degrees`, and the adjacency behind `adjacency()`;
+    - `degree_sequence`: the degrees, sorted in descending order;
+    - `sorted_vertices`: the vertex names, sorted;
+    - `index`: the `GraphIndex` the immersion search and its verifier run on;
+    - `degree_order`: vertex ids by descending degree, then name; the
+      order in which a pattern's vertices are assigned;
+    - `earlier_twins`: for each place in `degree_order`, the id of the
+      nearest earlier twin, or -1.
+    """
 
     vertices: FrozenSet[str]
     edges: Dict[str, Tuple[str, str]]
@@ -102,6 +131,69 @@ class Multigraph:
             if b != a:
                 adj[b].append((e, a))
         return {v: tuple(pairs) for v, pairs in adj.items()}
+
+    @functools.cached_property
+    def degree_sequence(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.degrees.values(), reverse=True))
+
+    @functools.cached_property
+    def sorted_vertices(self) -> Tuple[str, ...]:
+        return tuple(sorted(self.vertices))
+
+    @functools.cached_property
+    def index(self) -> GraphIndex:
+        names = self.sorted_vertices
+        ids = {v: i for i, v in enumerate(names)}
+        edges = tuple(sorted(self.edges))
+        bits = {}
+        ends = []
+        adj: List[List[Tuple[int, int]]] = [[] for _ in names]
+        for k, e in enumerate(edges):
+            a, b = self.edges[e]
+            u, v = ids[a], ids[b]
+            bit = bits[e] = 1 << k
+            ends.append((u, v))
+            adj[u].append((bit, v))
+            if v != u:
+                adj[v].append((bit, u))
+        degree = tuple(self.degrees[v] for v in names)
+        return GraphIndex(
+            names, ids, edges, bits, tuple(ends), tuple(map(tuple, adj)), degree
+        )
+
+    @functools.cached_property
+    def degree_order(self) -> Tuple[int, ...]:
+        degree = self.index.degree
+        return tuple(sorted(range(len(degree)), key=lambda v: -degree[v]))
+
+    @functools.cached_property
+    def earlier_twins(self) -> Tuple[int, ...]:
+        """Twins have the same loop count and the same multiplicity to
+        every third vertex.  They have equal degree, so they sit in one
+        run of `degree_order`, and within such a run equal multiplicities
+        to third vertices already force equal loop counts."""
+        index = self.index
+        mult: List[Dict[int, int]] = []
+        for pairs in index.adj:
+            counts: Dict[int, int] = {}
+            for _, u in pairs:
+                counts[u] = counts.get(u, 0) + 1
+            mult.append(counts)
+
+        def third(v: int, other: int) -> Dict[int, int]:
+            return {u: m for u, m in mult[v].items() if u != other and u != v}
+
+        order, degree = self.degree_order, index.degree
+        twin = [-1] * len(order)
+        for i in range(1, len(order)):
+            v = order[i]
+            for u in reversed(order[:i]):
+                if degree[u] != degree[v]:
+                    break
+                if third(u, v) == third(v, u):
+                    twin[i] = u
+                    break
+        return tuple(twin)
 
     # -- derived graphs ------------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 
 import oracle_treecut
 from immtools import (
+    Multigraph,
     StructureDecomposition,
     cli,
     gen_pk,
@@ -77,6 +78,23 @@ def test_find_immersion_budget_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(out) == "budget"
+
+
+def test_find_immersion_routes_around_a_long_cycle(tmp_path, capsys):
+    # the second parallel edge routes along a path of 1,199 vertices
+    n = 1200
+    host = Multigraph(
+        frozenset(f"c{i}" for i in range(n)),
+        {f"e{i}": (f"c{i}", f"c{(i + 1) % n}") for i in range(n)},
+    )
+    h = write(tmp_path, "h.json", graph_to_json(host))
+    p = write(tmp_path, "p.json", graph_to_json(mg("ab", {"p": "ab", "q": "ab"})))
+    for strong in ([], ["--strong"]):
+        code, out, _ = run(capsys, "find-immersion", "--host", h, "--pattern", p, *strong)
+        assert code == 0
+        c = write(tmp_path, "c.json", json.loads(out))
+        verify = ("verify", "immersion", "--host", h, "--pattern", p, "--cert", c)
+        assert run(capsys, *verify)[0] == 0
 
 
 def test_decompose_linear_pipeline(tmp_path, capsys):

@@ -283,13 +283,18 @@ def test_solutions_only_through_parallel_copies_are_found(host, pattern, strong)
 
 
 def test_cycles_yields_each_cycle_once():
+    loop = mg("x", {"l": "xx"})
+
+    def cycles(G, v):
+        """The routes the search offers the loop when its vertex maps to v."""
+        searcher = _Searcher(G, loop, strong=False, budget=None)
+        return [c.edge_map["l"] for c in searcher.immersions() if c.vertex_map["x"] == v]
+
     triangle = mg("123", {"a": "12", "b": "23", "c": "13"})
-    searcher = _Searcher(triangle, mg("x", {"l": "xx"}), strong=False, budget=None)
-    assert list(searcher._cycles("1", set())) == [("a", "b", "c")]
+    assert cycles(triangle, "1") == [frozenset("abc")]
     # K4: three triangles and three 4-cycles pass through each vertex
-    searcher = _Searcher(gen_complete(4), mg("x", {"l": "xx"}), strong=False, budget=None)
-    routes = list(searcher._cycles("v0", set()))
-    assert len(routes) == len({frozenset(r) for r in routes}) == 6
+    routes = cycles(gen_complete(4), "v0")
+    assert len(routes) == len(set(routes)) == 6
 
 
 def test_oracle_agreement_on_hosts_with_many_parallel_edges():
@@ -374,6 +379,59 @@ def test_degree_domination_answers_without_a_step():
     )
     for strong in (True, False):
         assert find_immersion(G, gen_complete(4), strong=strong, budget=0).status == ABSENT
+
+
+# -- the explicit search stack -----------------------------------------
+
+
+def cycle_graph(n):
+    return Multigraph(
+        frozenset(f"c{i}" for i in range(n)),
+        {f"e{i}": (f"c{i}", f"c{(i + 1) % n}") for i in range(n)},
+    )
+
+
+@pytest.mark.parametrize("n", [1200, 3000])
+@pytest.mark.parametrize("strong", [True, False])
+def test_double_edge_routes_around_a_long_cycle(n, strong):
+    # one route is an edge, the other the rest of the cycle: a path of
+    # n - 1 vertices, deeper than the interpreter's recursion limit
+    G = cycle_graph(n)
+    H = mg("ab", {"p": "ab", "q": "ab"})
+    r = find_immersion(G, H, strong=strong)
+    assert r.status == FOUND
+    assert verify_immersion(G, H, r.certificate, strong) == []
+    assert sorted(map(len, r.certificate.edge_map.values())) == [1, n - 1]
+
+
+LOOP_HOST = mg(
+    "abcd",
+    {"1": "aa", "2": "ab", "3": "ab", "4": "bc", "5": "bc", "6": "cc", "7": "ac",
+     "8": "cd", "9": "bd", "10": "dd"},
+)
+LOOPS_ON_A_PAIR = mg("xy", {"l": "xx", "p": "xy", "q": "xy", "m": "yy"})
+
+
+# Step counts of the depth-first order, pinned where the budget runs out:
+# the query answers with its count and returns "budget" with one step less.
+@pytest.mark.parametrize(
+    "host, pattern, strong, steps, status",
+    [
+        (gen_random_multigraph(8, 30, 2, 7), gen_complete(5), False, 448, FOUND),
+        (gen_pk_chorded(7), gen_complete(4), True, 5951, ABSENT),
+        (gen_pk_chorded(5), gen_complete(4), True, 355, ABSENT),
+        (gen_pk(4), gen_complete(5), False, 43, ABSENT),
+        # a loop routed on a host loop, and one routed round a parallel pair
+        (LOOP_HOST, LOOPS_ON_A_PAIR, False, 12, FOUND),
+        (LOOP_HOST, LOOPS_ON_A_PAIR, True, 12, FOUND),
+    ],
+    ids=["weak-K5-in-random", "strong-K4-in-pk_chorded7",
+         "strong-K4-in-pk_chorded5", "weak-K5-in-pk4",
+         "weak-loops-on-a-pair", "strong-loops-on-a-pair"],
+)
+def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, status):
+    assert find_immersion(host, pattern, strong, budget=steps).status == status
+    assert find_immersion(host, pattern, strong, budget=steps - 1).status == BUDGET
 
 
 # -- star-minor-to-immersion ------------------------------------------

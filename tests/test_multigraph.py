@@ -1,16 +1,19 @@
 import itertools
+import random
 
 import pytest
 
 from immtools import (
     Multigraph,
     consolidate,
+    find_immersion,
+    gen_complete,
     gen_random_multigraph,
     is_separation,
     lift,
     split_off_vertex,
 )
-from helpers import mg
+from helpers import mg, random_multigraph
 
 
 def test_endpoints_are_normalized():
@@ -215,3 +218,58 @@ def test_querying_leaves_equality_and_repr_unchanged():
     G.adjacency()
     assert G == fresh
     assert repr(G) == repr(fresh)
+
+
+def _nearest_earlier_twins(G, order):
+    """By the definition: same loop count and the same multiplicity to
+    every third vertex, searched over every earlier vertex of the order."""
+    def mult(u, w):
+        return sum(1 for a, b in G.edges.values() if {a, b} == {u, w})
+
+    def twins(u, v):
+        thirds = G.vertices - {u, v}
+        return mult(u, u) == mult(v, v) and all(mult(u, w) == mult(v, w) for w in thirds)
+
+    return [next((u for u in reversed(order[:i]) if twins(u, v)), None) for i, v in enumerate(order)]
+
+
+def test_cached_search_facts_match_a_fresh_computation():
+    rng = random.Random(11)
+    twins = 0
+    for _ in range(300):
+        G = random_multigraph(rng, max_n=7, max_edges=12)
+        names = sorted(G.vertices)
+        edges = sorted(G.edges)
+        deg = {v: sum((a == v) + (b == v) for a, b in G.edges.values()) for v in names}
+        assert G.degree_sequence == tuple(sorted(deg.values(), reverse=True))
+        assert G.sorted_vertices == tuple(names)
+
+        index = G.index
+        assert index.vertices == tuple(names)
+        assert index.ids == {v: names.index(v) for v in names}
+        assert index.edges == tuple(edges)
+        assert index.bits == {e: 1 << edges.index(e) for e in edges}
+        assert index.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
+        assert index.degree == tuple(deg[v] for v in names)
+        for v in names:
+            assert index.adj[names.index(v)] == tuple(
+                (1 << k, names.index(b if a == v else a))
+                for k, e in enumerate(edges) for a, b in [G.edges[e]] if v in (a, b)
+            )
+
+        order = sorted(names, key=lambda v: (-deg[v], v))
+        assert [names[i] for i in G.degree_order] == order
+        expected = _nearest_earlier_twins(G, order)
+        assert [None if t < 0 else names[t] for t in G.earlier_twins] == expected
+        twins += sum(t is not None for t in expected)
+    assert twins
+
+
+def test_searching_leaves_equality_unchanged():
+    G = gen_random_multigraph(6, 12, 2, 5)
+    H = gen_complete(3)
+    fresh = Multigraph(G.vertices, dict(G.edges)), Multigraph(H.vertices, dict(H.edges))
+    for strong in (True, False):
+        find_immersion(G, H, strong=strong)
+    assert (G, H) == fresh
+    assert repr((G, H)) == repr(fresh)
