@@ -3,8 +3,9 @@
 Subcommands read and write the shared JSON formats on files or standard
 streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 2 verification or decomposition rejection, 3 a resource limit reached:
-the immersion search budget ran out, or a subset search met more than
-16 auxiliary-graph vertices.
+the immersion search budget ran out, a subset search met more than 16
+auxiliary-graph vertices, or a bound has more decimal digits than the
+interpreter converts to a string.  A usage error is malformed input.
 """
 
 from __future__ import annotations
@@ -48,11 +49,22 @@ EXIT_REJECTED = 2
 EXIT_LIMIT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ValueError on a usage error instead
+    of exiting, so that `main` reports it as malformed input."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _read_json(path: str) -> Any:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_graph(path: str) -> Multigraph:
@@ -161,15 +173,31 @@ def _cmd_torso(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_digits(*values: int) -> None:
+    """Raise SizeLimitError if a value has more decimal digits than the
+    interpreter's integer-to-string conversion limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and any(abs(n) >= 10**limit for n in values):
+        raise SizeLimitError(
+            f"the bound has more than {limit} decimal digits, the limit on"
+            " integer-to-string conversion (sys.set_int_max_str_digits)"
+        )
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.quantity == "d-of-k":
-        print(bounds_mod.d_of_k(args.k))
+        value = bounds_mod.d_of_k(args.k)
     elif args.quantity == "theorem31":
-        _emit(dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(args.pattern))))
+        constants = dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(args.pattern)))
+        _check_digits(*constants.values())
+        _emit(constants)
+        return EXIT_OK
     elif args.quantity == "converse":
-        print(bounds_mod.converse_n(args.d, args.a, args.w, args.p))
+        value = bounds_mod.converse_n(args.d, args.a, args.w, args.p)
     else:
-        print(bounds_mod.converse_n_alpha(args.alpha))
+        value = bounds_mod.converse_n_alpha(args.alpha)
+    _check_digits(value)
+    print(value)
     return EXIT_OK
 
 
@@ -177,7 +205,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not modify
     it, and each call to `main` gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="immtools",
         description="Multigraph immersion search, path-like and tree-cut "
         "decompositions, and their certificates.",
@@ -270,9 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import dataclasses
 import itertools
 from typing import FrozenSet, Iterable, List, Tuple, Union
 
-from .flow import INF, FlowNetwork
+from .flow import FlowNetwork
 from .multigraph import Multigraph
 
 
@@ -24,13 +24,13 @@ class CutWitness:
     source_side: FrozenSet[str]
 
 
-def _check_terminals(G: Multigraph, S, T) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+def _check_terminals(vertices: FrozenSet[str], S, T) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     S, T = frozenset(S), frozenset(T)
     if not S or not T:
         raise ValueError("source and sink sets must be non-empty")
     if S & T:
         raise ValueError(f"source and sink sets overlap: {sorted(S & T)}")
-    unknown = (S | T) - G.vertices
+    unknown = (S | T) - vertices
     if unknown:
         raise ValueError(f"unknown terminal vertices: {sorted(unknown)}")
     return S, T
@@ -40,24 +40,18 @@ def _witness(G: Multigraph, net: FlowNetwork, value: int) -> CutWitness:
     """The cut of net's last maximum flow, whose value is `value`, with
     the inclusion-minimal source side."""
     names = net.names
-    side = frozenset(names[i] for i in net.residual_side if i < len(names))
+    side = frozenset(names[i] for i in net.residual_side)
     cut = G.boundary(side)
     assert len(cut) == value, "min-cut/max-flow bookkeeping out of sync"
     return CutWitness(value=value, cut_edges=cut, source_side=side)
 
 
-def _set_flow(G: Multigraph, S, T) -> Tuple[FlowNetwork, int]:
-    """A maximum S-T flow on a fresh network of G, whose super source has
-    an arc to each of S and each of T an arc to the super sink, in sorted
-    order and after G's arcs; returns the network and the flow value."""
-    S, T = _check_terminals(G, S, T)
+def _set_flow(G: Multigraph, S, T, closed: FrozenSet[str] = frozenset()) -> Tuple[FlowNetwork, int]:
+    """A maximum S-T flow in G - closed, on a fresh network of G with the
+    vertices `closed` closed; returns the network and the flow value."""
+    S, T = _check_terminals(G.vertices - closed, S, T)
     net = FlowNetwork(G)
-    index = net.index
-    for s in sorted(S):
-        net.add_arc(net.source, index[s], INF)
-    for t in sorted(T):
-        net.add_arc(index[t], net.sink, INF)
-    return net, net.max_flow(net.source, net.sink)
+    return net, net.max_flow(net.nodes(S), net.nodes(T), net.nodes(closed))
 
 
 def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWitness:
@@ -69,7 +63,7 @@ def max_flow_min_cut(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> CutWi
 def edge_disjoint_paths(G: Multigraph, S: Iterable[str], T: Iterable[str]) -> List[List[str]]:
     """A maximum family of edge-disjoint S-T paths as edge-id sequences."""
     net, value = _set_flow(G, S, T)
-    paths = [net.path_edges(arcs) for arcs in net.extract_paths(net.source, net.sink)]
+    paths = [net.path_edges(arcs) for arcs in net.extract_paths()]
     assert len(paths) == value, "flow decomposition lost a path"
     return paths
 
@@ -95,7 +89,7 @@ def _first_violation(
     flow on net, a network of G."""
     index = net.index
     for x, y in itertools.combinations(sorted(W), 2):
-        value = net.max_flow(index[x], index[y])
+        value = net.max_flow([index[x]], [index[y]])
         if value < k:
             return _witness(G, net, value)
     return True

@@ -65,8 +65,8 @@ import dataclasses
 import sys
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from .flow import INF, FlowNetwork
-from .multigraph import Multigraph
+from .flow import FlowNetwork
+from .multigraph import Multigraph, _fresh_name
 from .simplegraph import StarMinorModel
 
 FOUND = "found"
@@ -479,35 +479,34 @@ def star_minor_to_immersion(
     theta = dict(zip(fverts, leaves))
     center = model.center
 
-    # Used leaves are the sources and the center feeds the sink.  A path may
-    # neither pass through a used leaf nor leave the center, so no arc into a
-    # used leaf and no arc out of the center has capacity: an edge at a used
-    # leaf is only an arc out of it, an edge at the center only an arc into
-    # it, and an edge between two used leaves carries nothing.
+    # A fresh vertex s is the source and the center the sink.  s feeds
+    # each used leaf theta(v) by deg_F(v) parallel edges, their ids in leaf
+    # order (theta keeps the order, so the leaves come sorted).  A path may
+    # not pass through a used leaf, so only the arcs from s enter one.
     used_leaves = {theta[v] for v in fverts}
-    net = FlowNetwork(G)
-    index, src, snk = net.index, net.source, net.sink
-    sources = {index[z] for z in used_leaves}
-    hub = index[center]
-    head, cap = net.head, net.cap
-    for i in range(len(head)):
-        if head[i] in sources or head[i ^ 1] == hub:
-            cap[i] = 0
-    for v in fverts:  # theta keeps the order, so the leaves come sorted
-        net.add_arc(src, index[theta[v]], F.degree(v))
-    net.add_arc(hub, snk, INF)
-
     total = 2 * len(F.edges)
-    value = net.max_flow(src, snk)
+    s = _fresh_name("source", G.vertices)
+    edges = dict(G.edges)
+    feeds = [theta[v] for v in fverts for _ in range(F.degree(v))]
+    for k, z in enumerate(feeds):
+        edges[_fresh_name(f"{s}:{k:0{len(str(total))}d}", edges)] = (s, z)
+    net = FlowNetwork(Multigraph(G.vertices | {s}, edges))
+    index, head, cap = net.index, net.head, net.cap
+    blocked = set(net.nodes(used_leaves))
+    for i in range(len(head)):
+        if head[i] in blocked and head[i ^ 1] != index[s]:
+            cap[i] = 0
+
+    value = net.max_flow([index[s]], [index[center]])
     if value < total:
         raise ValueError(
             f"only {value} of {total} leaf-to-center paths exist;"
             " m is too small or the model is wrong"
         )
     by_leaf: Dict[str, List[List[str]]] = {z: [] for z in used_leaves}
-    for arcs in net.extract_paths(src, snk):
-        leaf = net.names[net.head[arcs[0]]]  # first arc is super-source -> z
-        by_leaf[leaf].append(net.path_edges(arcs))
+    for arcs in net.extract_paths():
+        leaf = net.names[head[arcs[0]]]  # the first arc runs s -> leaf
+        by_leaf[leaf].append(net.path_edges(arcs[1:]))
     for v in fverts:
         if len(by_leaf[theta[v]]) != F.degree(v):
             raise ValueError("path extraction does not match the half-edge counts")

@@ -9,7 +9,7 @@ import dataclasses
 import itertools
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
-from .connectivity import CutWitness, max_flow_min_cut
+from .connectivity import CutWitness, _set_flow, max_flow_min_cut
 from .flow import FlowNetwork
 from .multigraph import Multigraph
 from .simplegraph import SimpleGraph, StarMinorModel
@@ -22,7 +22,7 @@ _SUBSET_SEARCH_LIMIT = 16
 
 
 class SizeLimitError(ValueError):
-    """The input is valid but larger than a search accepts."""
+    """The input is valid but larger than a search or an output accepts."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -184,7 +184,7 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
         index = net.index
         for x, y in itertools.combinations(sorted(W), 2):
             closed = [index[w] for w in W - {x, y}]
-            if net.max_flow(index[x], index[y], closed) >= m:
+            if net.max_flow([index[x]], [index[y]], closed) >= m:
                 edges.append((x, y))
     return SimpleGraph.build(W, edges)
 
@@ -321,18 +321,16 @@ def compute_separator(
     """The i-separator L_i of minimum crossing cost, then of minimum size.
 
     Realized as the inclusion-minimal min cut in G - A - x_i between the
-    consolidated ordering prefix and suffix; edges at x_i never count.
+    consolidated ordering prefix and suffix, a flow on a network of G with
+    A and x_i closed; edges at x_i never count.
     """
-    A = frozenset(A)
     t = len(ordering)
     if not 2 <= i <= t - 1:
         raise ValueError(f"index {i} out of range 2..{t - 1}")
-    xi = ordering[i - 1]
-    prefix = frozenset(ordering[: i - 1])
-    suffix = frozenset(ordering[i:])
-    reduced = G.without_vertices(A | {xi})
-    witness = max_flow_min_cut(reduced, prefix, suffix)
-    return witness.source_side, witness.value
+    closed = frozenset(A) | {ordering[i - 1]}
+    net, value = _set_flow(G, ordering[: i - 1], ordering[i:], closed)
+    names = net.names
+    return frozenset(names[v] for v in net.residual_side), value
 
 
 def _component_ordering(H_minus_A: SimpleGraph) -> List[str]:

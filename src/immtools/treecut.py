@@ -261,7 +261,7 @@ def _grounded(G: Multigraph, net: FlowNetwork, v: str) -> bool:
     k = G.degree(v)
     index = net.index
     return any(
-        net.max_flow(index[v], index[other]) >= k for other in sorted(G.vertices - {v})
+        net.max_flow([index[v]], [index[other]]) >= k for other in sorted(G.vertices - {v})
     )
 
 
@@ -322,9 +322,11 @@ def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, Fai
     result = linear_decompose(H, W, m=1, w_limit=alpha)
     if isinstance(result, FailureWitness):
         return result
-    bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
-    if not bad:
+    # the certificate holds at its achieved values, so it holds at alpha
+    # exactly when none of them exceeds alpha
+    if max(result.achieved_a, result.achieved_w, result.achieved_p) <= alpha:
         return result
+    bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
     aux = build_auxiliary_graph(H, W, 1)
     if len(result.A) > alpha:
         # a linearizing set above 4k forces a K_{1,k} minor of the

@@ -16,7 +16,8 @@ from collections import deque
 from typing import Dict, Hashable, List, Optional, Union
 
 from immtools import CutWitness, Multigraph, SimpleGraph
-from immtools.flow import INF
+
+INF = 10**9
 
 _SRC = ("super", "source")
 _SNK = ("super", "sink")

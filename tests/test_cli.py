@@ -352,3 +352,45 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys, mo
     ]
     for argv, handler in handlers + handlers[::-1]:
         assert cli._build_parser().parse_args(argv).func is handler
+
+
+def test_bounds_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):
+    # d(250) has 5,418 digits, d(200) 4,183; the interpreter converts at
+    # most 4,300 to a string
+    code, out, err = run(capsys, "bounds", "d-of-k", "200")
+    assert code == 0 and len(out.strip()) == 4183
+    code, out, err = run(capsys, "bounds", "d-of-k", "250")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "4300 decimal digits" in err
+    star = mg(["c"] + [f"l{i}" for i in range(150)], {f"e{i}": ("c", f"l{i}") for i in range(150)})
+    f = write(tmp_path, "star.json", graph_to_json(star))
+    code, out, err = run(capsys, "bounds", "theorem31", f)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "4300 decimal digits" in err
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "decompose", "structure", "--graph", str(deep), "--alpha", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: {deep}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "d-of-k", "abc"),
+    ("decompose", "structure", "--graph", "g.json"),  # no --alpha
+    ("bounds",),
+    ("no-such-command",),
+])
+def test_usage_errors_are_malformed_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: immtools") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: immtools")

@@ -143,7 +143,35 @@ def test_a_network_serves_a_batch_unchanged():
     before = ([list(a) for a in net.adj], list(net.head), list(net.cap), list(net.edge_ids))
     for x, y in itertools.combinations(sorted(G.vertices), 2):
         closed = {"v0", "v8"} - {x, y}
-        value = net.max_flow(index[x], index[y], [index[c] for c in closed])
+        value = net.max_flow([index[x]], [index[y]], [index[c] for c in closed])
         want = oracle_flow.max_flow_min_cut(G.without_vertices(closed), {x}, {y})
         assert value == want.value, (x, y)
     assert ([list(a) for a in net.adj], net.head, net.cap, net.edge_ids) == before
+
+
+def test_set_flows_with_closed_vertices_match_the_reduced_graph():
+    # one network per graph serves every query: each value, source side
+    # and path family is the reference's on G with the closed vertices
+    # deleted
+    rng = random.Random(5)
+    closing = 0
+    for case in range(150):
+        n = rng.randint(3, 12)
+        G = gen_random_multigraph(n, rng.randint(0, min(3 * n, n * (n + 1))), 2, case)
+        net = FlowNetwork(G)
+        verts = sorted(G.vertices)
+        for _ in range(4):
+            picked = rng.sample(verts, rng.randint(2, n))
+            c = rng.randint(0, len(picked) - 2)
+            closed, rest = picked[:c], picked[c:]
+            cut = rng.randint(1, len(rest) - 1)
+            S, T = rest[:cut], rest[cut:]
+            closing += bool(closed) and len(S) + len(T) > 2
+            value = net.max_flow(net.nodes(S), net.nodes(T), net.nodes(closed))
+            side = frozenset(net.names[i] for i in net.residual_side)
+            paths = [net.path_edges(arcs) for arcs in net.extract_paths()]
+            reduced = G.without_vertices(closed)
+            want = oracle_flow.max_flow_min_cut(reduced, S, T)
+            assert (value, side) == (want.value, want.source_side), (case, S, T, closed)
+            assert paths == oracle_flow.edge_disjoint_paths(reduced, S, T), (case, S, T, closed)
+    assert closing > 100

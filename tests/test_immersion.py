@@ -563,3 +563,30 @@ def test_star_minor_construction_on_random_hosts():
     assert built >= 50
     # some routes pass through vertices other than the leaves and the center
     assert transit >= 1
+
+
+def test_star_minor_source_names_are_fresh():
+    # the flow's source vertex and its edges get fresh names: on a host
+    # that already has a vertex "source" and edges named "source':<k>",
+    # the names the construction would try first, the certificate is the
+    # one it gives on the same host under other names
+    F = mg("uv", {"e": "uv"})
+    model = StarMinorModel(
+        center="c",
+        leaves=frozenset({"h1", "h2"}),
+        tree=sg(["c", "h1", "h2"], [("c", "h1"), ("c", "h2")]),
+    )
+    links = [("h1", "t"), ("h1", "t"), ("t", "c"), ("t", "c"), ("h2", "c"), ("h2", "c")]
+
+    def host(transit, prefix):
+        ends = [(transit if a == "t" else a, transit if b == "t" else b) for a, b in links]
+        return mg(["c", "h1", "h2", transit], {f"{prefix}{k}": ab for k, ab in enumerate(ends)})
+
+    plain = star_minor_to_immersion(host("t", "e:"), {"c", "h1", "h2"}, 2, model, F)
+    G = host("source", "source':")
+    taken = star_minor_to_immersion(G, {"c", "h1", "h2"}, 2, model, F)
+    assert verify_immersion(G, F, taken, strong=True) == []
+    assert taken.vertex_map == plain.vertex_map
+    assert {e: {x.replace("source'", "e") for x in es} for e, es in taken.edge_map.items()} == (
+        plain.edge_map
+    )

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracle_flow
 import oracle_pathdecomp
 from enumerate_graphs import connected_simple_graphs
 from immtools import (
@@ -17,6 +18,7 @@ from immtools import (
     compute_separator,
     gen_complete,
     gen_pk,
+    gen_random_multigraph,
     has_k1k_minor,
     is_p_bounded,
     linear_decompose,
@@ -286,6 +288,32 @@ def test_separator_index_validation():
         compute_separator(G, frozenset(), ("v0", "v1", "v2", "v3"), 1)
     with pytest.raises(ValueError):
         compute_separator(G, frozenset(), ("v0", "v1", "v2", "v3"), 4)
+
+
+def test_separator_matches_the_reduced_graph_flow():
+    # the separator closes A and x_i on a network of G; the reference
+    # deletes them and runs the per-query flow on the smaller graph
+    rng = random.Random(11)
+    positive = 0
+    for case in range(200):
+        n = rng.randint(3, 10)
+        G = gen_random_multigraph(n, rng.randint(0, min(3 * n, n * (n + 1))), 2, case)
+        verts = sorted(G.vertices)
+        rng.shuffle(verts)
+        t = rng.randint(3, n)
+        ordering, rest = tuple(verts[:t]), verts[t:]
+        A = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+        i = rng.randint(2, t - 1)
+        reduced = G.without_vertices(A | {ordering[i - 1]})
+        want = oracle_flow.max_flow_min_cut(reduced, ordering[: i - 1], ordering[i:])
+        L, cost = compute_separator(G, A, ordering, i)
+        assert (L, cost) == (want.source_side, want.value), case
+        positive += cost > 0
+        # A may not hold a terminal: in G - A it is no vertex at all
+        inside = rng.choice(ordering[: i - 1] + ordering[i:])
+        with pytest.raises(ValueError, match="unknown terminal vertices"):
+            compute_separator(G, A | {inside}, ordering, i)
+    assert positive > 50
 
 
 def test_linear_decompose_p3_full():

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,14 +20,19 @@ from immtools import (
     gen_pk,
     gen_pk_chorded,
     gen_random_multigraph,
+    build_auxiliary_graph,
+    has_k1k_minor,
     is_alpha_basic,
     is_grounded,
+    linear_decompose,
     structure_decompose,
     torso_at,
     torsos,
+    verify_linear_certificate,
     verify_structure,
 )
 from immtools import treecut
+from immtools.pathdecomp import NOT_PATH_SHAPED, SMALL_CUT, STAR_MINOR
 from immtools.jsonio import structure_to_json
 from helpers import mg
 
@@ -637,3 +643,49 @@ def test_verify_structure_rejects_adhesion_at_alpha():
     # adhesion is exactly 2: must be rejected for alpha = 2
     out = verify_structure(G, C4_SPLIT, certs, 2)
     assert any("adhesion" in v for v in out)
+
+
+def _alpha_basic_by_verify(H, alpha):
+    """`is_alpha_basic` as it decided before reading the achieved values:
+    by running the verifier at a = w = p = alpha on every certificate."""
+    W = frozenset(v for v in H.vertices if H.degree(v) >= alpha)
+    result = linear_decompose(H, W, m=1, w_limit=alpha)
+    if isinstance(result, FailureWitness):
+        return result
+    bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
+    if not bad:
+        return result
+    aux = build_auxiliary_graph(H, W, 1)
+    if len(result.A) > alpha and (len(result.A) - 1) // 4 >= 2:
+        model = has_k1k_minor(aux, (len(result.A) - 1) // 4)
+        if model is not False:
+            return FailureWitness(kind=STAR_MINOR, payload=model)
+    detail = {
+        "violations": bad,
+        "auxiliary_components": [sorted(c) for c in aux.connected_components()],
+        "achieved": {"a": result.achieved_a, "w": result.achieved_w, "p": result.achieved_p},
+    }
+    return FailureWitness(kind=NOT_PATH_SHAPED, payload=detail)
+
+
+def _alpha_basic_cases():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        m = rng.randint(0, min(4 * n, n * (n + 1)))
+        yield gen_random_multigraph(n, m, 2, seed), rng.randint(1, 6)
+    # dense enough for a linearizing set of 9 or more, hence a star minor
+    for n in (11, 12, 13):
+        for alpha in (2, 3, 8):
+            yield gen_complete(n), alpha
+
+
+def test_alpha_basic_decides_as_the_verifier_does():
+    kinds = Counter()
+    for H, alpha in _alpha_basic_cases():
+        got = is_alpha_basic(H, alpha)
+        assert got == _alpha_basic_by_verify(H, alpha), (sorted(H.edges.items()), alpha)
+        kinds[getattr(got, "kind", "certificate")] += 1
+    assert min(kinds[k] for k in ("certificate", SMALL_CUT, STAR_MINOR, NOT_PATH_SHAPED)) >= 5, (
+        kinds
+    )
