@@ -4,8 +4,9 @@ Subcommands read and write the shared JSON formats on files or standard
 streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 2 verification or decomposition rejection, 3 a resource limit reached:
 the immersion search budget ran out, a subset search met more than 16
-auxiliary-graph vertices, or a bound has more decimal digits than the
-interpreter converts to a string.  A usage error is malformed input.
+auxiliary-graph vertices, or an integer argument or a bound has more
+decimal digits than the interpreter converts.  A usage error is malformed
+input.
 """
 
 from __future__ import annotations
@@ -55,6 +56,37 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ValueError(f"{self.prog}: {message}")
+
+
+class _DigitLimitError(Exception):
+    """An integer argument with more digits than the interpreter converts.
+    Not a ValueError, so that argparse passes it on instead of reporting
+    an invalid value."""
+
+
+def _int_max_str_digits() -> int:
+    """The interpreter's limit on decimal digits in an int-string
+    conversion, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _integer(text: str) -> int:
+    """`int` for integer arguments, except that a decimal integer longer
+    than the interpreter converts is a limit reached, not malformed input."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip().lstrip("+-").replace("_", "")
+        limit = _int_max_str_digits()
+        if limit and digits.isdigit() and len(digits) > limit:
+            raise _DigitLimitError(
+                f"an integer argument has {len(digits)} digits, more than the"
+                f" {limit}-digit limit on integer conversion (sys.set_int_max_str_digits)"
+            ) from None
+        raise
+
+
+_integer.__name__ = "int"  # argparse names the type in "invalid int value"
 
 
 def _read_json(path: str) -> Any:
@@ -176,7 +208,7 @@ def _cmd_torso(args: argparse.Namespace) -> int:
 def _check_digits(*values: int) -> None:
     """Raise SizeLimitError if a value has more decimal digits than the
     interpreter's integer-to-string conversion limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_max_str_digits()
     if limit and any(abs(n) >= 10**limit for n in values):
         raise SizeLimitError(
             f"the bound has more than {limit} decimal digits, the limit on"
@@ -215,23 +247,23 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="emit a generated multigraph as JSON")
     gsub = gen.add_subparsers(dest="family", required=True)
     p = gsub.add_parser("pk", help="path with edges thickened to multiplicity k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p = gsub.add_parser("pk-chorded", help="thickened path plus distance-two chords")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p = gsub.add_parser("complete", help="simple complete graph")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p = gsub.add_parser("random", help="seeded random multigraph")
-    p.add_argument("n", type=int)
-    p.add_argument("edges", type=int)
-    p.add_argument("max_multiplicity", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("n", type=_integer)
+    p.add_argument("edges", type=_integer)
+    p.add_argument("max_multiplicity", type=_integer)
+    p.add_argument("--seed", type=_integer, default=0)
     gen.set_defaults(func=_cmd_gen)
 
     fi = sub.add_parser("find-immersion", help="search for an immersion certificate")
     fi.add_argument("--host", required=True)
     fi.add_argument("--pattern", required=True)
     fi.add_argument("--strong", action="store_true")
-    fi.add_argument("--budget", type=int, default=None)
+    fi.add_argument("--budget", type=_integer, default=None)
     fi.set_defaults(func=_cmd_find_immersion)
 
     ver = sub.add_parser("verify", help="check an emitted certificate")
@@ -244,13 +276,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--W", required=True, help='comma-separated vertices or "all"')
     p.add_argument("--cert", required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--w", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--a", type=_integer, required=True)
+    p.add_argument("--w", type=_integer, required=True)
+    p.add_argument("--p", type=_integer, required=True)
     p = vsub.add_parser("structure")
     p.add_argument("--graph", required=True)
     p.add_argument("--structure", required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_integer, required=True)
     ver.set_defaults(func=_cmd_verify)
 
     dec = sub.add_parser("decompose", help="compute a decomposition certificate")
@@ -258,11 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = dsub.add_parser("linear")
     p.add_argument("--graph", required=True)
     p.add_argument("--W", required=True, help='comma-separated vertices or "all"')
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--w-limit", dest="w_limit", type=int, required=True)
+    p.add_argument("--m", type=_integer, required=True)
+    p.add_argument("--w-limit", dest="w_limit", type=_integer, required=True)
     p = dsub.add_parser("structure")
     p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=int, required=True)
+    p.add_argument("--alpha", type=_integer, required=True)
     dec.set_defaults(func=_cmd_decompose)
 
     es = sub.add_parser("edge-sum", help="glue two graphs along matched boundary edges")
@@ -282,16 +314,16 @@ def _build_parser() -> argparse.ArgumentParser:
     bo = sub.add_parser("bounds", help="quantitative constants as decimals")
     bsub = bo.add_subparsers(dest="quantity", required=True)
     p = bsub.add_parser("d-of-k")
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_integer)
     p = bsub.add_parser("theorem31")
     p.add_argument("pattern")
     p = bsub.add_parser("converse")
-    p.add_argument("d", type=int)
-    p.add_argument("a", type=int)
-    p.add_argument("w", type=int)
-    p.add_argument("p", type=int)
+    p.add_argument("d", type=_integer)
+    p.add_argument("a", type=_integer)
+    p.add_argument("w", type=_integer)
+    p.add_argument("p", type=_integer)
     p = bsub.add_parser("converse-alpha")
-    p.add_argument("alpha", type=int)
+    p.add_argument("alpha", type=_integer)
     bo.set_defaults(func=_cmd_bounds)
 
     return parser
@@ -301,9 +333,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, _DigitLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
+        limit = isinstance(exc, (SizeLimitError, _DigitLimitError))
+        return EXIT_LIMIT if limit else EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ element of the min-cut lattice.
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import FrozenSet, Iterable, List, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .flow import FlowNetwork
 from .multigraph import Multigraph
@@ -79,17 +78,27 @@ def is_k_edge_connected_set(
         raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
     if len(W) <= 1:
         return True
-    return _first_violation(G, FlowNetwork(G), W, k)
+    net = FlowNetwork(G)
+    found = _first_violation(net, net.nodes(W), k)
+    return True if found is None else _witness(G, net, found[1])
 
 
-def _first_violation(
-    G: Multigraph, net: FlowNetwork, W: FrozenSet[str], k: int
-) -> Union[bool, CutWitness]:
-    """`is_k_edge_connected_set` for known vertices W, with every pair's
-    flow on net, a network of G."""
-    index = net.index
-    for x, y in itertools.combinations(sorted(W), 2):
-        value = net.max_flow([index[x]], [index[y]])
+def _first_violation(net: FlowNetwork, W: Iterable[int], k: int) -> Optional[Tuple[int, int]]:
+    """The first pair of the nodes W, in their given order, joined by
+    fewer than k edge-disjoint paths, as its second node and its flow
+    value, or None if there is none.
+
+    Only the pairs (W[0], w) are tested.  Since lambda(x, z) >=
+    min(lambda(x, y), lambda(y, z)), some pair violates only if one of
+    them does, and they come first among the pairs in order, so the first
+    violating one is the first violating pair.  Each flow stops at k; the
+    returned pair's flow fell short of k, so it ran to completion and is
+    net's last, with its inclusion-minimal cut side in `residual_side`.
+    """
+    nodes = iter(W)
+    first = next(nodes, None)
+    for w in nodes:
+        value = net.max_flow([first], [w], limit=k)
         if value < k:
-            return _witness(G, net, value)
-    return True
+            return w, value
+    return None

@@ -10,14 +10,24 @@ deterministic when callers add arcs in sorted edge-id order.
 
 A network is built once per graph and serves a batch of flows.  Each
 `max_flow` starts from the zero flow, runs between two disjoint node
-lists, and may close nodes, which its search then skips as if they had
-been deleted.  Capacities are 0 or 1 and no flow enters a source, so
-every augmenting path carries one unit.
+lists, may close nodes, which its search then skips as if they had been
+deleted, and may stop once its value reaches a threshold.  Capacities
+are 0 or 1 and no flow enters a source, so every augmenting path carries
+one unit.
+
+`split` cuts a network in two along the arcs leaving a set of nodes, at
+the cost of that set's size: the set moves into a fresh network, where
+one glue node takes its outside ends, and here one appended glue node
+takes the set's place.  By the Gomory-Hu lemma (Gomory and Hu,
+"Multi-terminal network flows", 1961), contracting one side of a minimum
+cut keeps the flow values between the vertices on the other side, so a
+split of a network on such a cut leaves each side a network on which
+its later flows give the same answers.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .multigraph import Multigraph
 
@@ -31,6 +41,10 @@ class FlowNetwork:
     Each non-loop edge is one undirected unit arc pair, pairs in the
     order of `edge_ids`, G's non-loop edge ids sorted, so every node lists
     its arcs in that order too.  A caller may set an arc's capacity to 0.
+
+    A network made by `split` lists its arcs in the order it met them,
+    and keeps each pair's edge id.  Flow values and residual sides do not
+    depend on the order; the paths of a flow do.
     """
 
     def __init__(self, G: Multigraph):
@@ -58,14 +72,24 @@ class FlowNetwork:
 
     # -- searches -----------------------------------------------------
 
-    def max_flow(self, sources: List[int], sinks: List[int], closed: Iterable[int] = ()) -> int:
+    def max_flow(
+        self,
+        sources: List[int],
+        sinks: List[int],
+        closed: Iterable[int] = (),
+        limit: Optional[int] = None,
+    ) -> int:
         """A maximum flow from the nodes `sources` to the nodes `sinks`,
         disjoint lists, found from the zero flow; returns its value.  Each
         BFS round starts from all sources, in the given order, and stops at
         the first sink it reaches.  Closed nodes are never entered.  Sets
         `flow`, the flow on each arc, `terminals`, the two lists, and
         `residual_side`, the nodes reachable from the sources in the
-        residual network, in BFS order."""
+        residual network, in BFS order.
+
+        With a limit the flow stops once its value reaches the limit,
+        without the failed search that would prove it maximum; it returns
+        min(maximum, limit), and `residual_side` is then None."""
         adj, head, cap = self.adj, self.head, self.cap
         self.flow = flow = [0] * len(head)
         self.terminals = (sources, sinks)
@@ -76,7 +100,7 @@ class FlowNetwork:
             start[s] = _ROOT
         targets = frozenset(sinks)
         total = 0
-        while True:
+        while limit is None or total < limit:
             # one BFS round; a sink's predecessor is fixed when it is first
             # reached, so the round stops there, with that sink queued last
             prev = start.copy()
@@ -100,6 +124,67 @@ class FlowNetwork:
                 flow[i ^ 1] -= 1
                 v = head[i ^ 1]
             total += 1
+        self.residual_side = None
+        return total
+
+    # -- splits -------------------------------------------------------
+
+    def split(
+        self, side: Sequence[int], glue: Optional[str] = None, rest_glue: Optional[str] = None
+    ) -> Tuple["FlowNetwork", Optional[int]]:
+        """Move the nodes `side` into a fresh network, node i there being
+        side[i], and return it with the node that now stands for them here.
+
+        In the fresh network a last node named `glue` takes the outside
+        end of every arc leaving `side`.  Here a new node named `rest_glue`
+        takes over the side's end of those arcs, so that no arc leads into
+        `side` any more and its nodes become unreachable; they stay in the
+        lists.  With no arc leaving `side` neither node is made and the
+        returned node is None.  The work is the size of `side` and of its
+        arcs, whatever the size of the network.
+        """
+        adj, head, cap, ids = self.adj, self.head, self.cap, self.edge_ids
+        names = [self.names[u] for u in side]
+        local = dict(zip(side, range(len(names))))
+        sub_adj: List[List[int]] = [[] for _ in names]
+        sub_head: List[int] = []
+        sub_cap: List[int] = []
+        sub_ids: List[str] = []
+        cut: List[int] = []  # the arcs leaving side
+        for u, a in local.items():
+            for i in adj[u]:
+                b = local.get(head[i])
+                if b is None:
+                    cut.append(i)
+                elif not i & 1:  # each pair once, from its first arc
+                    sub_adj[a].append(len(sub_head))
+                    sub_adj[b].append(len(sub_head) + 1)
+                    sub_head += (b, a)
+                    sub_cap += (cap[i], cap[i ^ 1])
+                    sub_ids.append(ids[i >> 1])
+        rest = None
+        if cut:
+            assert glue is not None and rest_glue is not None, "a cut needs glue nodes"
+            g = len(names)
+            names.append(glue)
+            sub_adj.append([])
+            for i in cut:
+                a = local[head[i ^ 1]]
+                sub_adj[a].append(len(sub_head))
+                sub_adj[g].append(len(sub_head) + 1)
+                sub_head += (g, a)
+                sub_cap += (cap[i], cap[i ^ 1])
+                sub_ids.append(ids[i >> 1])
+            rest = len(adj)
+            adj.append(cut)  # each cut arc now leaves the new node ...
+            for i in cut:
+                head[i ^ 1] = rest  # ... and its companion enters it
+            self.names.append(rest_glue)
+            self.index[rest_glue] = rest
+        net = FlowNetwork.__new__(FlowNetwork)
+        net.names, net.index = names, dict(zip(names, range(len(names))))
+        net.adj, net.head, net.cap, net.edge_ids = sub_adj, sub_head, sub_cap, sub_ids
+        return net, rest
 
     # -- flow decomposition -------------------------------------------
 

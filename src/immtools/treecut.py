@@ -4,16 +4,17 @@ algorithm that splits on small cuts between high-degree vertices."""
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 from typing import (
-    AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set, Tuple,
-    Union,
+    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set,
+    Tuple, Union,
 )
 
-from .connectivity import CutWitness, _first_violation
+from .connectivity import _first_violation
 from .flow import FlowNetwork
-from .multigraph import Multigraph, _fresh_name, consolidate
+from .multigraph import Multigraph, _fresh_name
 from .pathdecomp import (
     NOT_PATH_SHAPED,
     SMALL_CUT,
@@ -249,20 +250,16 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
             raise ValueError(f"{v!r} carries a loop")
         if G.degree(v) < 1:
             raise ValueError(f"{v!r} has degree 0")
-        if not _grounded(G, FlowNetwork(G), v):
+        net = FlowNetwork(G)
+        if not _grounded(net, net.index[v], G.degree(v), net.nodes(G.vertices - {v})):
             return False
     return True
 
 
-def _grounded(G: Multigraph, net: FlowNetwork, v: str) -> bool:
-    """Whether some other vertex of G is joined to v by deg(v)
-    edge-disjoint paths, with every candidate's flow on net, a network
-    of G."""
-    k = G.degree(v)
-    index = net.index
-    return any(
-        net.max_flow([index[v]], [index[other]]) >= k for other in sorted(G.vertices - {v})
-    )
+def _grounded(net: FlowNetwork, v: int, k: int, others: Iterable[int]) -> bool:
+    """Whether some node of `others`, tried in order, is joined to the
+    node v of net by k edge-disjoint paths."""
+    return any(net.max_flow([v], [u], limit=k) >= k for u in others)
 
 
 def compose_decompositions(
@@ -368,6 +365,12 @@ def structure_decompose(
     return StructureDecomposition(decomposition=D, certificates=certs)
 
 
+# A piece of the split loop: its network, its live nodes there, its high
+# vertices in sorted order, its edge count, and the number of the first
+# node of the X side when it is the Y side of a zero cut.
+_Piece = Tuple[FlowNetwork, Set[int], List[str], int, Optional[int]]
+
+
 def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     """The tree-cut tree of G, one split per loop step over a stack of
     pieces.
@@ -386,54 +389,89 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
         first node of each side.
     The X side is done first, so the nodes come out in depth-first
     order, X before Y, and the first node of a piece is the first one
-    finished after it is taken.  Each piece builds one flow network,
-    which serves both its groundedness check and its pair flows.
-    Node names are `n` and the node's number in that order, zero-padded
-    to one width, so sorting them keeps the order.
+    finished after it is taken.  Node names are `n` and the node's number
+    in that order, zero-padded to one width, so sorting them keeps the
+    order.
+
+    No piece is built as a graph.  A piece is a set of live nodes of a
+    flow network, its high vertices in sorted order and its edge count.
+    Degrees never change: a real vertex keeps all its edges in its piece,
+    and a glue vertex has degree k < alpha, so it is never high.  One
+    network is built from G; a split moves the smaller side into a fresh
+    network and leaves the larger one on its parent's (`FlowNetwork.split`),
+    so it costs the size of the smaller side, and a network whose live
+    nodes fall below half of its nodes is copied again.  The split's
+    witness is the unique inclusion-minimal minimum cut, so it does not
+    depend on how the network was built.  Each glue vertex is checked
+    grounded with one flow: the k paths of the split pair cross the cut
+    once each, so they join vy to the pair's vertex in X and vx to its
+    vertex in the other side.
     """
+    degree = dict(G.degrees)  # glue vertices are added with their order k
     glue: Set[str] = set()
     owner: Dict[str, int] = {}  # glue vertex -> number of the node holding it
     links: List[Tuple[str, str]] = []  # glue vertices whose owners are joined
     zero_links: List[Tuple[int, int]] = []  # numbers of the nodes joined
     bags: List[FrozenSet[str]] = []
-    # (piece, glue vertex it is grounded at, number of the first node of
-    # the X side when it is the Y side of a zero cut)
-    stack: List[Tuple[Multigraph, Optional[str], Optional[int]]] = [(G, None, None)]
+    net = FlowNetwork(G)
+    high = [v for v in net.names if degree[v] >= alpha]
+    stack: List[_Piece] = [(net, set(range(len(net.names))), high, G.num_edges(), None)]
     while stack:
-        piece, v, joined_to = stack.pop()
+        net, live, high, m, joined_to = stack.pop()
         first = len(bags)
         if joined_to is not None:
             zero_links.append((joined_to, first))
-        high = frozenset(u for u, d in piece.degrees.items() if d >= alpha)
-        witness: Union[bool, CutWitness] = True
-        if v is not None or len(high) > 1:
-            net = FlowNetwork(piece)  # one network serves the whole piece
-            if v is not None:
-                assert _grounded(piece, net, v), "minimum-order witness cut must be grounded"
-            if len(high) > 1:
-                witness = _first_violation(piece, net, high, alpha)
-        if witness is True:
-            for u in piece.vertices & glue:
+        names = net.names
+        found = _first_violation(net, map(net.index.__getitem__, high), alpha)
+        if found is None:
+            vertices = {names[u] for u in live}
+            for u in vertices & glue:
                 owner[u] = first
-            bags.append(piece.vertices - glue)
+            bags.append(frozenset(vertices - glue))
             continue
-        X = witness.source_side
-        if witness.value == 0:
-            GX = piece.induced(X)
-            GY = piece.without_vertices(X)
-            sides = ((GY, None, first), (GX, None, None))
-        else:
+        partner, k = found
+        x, y = high[0], names[partner]
+        X = net.residual_side
+        vy = vx = None
+        if k:
             vy = _fresh_name(f"cut:{len(glue)}", G.vertices)
             vx = _fresh_name(f"cut:{len(glue) + 1}", G.vertices)
             glue |= {vy, vx}
-            GX = consolidate(piece, piece.vertices - X, name=vy)
-            GY = consolidate(piece, X, name=vx)
+            degree[vy] = degree[vx] = k
             links.append((vy, vx))
-            sides = ((GY, vx, None), (GX, vy, None))
-        assert GX.num_edges() < piece.num_edges() and GY.num_edges() < piece.num_edges(), (
+        # move the smaller side to a fresh network; the other one stays
+        stays = set(X)
+        assert stays <= live, "a flow reached a node outside its piece"
+        live -= stays
+        move_x = len(X) <= len(live)
+        if move_x:
+            moved, g = net.split(X, vy, vx)
+            stays = live
+        else:
+            moved, g = net.split(list(live), vx, vy)
+        if g is not None:
+            stays.add(g)
+        if 2 * len(stays) < len(net.names):
+            net, _ = net.split(list(stays))
+            stays = set(range(len(net.names)))
+        moved_high = sorted(v for v in moved.names if degree[v] >= alpha)
+        for v in moved_high:
+            del high[bisect.bisect_left(high, v)]
+        moved_m = sum(degree[v] for v in moved.names) // 2
+        stays_m = m + k - moved_m  # the k cut edges are on both sides
+        assert moved_m < m and stays_m < m, (
             "splitting on the witness cut must shed edges on both sides"
         )
-        stack += sides
+        X_piece = (moved, set(range(len(moved.names))), moved_high, moved_m)
+        Y_piece = (net, stays, high, stays_m)
+        if not move_x:
+            X_piece, Y_piece = Y_piece, X_piece
+        if k:
+            x_net, y_net = X_piece[0], Y_piece[0]
+            assert _grounded(x_net, x_net.index[vy], k, [x_net.index[x]]) and _grounded(
+                y_net, y_net.index[vx], k, [y_net.index[y]]
+            ), "minimum-order witness cut must be grounded"
+        stack += ((*Y_piece, None if k else first), (*X_piece, None))
     width = len(str(len(bags) - 1))
     names = [f"n{i:0{width}d}" for i in range(len(bags))]
     edges = [(owner[a], owner[b]) for a, b in links] + zero_links

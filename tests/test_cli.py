@@ -369,6 +369,26 @@ def test_bounds_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and "4300 decimal digits" in err
 
 
+def test_integer_arguments_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):
+    # the interpreter converts at most 4,300 digits from a string; a longer
+    # valid integer reaches that limit (exit 3, without echoing the
+    # argument), and a shorter one parses as before
+    long, short = "9" * 4400, "9" * 4300
+    code, out, err = run(capsys, "bounds", "converse-alpha", long)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "4300-digit limit" in err and len(err) < 200
+    code, out, err = run(capsys, "bounds", "converse-alpha", "3")
+    assert (code, out.strip()) == (0, "25")
+    g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
+    code, out, err = run(capsys, "decompose", "structure", "--graph", g, "--alpha", long)
+    assert (code, out) == (3, "")
+    assert "4300-digit limit" in err and len(err) < 200
+    code, out, err = run(capsys, "decompose", "structure", "--graph", g, "--alpha", short)
+    assert code == 0 and len(json.loads(out)["decomposition"]["bags"]) == 1
+    code, out, err = run(capsys, "bounds", "d-of-k", "1" + "_0" * 4400)
+    assert code == 3
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)

@@ -2,11 +2,13 @@
 `oracle_flow`, and the one-network-per-batch contract of its callers."""
 
 import itertools
+import math
 import random
 
 import oracle_flow
 from immtools import (
     CutWitness,
+    Multigraph,
     build_auxiliary_graph,
     edge_disjoint_paths,
     gen_random_multigraph,
@@ -29,14 +31,21 @@ def _disjoint_terminals(rng, verts):
     return set(picked[:cut]), set(picked[cut:])
 
 
-def test_flow_core_agrees_with_the_oracle():
+def _oracle_cases():
+    """400 seeded random multigraphs, each with the generator that then
+    picks its terminals."""
     rng = random.Random(7)
-    loops = parallels = isolated = set_queries = 0
     for case in range(400):
         n = rng.randint(2, 12)
         mult = rng.randint(1, 3)
         m = rng.randint(0, min(3 * n, (n * (n + 1) // 2) * mult))
-        G = gen_random_multigraph(n, m, mult, seed=case)
+        yield case, gen_random_multigraph(n, m, mult, seed=case), rng
+
+
+def test_flow_core_agrees_with_the_oracle():
+    loops = parallels = isolated = set_queries = 0
+    for case, G, rng in _oracle_cases():
+        n = len(G.vertices)
         ends = list(G.edges.values())
         loops += any(a == b for a, b in ends)
         parallels += len(set(ends)) < len(ends)
@@ -100,27 +109,64 @@ def test_each_batch_builds_one_network(monkeypatch):
     assert len(built) == 2
 
 
-def test_each_structure_piece_builds_one_network(monkeypatch):
-    # a doubled P_40 at alpha 3 splits 37 times into 75 pieces, one per
-    # inner vertex and two glue vertices per split: each piece's
-    # groundedness flows run on the network of its own pair test, and the
-    # groundedness check still runs on both sides of every split
+def test_the_split_loop_builds_one_network_from_g(monkeypatch):
+    # a doubled P_40 at alpha 3 splits 37 times, each time on a cut of
+    # order 2, into 38 nodes: one network is built from G, and each split
+    # copies only its smaller side (a compaction only the live part of a
+    # network), so at most n * ceil(log2 n) vertices are copied in all;
+    # each of the 74 glue vertices gets one groundedness check, and no
+    # graph is built at all
     built = _count_networks(monkeypatch)
-    grounded = []
-    check = treecut._grounded
+    copied, grounded, graphs = [], [], []
+    split, check, init = FlowNetwork.split, treecut._grounded, Multigraph.__init__
 
-    def counted(G, net, v):
-        grounded.append(v)
-        return check(G, net, v)
+    def counted_split(self, side, glue=None, rest_glue=None):
+        copied.append(len(side) + (glue is not None))
+        return split(self, side, glue, rest_glue)
 
-    monkeypatch.setattr(treecut, "_grounded", counted)
+    def counted_check(net, v, k, others):
+        grounded.append(net.names[v])
+        return check(net, v, k, others)
+
+    def counted_init(self, *args, **kwargs):
+        graphs.append(1)
+        init(self, *args, **kwargs)
+
     G = mg([f"v{i}" for i in range(40)], {
         f"e{i}c{c}": (f"v{i}", f"v{i + 1}") for i in range(39) for c in range(2)
     })
+    monkeypatch.setattr(FlowNetwork, "split", counted_split)
+    monkeypatch.setattr(treecut, "_grounded", counted_check)
+    monkeypatch.setattr(Multigraph, "__init__", counted_init)
     D = treecut._structure_tree(G, 3)
     assert len(D.tree_nodes) == 38
-    assert len(built) == 75
+    assert len(built) == 1
+    assert len(copied) >= 37 and sum(copied) <= 40 * math.ceil(math.log2(40))
     assert len(grounded) == len(set(grounded)) == 74
+    assert graphs == []
+
+
+def test_a_flow_stops_at_its_threshold():
+    # max_flow(limit=k) gives min(maximum, k); a flow that stops short of
+    # the limit ran to completion and has the reference's cut side, and
+    # one that reaches it has no side
+    stopped = completed = 0
+    for case, G, rng in _oracle_cases():
+        net = FlowNetwork(G)
+        for _ in range(3):
+            S, T = _disjoint_terminals(rng, sorted(G.vertices))
+            want = oracle_flow.max_flow_min_cut(G, S, T)
+            for k in range(0, 5):
+                value = net.max_flow(net.nodes(S), net.nodes(T), limit=k)
+                assert value == min(want.value, k), (case, S, T, k)
+                if value < k:
+                    side = frozenset(net.names[i] for i in net.residual_side)
+                    assert side == want.source_side, (case, S, T, k)
+                    completed += 1
+                else:
+                    assert net.residual_side is None
+                    stopped += 1
+    assert min(stopped, completed) > 500
 
 
 def test_first_violating_pair_in_sorted_order_is_the_witness():

@@ -32,6 +32,7 @@ from immtools import (
     verify_structure,
 )
 from immtools import treecut
+from immtools.flow import FlowNetwork
 from immtools.pathdecomp import NOT_PATH_SHAPED, SMALL_CUT, STAR_MINOR
 from immtools.jsonio import structure_to_json
 from helpers import mg
@@ -340,24 +341,14 @@ def _necklace(blocks, size):
 
 @pytest.mark.parametrize("G, alpha", [(_beads(60), 3), (_necklace(6, 4), 4)])
 def test_each_torso_is_built_once(monkeypatch, G, alpha):
-    calls, inside, consolidated_inside = [], [], []
-    build, consolidate = treecut.torsos, treecut.consolidate
+    calls = []
+    build = treecut.torsos
 
     def counted(*args):
         calls.append(args)
-        inside.append(True)
-        try:
-            return build(*args)
-        finally:
-            inside.pop()
-
-    def watched(*args, **kwargs):
-        if inside:
-            consolidated_inside.append(args)
-        return consolidate(*args, **kwargs)
+        return build(*args)
 
     monkeypatch.setattr(treecut, "torsos", counted)
-    monkeypatch.setattr(treecut, "consolidate", watched)
     r = structure_decompose(G, alpha)
     assert isinstance(r, StructureDecomposition)
     assert len(r.decomposition.tree_nodes) > 4
@@ -366,7 +357,9 @@ def test_each_torso_is_built_once(monkeypatch, G, alpha):
     assert len(calls) == 2
     adhesion(G, r.decomposition)
     torso_at(G, r.decomposition, min(r.decomposition.tree_nodes))
-    assert consolidated_inside == []
+    # torsos are built in one pass, and the split loop works on flow
+    # networks: nothing in treecut consolidates a graph
+    assert not hasattr(treecut, "consolidate")
 
 
 def _path(n, links=1):
@@ -417,6 +410,70 @@ def test_split_loop_matches_the_recursion():
                 T.graph.degree(z) == 0 for T in torsos(G, got).values() for z in T.peripheral
             )
     assert splits > 400 and zero_cuts > 20
+
+
+def _long_structure_inputs():
+    """(graph, alpha) pairs: long paths, necklaces, and seeded random
+    multigraphs on up to 30 vertices at alpha 1 to 5."""
+    cases = [(_path(300), 2), (_path(200, 2), 3)]
+    cases += [(_necklace(b, k), a) for b, k in ((20, 3), (12, 4)) for a in (2, 3, 4)]
+    rng = random.Random(11)
+    for seed in range(40):
+        n, mult = rng.randint(2, 30), rng.randint(1, 3)
+        m = rng.randint(0, min(3 * n, n * (n + 1) // 2 * mult))
+        G = gen_random_multigraph(n, m, mult, seed=seed)
+        cases += [(G, alpha) for alpha in range(1, 6)]
+    return cases
+
+
+def test_split_loop_matches_the_recursion_on_long_inputs(monkeypatch):
+    # the loop keeps the larger side of a split on its parent's network,
+    # copies the smaller one, and copies a network again once most of it
+    # is dead; whichever side moves, the splits are the recursion's
+    seen = Counter()
+    split, first_violation = FlowNetwork.split, treecut._first_violation
+
+    def watched_split(self, side, glue=None, rest_glue=None):
+        seen["split calls"] += 1
+        if glue is not None:
+            seen["X moved" if set(side) == set(self.residual_side) else "Y moved"] += 1
+        return split(self, side, glue, rest_glue)
+
+    def watched_violation(net, W, k):
+        found = first_violation(net, W, k)
+        if found is not None:
+            seen["splits"] += 1
+            seen["zero cuts"] += found[1] == 0
+        return found
+
+    monkeypatch.setattr(FlowNetwork, "split", watched_split)
+    monkeypatch.setattr(treecut, "_first_violation", watched_violation)
+    for G, alpha in _long_structure_inputs():
+        got = treecut._structure_tree(G, alpha)
+        want = oracle_treecut.structure_tree(G, alpha)
+        assert _same_tree(got, want), (sorted(G.vertices), G.edges, alpha)
+    compactions = seen["split calls"] - seen["splits"]
+    assert min(seen["X moved"], seen["Y moved"], seen["zero cuts"], compactions) > 10, seen
+
+
+def test_structure_of_a_long_path_is_fast_in_flows(monkeypatch):
+    # P_1600 at alpha 2 splits 1,597 times with 3 flows each (the pair
+    # test and one groundedness flow per glue vertex); every torso is a
+    # single high vertex, so certifying them runs no flow
+    flows = []
+    max_flow = FlowNetwork.max_flow
+
+    def counted(self, *args, **kwargs):
+        flows.append(1)
+        return max_flow(self, *args, **kwargs)
+
+    monkeypatch.setattr(FlowNetwork, "max_flow", counted)
+    G = _path(1600)
+    r = structure_decompose(G, 2)
+    assert isinstance(r, StructureDecomposition)
+    assert len(r.decomposition.tree_nodes) == 1598
+    assert len(flows) <= 3 * 1600
+    assert verify_structure(G, r.decomposition, r.certificates, 2) == []
 
 
 def _structure_outcome(G, alpha):
