@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from typing import Any, List, Optional
 
@@ -70,15 +71,21 @@ def _int_max_str_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# what `int` accepts in base 10: one optional sign, digits with single
+# underscores between them, surrounding whitespace
+_DECIMAL = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
+
+
 def _integer(text: str) -> int:
     """`int` for integer arguments, except that a decimal integer longer
     than the interpreter converts is a limit reached, not malformed input."""
     try:
         return int(text)
     except ValueError:
-        digits = text.strip().lstrip("+-").replace("_", "")
+        decimal = _DECIMAL.fullmatch(text)
+        digits = decimal.group(1).replace("_", "") if decimal else ""
         limit = _int_max_str_digits()
-        if limit and digits.isdigit() and len(digits) > limit:
+        if limit and len(digits) > limit:
             raise _DigitLimitError(
                 f"an integer argument has {len(digits)} digits, more than the"
                 f" {limit}-digit limit on integer conversion (sys.set_int_max_str_digits)"

@@ -64,6 +64,7 @@ class FlowNetwork:
         self.adj, self.head = adj, head
         self.cap: List[int] = [1] * len(head)
         self.edge_ids = ids
+        self.dead_arcs = 0
 
     def nodes(self, vertices: Iterable[str]) -> List[int]:
         """The nodes of `vertices`, in sorted vertex order."""
@@ -139,9 +140,11 @@ class FlowNetwork:
         end of every arc leaving `side`.  Here a new node named `rest_glue`
         takes over the side's end of those arcs, so that no arc leads into
         `side` any more and its nodes become unreachable; they stay in the
-        lists.  With no arc leaving `side` neither node is made and the
-        returned node is None.  The work is the size of `side` and of its
-        arcs, whatever the size of the network.
+        lists, and `dead_arcs` counts the arcs among them.  With no arc
+        leaving `side` neither node is made and the returned node is None.
+        The work is the size of `side` and of its arcs, whatever the size
+        of the network; a later flow here still pays for the dead nodes
+        and arcs, so a caller copies the network once most of it is dead.
         """
         adj, head, cap, ids = self.adj, self.head, self.cap, self.edge_ids
         names = [self.names[u] for u in side]
@@ -162,6 +165,7 @@ class FlowNetwork:
                     sub_head += (b, a)
                     sub_cap += (cap[i], cap[i ^ 1])
                     sub_ids.append(ids[i >> 1])
+        self.dead_arcs += len(sub_head)
         rest = None
         if cut:
             assert glue is not None and rest_glue is not None, "a cut needs glue nodes"
@@ -184,6 +188,7 @@ class FlowNetwork:
         net = FlowNetwork.__new__(FlowNetwork)
         net.names, net.index = names, dict(zip(names, range(len(names))))
         net.adj, net.head, net.cap, net.edge_ids = sub_adj, sub_head, sub_cap, sub_ids
+        net.dead_arcs = 0
         return net, rest
 
     # -- flow decomposition -------------------------------------------

@@ -116,39 +116,10 @@ def xi_cut(G: Multigraph, P: PathLikeDecomposition, i: int) -> FrozenSet[str]:
 
 
 def width(G: Multigraph, P: PathLikeDecomposition) -> int:
-    """The largest |xi_cut(G, P, i)| over i = 1..t, 0 when t = 0, in one
-    sweep over the edges, O(|E| + t).
-
-    Around x_i, a vertex of bag B_j lies on the left for i > j and on the
-    right for i <= j, and x_j lies on the left for i > j and on the right
-    for i < j.  So an edge crosses the splits of one interval of indices:
-    from the first one with one end on the left to the last one with the
-    other end on the right.
-    """
     t = len(P.ordering)
     if t == 0:
         return 0
-    # vertex -> (last index with it on the right, first index with it on the left)
-    where: Dict[str, Tuple[int, int]] = {}
-    for j, bag in enumerate(P.bags):
-        for v in bag:
-            where[v] = (j, j + 1)
-    for j, x in enumerate(P.ordering, 1):
-        where[x] = (j - 1, j + 1)
-    starts = [0] * (t + 2)  # edges whose interval starts at i, less those ending at i - 1
-    for a, b in G.edges.values():
-        if a in where and b in where:
-            (right_a, left_a), (right_b, left_b) = where[a], where[b]
-            lo, hi = (left_a, right_b) if left_a <= right_b else (left_b, right_a)
-            hi = min(hi, t)
-            if lo <= hi:
-                starts[lo] += 1
-                starts[hi + 1] -= 1
-    best = crossing = 0
-    for i in range(1, t + 1):
-        crossing += starts[i]
-        best = max(best, crossing)
-    return best
+    return max(len(xi_cut(G, P, i)) for i in range(1, t + 1))
 
 
 def boundedness(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str]) -> int:

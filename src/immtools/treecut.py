@@ -399,10 +399,11 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     and a glue vertex has degree k < alpha, so it is never high.  One
     network is built from G; a split moves the smaller side into a fresh
     network and leaves the larger one on its parent's (`FlowNetwork.split`),
-    so it costs the size of the smaller side, and a network whose live
-    nodes fall below half of its nodes is copied again.  The split's
-    witness is the unique inclusion-minimal minimum cut, so it does not
-    depend on how the network was built.  Each glue vertex is checked
+    so its network surgery costs the size of the smaller side.  Each flow
+    on a network still pays for its dead nodes and arcs, so a network is
+    copied again once fewer than half of its nodes, or of its arcs, are
+    live.  The split's witness is the unique inclusion-minimal minimum
+    cut, so it does not depend on how the network was built.  Each glue vertex is checked
     grounded with one flow: the k paths of the split pair cross the cut
     once each, so they join vy to the pair's vertex in X and vx to its
     vertex in the other side.
@@ -451,7 +452,7 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
             moved, g = net.split(list(live), vx, vy)
         if g is not None:
             stays.add(g)
-        if 2 * len(stays) < len(net.names):
+        if 2 * len(stays) < len(net.names) or 2 * net.dead_arcs > len(net.head):
             net, _ = net.split(list(stays))
             stays = set(range(len(net.names)))
         moved_high = sorted(v for v in moved.names if degree[v] >= alpha)

@@ -387,6 +387,10 @@ def test_integer_arguments_above_the_digit_limit_are_a_limit_exit_code(tmp_path,
     assert code == 0 and len(json.loads(out)["decomposition"]["bags"]) == 1
     code, out, err = run(capsys, "bounds", "d-of-k", "1" + "_0" * 4400)
     assert code == 3
+    # not an integer whatever its length: malformed, as before
+    for bad in ("+-" + long, "+_" + long, long + "__0", long + "x"):
+        code, out, err = run(capsys, "bounds", "converse-alpha", bad)
+        assert (code, out) == (1, ""), bad[:5]
 
 
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):

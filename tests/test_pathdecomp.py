@@ -56,31 +56,6 @@ def test_xi_cut_never_counts_edges_at_xi():
     assert xi_cut(G, P, 1) == frozenset()
 
 
-def test_width_is_the_largest_xi_cut():
-    # seeded random decompositions of random multigraphs (loops and
-    # parallel edges included), t = 0 and t = 1 among them: the one-sweep
-    # width is the largest per-index cut
-    rng = random.Random(13)
-    sizes = set()
-    for case in range(300):
-        n = rng.randint(1, 12)
-        mult = rng.randint(1, 3)
-        G = gen_random_multigraph(n, rng.randint(0, min(3 * n, n * (n + 1) // 2 * mult)), mult, case)
-        verts = sorted(G.vertices)
-        rng.shuffle(verts)
-        t = min(case % 4, n) if case < 100 else rng.randint(0, n)
-        ordering, rest = tuple(verts[:t]), verts[t:]
-        bags = [set() for _ in range(t + 1)]
-        for v in rest:
-            bags[rng.randint(0, t)].add(v)
-        P = PathLikeDecomposition(ordering, tuple(map(frozenset, bags)))
-        assert P.violations(G, ordering) == []
-        want = max((len(xi_cut(G, P, i)) for i in range(1, t + 1)), default=0)
-        assert width(G, P) == want, (case, P)
-        sizes.add(min(t, 2))
-    assert sizes == {0, 1, 2}
-
-
 def test_width_examples():
     assert width(EX_G, EX_P) == 1
     empty = PathLikeDecomposition((), (frozenset(EX_G.vertices),))

@@ -456,6 +456,33 @@ def test_split_loop_matches_the_recursion_on_long_inputs(monkeypatch):
     assert min(seen["X moved"], seen["Y moved"], seen["zero cuts"], compactions) > 10, seen
 
 
+def test_a_network_whose_arcs_are_mostly_dead_is_copied(monkeypatch):
+    # a dense block hung off a long path: the block is the smaller side by
+    # vertices but holds most of the arcs, so once it moves out the kept
+    # network is copied while more than half of its nodes are still live
+    compactions = []
+    split = FlowNetwork.split
+
+    def watched_split(self, side, glue=None, rest_glue=None):
+        if glue is None and 2 * len(side) >= len(self.names):
+            compactions.append(len(side))
+        return split(self, side, glue, rest_glue)
+
+    monkeypatch.setattr(FlowNetwork, "split", watched_split)
+    for n, size, links, alpha in ((30, 6, 5, 2), (40, 6, 3, 3)):
+        G = _path(n, alpha - 1)
+        edges = dict(G.edges)
+        for i in range(size):
+            for j in range(i + 1, size):
+                edges.update({f"b{i}b{j}c{c}": (f"b{i}", f"b{j}") for c in range(links)})
+        edges["join"] = (f"v{n - 1}", "b0")
+        G = mg(sorted(G.vertices) + [f"b{i}" for i in range(size)], edges)
+        compactions.clear()
+        got = treecut._structure_tree(G, alpha)
+        assert _same_tree(got, oracle_treecut.structure_tree(G, alpha))
+        assert compactions, (n, size, links, alpha)
+
+
 def test_structure_of_a_long_path_is_fast_in_flows(monkeypatch):
     # P_1600 at alpha 2 splits 1,597 times with 3 flows each (the pair
     # test and one groundedness flow per glue vertex); every torso is a
