@@ -23,6 +23,24 @@ depth-first order of a recursion (assign, then route, then extend the
 path), so step counts, the budget boundary and the first certificate are
 those of the recursive search this loop replaced.
 
+Route states that have failed are not searched again.  Once the
+assignment is fixed, what a route frame can still reach depends only on
+its level j and the available edges: the weak-routing slack of a branch
+image is its free edge-ends (a function of the available edges) minus the
+pattern edge-ends it still has to route (a function of j), and in strong
+routing it is 0.  So each assignment keeps a table from (j, available
+edges) to the steps its subtree took, for every route frame whose subtree
+yielded no immersion, and a route frame that meets a recorded state adds
+those steps to the count and returns at once (nogood recording: Dechter,
+"Enhancement schemes for constraint processing", AI 41(3), 1990).  Step
+counts, the budget boundary, the order and the first certificate are
+those of the search without the table.  The frames open when an immersion
+is yielded are not recorded, so the enumeration is the same too.  Levels
+0 and 1 are not recorded: under one assignment their states cannot
+repeat, because a route's edge set determines the route.  The table holds
+at most one entry per refuted route frame and is emptied when the
+assignment changes.
+
 Parallel host edges are interchangeable.  When a route grows from a vertex
 and two parallel edges to the same neighbour are both available and both
 off the partial route, swapping them is an automorphism of the host that
@@ -221,8 +239,9 @@ _FREE = 1 << 62
 
 class _Searcher:
     """Depth-first search for immersions of H in G on their integer
-    indexes; see the module docstring.  `steps` counts the search steps
-    taken so far."""
+    indexes; see the module docstring.  `steps` counts the steps of the
+    depth-first order taken so far, a skipped subtree's steps charged as
+    if they were taken; when the budget runs out it is budget + 1."""
 
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -260,6 +279,13 @@ class _Searcher:
         # edges when it began (so its route is what later levels lack)
         xs, ys, firsts = [-1] * mh, [-1] * mh, [0] * mh
         level_avail = [0] * (mh + 1)
+        # (route level, available edges) -> the steps its subtree took, for
+        # the route frames of the current assignment that yielded nothing;
+        # starts[j]: the step count when level j began, -1 when it is not
+        # to be recorded (levels 0 and 1, which cannot repeat, and levels
+        # open at a yield)
+        refuted: Dict[Tuple[int, int], int] = {}
+        starts = [-1] * mh
         j = -1  # the route level being built
         x = y = -1
         first = 0
@@ -267,8 +293,9 @@ class _Searcher:
         # Frames:
         #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
         #     none yet); i == nh starts the routing;
-        #   [_ROUTE, phase, avail]: route pattern edge j; phase 0 to start,
-        #     1 after the loop route, 2 after the paths; j == mh is a find;
+        #   [_ROUTE, phase, avail]: route pattern edge j; phase 0 to start
+        #     (or to skip a refuted state), 1 after the loop route, 2 after
+        #     the paths; j == mh is a find;
         #   [_STEP, cur, iterator over adj[cur], tried neighbours (bits),
         #     path vertices (bits), avail]: a path of level j at cur.
         # Pushing a frame is one search step.  A frame resumes with its own
@@ -278,7 +305,8 @@ class _Searcher:
         stack: List[list] = [[_ASSIGN, 0, -1]]
         while stack:
             if steps > limit:
-                self.steps = steps
+                # a skipped subtree may take steps past the limit at once
+                self.steps = limit + 1
                 raise _BudgetExhausted
             f = stack[-1]
             kind = f[0]
@@ -334,12 +362,27 @@ class _Searcher:
                         slack[cur] += 2
             elif kind == _ROUTE:
                 phase = f[1]
+                if phase == 0 and 1 < j < mh:
+                    skipped = refuted.get((j, f[2]))
+                    if skipped is None:
+                        starts[j] = steps
+                    else:
+                        # the subtree of this state has failed before:
+                        # charge its steps and leave it
+                        steps += skipped
+                        starts[j] = -1
+                        phase = 2
                 if j == mh or phase == 2:
                     stack.pop()
                     if j == mh:
                         level_avail[mh] = f[2]
                         self.steps = steps
                         yield self._certificate(img, level_avail)
+                        # every open route level leads to this immersion
+                        for k in range(2, mh):
+                            starts[k] = -1
+                    elif starts[j] >= 0:
+                        refuted[j, f[2]] = steps - starts[j]
                     j -= 1
                     if j >= 0:
                         x, y, first = xs[j], ys[j], firsts[j]
@@ -377,6 +420,7 @@ class _Searcher:
                         for hv in range(nh):
                             gv = img[hv]
                             slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
+                        refuted.clear()
                         stack.append([_ROUTE, 0, full])
                         j = 0
                         steps += 1

@@ -410,6 +410,7 @@ LOOP_HOST = mg(
      "8": "cd", "9": "bd", "10": "dd"},
 )
 LOOPS_ON_A_PAIR = mg("xy", {"l": "xx", "p": "xy", "q": "xy", "m": "yy"})
+C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
 
 
 # Step counts of the depth-first order, pinned where the budget runs out:
@@ -424,14 +425,42 @@ LOOPS_ON_A_PAIR = mg("xy", {"l": "xx", "p": "xy", "q": "xy", "m": "yy"})
         # a loop routed on a host loop, and one routed round a parallel pair
         (LOOP_HOST, LOOPS_ON_A_PAIR, False, 12, FOUND),
         (LOOP_HOST, LOOPS_ON_A_PAIR, True, 12, FOUND),
+        # hosts where route states repeat under one assignment, so many of
+        # these steps are charged for subtrees that are skipped
+        (gen_random_multigraph(8, 30, 2, 3), gen_complete(5), False, 8683, FOUND),
+        (gen_random_multigraph(8, 30, 2, 0), gen_complete(5), False, 12048, FOUND),
+        (gen_random_multigraph(8, 30, 2, 11), gen_complete(5), True, 19444, ABSENT),
     ],
     ids=["weak-K5-in-random", "strong-K4-in-pk_chorded7",
          "strong-K4-in-pk_chorded5", "weak-K5-in-pk4",
-         "weak-loops-on-a-pair", "strong-loops-on-a-pair"],
+         "weak-loops-on-a-pair", "strong-loops-on-a-pair",
+         "weak-K5-in-random-3", "weak-K5-in-random-0", "strong-K5-in-random-11"],
 )
 def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, status):
     assert find_immersion(host, pattern, strong, budget=steps).status == status
     assert find_immersion(host, pattern, strong, budget=steps - 1).status == BUDGET
+
+
+# Every immersion the search reaches and its step count at exhaustion, as
+# the search without the refuted-state table gives them: a skipped subtree
+# holds no immersion, and its steps are charged.
+@pytest.mark.parametrize(
+    "host, pattern, strong, count, steps",
+    [
+        (gen_random_multigraph(6, 14, 2, 1), gen_complete(3), False, 78, 770),
+        (gen_random_multigraph(6, 14, 2, 1), gen_complete(3), True, 34, 561),
+        (gen_random_multigraph(6, 16, 2, 4), gen_complete(4), False, 277, 13620),
+        (gen_random_multigraph(7, 14, 2, 2), C4, False, 1442, 25669),
+    ],
+    ids=["weak-K3", "strong-K3", "weak-K4", "weak-C4"],
+)
+def test_enumeration_pins_the_immersions_and_steps(host, pattern, strong, count, steps):
+    searcher = _Searcher(host, pattern, strong, budget=None)
+    found = []
+    for cert in searcher.immersions():
+        assert verify_immersion(host, pattern, cert, strong) == []
+        found.append(json.dumps(immersion_to_json(cert), sort_keys=True))
+    assert (len(found), len(set(found)), searcher.steps) == (count, count, steps)
 
 
 # -- star-minor-to-immersion ------------------------------------------
