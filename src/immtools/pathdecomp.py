@@ -1,15 +1,24 @@
 """Path-like decompositions and linearity certificates: the data model,
 the verifier, the pairwise-connectivity auxiliary graph, star-minor and
 linearizing-set search, and the decomposition algorithm built from nested
-minimal separators."""
+minimal separators.
+
+The decomposer and the verifier work on integers.  The auxiliary graph is
+a list of neighbour bitmasks over W in sorted order (`_MaskGraph`), and a
+decomposition is a position for every vertex of G - A (`_positions`), so
+that width and boundedness come from one pass over G's edges (`_sweep`)
+and no reduced graph is built."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from collections import Counter
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
-from .connectivity import CutWitness, _set_flow, max_flow_min_cut
+from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
 from .multigraph import Multigraph
 from .simplegraph import SimpleGraph, StarMinorModel
@@ -32,7 +41,9 @@ class PathLikeDecomposition:
     ordering: Tuple[str, ...]
     bags: Tuple[FrozenSet[str], ...]
 
-    def violations(self, G: Multigraph, X: Iterable[str]) -> List[str]:
+    def violations(self, vertices: AbstractSet[str], X: Iterable[str]) -> List[str]:
+        """Where the ordering and bags fail to be a decomposition of a graph
+        on `vertices` with respect to X."""
         X = frozenset(X)
         out = []
         if len(self.bags) != len(self.ordering) + 1:
@@ -48,7 +59,7 @@ class PathLikeDecomposition:
         out += overlaps
         if owner.keys() & set(self.ordering):
             out.append("a bag contains an ordering vertex")
-        return out + _cover_violations(owner.keys(), G.vertices - X)
+        return out + _cover_violations(owner.keys(), frozenset(vertices) - X)
 
 
 def _bag_owners(bags: Iterable[Tuple[object, AbstractSet[str]]]) -> Tuple[dict, List[str]]:
@@ -132,6 +143,46 @@ def is_p_bounded(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str], p: i
     return boundedness(G, P, Z) <= p
 
 
+def _positions(P: PathLikeDecomposition) -> Dict[str, int]:
+    """x_k at 2k and the vertices of bag j at 2j + 1, so that an edge ab
+    crosses the cut at x_i iff pos(a) < 2i < pos(b)."""
+    pos = {x: 2 * k for k, x in enumerate(P.ordering, 1)}
+    for j, bag in enumerate(P.bags):
+        pos.update(dict.fromkeys(bag, 2 * j + 1))
+    return pos
+
+
+def _sweep(
+    G: Multigraph, A: AbstractSet[str], pos: Dict[str, int], t: int
+) -> Tuple[int, Dict[str, int]]:
+    """Width and boundedness in one pass over G's edges, for a valid
+    decomposition of G - A with t ordering vertices whose vertices have
+    the positions `pos`: the width, and for each vertex of A the
+    boundedness of its neighbourhood in G - A, which is the number of
+    distinct positions among those neighbours."""
+    crossing = [0] * (t + 2)  # differences of the count of edges crossing at x_i
+    seen: Dict[str, set] = {v: set() for v in A}
+    for a, b in G.edges.values():
+        pa, pb = pos.get(a), pos.get(b)
+        if pa is None or pb is None:
+            # an edge at A: only a neighbour in G - A counts
+            if pb is not None:
+                seen[a].add(pb)
+            elif pa is not None:
+                seen[b].add(pa)
+            continue
+        lo, hi = (pa, pb) if pa < pb else (pb, pa)
+        first, last = lo // 2 + 1, (hi - 1) // 2  # the i with lo < 2i < hi
+        if first <= last:
+            crossing[first] += 1
+            crossing[last + 1] -= 1
+    widest = running = 0
+    for i in range(1, t + 1):
+        running += crossing[i]
+        widest = max(widest, running)
+    return widest, {v: len(s) for v, s in seen.items()}
+
+
 def verify_linear_certificate(
     G: Multigraph,
     W: Iterable[str],
@@ -143,50 +194,128 @@ def verify_linear_certificate(
     """Checks |A| <= a, a valid decomposition of G - A w.r.t. W - A of width
     strictly below w, and p-bounded neighborhoods for every vertex of A."""
     W = frozenset(W)
+    A = cert.A
     out = []
-    if not cert.A <= W:
-        out.append(f"A is not a subset of W: {sorted(cert.A - W)}")
-    if len(cert.A) > a:
-        out.append(f"|A| = {len(cert.A)} exceeds a = {a}")
-    if not cert.A <= G.vertices:
-        out.append(f"A contains unknown vertices: {sorted(cert.A - G.vertices)}")
+    if not A <= W:
+        out.append(f"A is not a subset of W: {sorted(A - W)}")
+    if len(A) > a:
+        out.append(f"|A| = {len(A)} exceeds a = {a}")
+    if not A <= G.vertices:
+        out.append(f"A contains unknown vertices: {sorted(A - G.vertices)}")
         return out
-    reduced = G.without_vertices(cert.A)
-    out.extend(cert.decomposition.violations(reduced, W - cert.A))
+    P = cert.decomposition
+    out.extend(P.violations(G.vertices - A, W - A))
     if out:
         return out
-    got_w = width(reduced, cert.decomposition)
+    got_w, bounded = _sweep(G, A, _positions(P), len(P.ordering))
     if got_w >= w:
         out.append(f"width {got_w} is not less than w = {w}")
-    for v in sorted(cert.A):
-        Z = G.neighbors(v) & reduced.vertices
-        b = boundedness(reduced, cert.decomposition, Z)
-        if b > p:
-            out.append(f"neighborhood of {v!r} has boundedness {b} > p = {p}")
+    for v in sorted(A):
+        if bounded[v] > p:
+            out.append(f"neighborhood of {v!r} has boundedness {bounded[v]} > p = {p}")
     return out
 
 
 # -- auxiliary graph and its structure --------------------------------
 
 
-def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGraph:
-    """Simple graph on W: x ~ y iff G - (W - {x, y}) has >= m edge-disjoint
-    x-y paths."""
-    W = frozenset(W)
+class _MaskGraph(NamedTuple):
+    """A simple graph on bitmasks: `verts` in sorted order, and `nbr[i]`
+    the mask of the i-th vertex's neighbours, bit j standing for verts[j]."""
+
+    verts: List[str]
+    nbr: List[int]
+
+    def names(self, mask: int) -> List[str]:
+        """The vertices of a mask, in sorted order."""
+        return [v for i, v in enumerate(self.verts) if mask >> i & 1]
+
+    def components(self) -> List[int]:
+        return _components(self.nbr, (1 << len(self.verts)) - 1)
+
+    def graph(self) -> SimpleGraph:
+        verts = self.verts
+        return SimpleGraph.build(verts, (
+            (u, v) for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
+        ))
+
+
+def _auxiliary(
+    G: Multigraph, W: FrozenSet[str], m: int
+) -> Tuple[_MaskGraph, Optional[FlowNetwork]]:
+    """The auxiliary graph of `build_auxiliary_graph`, and G's flow network
+    if a flow ran (else None).
+
+    A path from x to y in G - (W - {x, y}) is an x-y edge or has its
+    interior in one component of G - W.  So a pair joined by m edges is
+    an edge with no flow, a pair joined by fewer that shares no component
+    is not an edge, and only the remaining pairs run a flow, all on one
+    network, each stopped at m.
+    """
     unknown = W - G.vertices
     if unknown:
         raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
     if m < 1:
         raise ValueError("m must be at least 1")
-    edges = []
-    if len(W) > 1:
-        net = FlowNetwork(G)  # one network serves every pair
-        index = net.index
-        for x, y in itertools.combinations(sorted(W), 2):
-            closed = [index[w] for w in W - {x, y}]
-            if net.max_flow([index[x]], [index[y]], closed, limit=m) >= m:
-                edges.append((x, y))
-    return SimpleGraph.build(W, edges)
+    verts = sorted(W)
+    if len(verts) < 2:
+        return _MaskGraph(verts, [0] * len(verts)), None  # no pair to join
+    index = {v: i for i, v in enumerate(verts)}
+    mult: Counter = Counter()  # (i, j), i < j -> edges joining verts[i] and verts[j]
+    parent: Dict[str, str] = {}  # union-find over the vertices of G - W
+    touches = []  # (index in W, vertex of G - W) for each edge between W and G - W
+
+    def root(v: str) -> str:
+        while (up := parent.get(v, v)) != v:
+            parent[v] = parent.get(up, up)
+            v = up
+        return v
+
+    for a, b in G.edges.values():  # a <= b, so i < j below
+        if a == b:
+            continue
+        i, j = index.get(a), index.get(b)
+        if i is None and j is None:
+            parent[root(a)] = root(b)
+        elif i is None:
+            touches.append((j, a))
+        elif j is None:
+            touches.append((i, b))
+        else:
+            mult[i, j] += 1
+    nbr = [0] * len(verts)
+    for (i, j), count in mult.items():
+        if count >= m:
+            _join(nbr, i, j)
+    attached: Dict[str, set] = {}  # component root -> indices of its neighbours in W
+    for i, v in touches:
+        attached.setdefault(root(v), set()).add(i)
+    candidates = {
+        pair
+        for ends in attached.values()
+        for pair in itertools.combinations(sorted(ends), 2)
+        if mult[pair] < m
+    }
+    net = None
+    if candidates:
+        net = FlowNetwork(G)
+        nodes = [net.index[v] for v in verts]
+        for i, j in sorted(candidates):
+            closed = nodes[:i] + nodes[i + 1:j] + nodes[j + 1:]
+            if net.max_flow([nodes[i]], [nodes[j]], closed, limit=m) >= m:
+                _join(nbr, i, j)
+    return _MaskGraph(verts, nbr), net
+
+
+def _join(nbr: List[int], i: int, j: int) -> None:
+    nbr[i] |= 1 << j
+    nbr[j] |= 1 << i
+
+
+def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGraph:
+    """Simple graph on W: x ~ y iff G - (W - {x, y}) has >= m edge-disjoint
+    x-y paths."""
+    return _auxiliary(G, frozenset(W), m)[0].graph()
 
 
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
@@ -195,7 +324,8 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     by increasing size, each size in lexicographic order."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    verts, nbr = _neighbour_masks(H)
+    _check_ceiling(len(H.vertices))
+    verts, nbr = aux = _neighbour_masks(H)
     n = len(verts)
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -204,18 +334,20 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 C |= 1 << i
                 outside |= nbr[i]
             outside &= ~C
-            if outside.bit_count() >= k and _components(nbr, C) == 1:
-                leaves = [verts[i] for i in range(n) if outside >> i & 1][:k]
-                return _star_model(H, frozenset(verts[i] for i in combo), leaves)
+            if outside.bit_count() >= k and len(_components(nbr, C)) == 1:
+                leaves = aux.names(outside)[:k]
+                return _star_model(H, frozenset(aux.names(C)), leaves)
     return False
 
 
-def _neighbour_masks(H: SimpleGraph) -> Tuple[List[str], List[int]]:
-    """H's vertices in sorted order, and for the i-th of them the bitmask
-    of its neighbours, bit j standing for the j-th vertex.  Raises above
-    the subset-search ceiling."""
-    if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
+def _check_ceiling(n: int) -> None:
+    """The subset searches stop above this many vertices."""
+    if n > _SUBSET_SEARCH_LIMIT:
         raise SizeLimitError("instance above configured size limit")
+
+
+def _neighbour_masks(H: SimpleGraph) -> _MaskGraph:
+    """H on bitmasks."""
     verts = sorted(H.vertices)
     index = {v: i for i, v in enumerate(verts)}
     nbr = [0] * len(verts)
@@ -223,12 +355,13 @@ def _neighbour_masks(H: SimpleGraph) -> Tuple[List[str], List[int]]:
         u, v = e
         nbr[index[u]] |= 1 << index[v]
         nbr[index[v]] |= 1 << index[u]
-    return verts, nbr
+    return _MaskGraph(verts, nbr)
 
 
-def _components(nbr: List[int], keep: int) -> int:
-    """The number of components of the subgraph induced on the mask keep."""
-    count = 0
+def _components(nbr: List[int], keep: int) -> List[int]:
+    """The components of the subgraph induced on the mask keep, as masks,
+    in the order of their lowest vertices."""
+    comps = []
     while keep:
         comp = frontier = keep & -keep
         while frontier:
@@ -238,8 +371,8 @@ def _components(nbr: List[int], keep: int) -> int:
             comp |= new
             frontier |= new
         keep &= ~comp
-        count += 1
-    return count
+        comps.append(comp)
+    return comps
 
 
 def _is_path_union(nbr: List[int], keep: int) -> bool:
@@ -255,7 +388,26 @@ def _is_path_union(nbr: List[int], keep: int) -> bool:
         if d > 2:
             return False
         degrees += d
-    return degrees // 2 == keep.bit_count() - _components(nbr, keep)
+    return degrees // 2 == keep.bit_count() - len(_components(nbr, keep))
+
+
+def _path_ordering(nbr: List[int], keep: int) -> List[int]:
+    """The vertices of keep, which induces a disjoint union of paths: the
+    components in the order of their lowest vertices, each walked from its
+    lower endpoint."""
+    order = []
+    for comp in _components(nbr, keep):
+        rest = comp
+        while (nbr[(rest & -rest).bit_length() - 1] & comp).bit_count() > 1:
+            rest &= rest - 1  # an inner vertex: try the next one
+        v = (rest & -rest).bit_length() - 1
+        walked = 1 << v
+        order.append(v)
+        while step := nbr[v] & comp & ~walked:
+            v = step.bit_length() - 1
+            walked |= step
+            order.append(v)
+    return order
 
 
 def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
@@ -296,8 +448,14 @@ def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> Star
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     """Smallest X with H - X a disjoint union of paths, by increasing-size
     subset enumeration (first hit in lexicographic order)."""
-    verts, nbr = _neighbour_masks(H)
-    n = len(verts)
+    aux = _neighbour_masks(H)
+    return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
+
+
+def _min_linearizing_mask(nbr: List[int]) -> int:
+    """`min_linearizing_set` on bitmasks."""
+    n = len(nbr)
+    _check_ceiling(n)
     full = (1 << n) - 1
     for size in range(n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -305,7 +463,7 @@ def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
             for i in combo:
                 removed |= 1 << i
             if _is_path_union(nbr, full ^ removed):
-                return frozenset(verts[i] for i in combo)
+                return removed
     raise AssertionError("removing every vertex always leaves a path union")
 
 
@@ -333,28 +491,6 @@ def compute_separator(
     return frozenset(names[v] for v in net.residual_side), value
 
 
-def _component_ordering(H_minus_A: SimpleGraph) -> List[str]:
-    """Concatenate the path components, ascending by smallest vertex, each
-    walked from its smaller endpoint."""
-    ordering: List[str] = []
-    comps = sorted(H_minus_A.connected_components(), key=min)
-    adj = H_minus_A.adjacency()
-    for comp in comps:
-        if len(comp) == 1:
-            ordering.extend(comp)
-            continue
-        endpoints = sorted(v for v in comp if len(adj[v]) == 1)
-        cur = endpoints[0]
-        prev = None
-        walk = [cur]
-        while len(walk) < len(comp):
-            nxt = next(u for u in adj[cur] if u != prev)
-            prev, cur = cur, nxt
-            walk.append(cur)
-        ordering.extend(walk)
-    return ordering
-
-
 def linear_decompose(
     G: Multigraph,
     W: Iterable[str],
@@ -368,21 +504,38 @@ def linear_decompose(
     Returns a small-cut witness when the auxiliary graph is disconnected or
     some separator cost reaches w_limit.
     """
+    return _linear_decompose(G, W, m, w_limit)[0]
+
+
+def _linear_decompose(
+    G: Multigraph, W: Iterable[str], m: int, w_limit: int
+) -> Tuple[Union[LinearityCertificate, FailureWitness], _MaskGraph]:
+    """`linear_decompose`, and the auxiliary graph it was built from.
+
+    Every flow runs on one network of G, built on first need: the
+    auxiliary graph's, the small cut's and the t - 2 separators'.  The
+    separator L_i is the residual side of a maximum flow between
+    x_1..x_{i-1} and x_{i+1}..x_t with A and x_i closed, the unique
+    inclusion-minimal minimum cut, as in `compute_separator`.
+    """
     W = frozenset(W)
     if m < 1:
         raise ValueError("m must be at least 1")
     if w_limit < 1:
         raise ValueError("w_limit must be at least 1")
-    H = build_auxiliary_graph(G, W, m)
-    comps = H.connected_components()
+    aux, net = _auxiliary(G, W, m)
+    verts, nbr = aux
+    full = (1 << len(verts)) - 1
+    comps = aux.components()
     if len(comps) > 1:
-        X1 = comps[0]
-        X2 = frozenset().union(*comps[1:])
-        cut = max_flow_min_cut(G, X1, X2)
-        return FailureWitness(kind=SMALL_CUT, payload=cut)
+        net = net or FlowNetwork(G)
+        X1, X2 = (net.nodes(aux.names(X)) for X in (comps[0], full ^ comps[0]))
+        cut = _witness(G, net, net.max_flow(X1, X2))
+        return FailureWitness(kind=SMALL_CUT, payload=cut), aux
 
-    A = min_linearizing_set(H)
-    ordering = tuple(_component_ordering(H.without(A)))
+    removed = _min_linearizing_mask(nbr)
+    A = frozenset(aux.names(removed))
+    ordering = tuple(verts[i] for i in _path_ordering(nbr, full ^ removed))
     t = len(ordering)
     rest = G.vertices - A - set(ordering)
 
@@ -391,35 +544,38 @@ def linear_decompose(
     elif t == 1:
         bags = (frozenset(), frozenset(rest))
     else:
-        seps: Dict[int, FrozenSet[str]] = {1: frozenset()}
-        for i in range(2, t):
-            L, cost = compute_separator(G, A, ordering, i)
-            if cost >= w_limit:
-                reduced = G.without_vertices(A | {ordering[i - 1]})
-                witness = CutWitness(cost, reduced.boundary(L), L)
-                return FailureWitness(kind=SMALL_CUT, payload=witness)
-            seps[i] = L
-        seps[t] = G.vertices - A - {ordering[t - 1]}
+        seps = [frozenset()]  # L_1, L_2, ..., L_t
+        if t > 2:
+            net = net or FlowNetwork(G)
+            names, index = net.names, net.index
+            nodes = [index[x] for x in ordering]
+            closed = [index[v] for v in A]
+            for i in range(2, t):
+                cost = net.max_flow(
+                    sorted(nodes[: i - 1]), sorted(nodes[i:]), closed + [nodes[i - 1]]
+                )
+                L = frozenset(names[v] for v in net.residual_side)
+                if cost >= w_limit:
+                    reduced = G.without_vertices(A | {ordering[i - 1]})
+                    witness = CutWitness(cost, reduced.boundary(L), L)
+                    return FailureWitness(kind=SMALL_CUT, payload=witness), aux
+                seps.append(L)
+        seps.append(G.vertices - A - {ordering[t - 1]})
         bag_list = [frozenset()]
         for i in range(1, t):
-            bag_list.append(seps[i + 1] - (seps[i] | {ordering[i - 1]}))
+            bag_list.append(seps[i] - (seps[i - 1] | {ordering[i - 1]}))
         bag_list.append(frozenset())
         bags = tuple(bag_list)
 
     decomposition = PathLikeDecomposition(ordering=ordering, bags=bags)
-    reduced = G.without_vertices(A)
-    achieved_w = width(reduced, decomposition) + 1
-    achieved_p = 0
-    for v in sorted(A):
-        Z = G.neighbors(v) & reduced.vertices
-        achieved_p = max(achieved_p, boundedness(reduced, decomposition, Z))
+    widest, bounded = _sweep(G, A, _positions(decomposition), t)
     cert = LinearityCertificate(
         A=A,
         decomposition=decomposition,
         achieved_a=len(A),
-        achieved_w=achieved_w,
-        achieved_p=achieved_p,
+        achieved_w=widest + 1,
+        achieved_p=max(bounded.values(), default=0),
     )
-    bad = verify_linear_certificate(G, W, cert, len(A), achieved_w, achieved_p)
+    bad = verify_linear_certificate(G, W, cert, len(A), cert.achieved_w, cert.achieved_p)
     assert not bad, f"emitted certificate fails its own achieved values: {bad}"
-    return cert
+    return cert, aux

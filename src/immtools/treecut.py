@@ -23,9 +23,8 @@ from .pathdecomp import (
     LinearityCertificate,
     _bag_owners,
     _cover_violations,
-    build_auxiliary_graph,
+    _linear_decompose,
     has_k1k_minor,
-    linear_decompose,
     verify_linear_certificate,
 )
 from .simplegraph import SimpleGraph
@@ -315,8 +314,8 @@ def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, Fai
     and m = 1."""
     if alpha < 1:
         raise ValueError("alpha must be positive")
-    W = frozenset(v for v in H.vertices if H.degree(v) >= alpha)
-    result = linear_decompose(H, W, m=1, w_limit=alpha)
+    W = frozenset(v for v, d in H.degrees.items() if d >= alpha)
+    result, aux = _linear_decompose(H, W, m=1, w_limit=alpha)
     if isinstance(result, FailureWitness):
         return result
     # the certificate holds at its achieved values, so it holds at alpha
@@ -324,18 +323,17 @@ def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, Fai
     if max(result.achieved_a, result.achieved_w, result.achieved_p) <= alpha:
         return result
     bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
-    aux = build_auxiliary_graph(H, W, 1)
     if len(result.A) > alpha:
         # a linearizing set above 4k forces a K_{1,k} minor of the
         # auxiliary graph; surface the largest such star
         k_max = (len(result.A) - 1) // 4
         if k_max >= 2:
-            model = has_k1k_minor(aux, k_max)
+            model = has_k1k_minor(aux.graph(), k_max)
             if model is not False:
                 return FailureWitness(kind=STAR_MINOR, payload=model)
     detail = {
         "violations": bad,
-        "auxiliary_components": [sorted(c) for c in aux.connected_components()],
+        "auxiliary_components": [aux.names(c) for c in aux.components()],
         "achieved": {
             "a": result.achieved_a,
             "w": result.achieved_w,
@@ -502,7 +500,7 @@ def verify_structure(
         out.append("certificate index set differs from the tree nodes")
         return out
     for t, torso in parts.items():
-        W = frozenset(v for v in torso.graph.vertices if torso.graph.degree(v) >= alpha)
+        W = frozenset(v for v, d in torso.graph.degrees.items() if d >= alpha)
         bad = verify_linear_certificate(torso.graph, W, certs[t], alpha, alpha, alpha)
         for msg in bad:
             out.append(f"torso at {t!r}: {msg}")

@@ -1,15 +1,30 @@
-"""Reference subset enumerators: the versions of `min_linearizing_set`
-and `has_k1k_minor` that build a new `SimpleGraph` for every subset they
-try.  `immtools.pathdecomp` tests the same subsets, in the same order, on
-vertex bitmasks, so both return the same first hit.
+"""Reference versions of the linearity layer.
+
+- `min_linearizing_set` and `has_k1k_minor` build a new `SimpleGraph` for
+  every subset they try.  `immtools.pathdecomp` tests the same subsets, in
+  the same order, on vertex bitmasks, so both return the same first hit.
+- `build_auxiliary_graph` runs one flow per pair of W, on one network of
+  G with the rest of W closed.  `immtools.pathdecomp` runs flows only for
+  the pairs below m that share a component of G - W.
+- `verify_linear_certificate` builds G - A and measures the width as the
+  largest `xi_cut` and each boundedness by `boundedness`.
+  `immtools.pathdecomp` measures both in one sweep over G's edges.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Union
+from typing import FrozenSet, Iterable, List, Union
 
-from immtools import SimpleGraph, StarMinorModel
+from immtools import (
+    LinearityCertificate,
+    Multigraph,
+    SimpleGraph,
+    StarMinorModel,
+    boundedness,
+    width,
+)
+from immtools.flow import FlowNetwork
 from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _star_model
 
 
@@ -40,3 +55,43 @@ def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
             if H.without(combo).is_disjoint_union_of_paths():
                 return frozenset(combo)
     raise AssertionError("removing every vertex always leaves a path union")
+
+
+def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGraph:
+    W = frozenset(W)
+    edges = []
+    if len(W) > 1:
+        net = FlowNetwork(G)
+        index = net.index
+        for x, y in itertools.combinations(sorted(W), 2):
+            closed = [index[w] for w in W - {x, y}]
+            if net.max_flow([index[x]], [index[y]], closed, limit=m) >= m:
+                edges.append((x, y))
+    return SimpleGraph.build(W, edges)
+
+
+def verify_linear_certificate(
+    G: Multigraph, W: Iterable[str], cert: LinearityCertificate, a: int, w: int, p: int
+) -> List[str]:
+    W = frozenset(W)
+    out = []
+    if not cert.A <= W:
+        out.append(f"A is not a subset of W: {sorted(cert.A - W)}")
+    if len(cert.A) > a:
+        out.append(f"|A| = {len(cert.A)} exceeds a = {a}")
+    if not cert.A <= G.vertices:
+        out.append(f"A contains unknown vertices: {sorted(cert.A - G.vertices)}")
+        return out
+    reduced = G.without_vertices(cert.A)
+    out.extend(cert.decomposition.violations(reduced.vertices, W - cert.A))
+    if out:
+        return out
+    got_w = width(reduced, cert.decomposition)
+    if got_w >= w:
+        out.append(f"width {got_w} is not less than w = {w}")
+    for v in sorted(cert.A):
+        Z = G.neighbors(v) & reduced.vertices
+        b = boundedness(reduced, cert.decomposition, Z)
+        if b > p:
+            out.append(f"neighborhood of {v!r} has boundedness {b} > p = {p}")
+    return out

@@ -11,9 +11,11 @@ from immtools import (
     Multigraph,
     build_auxiliary_graph,
     edge_disjoint_paths,
+    gen_pk,
     gen_random_multigraph,
     is_grounded,
     is_k_edge_connected_set,
+    linear_decompose,
     max_flow_min_cut,
 )
 from immtools import treecut
@@ -97,8 +99,27 @@ def test_each_batch_builds_one_network(monkeypatch):
     G = _k5_doubled()
     assert is_k_edge_connected_set(G, G.vertices, 8) is True  # all 10 pairs
     assert len(built) == 1
+    # with W all of G, G - W is empty: each pair is an edge by its two
+    # parallel edges alone, and no flow runs
     built.clear()
     assert len(build_auxiliary_graph(G, G.vertices, 2).edges) == 10
+    assert len(built) == 0
+    # a, b and c share the component {d, e} of G - W and have only two
+    # parallel edges each: their three flows run on one network
+    built.clear()
+    assert len(build_auxiliary_graph(G, "abc", 5).edges) == 3
+    assert len(built) == 1
+    # P_6's auxiliary graph is a path through all of W, so t = 6: the pair
+    # (v4, v6) shares the component {v5}, and its flow and the four
+    # separators run on one network
+    P6 = gen_pk(6)
+    built.clear()
+    cert = linear_decompose(P6, P6.vertices - {"v5"}, m=3, w_limit=3)
+    assert len(cert.decomposition.ordering) == 6
+    assert len(built) == 1
+    built.clear()
+    cert = linear_decompose(P6, P6.vertices, m=3, w_limit=3)
+    assert len(cert.decomposition.ordering) == 7
     assert len(built) == 1
     # the glue vertex's best partner sorts last in both summands, so every
     # candidate is tried in each: one network per summand

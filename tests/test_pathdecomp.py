@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from enumerate_graphs import connected_simple_graphs
 from immtools import (
     FailureWitness,
     LinearityCertificate,
+    Multigraph,
     PathLikeDecomposition,
     SMALL_CUT,
     SimpleGraph,
@@ -22,12 +25,15 @@ from immtools import (
     has_k1k_minor,
     is_p_bounded,
     linear_decompose,
+    max_flow_min_cut,
     min_linearizing_set,
     verify_linear_certificate,
     width,
     xi_cut,
 )
+from immtools import pathdecomp
 from helpers import mg, sg
+from test_acceptance import _rand_graph
 
 # the 4-vertex worked example: a-x1, x1-x2, x2-b, a-b
 EX_G = mg(
@@ -78,16 +84,16 @@ def test_boundedness_examples():
 def test_decomposition_violations_catch_overlap_and_gaps():
     P = PathLikeDecomposition(("x1",), (frozenset({"a"}), frozenset({"a"})))
     G = mg(["a", "x1"], {})
-    assert any("both contain" in v for v in P.violations(G, {"x1"}))
+    assert any("both contain" in v for v in P.violations(G.vertices, {"x1"}))
     P2 = PathLikeDecomposition(("x1",), (frozenset(), frozenset()))
-    assert any("miss" in v for v in P2.violations(G, {"x1"}))
+    assert any("miss" in v for v in P2.violations(G.vertices, {"x1"}))
 
 
 def test_decomposition_violations_pin_the_near_partition_messages():
     # overlaps in bag order, then the ordering vertex, then the cover
     G = mg(["a", "b", "c", "x1"], {})
     P = PathLikeDecomposition(("x1",), (frozenset({"a", "y"}), frozenset({"a", "x1"})))
-    assert P.violations(G, {"x1"}) == [
+    assert P.violations(G.vertices, {"x1"}) == [
         "bags 0 and 1 both contain 'a'",
         "a bag contains an ordering vertex",
         "bags miss vertices: ['b', 'c']",
@@ -171,6 +177,161 @@ def test_aux_input_validation():
         build_auxiliary_graph(G, {"zz"}, 1)
     with pytest.raises(ValueError):
         build_auxiliary_graph(G, G.vertices, 0)
+
+
+def _aux_corpus():
+    """(G, W) pairs: criterion 4's graphs with the W it draws and with W
+    all of G; criterion 5's graphs (every connected simple graph on at
+    most 7 vertices) with W at densities 0.3, 0.6 and 1 in turn; and
+    seeded random multigraphs with n <= 11 and up to 30 edges, each with
+    W at densities 0.3, 0.6 and 1."""
+    rng = random.Random(0x5E9)  # criterion 4's draws, in its order
+    for _ in range(200):
+        G = _rand_graph(rng, 2, 7, 12)
+        W = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.7)
+        rng.randint(1, 3), rng.randint(1, 6)  # its m and w_limit
+        yield G, W
+        yield G, G.vertices
+    rng = random.Random(5)
+    for k, H in enumerate(connected_simple_graphs(7)):
+        ends = sorted(map(sorted, H.edges))
+        G = Multigraph(H.vertices, {f"e{i}": tuple(e) for i, e in enumerate(ends)})
+        density = (0.3, 0.6, 1.0)[k % 3]
+        yield G, frozenset(v for v in sorted(G.vertices) if rng.random() < density)
+    for case in range(300):
+        n = rng.randint(2, 11)
+        mult = rng.randint(1, 3)
+        G = gen_random_multigraph(n, rng.randint(0, min(30, n * (n + 1) // 2 * mult)), mult, case)
+        for density in (0.3, 0.6, 1.0):
+            yield G, frozenset(v for v in sorted(G.vertices) if rng.random() < density)
+
+
+def test_auxiliary_graph_agrees_with_the_all_pairs_oracle():
+    # the oracle runs a flow for every pair of W; build_auxiliary_graph runs them
+    # only for pairs below m that share a component of G - W
+    cases = by_flow = 0
+    for G, W in _aux_corpus():
+        for m in (1, 2, 3, 5):
+            got = build_auxiliary_graph(G, W, m)
+            want = oracle_pathdecomp.build_auxiliary_graph(G, W, m)
+            assert (got.vertices, got.edges) == (want.vertices, want.edges), (
+                sorted(G.edges.items()), sorted(W), m
+            )
+            cases += 1
+            # edges no set of m parallel edges explains came from a flow
+            parallel = Counter(e for e in map(frozenset, G.edges.values()) if len(e) == 2)
+            by_flow += any(parallel[e] < m for e in got.edges)
+    assert cases == 4 * (400 + 996 + 900)
+    assert by_flow > 1000
+
+
+def test_sweep_width_and_boundedness_match_the_definitions():
+    # random decompositions of G - A for random A: the sweep's width is
+    # the widest x_i-cut, and its count for each vertex of A is the
+    # boundedness of that vertex's neighbourhood in G - A
+    rng = random.Random(16)
+    wide = bounded_above_one = 0
+    for case in range(400):
+        n = rng.randint(1, 12)
+        mult = rng.randint(1, 3)
+        edges = rng.randint(0, min(3 * n, n * (n + 1) // 2 * mult))
+        G = gen_random_multigraph(n, edges, mult, case)
+        verts = sorted(G.vertices)
+        rng.shuffle(verts)
+        A = frozenset(verts[: rng.randint(0, n // 3)])
+        rest = verts[len(A):]
+        t = rng.randint(0, len(rest))
+        bags = [set() for _ in range(t + 1)]
+        for v in rest[t:]:
+            bags[rng.randint(0, t)].add(v)
+        P = PathLikeDecomposition(tuple(rest[:t]), tuple(map(frozenset, bags)))
+        reduced = G.without_vertices(A)
+        got_w, bounded = pathdecomp._sweep(G, A, pathdecomp._positions(P), t)
+        assert got_w == max((len(xi_cut(reduced, P, i)) for i in range(1, t + 1)), default=0)
+        assert got_w == width(reduced, P)
+        assert bounded == {
+            v: boundedness(reduced, P, G.neighbors(v) & reduced.vertices) for v in A
+        }
+        wide += got_w >= 2
+        bounded_above_one += any(b >= 2 for b in bounded.values())
+    assert wide > 100 and bounded_above_one > 50
+
+
+def test_a_disconnected_auxiliary_graph_gives_the_cut_around_its_first_component():
+    cuts = 0
+    for G, W in itertools.islice(_aux_corpus(), 0, None, 2):
+        for m in (1, 3):
+            result = linear_decompose(G, W, m=m, w_limit=9)
+            aux = oracle_pathdecomp.build_auxiliary_graph(G, W, m)
+            comps = sorted(aux.connected_components(), key=min)
+            if len(comps) < 2:
+                continue
+            want = max_flow_min_cut(G, comps[0], W - comps[0])
+            assert result == FailureWitness(kind=SMALL_CUT, payload=want)
+            cuts += 1
+    assert cuts > 500
+
+
+def _certificate_variants(G, W, cert, rng):
+    """The certificate at its achieved values, then corrupted: each
+    threshold off by one, a bag vertex moved to another bag, two ordering
+    vertices swapped, A not inside W, an unknown vertex in A, and a
+    foreign vertex in a bag."""
+    a, w, p = cert.achieved_a, cert.achieved_w, cert.achieved_p
+    P = cert.decomposition
+    yield W, cert, a, w, p
+    yield W, cert, a - 1, w, p
+    yield W, cert, a, w - 1, p
+    yield W, cert, a, w, p - 1
+    full = [j for j, bag in enumerate(P.bags) if bag]
+    if full:
+        j = rng.choice(full)
+        v = rng.choice(sorted(P.bags[j]))
+        k = rng.choice([i for i in range(len(P.bags)) if i != j] or [j])
+        bags = [set(bag) for bag in P.bags]
+        bags[j].discard(v)
+        bags[k].add(v)
+        moved = dataclasses.replace(P, bags=tuple(map(frozenset, bags)))
+        yield W, dataclasses.replace(cert, decomposition=moved), a, w, p
+    if len(P.ordering) >= 2:
+        i, j = rng.sample(range(len(P.ordering)), 2)
+        ordering = list(P.ordering)
+        ordering[i], ordering[j] = ordering[j], ordering[i]
+        swapped = dataclasses.replace(P, ordering=tuple(ordering))
+        yield W, dataclasses.replace(cert, decomposition=swapped), a, w, p
+    if cert.A:
+        yield W - {min(cert.A)}, cert, a, w, p
+    outside = sorted(G.vertices - W)
+    if outside:
+        yield W, dataclasses.replace(cert, A=cert.A | {outside[0]}), a + 1, w, p
+    yield W, dataclasses.replace(cert, A=cert.A | {"zz"}), a + 1, w, p
+    bags = list(P.bags)
+    bags[-1] = bags[-1] | {"zz"}
+    foreign = dataclasses.replace(P, bags=tuple(bags))
+    yield W, dataclasses.replace(cert, decomposition=foreign), a, w, p
+
+
+def test_verifier_agrees_with_the_old_verifier_message_for_message():
+    rng = random.Random(0x16)
+    messages = Counter()
+    certificates = 0
+    for G, W in itertools.islice(_aux_corpus(), 0, None, 3):
+        result = linear_decompose(G, W, m=rng.randint(1, 3), w_limit=rng.randint(2, 8))
+        if isinstance(result, FailureWitness):
+            continue
+        certificates += 1
+        for W2, cert, a, w, p in _certificate_variants(G, W, result, rng):
+            got = verify_linear_certificate(G, W2, cert, a, w, p)
+            assert got == oracle_pathdecomp.verify_linear_certificate(G, W2, cert, a, w, p), (
+                sorted(G.edges.items()), sorted(W2), cert, a, w, p
+            )
+            messages.update(msg.split()[0] for msg in got)
+            messages["accepted"] += not got
+    assert certificates > 200
+    # width, boundedness, |A|, A outside W or G, and the near-partition
+    # messages all occur
+    kinds = ("width", "neighborhood", "|A|", "A", "bags", "accepted")
+    assert min(messages[k] for k in kinds) > 200, messages
 
 
 # -- star minors and linearizing sets ----------------------------------
