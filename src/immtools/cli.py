@@ -7,6 +7,13 @@ the immersion search budget ran out, a subset search met more than 16
 auxiliary-graph vertices, or an integer argument or a bound has more
 decimal digits than the interpreter converts.  A usage error is malformed
 input.
+
+Every JSON document written to standard output is, byte for byte, what
+`json.dumps(obj, sort_keys=True, indent=2)` followed by one newline gives:
+keys sorted, two spaces of indent per level, items separated by "," and a
+newline, ": " after each key, non-ASCII characters as \\uXXXX escapes,
+and "[]" and "{}" for empty containers.  `_dumps` writes those bytes
+without the standard library's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, List, Optional
 
 from . import bounds as bounds_mod
@@ -111,7 +119,38 @@ def _read_graph(path: str) -> Multigraph:
 
 
 def _emit(obj: Any) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(_dumps(obj))
+
+
+def _dumps(obj: Any, newline: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for the values the
+    artifact encoders build: dicts with string keys, lists, strings, ints
+    and bools.  Any other value raises TypeError.  The standard encoder
+    runs in pure Python when asked to indent; this writer joins the same
+    bytes with the C string quoter.  `newline` is the line break and indent
+    that close obj's own level."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    inner = newline + "  "
+    if kind is list:
+        if not obj:
+            return "[]"
+        try:  # most lists hold strings only
+            body = ("," + inner).join(map(_quote, obj))
+        except TypeError:
+            body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _parse_W(spec: str, G: Multigraph) -> frozenset:

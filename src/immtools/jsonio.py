@@ -1,12 +1,15 @@
 """JSON wire formats for every artifact the command line reads or emits.
 
 Encoders return plain dicts; decoders validate shape and raise ValueError
-with a human-readable message on malformed input.  All list output is
-sorted so serialization is byte-stable for a fixed input.
+with a human-readable message on malformed input.  A decoder formats that
+message only once a check has failed, never for an element that passes.
+All list output is sorted so serialization is byte-stable for a fixed
+input.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, FrozenSet, Iterable, List, Tuple
 
 from .connectivity import CutWitness
@@ -33,10 +36,15 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_str_list(obj: Any) -> bool:
+    return isinstance(obj, list) and all(map(isinstance, obj, repeat(str)))
+
+
 def _str_list(obj: Any, what: str) -> List[str]:
-    _expect(isinstance(obj, list) and all(isinstance(x, str) for x in obj),
-            f"{what} must be a list of strings")
-    return list(obj)
+    """obj itself, once it is known to be a list of strings."""
+    if not _is_str_list(obj):
+        raise ValueError(f"{what} must be a list of strings")
+    return obj
 
 
 # -- multigraphs --------------------------------------------------------------
@@ -59,17 +67,19 @@ def graph_from_json(obj: Any) -> Multigraph:
     _expect(len(vertices) == len(vs), "duplicate vertex names")
     edges: Dict[str, tuple] = {}
     for item in raw_edges:
-        _expect(isinstance(item, dict) and isinstance(item.get("id"), str),
-                'each edge needs a string "id"')
-        eid = item["id"]
-        _expect(eid not in edges, f"duplicate edge id {eid!r}")
+        eid = item.get("id") if isinstance(item, dict) else None
+        if not isinstance(eid, str):
+            raise ValueError('each edge needs a string "id"')
+        if eid in edges:
+            raise ValueError(f"duplicate edge id {eid!r}")
         ends = item.get("ends")
-        _expect(isinstance(ends, list) and len(ends) == 2
-                and all(isinstance(x, str) for x in ends),
-                f'edge {eid!r} needs "ends": [u, v]')
-        _expect(ends[0] in vs and ends[1] in vs,
-                f"edge {eid!r} has an unknown endpoint")
-        edges[eid] = (ends[0], ends[1])
+        if not (isinstance(ends, list) and len(ends) == 2
+                and isinstance(ends[0], str) and isinstance(ends[1], str)):
+            raise ValueError(f'edge {eid!r} needs "ends": [u, v]')
+        u, v = ends
+        if u not in vs or v not in vs:
+            raise ValueError(f"edge {eid!r} has an unknown endpoint")
+        edges[eid] = (u, v)
     return Multigraph(vs, edges)
 
 
@@ -107,13 +117,15 @@ def immersion_from_json(obj: Any) -> ImmersionCertificate:
     _expect(isinstance(obj, dict), "certificate must be a JSON object")
     vm = obj.get("vertex_map")
     em = obj.get("edge_map")
-    _expect(isinstance(vm, dict) and all(
-        isinstance(k, str) and isinstance(v, str) for k, v in vm.items()),
-        '"vertex_map" must map strings to strings')
+    _expect(isinstance(vm, dict) and all(map(isinstance, vm, repeat(str)))
+            and all(map(isinstance, vm.values(), repeat(str))),
+            '"vertex_map" must map strings to strings')
     _expect(isinstance(em, dict), '"edge_map" must be an object')
-    edge_map = {
-        k: frozenset(_str_list(v, f'edge image for {k!r}')) for k, v in em.items()
-    }
+    edge_map = {}
+    for k, v in em.items():
+        if not _is_str_list(v):
+            raise ValueError(f"edge image for {k!r} must be a list of strings")
+        edge_map[k] = frozenset(v)
     _expect(isinstance(obj.get("strong"), bool), '"strong" must be a boolean')
     return ImmersionCertificate(
         vertex_map=dict(vm), edge_map=edge_map, strong=obj["strong"]
@@ -141,11 +153,13 @@ def linearity_from_json(obj: Any) -> LinearityCertificate:
     ordering = tuple(_str_list(obj.get("ordering"), '"ordering"'))
     raw_bags = obj.get("bags")
     _expect(isinstance(raw_bags, list), '"bags" must be a list of lists')
-    bags = tuple(frozenset(_str_list(b, "bag")) for b in raw_bags)
+    if not all(map(_is_str_list, raw_bags)):
+        raise ValueError("bag must be a list of strings")
+    bags = tuple(map(frozenset, raw_bags))
     ach = obj.get("achieved")
-    _expect(isinstance(ach, dict) and all(
-        _is_int(ach.get(k)) for k in ("a", "w", "p")),
-        '"achieved" needs integer fields a, w, p')
+    _expect(isinstance(ach, dict) and _is_int(ach.get("a")) and _is_int(ach.get("w"))
+            and _is_int(ach.get("p")),
+            '"achieved" needs integer fields a, w, p')
     return LinearityCertificate(
         A=A,
         decomposition=PathLikeDecomposition(ordering=ordering, bags=bags),
@@ -211,7 +225,8 @@ def _tree_from_json(tree: Any, owner: str) -> Tuple[FrozenSet[str], FrozenSet[Fr
     edges = set()
     for e in raw:
         pair = frozenset(_str_list(e, "tree edge"))
-        _expect(len(pair) == 2, "tree edges must join two distinct nodes")
+        if len(pair) != 2:
+            raise ValueError("tree edges must join two distinct nodes")
         edges.add(pair)
     return frozenset(nodes), frozenset(edges)
 
@@ -228,9 +243,11 @@ def treecut_from_json(obj: Any) -> TreeCutDecomposition:
     nodes, edges = _tree_from_json(obj.get("tree"), "decomposition")
     bags_obj = obj.get("bags")
     _expect(isinstance(bags_obj, dict), '"bags" must be an object')
-    bags = {
-        n: frozenset(_str_list(b, f"bag at {n!r}")) for n, b in bags_obj.items()
-    }
+    bags = {}
+    for n, b in bags_obj.items():
+        if not _is_str_list(b):
+            raise ValueError(f"bag at {n!r} must be a list of strings")
+        bags[n] = frozenset(b)
     return TreeCutDecomposition(tree_nodes=nodes, tree_edges=edges, bags=bags)
 
 

@@ -446,25 +446,55 @@ def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> Star
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
-    """Smallest X with H - X a disjoint union of paths, by increasing-size
-    subset enumeration (first hit in lexicographic order)."""
+    """Smallest X with H - X a disjoint union of paths, the first such set
+    in lexicographic order, by a pruned depth-first search (see
+    `_min_linearizing_mask`)."""
     aux = _neighbour_masks(H)
     return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
 
 
 def _min_linearizing_mask(nbr: List[int]) -> int:
-    """`min_linearizing_set` on bitmasks."""
+    """`min_linearizing_set` on bitmasks: a depth-first search for each
+    size of the set in turn, deciding the vertices in order and trying to
+    delete each one before keeping it, so that the first set found is the
+    first smallest one in lexicographic order."""
     n = len(nbr)
     _check_ceiling(n)
-    full = (1 << n) - 1
     for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            removed = 0
-            for i in combo:
-                removed |= 1 << i
-            if _is_path_union(nbr, full ^ removed):
-                return removed
+        removed = _linearizing_within(nbr, n, 0, 0, size)
+        if removed is not None:
+            return removed
     raise AssertionError("removing every vertex always leaves a path union")
+
+
+def _linearizing_within(nbr: List[int], n: int, i: int, removed: int, left: int) -> Optional[int]:
+    """The first mask, in lexicographic order, that extends `removed` by at
+    most `left` of the vertices i..n-1 and leaves a path union, or None.
+
+    The vertices below i that `removed` keeps induce a path union, and each
+    has at most 2 + left neighbours outside `removed`.  A branch stops as
+    soon as either fails: deleting vertices never joins two kept ones, and
+    a kept vertex loses at most one neighbour per deletion."""
+    live = ((1 << n) - 1) ^ removed
+    if not left or i == n:
+        return removed if _is_path_union(nbr, live) else None
+    bit = 1 << i
+    kept = live & (bit - 1)
+    # delete i: the kept vertices it does not touch lose a deletion, not a neighbour
+    rest = kept & ~nbr[i]
+    while rest:
+        low = rest & -rest
+        if (nbr[low.bit_length() - 1] & live).bit_count() > left + 1:
+            break
+        rest ^= low
+    else:
+        found = _linearizing_within(nbr, n, i + 1, removed | bit, left - 1)
+        if found is not None:
+            return found
+    # keep i
+    if (nbr[i] & live).bit_count() <= 2 + left and _is_path_union(nbr, kept | bit):
+        return _linearizing_within(nbr, n, i + 1, removed, left)
+    return None
 
 
 # -- the decomposition algorithm --------------------------------------

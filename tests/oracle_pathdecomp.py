@@ -1,8 +1,13 @@
 """Reference versions of the linearity layer.
 
 - `min_linearizing_set` and `has_k1k_minor` build a new `SimpleGraph` for
-  every subset they try.  `immtools.pathdecomp` tests the same subsets, in
-  the same order, on vertex bitmasks, so both return the same first hit.
+  every subset they try.  `immtools.pathdecomp` tests the same star-minor
+  center sets, in the same order, on vertex bitmasks, so both return the
+  same first hit.
+- `min_linearizing_mask` tests every subset of each size, in lexicographic
+  order, on vertex bitmasks.  `immtools.pathdecomp` finds the same first
+  smallest set by a depth-first search that stops a branch once its kept
+  vertices cannot end as a path union.
 - `build_auxiliary_graph` runs one flow per pair of W, on one network of
   G with the rest of W closed.  `immtools.pathdecomp` runs flows only for
   the pairs below m that share a component of G - W.
@@ -25,7 +30,7 @@ from immtools import (
     width,
 )
 from immtools.flow import FlowNetwork
-from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _star_model
+from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _is_path_union, _star_model
 
 
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
@@ -54,6 +59,21 @@ def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
         for combo in itertools.combinations(verts, size):
             if H.without(combo).is_disjoint_union_of_paths():
                 return frozenset(combo)
+    raise AssertionError("removing every vertex always leaves a path union")
+
+
+def min_linearizing_mask(nbr: List[int]) -> int:
+    n = len(nbr)
+    if n > _SUBSET_SEARCH_LIMIT:
+        raise ValueError("instance above configured size limit")
+    full = (1 << n) - 1
+    for size in range(n + 1):
+        for combo in itertools.combinations(range(n), size):
+            removed = 0
+            for i in combo:
+                removed |= 1 << i
+            if _is_path_union(nbr, full ^ removed):
+                return removed
     raise AssertionError("removing every vertex always leaves a path union")
 
 

@@ -1,18 +1,26 @@
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracle_treecut
 from immtools import (
+    FailureWitness,
     Multigraph,
     StructureDecomposition,
     cli,
+    find_immersion,
+    gen_complete,
     gen_pk,
     gen_random_multigraph,
     is_alpha_basic,
+    structure_decompose,
+    theorem31_constants,
     torsos,
 )
-from immtools.jsonio import graph_to_json, structure_to_json
+from immtools.jsonio import failure_to_json, graph_to_json, immersion_to_json, structure_to_json
 from immtools.cli import main
 from helpers import mg
 
@@ -418,3 +426,60 @@ def test_help_still_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: immtools")
+
+
+# -- the output writer ---------------------------------------------------------
+
+_TEXT = st.text(alphabet=st.characters(exclude_categories=("Cs",)))  # no lone surrogates
+_VALUES = st.recursive(
+    st.one_of(_TEXT, st.integers(), st.integers(min_value=-10**60, max_value=10**60),
+              st.booleans()),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(_TEXT, inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+def _standard(obj):
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@given(_VALUES)
+def test_writer_matches_the_standard_encoder(obj):
+    assert cli._dumps(obj) == _standard(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    "", "plain", "caf\u00e9 \u2192 \U0001f600", 'a "quoted" word', "back\\slash",
+    "".join(map(chr, range(32))) + "\x7f", "\u2028\u2029",
+    0, -1, -(10**40), True, False, [True, 1, False, 0],
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {"b": {}}],
+    {"b": 1, "a": 2, "A": 3, "\u00e9": 4, "": 5, "a b": 6},
+    {"x": ["y", 1, True, [], {"z": ["w"]}]},
+])
+def test_writer_matches_the_standard_encoder_on_edge_cases(obj):
+    assert cli._dumps(obj) == _standard(obj)
+
+
+def test_writer_matches_the_standard_encoder_on_artifacts():
+    constants = dataclasses.asdict(theorem31_constants(gen_complete(3)))
+    assert max(constants.values()) > 10**20
+    G = gen_random_multigraph(12, 36, 2, 5)
+    artifacts = [constants, graph_to_json(G)]
+    for alpha in (2, 4):
+        result = structure_decompose(G, alpha)
+        artifacts.append(failure_to_json(result) if isinstance(result, FailureWitness)
+                         else structure_to_json(result))
+    cert = find_immersion(gen_pk(2), gen_complete(3), strong=False).certificate
+    artifacts.append(immersion_to_json(cert))
+    assert {"kind", "decomposition", "vertex_map"} <= set().union(*artifacts[2:])
+    for obj in artifacts:
+        assert cli._dumps(obj) == _standard(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    {1, 2}, 1.5, None, (1, 2), b"x", {"a": [1, {"b": {2}}]}, ["a", 0.0], {"a": None}, {1: "a"},
+])
+def test_writer_rejects_values_no_artifact_holds(obj):
+    with pytest.raises(TypeError):
+        cli._dumps(obj)

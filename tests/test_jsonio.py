@@ -141,3 +141,126 @@ def test_treecut_rejects_bad_tree_edges():
         treecut_from_json(
             {"tree": {"nodes": ["n"], "edges": [["n", "n"]]}, "bags": {"n": []}}
         )
+
+
+# -- exact error messages of the decoders --------------------------------------
+
+def _graph(**change):
+    obj = {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"]}]}
+    obj.update(change)
+    return obj
+
+
+def _linearity(**change):
+    obj = {"A": [], "ordering": ["a"], "bags": [[], ["b"]],
+           "achieved": {"a": 0, "w": 1, "p": 0}}
+    obj.update(change)
+    return obj
+
+
+def _treecut(**change):
+    obj = {"tree": {"nodes": ["n", "m"], "edges": [["m", "n"]]}, "bags": {"n": ["a"], "m": []}}
+    obj.update(change)
+    return obj
+
+
+def _immersion(**change):
+    obj = {"vertex_map": {"x": "a"}, "edge_map": {"f": ["e"]}, "strong": False}
+    obj.update(change)
+    return obj
+
+
+def _star(**change):
+    obj = {"center": "c", "leaves": ["x", "y"],
+           "tree": {"nodes": ["c", "x", "y"], "edges": [["c", "x"], ["c", "y"]]}}
+    obj.update(change)
+    return {"kind": "star-minor", "payload": obj}
+
+
+def _cut(**change):
+    obj = {"value": 1, "cut": ["e"], "source_side": ["a"]}
+    obj.update(change)
+    return {"kind": "small-cut", "payload": obj}
+
+
+NO_STR_LIST = "must be a list of strings"
+GRAPH, LIN, TREE, STRUCT, IMM, FAIL = (
+    graph_from_json, linearity_from_json, treecut_from_json, structure_from_json,
+    immersion_from_json, failure_from_json,
+)
+DECODER_ERRORS = [
+    (GRAPH, [], "graph must be a JSON object"),
+    (GRAPH, _graph(vertices="ab"), f'"vertices" {NO_STR_LIST}'),
+    (GRAPH, _graph(vertices=["a", 1]), f'"vertices" {NO_STR_LIST}'),
+    (GRAPH, _graph(edges={}), '"edges" must be a list'),
+    (GRAPH, _graph(vertices=["a", "a"]), "duplicate vertex names"),
+    (GRAPH, _graph(edges=["e"]), 'each edge needs a string "id"'),
+    (GRAPH, _graph(edges=[{"id": 3, "ends": ["a", "b"]}]), 'each edge needs a string "id"'),
+    (GRAPH, _graph(edges=[{"id": "e", "ends": ["a", "b"]}] * 2), "duplicate edge id 'e'"),
+    (GRAPH, _graph(edges=[{"id": "e"}]), 'edge \'e\' needs "ends": [u, v]'),
+    (GRAPH, _graph(edges=[{"id": "e", "ends": ["a"]}]), 'edge \'e\' needs "ends": [u, v]'),
+    (GRAPH, _graph(edges=[{"id": "e", "ends": ["a", 1]}]), 'edge \'e\' needs "ends": [u, v]'),
+    (GRAPH, _graph(edges=[{"id": "e", "ends": "ab"}]), 'edge \'e\' needs "ends": [u, v]'),
+    (GRAPH, _graph(edges=[{"id": "e", "ends": ["a", "z"]}]), "edge 'e' has an unknown endpoint"),
+    (LIN, [], "certificate must be a JSON object"),
+    (LIN, _linearity(A="a"), f'"A" {NO_STR_LIST}'),
+    (LIN, _linearity(ordering=None), f'"ordering" {NO_STR_LIST}'),
+    (LIN, _linearity(bags={}), '"bags" must be a list of lists'),
+    (LIN, _linearity(bags=[["a"], [1]]), f"bag {NO_STR_LIST}"),
+    (LIN, _linearity(achieved=None), '"achieved" needs integer fields a, w, p'),
+    (LIN, _linearity(achieved={"a": True, "w": 1, "p": 0}),
+     '"achieved" needs integer fields a, w, p'),
+    (LIN, _linearity(achieved={"a": 0, "w": 1}), '"achieved" needs integer fields a, w, p'),
+    (LIN, _linearity(achieved={"a": 0, "w": 1, "p": 0.0}),
+     '"achieved" needs integer fields a, w, p'),
+    (TREE, [], "decomposition must be a JSON object"),
+    (TREE, _treecut(tree=[]), 'decomposition needs a "tree" object'),
+    (TREE, _treecut(tree={"nodes": "n", "edges": []}), f'"nodes" {NO_STR_LIST}'),
+    (TREE, _treecut(tree={"nodes": ["n"], "edges": {}}), '"edges" must be a list of pairs'),
+    (TREE, _treecut(tree={"nodes": ["n"], "edges": [["n", 1]]}), f"tree edge {NO_STR_LIST}"),
+    (TREE, _treecut(tree={"nodes": ["n"], "edges": [["n", "n"]]}),
+     "tree edges must join two distinct nodes"),
+    (TREE, _treecut(bags=[]), '"bags" must be an object'),
+    (TREE, _treecut(bags={"n": ["a"], "m": "b"}), f"bag at 'm' {NO_STR_LIST}"),
+    (STRUCT, [], "structure result must be a JSON object"),
+    (STRUCT, {"certificates": {}}, "decomposition must be a JSON object"),
+    (STRUCT, {"decomposition": _treecut(), "certificates": []},
+     '"certificates" must be an object'),
+    (STRUCT, {"decomposition": _treecut(), "certificates": {"n": _linearity(
+        achieved={"a": True, "w": 1, "p": 0})}}, '"achieved" needs integer fields a, w, p'),
+    (STRUCT, {"decomposition": _treecut(bags={"n": [2]}), "certificates": {}},
+     f"bag at 'n' {NO_STR_LIST}"),
+    (IMM, [], "certificate must be a JSON object"),
+    (IMM, _immersion(vertex_map={"x": 1}), '"vertex_map" must map strings to strings'),
+    (IMM, _immersion(vertex_map=["x"]), '"vertex_map" must map strings to strings'),
+    (IMM, _immersion(edge_map=[]), '"edge_map" must be an object'),
+    (IMM, _immersion(edge_map={"f": ["e"], "g": "e"}), f"edge image for 'g' {NO_STR_LIST}"),
+    (IMM, _immersion(strong=None), '"strong" must be a boolean'),
+    (IMM, _immersion(strong=1), '"strong" must be a boolean'),
+    (FAIL, [], 'failure witness needs a string "kind"'),
+    (FAIL, {"kind": 1}, 'failure witness needs a string "kind"'),
+    (FAIL, _cut(value=True), 'cut witness needs an integer "value"'),
+    (FAIL, _cut(cut="e"), f'"cut" {NO_STR_LIST}'),
+    (FAIL, _cut(source_side=[1]), f'"source_side" {NO_STR_LIST}'),
+    (FAIL, _star(center=None), 'star model needs a string "center"'),
+    (FAIL, _star(tree=None), 'star model needs a "tree" object'),
+    (FAIL, _star(leaves="x"), f'"leaves" {NO_STR_LIST}'),
+]
+
+
+@pytest.mark.parametrize("decode, obj, message", DECODER_ERRORS,
+                         ids=[f"{d.__name__}-{i}" for i, (d, _, _) in enumerate(DECODER_ERRORS)])
+def test_decoders_name_the_first_malformed_part(decode, obj, message):
+    with pytest.raises(ValueError) as exc:
+        decode(obj)
+    assert str(exc.value) == message
+
+
+def test_the_well_formed_table_bases_decode():
+    graph_from_json(_graph())
+    linearity_from_json(_linearity())
+    treecut_from_json(_treecut())
+    structure_from_json({"decomposition": _treecut(), "certificates": {"n": _linearity()}})
+    immersion_from_json(_immersion())
+    for obj in (_star(), _cut()):
+        assert failure_to_json(failure_from_json(obj)) == obj

@@ -379,8 +379,11 @@ def test_min_linearizing_set_examples():
 
 
 def _agree_with_the_oracle(H, ks):
-    """The bitmask searches return the oracle's set and star model."""
+    """The bitmask searches return the oracle's set and star model, and
+    the linearizing-set search the subset enumerator's mask."""
     assert min_linearizing_set(H) == oracle_pathdecomp.min_linearizing_set(H)
+    nbr = pathdecomp._neighbour_masks(H).nbr
+    assert pathdecomp._min_linearizing_mask(nbr) == oracle_pathdecomp.min_linearizing_mask(nbr)
     models = [has_k1k_minor(H, k) for k in ks]
     assert models == [oracle_pathdecomp.has_k1k_minor(H, k) for k in ks], ks
     return models
@@ -424,6 +427,47 @@ def test_subset_searches_keep_the_ceiling():
         has_k1k_minor(H, 3)
     with pytest.raises(SizeLimitError):
         has_k1k_minor(H, 3)
+
+
+def test_linearizing_search_agrees_with_the_enumerator_on_every_labelling():
+    graphs = 0
+    for n in range(6):  # every labelled graph on 0..5 vertices, connected or not
+        sites = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(sites)):
+            nbr = [0] * n
+            for b, (i, j) in enumerate(sites):
+                if chosen >> b & 1:
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+            assert pathdecomp._min_linearizing_mask(nbr) == oracle_pathdecomp.min_linearizing_mask(nbr), nbr
+            graphs += 1
+    assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
+
+
+# a 15-vertex auxiliary graph that the benchmark's decompose pipelines meet
+# on one of their random multigraphs; its smallest linearizing set has 7 vertices
+AUX_15 = [16590, 12033, 1321, 20485, 28928, 19588, 16129, 5153, 8278, 27714, 742, 25186,
+          8408, 6994, 2617]
+
+
+def test_linearizing_search_prunes(monkeypatch):
+    tests = Counter()
+
+    def counting(module):
+        test = module._is_path_union
+        def wrapper(nbr, keep):
+            tests[module.__name__] += 1
+            return test(nbr, keep)
+        monkeypatch.setattr(module, "_is_path_union", wrapper)
+
+    counting(pathdecomp)
+    counting(oracle_pathdecomp)
+    want = 0b111110100000001  # vertices 0, 8, 10, 11, 12, 13, 14
+    assert pathdecomp._min_linearizing_mask(AUX_15) == want
+    assert oracle_pathdecomp.min_linearizing_mask(AUX_15) == want
+    # every subset of at most 6 vertices, then the 7-subsets up to the first hit
+    assert tests["oracle_pathdecomp"] == 12951
+    assert tests["immtools.pathdecomp"] == 566
 
 
 # -- separators and the decomposition algorithm ------------------------
