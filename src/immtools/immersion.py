@@ -18,10 +18,17 @@ The search is one loop over an explicit stack of frames: one frame per
 assigned pattern vertex, per pattern edge being routed, and per vertex of
 the path being grown.  So its depth is bounded by memory, not by the
 interpreter's recursion limit, and a route may run along thousands of
-host vertices.  Each frame is one search step and is visited in the
-depth-first order of a recursion (assign, then route, then extend the
-path), so step counts, the budget boundary and the first certificate are
-those of the recursive search this loop replaced.
+host vertices.  Each frame is one search step, and the frames are pushed
+in the depth-first order of a recursion (assign, then route, then extend
+the path), so step counts, the budget boundary and the first certificate
+are those of the recursive search this loop replaced.  A descent of the
+assignment is taken in one pass of the loop: once a pattern vertex takes
+an image, each next one takes its first feasible image, one frame per
+level, and a complete assignment starts its routing, before the loop
+checks the budget again.  So a descent may push frames past the limit,
+as a skipped subtree (below) may charge steps past it.  Neither yields an
+immersion, so the search stops where a check per frame would stop it,
+and its step count reads limit + 1.
 
 Route states that have failed are not searched again.  Once the
 assignment is fixed, what a route frame can still reach depends only on
@@ -80,6 +87,7 @@ the unpruned search finds.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import sys
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -103,6 +111,12 @@ class ImmersionCertificate:
 class SearchResult:
     status: str
     certificate: Optional[ImmersionCertificate] = None
+
+
+# The answers without a certificate.  A result is immutable, so every such
+# answer is one of these two objects.
+_NO_IMMERSION = SearchResult(status=ABSENT)
+_OUT_OF_BUDGET = SearchResult(status=BUDGET)
 
 
 # -- verification -----------------------------------------------------
@@ -224,10 +238,7 @@ def _degrees_dominated(G: Multigraph, H: Multigraph) -> bool:
     gseq, hseq = G.degree_sequence, H.degree_sequence
     if len(hseq) > len(gseq) or len(H.edges) > len(G.edges):
         return False
-    for h, g in zip(hseq, gseq):
-        if h > g:
-            return False
-    return True
+    return all(map(operator.le, hseq, gseq))
 
 
 # Frame kinds of the search stack.
@@ -239,9 +250,10 @@ _FREE = 1 << 62
 
 class _Searcher:
     """Depth-first search for immersions of H in G on their integer
-    indexes; see the module docstring.  `steps` counts the steps of the
-    depth-first order taken so far, a skipped subtree's steps charged as
-    if they were taken; when the budget runs out it is budget + 1."""
+    indexes; see the module docstring.  `steps` counts the frames pushed
+    so far, a skipped subtree's steps charged as if they were taken.  A
+    descent of the assignment and a skipped subtree may each go past the
+    budget in one pass; when the budget runs out `steps` is budget + 1."""
 
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -292,7 +304,8 @@ class _Searcher:
 
         # Frames:
         #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
-        #     none yet); i == nh starts the routing;
+        #     none yet); with i == nh, gv is 0 while its routing runs, and
+        #     -1 only in the start frame of a pattern without vertices;
         #   [_ROUTE, phase, avail]: route pattern edge j; phase 0 to start
         #     (or to skip a refuted state), 1 after the loop route, 2 after
         #     the paths; j == mh is a find;
@@ -305,7 +318,8 @@ class _Searcher:
         stack: List[list] = [[_ASSIGN, 0, -1]]
         while stack:
             if steps > limit:
-                # a skipped subtree may take steps past the limit at once
+                # a descent or a skipped subtree may take steps past the
+                # limit at once
                 self.steps = limit + 1
                 raise _BudgetExhausted
             f = stack[-1]
@@ -414,37 +428,46 @@ class _Searcher:
                     steps += 1
             else:
                 _, i, gv = f
-                if i == nh:
-                    if gv < 0:
-                        f[2] = 0
-                        for hv in range(nh):
-                            gv = img[hv]
-                            slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
-                        refuted.clear()
-                        stack.append([_ROUTE, 0, full])
-                        j = 0
-                        steps += 1
-                    else:
+                if gv >= 0:
+                    if i == nh:
+                        # the routing under this assignment is over
                         stack.pop()
                         for gv in img:
                             slack[gv] = _FREE
-                    continue
-                if gv >= 0:
+                        continue
                     used[gv] = False
-                hv = order[i]
-                need = hdeg[hv]
+                # The descent: this and each next pattern vertex take their
+                # first feasible image, one pushed frame (one step) per
+                # level, in this one pass.
                 low = gv + 1
-                if twin[i] >= 0 and img[twin[i]] >= low:
-                    low = img[twin[i]] + 1
-                for gv in range(low, ng):
-                    if not used[gv] and gdeg[gv] >= need:
-                        f[2] = img[hv] = gv
-                        used[gv] = True
-                        stack.append([_ASSIGN, i + 1, -1])
-                        steps += 1
+                while i < nh:
+                    hv = order[i]
+                    need = hdeg[hv]
+                    if twin[i] >= 0 and img[twin[i]] >= low:
+                        low = img[twin[i]] + 1
+                    for gv in range(low, ng):
+                        if not used[gv] and gdeg[gv] >= need:
+                            break
+                    else:
+                        stack.pop()
                         break
+                    f[2] = img[hv] = gv
+                    used[gv] = True
+                    i += 1
+                    f = [_ASSIGN, i, -1]
+                    stack.append(f)
+                    steps += 1
+                    low = 0
                 else:
-                    stack.pop()
+                    # the assignment is complete: start the routing
+                    f[2] = 0
+                    for hv in range(nh):
+                        gv = img[hv]
+                        slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
+                    refuted.clear()
+                    stack.append([_ROUTE, 0, full])
+                    j = 0
+                    steps += 1
         self.steps = steps
 
     def _certificate(self, img: List[int], level_avail: List[int]) -> ImmersionCertificate:
@@ -477,14 +500,14 @@ def find_immersion(
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if not _degrees_dominated(G, H):
-        return SearchResult(status=ABSENT)
+        return _NO_IMMERSION
     searcher = _Searcher(G, H, strong, budget)
     try:
         cert = searcher.run()
     except _BudgetExhausted:
-        return SearchResult(status=BUDGET)
+        return _OUT_OF_BUDGET
     if cert is None:
-        return SearchResult(status=ABSENT)
+        return _NO_IMMERSION
     assert not verify_immersion(G, H, cert, strong), "searcher emitted a bad certificate"
     return SearchResult(status=FOUND, certificate=cert)
 

@@ -441,6 +441,36 @@ def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, sta
     assert find_immersion(host, pattern, strong, budget=steps - 1).status == BUDGET
 
 
+DOUBLED_K4 = Multigraph(
+    gen_complete(4).vertices,
+    {f"{e}{c}": ends for e, ends in gen_complete(4).edges.items() for c in "ab"},
+)
+
+
+# A search of S steps, where the assignment descends several levels in one
+# pass, under every budget: each budget below S runs out, and S gives the
+# answer of the unlimited search.
+@pytest.mark.parametrize(
+    "host, pattern, strong, steps, status",
+    [
+        (gen_complete(1), Multigraph(frozenset(), {}), False, 2, FOUND),
+        (gen_complete(3), mg("xyz", {}), True, 5, FOUND),
+        (gen_pk(3), gen_complete(3), False, 12, FOUND),
+        (gen_pk(3), gen_complete(3), True, 35, ABSENT),
+        (DOUBLED_K4, gen_complete(4), True, 18, FOUND),
+        (gen_random_multigraph(6, 16, 2, 4), gen_complete(4), False, 1973, FOUND),
+    ],
+    ids=["empty-in-K1", "strong-3-isolated-in-K3", "weak-K3-in-pk3",
+         "strong-K3-in-pk3", "strong-K4-in-doubled-K4", "weak-K4-in-random-4"],
+)
+def test_every_budget_runs_out_below_the_step_count(host, pattern, strong, steps, status):
+    unlimited = find_immersion(host, pattern, strong)
+    assert unlimited.status == status
+    for budget in range(steps):
+        assert find_immersion(host, pattern, strong, budget=budget).status == BUDGET
+    assert find_immersion(host, pattern, strong, budget=steps) == unlimited
+
+
 # Every immersion the search reaches and its step count at exhaustion, as
 # the search without the refuted-state table gives them: a skipped subtree
 # holds no immersion, and its steps are charged.
@@ -451,8 +481,14 @@ def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, sta
         (gen_random_multigraph(6, 14, 2, 1), gen_complete(3), True, 34, 561),
         (gen_random_multigraph(6, 16, 2, 4), gen_complete(4), False, 277, 13620),
         (gen_random_multigraph(7, 14, 2, 2), C4, False, 1442, 25669),
+        # the assignment backtracks at depth
+        (gen_complete(5), mg("xyz", {}), True, 10, 36),
+        (gen_complete(5), mg("abc", {"p": "ab"}), True, 150, 376),
+        (gen_pk(3), mg("abc", {"p": "ab"}), False, 12, 75),
     ],
-    ids=["weak-K3", "strong-K3", "weak-K4", "weak-C4"],
+    ids=["weak-K3", "strong-K3", "weak-K4", "weak-C4",
+         "strong-3-isolated-twins-in-K5", "strong-edge-and-vertex-in-K5",
+         "weak-edge-and-vertex-in-pk3"],
 )
 def test_enumeration_pins_the_immersions_and_steps(host, pattern, strong, count, steps):
     searcher = _Searcher(host, pattern, strong, budget=None)
