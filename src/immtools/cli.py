@@ -6,7 +6,12 @@ streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 the immersion search budget ran out, a subset search met more than 16
 auxiliary-graph vertices, or an integer argument or a bound has more
 decimal digits than the interpreter converts.  A usage error is malformed
-input.
+input: one stderr line starting "error: immtools".
+
+One table, `_COMMANDS`, parses, checks and documents every command:
+after its words, options (`--flag value`, `--flag=value`, or a unique
+prefix of the flag; the last repeat wins) and positionals come in any
+order.  `-h` or `--help` prints the usage of every command below it.
 
 Every JSON document written to standard output is, byte for byte, what
 `json.dumps(obj, sort_keys=True, indent=2)` followed by one newline gives:
@@ -18,18 +23,17 @@ without the standard library's pure-Python indenting encoder.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import json
 import re
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import bounds as bounds_mod
 from . import generators
-from .immersion import ABSENT, BUDGET, FOUND, find_immersion, verify_immersion
+from .immersion import BUDGET, FOUND, find_immersion, verify_immersion
 from .jsonio import (
     cut_witness_to_json,
     failure_to_json,
@@ -59,20 +63,6 @@ EXIT_REJECTED = 2
 EXIT_LIMIT = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that raises ValueError on a usage error instead
-    of exiting, so that `main` reports it as malformed input."""
-
-    def error(self, message: str):
-        raise ValueError(f"{self.prog}: {message}")
-
-
-class _DigitLimitError(Exception):
-    """An integer argument with more digits than the interpreter converts.
-    Not a ValueError, so that argparse passes it on instead of reporting
-    an invalid value."""
-
-
 def _int_max_str_digits() -> int:
     """The interpreter's limit on decimal digits in an int-string
     conversion, 0 for none."""
@@ -84,9 +74,9 @@ def _int_max_str_digits() -> int:
 _DECIMAL = re.compile(r"\s*[+-]?(\d(?:_?\d)*)\s*")
 
 
-def _integer(text: str) -> int:
-    """`int` for integer arguments, except that a decimal integer longer
-    than the interpreter converts is a limit reached, not malformed input."""
+def _integer(text: str, prog: str, name: str) -> int:
+    """`int` for the integer argument `name`, except that a decimal integer
+    longer than the interpreter converts is a limit reached."""
     try:
         return int(text)
     except ValueError:
@@ -94,14 +84,11 @@ def _integer(text: str) -> int:
         digits = decimal.group(1).replace("_", "") if decimal else ""
         limit = _int_max_str_digits()
         if limit and len(digits) > limit:
-            raise _DigitLimitError(
+            raise SizeLimitError(
                 f"an integer argument has {len(digits)} digits, more than the"
                 f" {limit}-digit limit on integer conversion (sys.set_int_max_str_digits)"
             ) from None
-        raise
-
-
-_integer.__name__ = "int"  # argparse names the type in "invalid int value"
+        raise ValueError(f"{prog}: argument {name}: invalid int value: {text!r}") from None
 
 
 def _read_json(path: str) -> Any:
@@ -163,68 +150,42 @@ def _parse_W(spec: str, G: Multigraph) -> frozenset:
     return W
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "pk":
-        G = generators.gen_pk(args.k)
-    elif args.family == "pk-chorded":
-        G = generators.gen_pk_chorded(args.k)
-    elif args.family == "complete":
-        G = generators.gen_complete(args.n)
-    else:
-        G = generators.gen_random_multigraph(
-            args.n, args.edges, args.max_multiplicity, args.seed
-        )
-    _emit(graph_to_json(G))
+def _cmd_gen(generate: Callable[..., Multigraph], *params: int, **options: int) -> int:
+    _emit(graph_to_json(generate(*params, **options)))
     return EXIT_OK
 
 
-def _cmd_find_immersion(args: argparse.Namespace) -> int:
-    G = _read_graph(args.host)
-    H = _read_graph(args.pattern)
-    result = find_immersion(G, H, strong=args.strong, budget=args.budget)
-    if result.status == BUDGET:
-        _emit("budget")
-        return EXIT_LIMIT
-    if result.status == ABSENT:
-        _emit("absent")
-        return EXIT_OK
-    _emit(immersion_to_json(result.certificate))
-    return EXIT_OK
+def _cmd_find_immersion(host: str, pattern: str, strong: bool, budget: Optional[int]) -> int:
+    G, H = _read_graph(host), _read_graph(pattern)
+    result = find_immersion(G, H, strong=strong, budget=budget)
+    _emit(immersion_to_json(result.certificate) if result.status == FOUND else result.status)
+    return EXIT_LIMIT if result.status == BUDGET else EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.artifact == "immersion":
-        G = _read_graph(args.host)
-        H = _read_graph(args.pattern)
-        cert = immersion_from_json(_read_json(args.cert))
-        bad = verify_immersion(G, H, cert)
-    elif args.artifact == "linear":
-        G = _read_graph(args.graph)
-        W = _parse_W(args.W, G)
-        cert = linearity_from_json(_read_json(args.cert))
-        bad = verify_linear_certificate(G, W, cert, args.a, args.w, args.p)
-    else:
-        G = _read_graph(args.graph)
-        result = structure_from_json(_read_json(args.structure))
-        bad = verify_structure(
-            G, result.decomposition, result.certificates, args.alpha
-        )
-    if bad:
-        for msg in bad:
-            print(msg, file=sys.stderr)
-        return EXIT_REJECTED
-    return EXIT_OK
+def _verdict(bad: List[str]) -> int:
+    for msg in bad:
+        print(msg, file=sys.stderr)
+    return EXIT_REJECTED if bad else EXIT_OK
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    G = _read_graph(args.graph)
-    if args.shape == "linear":
-        W = _parse_W(args.W, G)
-        result = linear_decompose(G, W, m=args.m, w_limit=args.w_limit)
-        encode = linearity_to_json
-    else:
-        result = structure_decompose(G, args.alpha)
-        encode = structure_to_json
+def _cmd_verify_immersion(host: str, pattern: str, cert: str) -> int:
+    G, H = _read_graph(host), _read_graph(pattern)
+    return _verdict(verify_immersion(G, H, immersion_from_json(_read_json(cert))))
+
+
+def _cmd_verify_linear(graph: str, W: str, cert: str, a: int, w: int, p: int) -> int:
+    G = _read_graph(graph)
+    vertices = _parse_W(W, G)
+    certificate = linearity_from_json(_read_json(cert))
+    return _verdict(verify_linear_certificate(G, vertices, certificate, a, w, p))
+
+
+def _cmd_verify_structure(graph: str, structure: str, alpha: int) -> int:
+    G, result = _read_graph(graph), structure_from_json(_read_json(structure))
+    return _verdict(verify_structure(G, result.decomposition, result.certificates, alpha))
+
+
+def _decomposed(result: Any, encode: Callable[[Any], Any]) -> int:
     if isinstance(result, FailureWitness):
         _emit(failure_to_json(result))
         return EXIT_REJECTED
@@ -232,22 +193,30 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_edge_sum(args: argparse.Namespace) -> int:
-    G1 = _read_graph(args.g1)
-    G2 = _read_graph(args.g2)
-    pi = _read_json(args.pi)
-    if not isinstance(pi, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in pi.items()
+def _cmd_decompose_linear(graph: str, W: str, m: int, w_limit: int) -> int:
+    G = _read_graph(graph)
+    result = linear_decompose(G, _parse_W(W, G), m=m, w_limit=w_limit)
+    return _decomposed(result, linearity_to_json)
+
+
+def _cmd_decompose_structure(graph: str, alpha: int) -> int:
+    return _decomposed(structure_decompose(_read_graph(graph), alpha), structure_to_json)
+
+
+def _cmd_edge_sum(g1: str, v1: str, g2: str, v2: str, pi: str) -> int:
+    G1, G2 = _read_graph(g1), _read_graph(g2)
+    pairs = _read_json(pi)
+    if not isinstance(pairs, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in pairs.items()
     ):
         raise ValueError("--pi must be a JSON object mapping edge ids to edge ids")
-    _emit(graph_to_json(edge_sum(G1, args.v1, G2, args.v2, pi)))
+    _emit(graph_to_json(edge_sum(G1, v1, G2, v2, pairs)))
     return EXIT_OK
 
 
-def _cmd_torso(args: argparse.Namespace) -> int:
-    G = _read_graph(args.graph)
-    D = treecut_from_json(_read_json(args.decomp))
-    _emit(torso_to_json(torso_at(G, D, args.node)))
+def _cmd_torso(graph: str, decomp: str, node: str) -> int:
+    G, D = _read_graph(graph), treecut_from_json(_read_json(decomp))
+    _emit(torso_to_json(torso_at(G, D, node)))
     return EXIT_OK
 
 
@@ -262,127 +231,158 @@ def _check_digits(*values: int) -> None:
         )
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    if args.quantity == "d-of-k":
-        value = bounds_mod.d_of_k(args.k)
-    elif args.quantity == "theorem31":
-        constants = dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(args.pattern)))
-        _check_digits(*constants.values())
-        _emit(constants)
-        return EXIT_OK
-    elif args.quantity == "converse":
-        value = bounds_mod.converse_n(args.d, args.a, args.w, args.p)
-    else:
-        value = bounds_mod.converse_n_alpha(args.alpha)
+def _cmd_bound(quantity: Callable[..., int], *params: int) -> int:
+    value = quantity(*params)
     _check_digits(value)
     print(value)
     return EXIT_OK
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing does not modify
-    it, and each call to `main` gets a fresh namespace."""
-    parser = _Parser(
-        prog="immtools",
-        description="Multigraph immersion search, path-like and tree-cut "
-        "decompositions, and their certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_theorem31(pattern: str) -> int:
+    constants = dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(pattern)))
+    _check_digits(*constants.values())
+    _emit(constants)
+    return EXIT_OK
 
-    gen = sub.add_parser("gen", help="emit a generated multigraph as JSON")
-    gsub = gen.add_subparsers(dest="family", required=True)
-    p = gsub.add_parser("pk", help="path with edges thickened to multiplicity k")
-    p.add_argument("k", type=_integer)
-    p = gsub.add_parser("pk-chorded", help="thickened path plus distance-two chords")
-    p.add_argument("k", type=_integer)
-    p = gsub.add_parser("complete", help="simple complete graph")
-    p.add_argument("n", type=_integer)
-    p = gsub.add_parser("random", help="seeded random multigraph")
-    p.add_argument("n", type=_integer)
-    p.add_argument("edges", type=_integer)
-    p.add_argument("max_multiplicity", type=_integer)
-    p.add_argument("--seed", type=_integer, default=0)
-    gen.set_defaults(func=_cmd_gen)
 
-    fi = sub.add_parser("find-immersion", help="search for an immersion certificate")
-    fi.add_argument("--host", required=True)
-    fi.add_argument("--pattern", required=True)
-    fi.add_argument("--strong", action="store_true")
-    fi.add_argument("--budget", type=_integer, default=None)
-    fi.set_defaults(func=_cmd_find_immersion)
+# Every command: its words -> (handler, positionals, options).  A positional
+# is (name, kind); an option maps its flag to (kind, default).  A kind is
+# int, str or bool (a switch, default False); _REQUIRED marks a required
+# flag.  The handler gets the positionals in order, then each option as the
+# keyword named by its flag with "-" as "_".
+_REQUIRED = object()
+_STR, _INT = (str, _REQUIRED), (int, _REQUIRED)
+_COMMANDS: Dict[Tuple[str, ...], Tuple[Callable[..., int], tuple, Dict[str, tuple]]] = {
+    ("gen", "pk"): (partial(_cmd_gen, generators.gen_pk), (("k", int),), {}),
+    ("gen", "pk-chorded"): (partial(_cmd_gen, generators.gen_pk_chorded), (("k", int),), {}),
+    ("gen", "complete"): (partial(_cmd_gen, generators.gen_complete), (("n", int),), {}),
+    ("gen", "random"): (partial(_cmd_gen, generators.gen_random_multigraph),
+                        (("n", int), ("edges", int), ("max_multiplicity", int)),
+                        {"--seed": (int, 0)}),
+    ("find-immersion",): (_cmd_find_immersion, (), {"--host": _STR, "--pattern": _STR,
+                                                    "--strong": (bool, False),
+                                                    "--budget": (int, None)}),
+    ("verify", "immersion"): (_cmd_verify_immersion, (),
+                              {"--host": _STR, "--pattern": _STR, "--cert": _STR}),
+    ("verify", "linear"): (_cmd_verify_linear, (), {"--graph": _STR, "--W": _STR, "--cert": _STR,
+                                                    "--a": _INT, "--w": _INT, "--p": _INT}),
+    ("verify", "structure"): (_cmd_verify_structure, (),
+                              {"--graph": _STR, "--structure": _STR, "--alpha": _INT}),
+    ("decompose", "linear"): (_cmd_decompose_linear, (), {"--graph": _STR, "--W": _STR,
+                                                          "--m": _INT, "--w-limit": _INT}),
+    ("decompose", "structure"): (_cmd_decompose_structure, (),
+                                 {"--graph": _STR, "--alpha": _INT}),
+    ("edge-sum",): (_cmd_edge_sum, (), {"--g1": _STR, "--v1": _STR, "--g2": _STR, "--v2": _STR,
+                                        "--pi": _STR}),
+    ("torso",): (_cmd_torso, (), {"--graph": _STR, "--decomp": _STR, "--node": _STR}),
+    ("bounds", "d-of-k"): (partial(_cmd_bound, bounds_mod.d_of_k), (("k", int),), {}),
+    ("bounds", "theorem31"): (_cmd_theorem31, (("pattern", str),), {}),
+    ("bounds", "converse"): (partial(_cmd_bound, bounds_mod.converse_n),
+                             (("d", int), ("a", int), ("w", int), ("p", int)), {}),
+    ("bounds", "converse-alpha"): (partial(_cmd_bound, bounds_mod.converse_n_alpha),
+                                   (("alpha", int),), {}),
+}
+# the words that may follow each proper prefix of a command's words
+_CHOICES: Dict[Tuple[str, ...], Dict[str, None]] = {}
+for _words in _COMMANDS:
+    for _n in range(len(_words)):
+        _CHOICES.setdefault(_words[:_n], {})[_words[_n]] = None
+_HELP = ("-h", "--help")
+# a negative number is a value, not a flag
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
 
-    ver = sub.add_parser("verify", help="check an emitted certificate")
-    vsub = ver.add_subparsers(dest="artifact", required=True)
-    p = vsub.add_parser("immersion")
-    p.add_argument("--host", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--cert", required=True)
-    p = vsub.add_parser("linear")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--W", required=True, help='comma-separated vertices or "all"')
-    p.add_argument("--cert", required=True)
-    p.add_argument("--a", type=_integer, required=True)
-    p.add_argument("--w", type=_integer, required=True)
-    p.add_argument("--p", type=_integer, required=True)
-    p = vsub.add_parser("structure")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--alpha", type=_integer, required=True)
-    ver.set_defaults(func=_cmd_verify)
 
-    dec = sub.add_parser("decompose", help="compute a decomposition certificate")
-    dsub = dec.add_subparsers(dest="shape", required=True)
-    p = dsub.add_parser("linear")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--W", required=True, help='comma-separated vertices or "all"')
-    p.add_argument("--m", type=_integer, required=True)
-    p.add_argument("--w-limit", dest="w_limit", type=_integer, required=True)
-    p = dsub.add_parser("structure")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--alpha", type=_integer, required=True)
-    dec.set_defaults(func=_cmd_decompose)
+def _is_value(token: str) -> bool:
+    return token[:1] != "-" or token == "-" or _NEGATIVE.fullmatch(token) is not None
 
-    es = sub.add_parser("edge-sum", help="glue two graphs along matched boundary edges")
-    es.add_argument("--g1", required=True)
-    es.add_argument("--v1", required=True)
-    es.add_argument("--g2", required=True)
-    es.add_argument("--v2", required=True)
-    es.add_argument("--pi", required=True, help="JSON object mapping edge ids")
-    es.set_defaults(func=_cmd_edge_sum)
 
-    to = sub.add_parser("torso", help="torso of a tree-cut decomposition at a node")
-    to.add_argument("--graph", required=True)
-    to.add_argument("--decomp", required=True)
-    to.add_argument("--node", required=True)
-    to.set_defaults(func=_cmd_torso)
+def _usage(words: Tuple[str, ...]) -> str:
+    """The usage of every command whose words start with `words`."""
+    lines = []
+    for key, (_, positionals, options) in _COMMANDS.items():
+        if key[: len(words)] == words:
+            parts = ["immtools", *key]
+            for flag, (kind, default) in options.items():
+                part = flag if kind is bool else f"{flag} {flag[2:].upper().replace('-', '_')}"
+                parts.append(part if default is _REQUIRED else f"[{part}]")
+            lines.append(" ".join(parts + [name.upper() for name, _ in positionals]))
+    return "usage: " + "\n       ".join(lines)
 
-    bo = sub.add_parser("bounds", help="quantitative constants as decimals")
-    bsub = bo.add_subparsers(dest="quantity", required=True)
-    p = bsub.add_parser("d-of-k")
-    p.add_argument("k", type=_integer)
-    p = bsub.add_parser("theorem31")
-    p.add_argument("pattern")
-    p = bsub.add_parser("converse")
-    p.add_argument("d", type=_integer)
-    p.add_argument("a", type=_integer)
-    p.add_argument("w", type=_integer)
-    p.add_argument("p", type=_integer)
-    p = bsub.add_parser("converse-alpha")
-    p.add_argument("alpha", type=_integer)
-    bo.set_defaults(func=_cmd_bounds)
 
-    return parser
+def _option(prog: str, token: str, options: Sequence[str]) -> Tuple[str, Optional[str]]:
+    """The option that `token` names, exactly or by a unique prefix, and the
+    value after "=" (None without one); a help flag prints usage and exits."""
+    name, eq, value = token.partition("=")
+    flags = [*options, *_HELP]
+    if name not in flags:
+        found = [f for f in flags if f.startswith(name)] if name[:2] == "--" != name else []
+        if len(found) != 1:
+            problem = f"ambiguous option {name}: matches" if found else "unrecognized argument:"
+            raise ValueError(f"{prog}: {problem} {', '.join(found) or token}")
+        name = found[0]
+    if name in _HELP:
+        if eq:
+            raise ValueError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
+        print(_usage(tuple(prog.split()[1:])))
+        raise SystemExit(0)
+    return name, value if eq else None
+
+
+def _parse(argv: Sequence[str]) -> Tuple[Callable[..., int], List[Any], Dict[str, Any]]:
+    """The handler of the command that argv names, its positional values and
+    its keyword values.  A usage error raises ValueError; -h or --help
+    prints usage and raises SystemExit(0)."""
+    words: Tuple[str, ...] = ()
+    while words not in _COMMANDS:
+        choices = _CHOICES[words]
+        token = argv[len(words)] if len(words) < len(argv) else ""
+        if token not in choices:
+            prog = " ".join(("immtools",) + words)
+            if not _is_value(token):
+                _option(prog, token, ())  # prints help or raises
+            raise ValueError(f"{prog}: expected a command ({', '.join(choices)}), got {token!r}")
+        words += (token,)
+    handler, positionals, options = _COMMANDS[words]
+    prog = " ".join(("immtools",) + words)
+    args: List[Any] = []
+    given: Dict[str, Any] = {}
+    i = len(words)
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if _is_value(token):
+            if len(args) == len(positionals):
+                raise ValueError(f"{prog}: unrecognized argument: {token}")
+            name, kind = positionals[len(args)]
+            args.append(_integer(token, prog, name) if kind is int else token)
+            continue
+        flag, value = (token, None) if token in options else _option(prog, token, options)
+        kind = options[flag][0]
+        if kind is bool:
+            if value is not None:
+                raise ValueError(f"{prog}: argument {flag}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None:
+            if i == len(argv) or not _is_value(argv[i]):
+                raise ValueError(f"{prog}: argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        given[flag] = _integer(value, prog, flag) if kind is int else value
+    missing = [name for name, _ in positionals[len(args):]] + [
+        f for f, (_, default) in options.items() if default is _REQUIRED and f not in given]
+    if missing:
+        raise ValueError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    kwargs = {f[2:].replace("-", "_"): given.get(f, d) for f, (_, d) in options.items()}
+    return handler, args, kwargs
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError, _DigitLimitError) as exc:
+        handler, args, kwargs = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(*args, **kwargs)
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        limit = isinstance(exc, (SizeLimitError, _DigitLimitError))
-        return EXIT_LIMIT if limit else EXIT_MALFORMED
+        return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -324,7 +326,6 @@ def test_unknown_w_vertices_exit_code(tmp_path, capsys):
 
 
 def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys, monkeypatch):
-    assert cli._build_parser() is cli._build_parser()
     strengths = []
     search = cli.find_immersion
 
@@ -351,15 +352,24 @@ def test_one_parser_serves_every_call_without_leaking_state(tmp_path, capsys, mo
     handlers = [
         (["gen", "pk", "2"], cli._cmd_gen),
         (["find-immersion", "--host", h, "--pattern", p], cli._cmd_find_immersion),
-        (["verify", "immersion", "--host", h, "--pattern", p, "--cert", p], cli._cmd_verify),
-        (["decompose", "structure", "--graph", h, "--alpha", "2"], cli._cmd_decompose),
+        (["verify", "immersion", "--host", h, "--pattern", p, "--cert", p],
+         cli._cmd_verify_immersion),
+        (["verify", "linear", "--graph", h, "--W", "all", "--cert", p, "--a", "0", "--w", "1",
+          "--p", "1"], cli._cmd_verify_linear),
+        (["verify", "structure", "--graph", h, "--structure", p, "--alpha", "2"],
+         cli._cmd_verify_structure),
+        (["decompose", "linear", "--graph", h, "--W", "all", "--m", "1", "--w-limit", "1"],
+         cli._cmd_decompose_linear),
+        (["decompose", "structure", "--graph", h, "--alpha", "2"], cli._cmd_decompose_structure),
         (["edge-sum", "--g1", h, "--v1", "a", "--g2", h, "--v2", "b", "--pi", p],
          cli._cmd_edge_sum),
         (["torso", "--graph", h, "--decomp", p, "--node", "n"], cli._cmd_torso),
-        (["bounds", "d-of-k", "1"], cli._cmd_bounds),
+        (["bounds", "d-of-k", "1"], cli._cmd_bound),
+        (["bounds", "theorem31", p], cli._cmd_theorem31),
     ]
     for argv, handler in handlers + handlers[::-1]:
-        assert cli._build_parser().parse_args(argv).func is handler
+        parsed = cli._parse(argv)[0]
+        assert getattr(parsed, "func", parsed) is handler
 
 
 def test_bounds_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):
@@ -382,9 +392,8 @@ def test_integer_arguments_above_the_digit_limit_are_a_limit_exit_code(tmp_path,
     # valid integer reaches that limit (exit 3, without echoing the
     # argument), and a shorter one parses as before
     long, short = "9" * 4400, "9" * 4300
-    code, out, err = run(capsys, "bounds", "converse-alpha", long)
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "4300-digit limit" in err and len(err) < 200
+    assert run(capsys, "bounds", "converse-alpha", long) == (3, "", _DIGIT_LIMIT)
+    assert run(capsys, "gen", "pk", "-" + long) == (3, "", _DIGIT_LIMIT)
     code, out, err = run(capsys, "bounds", "converse-alpha", "3")
     assert (code, out.strip()) == (0, "25")
     g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
@@ -409,14 +418,77 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     assert err == f"error: {deep}: JSON nested too deeply\n"
 
 
+# -- the argv contract ---------------------------------------------------------
+# G stands for a pk(2) graph file, P for a K3 file; "-" reads standard input
+
+_DECOMPOSE = ("decompose", "structure", "--graph", "G", "--alpha", "4")
+_FIND = ("find-immersion", "--host", "G", "--pattern", "P")
+_RANDOM = ("gen", "random", "3", "2", "1", "--seed", "5")
+
+# (accepted form, its canonical spelling)
+_ACCEPTED = [
+    (("decompose", "structure", "--graph=G", "--alpha=4"), _DECOMPOSE),
+    (("decompose", "structure", "--alpha", "4", "--graph", "G"), _DECOMPOSE),
+    (("decompose", "structure", "--gr", "G", "--al", "4"), _DECOMPOSE),
+    (("decompose", "structure", "--gr=G", "--al=4"), _DECOMPOSE),
+    (("decompose", "structure", "--graph", "G", "--alpha", "9", "--alpha", "4"), _DECOMPOSE),
+    (("decompose", "structure", "--graph", "-", "--alpha", "4"), _DECOMPOSE),
+    (("decompose", "structure", "--graph", "G", "--alpha", " 4 "), _DECOMPOSE),
+    (("decompose", "linear", "--graph", "G", "--W", "all", "--m", "2", "--w", "2"),
+     ("decompose", "linear", "--graph", "G", "--W", "all", "--m", "2", "--w-limit", "2")),
+    (("gen", "random", "--seed", "5", "3", "2", "1"), _RANDOM),
+    (("gen", "random", "3", "2", "--seed=5", "1"), _RANDOM),
+    (("gen", "random", "3", "2", "1", "--seed", "1", "--seed", "5"), _RANDOM),
+    (("gen", "pk", "1_0"), ("gen", "pk", "10")),
+    (("bounds", "theorem31", "-"), ("bounds", "theorem31", "G")),
+    (_FIND + ("--str",), _FIND + ("--strong",)),
+    (_FIND + ("--budget", "9", "--strong"), _FIND + ("--strong", "--budget=9")),
+]
+
+_DIGIT_LIMIT = (
+    "error: an integer argument has 4400 digits, more than the 4300-digit limit"
+    " on integer conversion (sys.set_int_max_str_digits)\n"
+)
+
+_USAGE_ERRORS = [
+    ("decompose", "structure", "--alpha", "4"),  # a required flag missing
+    ("gen", "random", "3", "2"),  # a positional missing
+    ("decompose", "structure", "--graph", "G", "--alpha"),  # a value missing
+    ("decompose", "structure", "--graph", "--alpha", "4"),
+    ("decompose", "structure", "--graph", "G", "--alpha", "x"),  # not an int
+    ("decompose", "structure", "--graph", "G", "--alpha", "4.0"),
+    ("gen", "pk", "-1.5"),
+    _DECOMPOSE + ("--nope",),  # an unknown flag
+    _DECOMPOSE + ("--nope", "3"),
+    _DECOMPOSE + ("-x",),
+    _DECOMPOSE + ("extra",),  # an extra positional
+    ("gen", "pk", "3", "4"),
+    ("edge-sum", "--g", "G", "--v1", "a", "--g2", "G", "--v2", "b", "--pi", "P"),  # ambiguous
+    _FIND + ("--strong=1",),  # a switch takes no value
+    ("decompose", "nope"),  # an unknown or missing command
+    ("decompose",),
+    (),
+]
+
+
+def _contract_files(tmp_path, monkeypatch):
+    """Write G and P, put G on standard input, and return the argv mapper."""
+    g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
+    files = {"G": g, "P": write(tmp_path, "p.json", graph_to_json(gen_complete(3)))}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(graph_to_json(gen_pk(2)))))
+    return lambda argv: [files.get(a) or a.replace("=G", "=" + g) for a in argv]
+
+
 @pytest.mark.parametrize("argv", [
     ("bounds", "d-of-k", "abc"),
     ("decompose", "structure", "--graph", "g.json"),  # no --alpha
     ("bounds",),
     ("no-such-command",),
+    *_USAGE_ERRORS,
 ])
-def test_usage_errors_are_malformed_input(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_usage_errors_are_malformed_input(tmp_path, capsys, monkeypatch, argv):
+    paths = _contract_files(tmp_path, monkeypatch)
+    code, out, err = run(capsys, *paths(argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: immtools") and err.count("\n") == 1
 
@@ -426,6 +498,54 @@ def test_help_still_exits_zero(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: immtools")
+
+
+@pytest.mark.parametrize("form,canonical", _ACCEPTED, ids=lambda a: " ".join(a))
+def test_accepted_argument_forms_match_their_canonical_spelling(
+    tmp_path, capsys, monkeypatch, form, canonical
+):
+    paths = _contract_files(tmp_path, monkeypatch)
+    got = run(capsys, *paths(form))
+    assert got[:2] == run(capsys, *paths(canonical))[:2]
+    assert got[0] != 1, got  # each reached its handler
+
+
+def test_negative_integers_are_values(tmp_path, capsys, monkeypatch):
+    paths = _contract_files(tmp_path, monkeypatch)
+    assert run(capsys, *paths(_FIND + ("--budget=-1",))) == (
+        1, "", "error: budget must be nonnegative, got -1\n")
+    assert run(capsys, "bounds", "converse", "-1", "0", "1", "1") == (
+        1, "", "error: all parameters must be nonnegative\n")
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    argv = ["gen", "random", "4", "5", "2", "--seed=3"]
+    monkeypatch.setattr(sys, "argv", ["immtools", *argv])
+    code = main(None)
+    out = capsys.readouterr().out
+    assert code == 0 and (code, out) == run(capsys, *argv)[:2]
+
+
+_HELP_LEVELS = [
+    ((), ()),
+    (("decompose",), ()),
+    (("decompose", "structure"), ("--graph", "--alpha")),
+    (("gen", "random"), ("--seed",)),
+    (("verify", "linear"), ("--graph", "--W", "--cert", "--a", "--w", "--p")),
+]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("words,flags", _HELP_LEVELS, ids=lambda a: " ".join(a) or "top")
+def test_help_at_every_level_exits_zero_with_usage(capsys, words, flags, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: immtools")
+    names = out.replace("[", " ").replace("]", " ").split()
+    for name in flags:
+        assert name in names, name
 
 
 # -- the output writer ---------------------------------------------------------
