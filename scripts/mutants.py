@@ -1,0 +1,241 @@
+#!/usr/bin/env python3
+"""Re-runnable mutation checks: a catalogue of hand-made mutants and the
+tests that must kill each one.
+
+Each mutant replaces one exact source fragment of one file.  The runner
+copies the repository to a temporary directory, first runs every named
+test on the unmutated copy (they must pass), then applies one mutant at a
+time and runs its tests there, one process at a time, with a timeout.
+Each mutant is reported as
+
+  killed     a named test failed (or the mutated code did not import);
+  survived   every named test passed;
+  timeout    the tests ran past the timeout;
+  stale      the fragment is not in the file exactly once, or pytest
+             found none of the named tests.
+
+A change that makes an entry stale re-expresses it, or retires it with a
+reason in CHANGES.md.
+
+    python3 scripts/mutants.py            # the whole catalogue
+    python3 scripts/mutants.py NAME ...   # only these mutants
+
+Exit status 0 when every mutant run is killed, 1 otherwise, 2 when the
+named tests fail on the unmutated copy.  Only the standard library is
+used; the tests need pytest and hypothesis.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds allowed for one mutant's tests
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    fragment: str  # must occur exactly once in the file
+    replacement: str
+    tests: Tuple[str, ...]  # pytest node ids, relative to the root
+    breaks: str  # what the mutant breaks, and where it was first made
+
+
+_CRITERION_2 = "tests/test_acceptance.py::test_criterion_02_oracle_equivalence"
+_TREE_AGREEMENT = (
+    "tests/test_treecut.py::test_split_loop_matches_the_recursion",
+    "tests/test_treecut.py::test_split_loop_matches_the_recursion_on_long_inputs",
+    "tests/test_treecut.py::test_structure_outcome_matches_the_recursion",
+)
+
+# The named tests are deterministic: one that draws fresh examples on each
+# run (a hypothesis test) could fail by chance and count a mutant killed.
+CATALOGUE: Tuple[Mutant, ...] = (
+    # -- the three self-checks that left the hot paths: each property
+    # is now carried by a test alone
+    Mutant(
+        "certificate-route-unmasked",
+        "src/immtools/immersion.py",
+        "route = level_avail[k] & ~level_avail[k + 1]",
+        "route = level_avail[k]",
+        (_CRITERION_2,),
+        "a found certificate routes each pattern edge over every host edge"
+        " still free at its level; once caught by find_immersion's own"
+        " verify_immersion assert",
+    ),
+    Mutant(
+        "achieved-width-off-by-one",
+        "src/immtools/pathdecomp.py",
+        "achieved_w=widest + 1,",
+        "achieved_w=widest,",
+        ("tests/test_treecut.py::test_structure_certificates_hold_at_their_achieved_values",),
+        "an emitted linearity certificate claims a width it does not meet;"
+        " once caught by _linear_decompose's own verify_linear_certificate call",
+    ),
+    Mutant(
+        "glue-arc-dropped",
+        "src/immtools/flow.py",
+        "for i in cut:\n                a = local[head[i ^ 1]]",
+        "for i in cut[1:]:\n                a = local[head[i ^ 1]]",
+        _TREE_AGREEMENT,
+        "the moved side of a split gets a glue vertex with k - 1 arcs, so"
+        " it is not grounded; once caught by the split loop's groundedness"
+        " assert (first made for the smaller-side split network)",
+    ),
+    # -- the split loop
+    Mutant(
+        "zero-cut-unlinked",
+        "src/immtools/treecut.py",
+        "None if k else first",
+        "None",
+        ("tests/test_treecut.py::test_split_loop_matches_the_recursion",),
+        "the two sides of a zero cut are never joined by a tree edge",
+    ),
+    Mutant(
+        "dead-arcs-never-compacted",
+        "src/immtools/treecut.py",
+        "if 2 * len(stays) < len(net.names) or 2 * net.dead_arcs > len(net.head):",
+        "if 2 * len(stays) < len(net.names):",
+        ("tests/test_treecut.py::test_a_network_whose_arcs_are_mostly_dead_is_copied",),
+        "a network whose arcs are mostly dead is kept, and every later flow"
+        " on it pays for them (first made for the smaller-side split network)",
+    ),
+    # -- immersion search
+    Mutant(
+        "slack-not-given-back",
+        "src/immtools/immersion.py",
+        "                    if cur != x:\n                        slack[cur] += 2",
+        "                    if cur != x:\n                        pass",
+        (_CRITERION_2,),
+        "a weak route that backs out of a branch image keeps its two"
+        " edge-ends taken (first made for the residual-slack rule)",
+    ),
+    Mutant(
+        "refuted-states-kept-across-assignments",
+        "src/immtools/immersion.py",
+        "                    refuted.clear()\n",
+        "",
+        (_CRITERION_2,),
+        "a route state refuted under one vertex map is skipped under the"
+        " next (first made for the refuted-state record)",
+    ),
+    # -- linearity certificates
+    Mutant(
+        "sweep-misses-the-last-crossing",
+        "src/immtools/pathdecomp.py",
+        "first, last = lo // 2 + 1, (hi - 1) // 2",
+        "first, last = lo // 2 + 1, (hi - 1) // 2 - 1",
+        ("tests/test_pathdecomp.py",),
+        "the width sweep stops one ordering vertex short of an edge's far"
+        " end (first made for the one-sweep width and boundedness)",
+    ),
+    Mutant(
+        "linearizing-set-not-closed",
+        "src/immtools/pathdecomp.py",
+        "closed = [index[v] for v in A]",
+        "closed = []",
+        ("tests/test_pathdecomp.py",),
+        "a separator flow runs through the linearizing set A (first made"
+        " for the separators on G's own network)",
+    ),
+    # -- command line
+    Mutant(
+        "required-flag-not-checked",
+        "src/immtools/cli.py",
+        "if default is _REQUIRED and f not in given",
+        "if False",
+        ("tests/test_cli.py::test_usage_errors_are_malformed_input",),
+        "a command runs without one of its required flags (first made for"
+        " the command table)",
+    ),
+)
+
+
+def _copy_repository(dest: Path) -> None:
+    shutil.copytree(ROOT, dest, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_work",
+    ))
+
+
+def _pytest(copy: Path, tests: Sequence[str], timeout: float) -> Tuple[Optional[int], str]:
+    """Run the tests in the copy: pytest's exit code (None on timeout) and
+    the first line that names a failing test."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        return None, ""
+    failed = next((
+        line for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))
+    ), "")
+    return done.returncode, failed
+
+
+def run_mutant(copy: Path, mutant: Mutant) -> Tuple[str, str]:
+    """Apply one mutant to the copy, run its tests and restore the file:
+    the outcome and a detail line."""
+    target = copy / mutant.path
+    source = target.read_text()
+    found = source.count(mutant.fragment)
+    if found != 1:
+        return "stale", f"fragment found {found} times in {mutant.path}"
+    target.write_text(source.replace(mutant.fragment, mutant.replacement))
+    try:
+        code, failed = _pytest(copy, mutant.tests, TIMEOUT)
+    finally:
+        target.write_text(source)
+    if code is None:
+        return "timeout", f"tests still running after {TIMEOUT:g} s"
+    if code == 0:
+        return "survived", "every named test passed"
+    if code in (4, 5):  # usage error, or no tests collected
+        return "stale", "pytest found none of the named tests"
+    return "killed", failed or f"pytest exit code {code}"
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in CATALOGUE}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
+
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="immtools-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        _copy_repository(copy)
+        tests = list(dict.fromkeys(t for m in chosen for t in m.tests))
+        code, failed = _pytest(copy, tests, TIMEOUT * len(chosen))
+        if code != 0:
+            print(f"the named tests do not pass unmutated: {failed or f'exit code {code}'}")
+            return 2
+        print(f"unmutated: {len(tests)} test targets pass ({time.perf_counter() - start:.1f} s)")
+        outcomes = []
+        for m in chosen:
+            t0 = time.perf_counter()
+            outcome, detail = run_mutant(copy, m)
+            outcomes.append(outcome)
+            print(f"{outcome:<9} {time.perf_counter() - t0:6.1f} s  {m.name}: {detail}", flush=True)
+    counts = {k: outcomes.count(k) for k in ("killed", "survived", "timeout", "stale")}
+    print(
+        f"{len(outcomes)} mutants: "
+        + ", ".join(f"{v} {k}" for k, v in counts.items())
+        + f" ({time.perf_counter() - start:.1f} s)"
+    )
+    return 0 if counts["killed"] == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

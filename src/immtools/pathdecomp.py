@@ -599,13 +599,10 @@ def _linear_decompose(
 
     decomposition = PathLikeDecomposition(ordering=ordering, bags=bags)
     widest, bounded = _sweep(G, A, _positions(decomposition), t)
-    cert = LinearityCertificate(
+    return LinearityCertificate(
         A=A,
         decomposition=decomposition,
         achieved_a=len(A),
         achieved_w=widest + 1,
         achieved_p=max(bounded.values(), default=0),
-    )
-    bad = verify_linear_certificate(G, W, cert, len(A), cert.achieved_w, cert.achieved_p)
-    assert not bad, f"emitted certificate fails its own achieved values: {bad}"
-    return cert, aux
+    ), aux

@@ -401,10 +401,10 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     on a network still pays for its dead nodes and arcs, so a network is
     copied again once fewer than half of its nodes, or of its arcs, are
     live.  The split's witness is the unique inclusion-minimal minimum
-    cut, so it does not depend on how the network was built.  Each glue vertex is checked
-    grounded with one flow: the k paths of the split pair cross the cut
-    once each, so they join vy to the pair's vertex in X and vx to its
-    vertex in the other side.
+    cut, so it does not depend on how the network was built.  Every glue
+    vertex is grounded by construction, so no flow checks it: the k
+    paths of the split pair cross the cut once each, so they join vy to
+    the pair's vertex in X and vx to its vertex in the other side.
     """
     degree = dict(G.degrees)  # glue vertices are added with their order k
     glue: Set[str] = set()
@@ -428,8 +428,7 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
                 owner[u] = first
             bags.append(frozenset(vertices - glue))
             continue
-        partner, k = found
-        x, y = high[0], names[partner]
+        _, k = found
         X = net.residual_side
         vy = vx = None
         if k:
@@ -465,11 +464,6 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
         Y_piece = (net, stays, high, stays_m)
         if not move_x:
             X_piece, Y_piece = Y_piece, X_piece
-        if k:
-            x_net, y_net = X_piece[0], Y_piece[0]
-            assert _grounded(x_net, x_net.index[vy], k, [x_net.index[x]]) and _grounded(
-                y_net, y_net.index[vx], k, [y_net.index[y]]
-            ), "minimum-order witness cut must be grounded"
         stack += ((*Y_piece, None if k else first), (*X_piece, None))
     width = len(str(len(bags) - 1))
     names = [f"n{i:0{width}d}" for i in range(len(bags))]

@@ -45,6 +45,7 @@ from immtools import (
     min_linearizing_set,
     theorem31_constants,
     torso_at,
+    verify_immersion,
     verify_linear_certificate,
     width,
     xi_cut,
@@ -127,20 +128,31 @@ def test_criterion_02_oracle_equivalence():
     hosts = multigraph_classes(4, 6)
     patterns = multigraph_classes(4, 5)
     pattern_keys = [(H, canonical_key(H)) for H in patterns]
-    checked = 0
+    checked = verified = 0
     for G in hosts:
         closures = {True: strong_closure(G), False: weak_closure(G)}
         for H, key in pattern_keys:
             for strong in (True, False):
                 expected = key in closures[strong]
-                got = find_immersion(G, H, strong=strong).status == FOUND
+                result = find_immersion(G, H, strong=strong)
+                got = result.status == FOUND
                 assert got == expected, (
                     f"disagreement (strong={strong}): host {sorted(G.edges.values())}"
                     f" pattern {sorted(H.edges.values())}:"
                     f" search={got} oracle={expected}"
                 )
+                if got:
+                    bad = verify_immersion(G, H, result.certificate, strong)
+                    assert bad == [], (
+                        f"bad certificate (strong={strong}): host {sorted(G.edges.values())}"
+                        f" pattern {sorted(H.edges.values())}: {bad}"
+                    )
+                    verified += 1
                 checked += 1
-    return f"{len(hosts)} hosts x {len(patterns)} patterns, {checked} checks agree"
+    return (
+        f"{len(hosts)} hosts x {len(patterns)} patterns, {checked} checks agree,"
+        f" {verified} certificates verify"
+    )
 
 
 @criterion(3, "flow duality")

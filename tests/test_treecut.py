@@ -484,9 +484,9 @@ def test_a_network_whose_arcs_are_mostly_dead_is_copied(monkeypatch):
 
 
 def test_structure_of_a_long_path_is_fast_in_flows(monkeypatch):
-    # P_1600 at alpha 2 splits 1,597 times with 3 flows each (the pair
-    # test and one groundedness flow per glue vertex); every torso is a
-    # single high vertex, so certifying them runs no flow
+    # P_1600 at alpha 2 splits 1,597 times with one flow each, the pair
+    # test (no flow checks a glue vertex for groundedness); every torso
+    # is a single high vertex, so certifying them runs no flow
     flows = []
     max_flow = FlowNetwork.max_flow
 
@@ -499,7 +499,7 @@ def test_structure_of_a_long_path_is_fast_in_flows(monkeypatch):
     r = structure_decompose(G, 2)
     assert isinstance(r, StructureDecomposition)
     assert len(r.decomposition.tree_nodes) == 1598
-    assert len(flows) <= 3 * 1600
+    assert len(flows) <= 1600
     assert verify_structure(G, r.decomposition, r.certificates, 2) == []
 
 
@@ -522,6 +522,32 @@ def test_structure_outcome_matches_the_recursion(monkeypatch):
     assert got == want
     kinds = {o[0] for o in got}
     assert kinds == {"success", "failure", "limit"}
+
+
+def test_structure_certificates_hold_at_their_achieved_values():
+    # every torso certificate that structure_decompose emits is accepted
+    # on its torso at its own achieved a, w and p, and so at alpha
+    rng = random.Random(0x57C)
+    certified = ordered = removed = 0
+    for seed in range(300):
+        n, mult = rng.randint(1, 12), rng.randint(1, 3)
+        m = rng.randint(0, min(3 * n, n * (n + 1) // 2 * mult))
+        G = gen_random_multigraph(n, m, mult, seed=seed)
+        alpha = rng.randint(1, 6)
+        r = structure_decompose(G, alpha)
+        if isinstance(r, FailureWitness):
+            continue
+        parts = torsos(G, r.decomposition)
+        for t, cert in r.certificates.items():
+            H = parts[t].graph
+            W = frozenset(v for v, d in H.degrees.items() if d >= alpha)
+            at = (cert.achieved_a, cert.achieved_w, cert.achieved_p)
+            assert verify_linear_certificate(H, W, cert, *at) == [], (seed, t, at)
+            assert verify_linear_certificate(H, W, cert, alpha, alpha, alpha) == [], (seed, t)
+            certified += 1
+            ordered += len(cert.decomposition.ordering) >= 3
+            removed += bool(cert.A)
+    assert certified > 300 and min(ordered, removed) > 20, (certified, ordered, removed)
 
 
 def test_structure_certificate_of_a_long_path_stays_small():
