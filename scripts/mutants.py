@@ -54,6 +54,8 @@ _TREE_AGREEMENT = (
     "tests/test_treecut.py::test_split_loop_matches_the_recursion_on_long_inputs",
     "tests/test_treecut.py::test_structure_outcome_matches_the_recursion",
 )
+_PAIR_COUNTS = "tests/test_multigraph.py::test_pair_counts_match_all_pairs_flows"
+_RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_has_no_immersion"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -88,6 +90,17 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "the moved side of a split gets a glue vertex with k - 1 arcs, so"
         " it is not grounded; once caught by the split loop's groundedness"
         " assert (first made for the smaller-side split network)",
+    ),
+    Mutant(
+        "kept-cut-arcs-not-re-pointed",
+        "src/immtools/flow.py",
+        "head[i ^ 1] = rest  # ... and its companion enters it",
+        "pass",
+        ("tests/test_flow.py::test_flows_at_the_glue_of_a_split_stop_at_the_contracted_value",),
+        "arcs into the moved side of a split still lead there, so no flow"
+        " reaches the glue node and one out of it walks back without end;"
+        " once caught only by the CI timeout (first made for the"
+        " smaller-side split network)",
     ),
     # -- the split loop
     Mutant(
@@ -125,6 +138,34 @@ CATALOGUE: Tuple[Mutant, ...] = (
         (_CRITERION_2,),
         "a route state refuted under one vertex map is skipped under the"
         " next (first made for the refuted-state record)",
+    ),
+    Mutant(
+        "bridge-test-not-strict",
+        "src/immtools/multigraph.py",
+        "if not stack or low[v] > disc[p]:",
+        "if not stack or low[v] >= disc[p]:",
+        (_PAIR_COUNTS, _RULED_OUT),
+        "a tree edge whose subtree reaches back to its parent counts as a"
+        " bridge, so a host has too few 2-edge-connected pairs and an"
+        " immersion is ruled out (first made for the pair-count rule)",
+    ),
+    Mutant(
+        "bridge-search-skips-the-parent-vertex",
+        "src/immtools/multigraph.py",
+        "if bit == into or u == v:",
+        "if u == v or len(stack) > 1 and u == stack[-2][0]:",
+        (_PAIR_COUNTS, _RULED_OUT),
+        "a doubled edge counts as a bridge, so a host has too few"
+        " 2-edge-connected pairs (first made for the pair-count rule)",
+    ),
+    Mutant(
+        "p2-not-compared",
+        "src/immtools/immersion.py",
+        "if h1 > g1 or h2 > g2:",
+        "if h1 > g1:",
+        ("tests/test_immersion.py::test_pair_counts_answer_without_a_step",),
+        "a query with more 2-edge-connected pairs than its host is searched"
+        " (first made for the pair-count rule)",
     ),
     # -- linearity certificates
     Mutant(

@@ -60,11 +60,16 @@ Three more necessary conditions cut subtrees that hold no immersion.  The
 depth-first order is unchanged, so the first certificate found is the one
 the unpruned search finds.
 
-- Counting and degree domination.  Every immersion needs at least as many
-  host vertices and edges as the pattern has, and an injective map onto
-  host vertices of at least the pattern degree (a loop counting 2).  So
-  H's degrees, sorted in descending order, must be at most G's, place by
-  place.  A query that fails this is absent before any search step.
+- Counting, degree and pair domination.  Every immersion needs at least
+  as many host vertices and edges as the pattern has, and an injective
+  map onto host vertices of at least the pattern degree (a loop counting
+  2).  So H's degrees, sorted in descending order, must be at most G's,
+  place by place.  Pattern edges become edge-disjoint paths, so the
+  images of two pattern vertices joined by a path, or by two edge-disjoint
+  paths, are joined in the same way; the map is injective, so G has at
+  least as many pairs in one component, and in one component once the
+  bridges are removed, as H (`Multigraph.pair_counts`).  A query that
+  fails any of this is absent before any search step.
 - Residual slack, weak routing.  Once the assignment is complete, each
   branch image gv = phi(a) gets slack deg_G(gv) - deg_H(a).  A route uses
   one edge-end at each of its own ends, and a loop route two at its
@@ -232,11 +237,15 @@ class _BudgetExhausted(Exception):
     pass
 
 
-def _degrees_dominated(G: Multigraph, H: Multigraph) -> bool:
-    """Whether G has as many vertices and edges as H, and H's degrees,
-    sorted in descending order, are at most G's, place by place."""
+def _dominated(G: Multigraph, H: Multigraph) -> bool:
+    """Whether G has as many vertices, edges, pairs in one component and
+    pairs in one 2-edge-connected class as H, and H's degrees, sorted in
+    descending order, are at most G's, place by place."""
     gseq, hseq = G.degree_sequence, H.degree_sequence
     if len(hseq) > len(gseq) or len(H.edges) > len(G.edges):
+        return False
+    (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
+    if h1 > g1 or h2 > g2:
         return False
     return all(map(operator.le, hseq, gseq))
 
@@ -496,11 +505,13 @@ def find_immersion(
     budget: Optional[int] = None,
 ) -> SearchResult:
     """Exhaustive immersion search.  A budget caps the search steps (0
-    allows none); None means no cap.  A certificate is not re-checked
-    here: `verify_immersion` checks one when the caller asks."""
+    allows none); None means no cap.  A query that the counts, degrees or
+    pair counts rule out (see the module docstring) is absent without a
+    step, whatever the budget.  A certificate is not re-checked here:
+    `verify_immersion` checks one when the caller asks."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if not _degrees_dominated(G, H):
+    if not _dominated(G, H):
         return _NO_IMMERSION
     searcher = _Searcher(G, H, strong, budget)
     try:

@@ -49,6 +49,8 @@ class Multigraph:
 
     - `degrees`, and the adjacency behind `adjacency()`;
     - `degree_sequence`: the degrees, sorted in descending order;
+    - `pair_counts`: how many vertex pairs share a component, and how many
+      share a component once the bridges are removed;
     - `sorted_vertices`: the vertex names, sorted;
     - `index`: the `GraphIndex` the immersion search and its verifier run on;
     - `degree_order`: vertex ids by descending degree, then name; the
@@ -135,6 +137,55 @@ class Multigraph:
     @functools.cached_property
     def degree_sequence(self) -> Tuple[int, ...]:
         return tuple(sorted(self.degrees.values(), reverse=True))
+
+    @functools.cached_property
+    def pair_counts(self) -> Tuple[int, int]:
+        """(p1, p2): the vertex pairs joined by a path, and those joined by
+        two edge-disjoint paths, that is, in one component of G minus its
+        bridges.  One depth-first search on an explicit stack finds the
+        bridges (Tarjan, "A note on finding the bridges of a graph", IPL
+        1974).  It skips loops and the edge it came in by, not every edge
+        back to the parent, so a doubled edge is never a bridge."""
+        adj = self.index.adj
+        disc = [0] * len(adj)  # discovery time from 1; 0 while unseen
+        low = [0] * len(adj)  # the earliest disc reached by one back edge below
+        pending: List[int] = []  # vertices whose 2-edge-connected class is open
+        p1 = p2 = time = 0
+        for root in range(len(adj)):
+            if disc[root]:
+                continue
+            time += 1
+            disc[root] = low[root] = time
+            stack = [(root, 0, iter(adj[root]), len(pending))]
+            pending.append(root)
+            while stack:
+                v, into, it, at = stack[-1]
+                for bit, u in it:
+                    if bit == into or u == v:
+                        continue
+                    if not disc[u]:
+                        time += 1
+                        disc[u] = low[u] = time
+                        stack.append((u, bit, iter(adj[u]), len(pending)))
+                        pending.append(u)
+                        break
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+                else:
+                    stack.pop()
+                    if stack:
+                        p = stack[-1][0]
+                        if low[v] < low[p]:
+                            low[p] = low[v]
+                    if not stack or low[v] > disc[p]:
+                        # the edge into v is a bridge, or v is the root:
+                        # v's class is v and the open vertices found after it
+                        s = len(pending) - at
+                        del pending[at:]
+                        p2 += s * (s - 1) // 2
+            c = time - disc[root] + 1
+            p1 += c * (c - 1) // 2
+        return p1, p2
 
     @functools.cached_property
     def sorted_vertices(self) -> Tuple[str, ...]:

@@ -1,5 +1,5 @@
 """Reference immersion search: the exhaustive searcher without the
-residual-slack, twin and degree-domination pruning that
+residual-slack, twin, degree-domination and pair-count pruning that
 `immtools.immersion.find_immersion` applies.
 
 It backtracks over every degree-feasible injective assignment in the same

@@ -10,6 +10,7 @@ from immtools import (
     CutWitness,
     Multigraph,
     build_auxiliary_graph,
+    consolidate,
     edge_disjoint_paths,
     gen_pk,
     gen_random_multigraph,
@@ -188,6 +189,35 @@ def test_a_flow_stops_at_its_threshold():
                     assert net.residual_side is None
                     stopped += 1
     assert min(stopped, completed) > 500
+
+
+def test_flows_at_the_glue_of_a_split_stop_at_the_contracted_value():
+    # what stays of a network after a split is G with the moved side
+    # contracted to the glue node.  Each flow into the glue node, then out
+    # of it, has the value it has on the contracted graph, and a limit
+    # one above that value bounds its augmentations: a split that leaves
+    # arcs leading into the moved side fails here on a value, at once,
+    # before a flow out of the glue node can walk back through them
+    rng = random.Random(13)
+    flows = 0
+    for case in range(80):
+        n = rng.randint(3, 9)
+        G = gen_random_multigraph(n, rng.randint(n, 3 * n), 2, seed=case)
+        verts = sorted(G.vertices)
+        side = rng.sample(verts, rng.randint(1, n - 2))
+        kept = [v for v in verts if v not in side]
+        net = FlowNetwork(G)
+        _, glue = net.split(net.nodes(side), "moved", "glue")
+        if glue is None:
+            continue
+        contracted = consolidate(G, side, "glue")
+        want = {x: oracle_flow.max_flow_min_cut(contracted, {x}, {"glue"}).value for x in kept}
+        for x in kept:
+            assert net.max_flow([net.index[x]], [glue], limit=want[x] + 1) == want[x], (case, x)
+        for x in kept:
+            assert net.max_flow([glue], [net.index[x]], limit=want[x] + 1) == want[x], (case, x)
+            flows += 2 * (want[x] > 0)
+    assert flows >= 200
 
 
 def test_first_violating_pair_in_sorted_order_is_the_witness():

@@ -381,6 +381,41 @@ def test_degree_domination_answers_without_a_step():
         assert find_immersion(G, gen_complete(4), strong=strong, budget=0).status == ABSENT
 
 
+# Hosts whose degrees and counts dominate K3's but which have fewer pairs in
+# one component, or in one component once the bridges are removed.
+@pytest.mark.parametrize(
+    "host, counts",
+    [
+        (mg("abc", {"1": "ab", "2": "ab", "3": "cc"}), (1, 1)),
+        (mg("abc", {"1": "ab", "2": "ab", "3": "bc", "4": "cc"}), (3, 1)),
+    ],
+    ids=["p1", "p2"],
+)
+def test_pair_counts_answer_without_a_step(host, counts):
+    K3 = gen_complete(3)
+    assert (host.pair_counts, K3.pair_counts) == (counts, (3, 3))
+    for strong in (True, False):
+        assert find_immersion(host, K3, strong=strong, budget=0).status == ABSENT
+        assert oracle_search.find_immersion(host, K3, strong=strong).status == ABSENT
+
+
+def test_a_query_ruled_out_before_the_search_has_no_immersion():
+    # pattern edges become edge-disjoint paths between distinct branch
+    # vertices, so the host has at least as many pairs joined by one path,
+    # and by two edge-disjoint paths, as the pattern
+    rng = random.Random(2214)
+    by_pairs = 0
+    for _ in range(5000):
+        G = random_multigraph(rng, max_n=6, max_edges=8)
+        H = random_multigraph(rng, max_n=4, max_edges=5)
+        (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
+        for strong in (True, False):
+            if find_immersion(G, H, strong=strong, budget=0).status == ABSENT:
+                assert oracle_search.find_immersion(G, H, strong=strong).status == ABSENT
+                by_pairs += h1 > g1 or h2 > g2
+    assert by_pairs >= 500
+
+
 # -- the explicit search stack -----------------------------------------
 
 

@@ -11,6 +11,7 @@ from immtools import (
     gen_random_multigraph,
     is_separation,
     lift,
+    max_flow_min_cut,
     split_off_vertex,
 )
 from helpers import mg, random_multigraph
@@ -263,6 +264,51 @@ def test_cached_search_facts_match_a_fresh_computation():
         assert [None if t < 0 else names[t] for t in G.earlier_twins] == expected
         twins += sum(t is not None for t in expected)
     assert twins
+
+
+def _pair_counts_by_flows(G):
+    """(p1, p2) and the number of components, from a flow between every
+    pair of vertices."""
+    names = sorted(G.vertices)
+    p1 = p2 = 0
+    component = {v: v for v in names}
+    for s, t in itertools.combinations(names, 2):
+        value = max_flow_min_cut(G, {s}, {t}).value
+        p1 += value >= 1
+        p2 += value >= 2
+        if value:
+            component[t] = component[s] = min(component[s], component[t])
+    return (p1, p2), sum(component[v] == v for v in names)
+
+
+def test_pair_counts_match_all_pairs_flows():
+    rng = random.Random(22)
+    shapes = dict.fromkeys(("loop", "parallel", "isolated", "several", "bridged"), 0)
+    for _ in range(400):
+        G = random_multigraph(rng, max_n=9, max_edges=14)
+        counts, components = _pair_counts_by_flows(G)
+        assert G.pair_counts == counts, sorted(G.edges.values())
+        pairs = list(G.edges.values())
+        shapes["loop"] += any(a == b for a, b in pairs)
+        shapes["parallel"] += len(set(pairs)) < len(pairs)
+        shapes["isolated"] += 0 in G.degrees.values()
+        shapes["several"] += components - list(G.degrees.values()).count(0) >= 2
+        shapes["bridged"] += 0 < counts[1] < counts[0]
+    assert min(shapes.values()) >= 40, shapes
+
+
+def test_pair_counts_of_long_paths_and_cycles():
+    # one depth-first search on an explicit stack: no recursion limit
+    n = 5000
+    names = frozenset(f"v{i}" for i in range(n))
+    path = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(n - 1)}
+    every_pair = n * (n - 1) // 2
+    assert Multigraph(names, path).pair_counts == (every_pair, 0)
+    cycle = dict(path, closing=(f"v{n - 1}", "v0"))
+    assert Multigraph(names, cycle).pair_counts == (every_pair, every_pair)
+    # a doubled edge is two paths, never a bridge
+    doubled = dict(path, twin=("v0", "v1"))
+    assert Multigraph(names, doubled).pair_counts == (every_pair, 1)
 
 
 def test_searching_leaves_equality_unchanged():
