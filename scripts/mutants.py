@@ -167,6 +167,25 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "a query with more 2-edge-connected pairs than its host is searched"
         " (first made for the pair-count rule)",
     ),
+    Mutant(
+        "budget-answered-at-the-limit",
+        "src/immtools/immersion.py",
+        "if budget is not None and searcher.steps > budget:",
+        "if budget is not None and searcher.steps >= budget:",
+        ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
+        "a search that ends absent on exactly its budget's last step answers"
+        " budget (first made for the step count as the one budget signal)",
+    ),
+    # -- the multigraph index
+    Mutant(
+        "incident-edge-off-by-one",
+        "src/immtools/multigraph.py",
+        "index.edges[bit.bit_length() - 1] for bit, _ in",
+        "index.edges[bit.bit_length()] for bit, _ in",
+        ("tests/test_multigraph.py::test_incidence_index_matches_an_edge_scan",),
+        "incident(v) names the edge after each incident one (first made for"
+        " the string queries read from the index)",
+    ),
     # -- linearity certificates
     Mutant(
         "sweep-misses-the-last-crossing",

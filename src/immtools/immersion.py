@@ -221,7 +221,7 @@ def verify_immersion(
         if mask & (mask - 1) and _reach(adj, mask, next(iter(spanned))) != spanned:
             violations.append(f"edge {he!r}: image is not connected")
         if strong:
-            for hw in H.sorted_vertices:
+            for hw in H.index.vertices:
                 if hw != hu and hw != hv and ids[vm[hw]] in spanned:
                     violations.append(
                         f"edge {he!r}: image contains branch vertex {vm[hw]!r}"
@@ -231,10 +231,6 @@ def verify_immersion(
 
 
 # -- exhaustive search ------------------------------------------------
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 def _dominated(G: Multigraph, H: Multigraph) -> bool:
@@ -262,7 +258,8 @@ class _Searcher:
     indexes; see the module docstring.  `steps` counts the frames pushed
     so far, a skipped subtree's steps charged as if they were taken.  A
     descent of the assignment and a skipped subtree may each go past the
-    budget in one pass; when the budget runs out `steps` is budget + 1."""
+    budget in one pass; when the budget runs out, `immersions()` returns
+    with `steps` at budget + 1, the one sign of a spent budget."""
 
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -271,15 +268,10 @@ class _Searcher:
         self.budget = budget
         self.steps = 0
 
-    def run(self) -> Optional[ImmersionCertificate]:
-        """The first immersion in search order, or None; raises
-        _BudgetExhausted when the budget runs out first."""
-        return next(self.immersions(), None)
-
     def immersions(self) -> Iterator[ImmersionCertificate]:
-        """The immersions the search reaches, in depth-first order; the
-        pruning skips those that differ from an earlier one only by
-        swapping parallel host edges or twins' images."""
+        """The immersions the search reaches, in depth-first order, until
+        the budget runs out; the pruning skips those that differ from an
+        earlier one only by swapping parallel host edges or twins' images."""
         gindex, hindex = self.G.index, self.H.index
         adj, gdeg = gindex.adj, gindex.degree
         ng = len(gdeg)
@@ -329,8 +321,8 @@ class _Searcher:
             if steps > limit:
                 # a descent or a skipped subtree may take steps past the
                 # limit at once
-                self.steps = limit + 1
-                raise _BudgetExhausted
+                steps = limit + 1
+                break
             f = stack[-1]
             kind = f[0]
             if kind == _STEP:
@@ -507,20 +499,20 @@ def find_immersion(
     """Exhaustive immersion search.  A budget caps the search steps (0
     allows none); None means no cap.  A query that the counts, degrees or
     pair counts rule out (see the module docstring) is absent without a
-    step, whatever the budget.  A certificate is not re-checked here:
-    `verify_immersion` checks one when the caller asks."""
+    step, whatever the budget.  A search that finds no immersion answers
+    budget exactly when it took more steps than the budget.  A certificate
+    is not re-checked here: `verify_immersion` checks one when asked."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if not _dominated(G, H):
         return _NO_IMMERSION
     searcher = _Searcher(G, H, strong, budget)
-    try:
-        cert = searcher.run()
-    except _BudgetExhausted:
+    cert = next(searcher.immersions(), None)
+    if cert is not None:
+        return SearchResult(status=FOUND, certificate=cert)
+    if budget is not None and searcher.steps > budget:
         return _OUT_OF_BUDGET
-    if cert is None:
-        return _NO_IMMERSION
-    return SearchResult(status=FOUND, certificate=cert)
+    return _NO_IMMERSION
 
 
 # -- star minor to immersion ------------------------------------------

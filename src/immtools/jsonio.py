@@ -76,10 +76,7 @@ def graph_from_json(obj: Any) -> Multigraph:
         if not (isinstance(ends, list) and len(ends) == 2
                 and isinstance(ends[0], str) and isinstance(ends[1], str)):
             raise ValueError(f'edge {eid!r} needs "ends": [u, v]')
-        u, v = ends
-        if u not in vs or v not in vs:
-            raise ValueError(f"edge {eid!r} has an unknown endpoint")
-        edges[eid] = (u, v)
+        edges[eid] = tuple(ends)
     return Multigraph(vs, edges)
 
 

@@ -5,7 +5,7 @@ distinct entries with equal endpoint pairs; a loop stores the same vertex
 twice.  All operations are pure and return new graphs.
 
 Each graph works out its incidence once, on the first query that needs
-it, and keeps it: the degree map, the adjacency and the facts the
+it, and keeps it: the degree map, the integer index and the facts the
 immersion search reads (see `Multigraph`) are shared by every later query
 and caller, and must not be modified.
 """
@@ -47,12 +47,12 @@ class Multigraph:
     Facts cached on first use (lazy, so building a graph costs nothing
     more; equality still compares only the vertices and edges):
 
-    - `degrees`, and the adjacency behind `adjacency()`;
+    - `degrees`, the map behind `degree()`;
     - `degree_sequence`: the degrees, sorted in descending order;
     - `pair_counts`: how many vertex pairs share a component, and how many
       share a component once the bridges are removed;
-    - `sorted_vertices`: the vertex names, sorted;
-    - `index`: the `GraphIndex` the immersion search and its verifier run on;
+    - `index`: the `GraphIndex` that `incident`, `neighbors` and
+      `adjacency()` read, and the immersion search and its verifier run on;
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
@@ -67,7 +67,7 @@ class Multigraph:
         for eid, ends in self.edges.items():
             u, v = ends
             if u not in self.vertices or v not in self.vertices:
-                raise ValueError(f"edge {eid!r} has endpoint outside the vertex set")
+                raise ValueError(f"edge {eid!r} has an unknown endpoint")
             norm[eid] = (u, v) if u <= v else (v, u)
         object.__setattr__(self, "edges", norm)
 
@@ -87,7 +87,8 @@ class Multigraph:
         """Edge ids touching v (loops listed once), sorted."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        return [e for e, _ in self._adjacency[v]]
+        index = self.index
+        return [index.edges[bit.bit_length() - 1] for bit, _ in index.adj[index.ids[v]]]
 
     def degree(self, v: str) -> int:
         if v not in self.vertices:
@@ -98,7 +99,9 @@ class Multigraph:
         """Vertices joined to v by a non-loop edge."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        return frozenset(u for _, u in self._adjacency[v] if u != v)
+        index = self.index
+        i = index.ids[v]
+        return frozenset(index.vertices[u] for _, u in index.adj[i] if u != i)
 
     def boundary(self, X: Iterable[str]) -> FrozenSet[str]:
         """delta(X): non-loop edges with exactly one endpoint in X."""
@@ -112,8 +115,12 @@ class Multigraph:
 
     def adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
         """vertex -> (edge id, other endpoint) pairs sorted by edge id;
-        loops appear once.  The mapping is shared: do not modify it."""
-        return self._adjacency
+        loops appear once.  A fresh mapping on each call."""
+        names, edges, adj = self.index.vertices, self.index.edges, self.index.adj
+        return {
+            v: tuple((edges[bit.bit_length() - 1], names[u]) for bit, u in adj[i])
+            for i, v in enumerate(names)
+        }
 
     @functools.cached_property
     def degrees(self) -> Dict[str, int]:
@@ -123,16 +130,6 @@ class Multigraph:
             deg[a] += 1
             deg[b] += 1
         return deg
-
-    @functools.cached_property
-    def _adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
-        adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in sorted(self.edges):
-            a, b = self.edges[e]
-            adj[a].append((e, b))
-            if b != a:
-                adj[b].append((e, a))
-        return {v: tuple(pairs) for v, pairs in adj.items()}
 
     @functools.cached_property
     def degree_sequence(self) -> Tuple[int, ...]:
@@ -188,12 +185,8 @@ class Multigraph:
         return p1, p2
 
     @functools.cached_property
-    def sorted_vertices(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.vertices))
-
-    @functools.cached_property
     def index(self) -> GraphIndex:
-        names = self.sorted_vertices
+        names = tuple(sorted(self.vertices))
         ids = {v: i for i, v in enumerate(names)}
         edges = tuple(sorted(self.edges))
         bits = {}

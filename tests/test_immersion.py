@@ -449,7 +449,8 @@ C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
 
 
 # Step counts of the depth-first order, pinned where the budget runs out:
-# the query answers with its count and returns "budget" with one step less.
+# the query answers with its count and returns "budget" with one step less,
+# where the search itself yields nothing and stops at its count, budget + 1.
 @pytest.mark.parametrize(
     "host, pattern, strong, steps, status",
     [
@@ -474,6 +475,9 @@ C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
 def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, status):
     assert find_immersion(host, pattern, strong, budget=steps).status == status
     assert find_immersion(host, pattern, strong, budget=steps - 1).status == BUDGET
+    searcher = _Searcher(host, pattern, strong, budget=steps - 1)
+    assert list(searcher.immersions()) == []
+    assert searcher.steps == steps
 
 
 DOUBLED_K4 = Multigraph(
