@@ -56,6 +56,7 @@ _TREE_AGREEMENT = (
 )
 _PAIR_COUNTS = "tests/test_multigraph.py::test_pair_counts_match_all_pairs_flows"
 _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_has_no_immersion"
+_DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -166,6 +167,45 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/test_immersion.py::test_pair_counts_answer_without_a_step",),
         "a query with more 2-edge-connected pairs than its host is searched"
         " (first made for the pair-count rule)",
+    ),
+    Mutant(
+        "cycle-rank-not-compared",
+        "src/immtools/immersion.py",
+        "if H.cycle_rank > G.cycle_rank:",
+        "if False:",
+        (_DIRECT_EDGES,),
+        "a pattern of larger cycle rank than its host is searched (first"
+        " made for the cycle-rank rule)",
+    ),
+    Mutant(
+        "edge-budget-not-compared",
+        "src/immtools/immersion.py",
+        "if need > len(G.edges) - len(H.edges):",
+        "if False:",
+        (_DIRECT_EDGES,),
+        "a pattern whose routes of two host edges or more do not fit in the"
+        " host's spare edges is searched (first made for the direct-edge"
+        " budget)",
+    ),
+    Mutant(
+        "spare-vertex-index-off-by-one",
+        "src/immtools/immersion.py",
+        "G.spare_capacity[len(gseq) - len(hseq)]",
+        "G.spare_capacity[len(gseq) - len(hseq) + 1]",
+        (_DIRECT_EDGES,),
+        "a strong query counts one host vertex too many as free to carry"
+        " routes (first made for the direct-edge budget)",
+    ),
+    Mutant(
+        "table-skips-bent-states",
+        "src/immtools/immersion.py",
+        "if (full ^ f[2]).bit_count() > j:",
+        "if (full ^ f[2]).bit_count() > j + 1:",
+        ("tests/test_immersion.py::test_the_refuted_state_table_is_consulted",),
+        "the refuted-state table is not consulted where one earlier route"
+        " has two edges, though such states repeat; no answer or step count"
+        " changes, only the hits (first made for consulting the table only"
+        " where a state can repeat)",
     ),
     Mutant(
         "budget-answered-at-the-limit",

@@ -42,11 +42,15 @@ those steps to the count and returns at once (nogood recording: Dechter,
 "Enhancement schemes for constraint processing", AI 41(3), 1990).  Step
 counts, the budget boundary, the order and the first certificate are
 those of the search without the table.  The frames open when an immersion
-is yielded are not recorded, so the enumeration is the same too.  Levels
-0 and 1 are not recorded: under one assignment their states cannot
-repeat, because a route's edge set determines the route.  The table holds
-at most one entry per refuted route frame and is emptied when the
-assignment changes.
+is yielded are not recorded, so the enumeration is the same too.  The
+table is consulted only where a state can repeat.  Levels 0 and 1 cannot:
+under one assignment a route's edge set determines the route.  Nor can a
+level j whose earlier routes hold only j edges, that is, one edge each: a
+one-edge route is the first available edge (or loop) between its ends,
+because the parallel-edge rule below skips the others, so each earlier
+route follows from the ones before it and the state has a single history.
+The table holds at most one entry per refuted route frame and is emptied
+when the assignment changes.
 
 Parallel host edges are interchangeable.  When a route grows from a vertex
 and two parallel edges to the same neighbour are both available and both
@@ -60,15 +64,33 @@ Three more necessary conditions cut subtrees that hold no immersion.  The
 depth-first order is unchanged, so the first certificate found is the one
 the unpruned search finds.
 
-- Counting, degree and pair domination.  Every immersion needs at least
-  as many host vertices and edges as the pattern has, and an injective
-  map onto host vertices of at least the pattern degree (a loop counting
-  2).  So H's degrees, sorted in descending order, must be at most G's,
-  place by place.  Pattern edges become edge-disjoint paths, so the
-  images of two pattern vertices joined by a path, or by two edge-disjoint
-  paths, are joined in the same way; the map is injective, so G has at
-  least as many pairs in one component, and in one component once the
-  bridges are removed, as H (`Multigraph.pair_counts`).  A query that
+- Counting, degree, pair and edge domination.  Every immersion needs at
+  least as many host vertices and edges as the pattern has, and an
+  injective map onto host vertices of at least the pattern degree (a loop
+  counting 2).  So H's degrees, sorted in descending order, must be at
+  most G's, place by place.  Pattern edges become edge-disjoint paths,
+  so the images of two pattern vertices joined by a path, or by two
+  edge-disjoint paths, are joined in the same way; the map is injective,
+  so G has at least as many pairs in one component, and in one component
+  once the bridges are removed, as H (`Multigraph.pair_counts`).  H
+  arises from a subgraph of G by lifting pairs of edges and deleting
+  edges and isolated vertices; a lift or an edge deletion lowers m by
+  one and raises the number of components c by at most one, and an
+  isolated vertex takes one from n and from c.  So H's cycle rank
+  m - n + c (`Multigraph.cycle_rank`) is at most G's.
+  Each pattern edge is either one host edge between the images of its
+  ends (a host loop, for a loop) or a route of two host edges or more.
+  Sort both graphs' pair multiplicities, and their loop counts, in
+  descending order (`Multigraph.multiplicities`).  Then need, the sum of
+  (h_i - g_i)+ over the pairs plus the same sum over the loops, is a
+  lower bound on the pattern edges that take two host edges or more:
+  the vertex map matches H's pairs to distinct pairs of G, and H's loop
+  sites to distinct ones of G, and matching the sorted lists place by
+  place minimises this convex cost over all such matchings.  So need is
+  at most m_G - m_H.  In a strong immersion each of those routes also
+  passes through a host vertex that is no branch image, taking two of
+  its edge-ends, so need is at most the sum of the n_G - n_H largest
+  values of deg_G // 2 (`Multigraph.spare_capacity`).  A query that
   fails any of this is absent before any search step.
 - Residual slack, weak routing.  Once the assignment is complete, each
   branch image gv = phi(a) gets slack deg_G(gv) - deg_H(a).  A route uses
@@ -233,17 +255,29 @@ def verify_immersion(
 # -- exhaustive search ------------------------------------------------
 
 
-def _dominated(G: Multigraph, H: Multigraph) -> bool:
-    """Whether G has as many vertices, edges, pairs in one component and
-    pairs in one 2-edge-connected class as H, and H's degrees, sorted in
-    descending order, are at most G's, place by place."""
+def _dominated(G: Multigraph, H: Multigraph, strong: bool) -> bool:
+    """Whether G passes the counting tests of the module docstring for H:
+    as many vertices, edges, pairs in one component and pairs in one
+    2-edge-connected class, at least H's cycle rank, H's degrees, sorted
+    in descending order, at most G's place by place, and room for the
+    pattern edges that no single host edge can carry."""
     gseq, hseq = G.degree_sequence, H.degree_sequence
     if len(hseq) > len(gseq) or len(H.edges) > len(G.edges):
         return False
     (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
     if h1 > g1 or h2 > g2:
         return False
-    return all(map(operator.le, hseq, gseq))
+    if not all(map(operator.le, hseq, gseq)):
+        return False
+    if H.cycle_rank > G.cycle_rank:
+        return False
+    # need, the sum of (h_i - g_i)+, is m_H less the sums of min(h_i, g_i):
+    # the most pattern edges that single host edges can carry
+    (gp, gl), (hp, hl) = G.multiplicities, H.multiplicities
+    need = len(H.edges) - sum(map(min, hp, gp)) - sum(map(min, hl, gl))
+    if need > len(G.edges) - len(H.edges):
+        return False
+    return not strong or need <= G.spare_capacity[len(gseq) - len(hseq)]
 
 
 # Frame kinds of the search stack.
@@ -259,7 +293,9 @@ class _Searcher:
     so far, a skipped subtree's steps charged as if they were taken.  A
     descent of the assignment and a skipped subtree may each go past the
     budget in one pass; when the budget runs out, `immersions()` returns
-    with `steps` at budget + 1, the one sign of a spent budget."""
+    with `steps` at budget + 1, the one sign of a spent budget.
+    `refuted_hits` counts the route frames skipped as refuted states, and
+    `refuted_steps` the steps charged for them."""
 
     def __init__(self, G: Multigraph, H: Multigraph, strong: bool, budget: Optional[int]):
         self.G = G
@@ -267,6 +303,8 @@ class _Searcher:
         self.strong = strong
         self.budget = budget
         self.steps = 0
+        self.refuted_hits = 0
+        self.refuted_steps = 0
 
     def immersions(self) -> Iterator[ImmersionCertificate]:
         """The immersions the search reaches, in depth-first order, until
@@ -295,8 +333,8 @@ class _Searcher:
         # (route level, available edges) -> the steps its subtree took, for
         # the route frames of the current assignment that yielded nothing;
         # starts[j]: the step count when level j began, -1 when it is not
-        # to be recorded (levels 0 and 1, which cannot repeat, and levels
-        # open at a yield)
+        # to be recorded (states that cannot repeat, and levels open at a
+        # yield)
         refuted: Dict[Tuple[int, int], int] = {}
         starts = [-1] * mh
         j = -1  # the route level being built
@@ -378,15 +416,21 @@ class _Searcher:
             elif kind == _ROUTE:
                 phase = f[1]
                 if phase == 0 and 1 < j < mh:
-                    skipped = refuted.get((j, f[2]))
-                    if skipped is None:
-                        starts[j] = steps
+                    if (full ^ f[2]).bit_count() > j:
+                        skipped = refuted.get((j, f[2]))
+                        if skipped is None:
+                            starts[j] = steps
+                        else:
+                            # the subtree of this state has failed before:
+                            # charge its steps and leave it
+                            steps += skipped
+                            self.refuted_hits += 1
+                            self.refuted_steps += skipped
+                            starts[j] = -1
+                            phase = 2
                     else:
-                        # the subtree of this state has failed before:
-                        # charge its steps and leave it
-                        steps += skipped
+                        # every route below is one edge: a new state
                         starts[j] = -1
-                        phase = 2
                 if j == mh or phase == 2:
                     stack.pop()
                     if j == mh:
@@ -497,14 +541,14 @@ def find_immersion(
     budget: Optional[int] = None,
 ) -> SearchResult:
     """Exhaustive immersion search.  A budget caps the search steps (0
-    allows none); None means no cap.  A query that the counts, degrees or
-    pair counts rule out (see the module docstring) is absent without a
-    step, whatever the budget.  A search that finds no immersion answers
+    allows none); None means no cap.  A query that the counting tests
+    rule out (see the module docstring) is absent without a step,
+    whatever the budget.  A search that finds no immersion answers
     budget exactly when it took more steps than the budget.  A certificate
     is not re-checked here: `verify_immersion` checks one when asked."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    if not _dominated(G, H):
+    if not _dominated(G, H, strong):
         return _NO_IMMERSION
     searcher = _Searcher(G, H, strong, budget)
     cert = next(searcher.immersions(), None)

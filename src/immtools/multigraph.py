@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from collections.abc import Iterable
+from itertools import accumulate
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 
@@ -51,6 +53,13 @@ class Multigraph:
     - `degree_sequence`: the degrees, sorted in descending order;
     - `pair_counts`: how many vertex pairs share a component, and how many
       share a component once the bridges are removed;
+    - `cycle_rank`: edges minus vertices plus components, from the same
+      depth-first search as `pair_counts`;
+    - `multiplicities`: the edge counts of the vertex pairs joined by an
+      edge, and the loop counts of the vertices with a loop, each sorted
+      in descending order;
+    - `spare_capacity`: entry k is the sum of the k largest values of
+      deg // 2, the most paths that k vertices can carry through them;
     - `index`: the `GraphIndex` that `incident`, `neighbors` and
       `adjacency()` read, and the immersion search and its verifier run on;
     - `degree_order`: vertex ids by descending degree, then name; the
@@ -139,18 +148,30 @@ class Multigraph:
     def pair_counts(self) -> Tuple[int, int]:
         """(p1, p2): the vertex pairs joined by a path, and those joined by
         two edge-disjoint paths, that is, in one component of G minus its
-        bridges.  One depth-first search on an explicit stack finds the
-        bridges (Tarjan, "A note on finding the bridges of a graph", IPL
-        1974).  It skips loops and the edge it came in by, not every edge
-        back to the parent, so a doubled edge is never a bridge."""
+        bridges."""
+        return self._bridge_search[:2]
+
+    @functools.cached_property
+    def cycle_rank(self) -> int:
+        """m - n + c: the edges that a spanning forest leaves out."""
+        return len(self.edges) - len(self.vertices) + self._bridge_search[2]
+
+    @functools.cached_property
+    def _bridge_search(self) -> Tuple[int, int, int]:
+        """`pair_counts` and the number of components, one per root.  One
+        depth-first search on an explicit stack finds the bridges (Tarjan,
+        "A note on finding the bridges of a graph", IPL 1974).  It skips
+        loops and the edge it came in by, not every edge back to the
+        parent, so a doubled edge is never a bridge."""
         adj = self.index.adj
         disc = [0] * len(adj)  # discovery time from 1; 0 while unseen
         low = [0] * len(adj)  # the earliest disc reached by one back edge below
         pending: List[int] = []  # vertices whose 2-edge-connected class is open
-        p1 = p2 = time = 0
+        p1 = p2 = time = roots = 0
         for root in range(len(adj)):
             if disc[root]:
                 continue
+            roots += 1
             time += 1
             disc[root] = low[root] = time
             stack = [(root, 0, iter(adj[root]), len(pending))]
@@ -182,7 +203,24 @@ class Multigraph:
                         p2 += s * (s - 1) // 2
             c = time - disc[root] + 1
             p1 += c * (c - 1) // 2
-        return p1, p2
+        return p1, p2, roots
+
+    @functools.cached_property
+    def multiplicities(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """(pairs, loops): how many edges join each vertex pair joined by
+        one, and how many loops each vertex with a loop has, each sorted in
+        descending order."""
+        pairs, loops = [], []
+        for (a, b), k in Counter(self.edges.values()).items():
+            (loops if a == b else pairs).append(k)
+        return tuple(sorted(pairs, reverse=True)), tuple(sorted(loops, reverse=True))
+
+    @functools.cached_property
+    def spare_capacity(self) -> Tuple[int, ...]:
+        """k -> the sum of the k largest values of deg // 2, for k from 0
+        to n.  A path through a vertex takes two of its edge-ends, so this
+        bounds how many edge-disjoint paths k vertices carry through them."""
+        return tuple(accumulate((d // 2 for d in self.degree_sequence), initial=0))
 
     @functools.cached_property
     def index(self) -> GraphIndex:

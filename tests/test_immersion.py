@@ -1,4 +1,6 @@
+import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -399,21 +401,117 @@ def test_pair_counts_answer_without_a_step(host, counts):
         assert oracle_search.find_immersion(host, K3, strong=strong).status == ABSENT
 
 
+# One query per rule that needs more than counts, degrees and pair counts;
+# each passes the rules before it.
+@pytest.mark.parametrize(
+    "host, pattern, strong",
+    [
+        # the pattern's cycle rank 2 exceeds the star's 0
+        (mg("cabde", {"1": "ca", "2": "cb", "3": "cd", "4": "ce"}),
+         mg("a", {"l": "aa", "m": "aa"}), False),
+        # five pattern loops and three host loops: two loops take a route
+        # each, two host edges or more, and the host has one edge to spare
+        (mg("xy", {"1": "xx", "2": "xx", "3": "xx", "4": "xy", "5": "xy", "6": "xy"}),
+         mg("ab", {"1": "aa", "2": "aa", "3": "aa", "4": "aa", "5": "bb"}), False),
+        # no host loop: three loop routes, each through the one vertex that
+        # is no branch image, which carries at most deg // 2 = 2 of them
+        (mg("xyz", {"1": "xy", "2": "xy", "3": "xy", "4": "xy", "5": "xz", "6": "yz"}),
+         mg("ab", {"1": "aa", "2": "aa", "3": "bb"}), True),
+        # the one pattern pair that no host edge joins needs a vertex that
+        # is no branch image, and pk_chorded(3) has only K4's four vertices
+        (gen_pk_chorded(3), gen_complete(4), True),
+    ],
+    ids=["rank", "edge-budget", "spare-vertices", "strong-K4-in-pk_chorded3"],
+)
+def test_cycle_rank_and_direct_edges_answer_without_a_step(host, pattern, strong):
+    assert find_immersion(host, pattern, strong, budget=0).status == ABSENT
+    assert oracle_search.find_immersion(host, pattern, strong=strong).status == ABSENT
+
+
+# A table that is never consulted changes no answer and no step count, so
+# its hits and the steps they charge are pinned.  Every hit of the second
+# row, a pattern with parallel edges, is at a level j whose earlier routes
+# hold j + 1 edges; the first row has no such hit.
+@pytest.mark.parametrize(
+    "host, pattern, found, hits, charged, steps",
+    [
+        (gen_random_multigraph(8, 30, 2, 3), gen_complete(5), True, 339, 5164, 8683),
+        (gen_complete(4), mg("abc", {"1": "ab", "2": "ab", "3": "ac", "4": "cc"}),
+         False, 24, 96, 473),
+    ],
+    ids=["weak-K5-in-random-3", "weak-doubled-edge-and-loop-in-K4"],
+)
+def test_the_refuted_state_table_is_consulted(host, pattern, found, hits, charged, steps):
+    searcher = _Searcher(host, pattern, False, None)
+    assert (next(searcher.immersions(), None) is not None) == found
+    assert (searcher.refuted_hits, searcher.refuted_steps, searcher.steps) == (hits, charged, steps)
+
+
+def _direct_edge_need(G, H):
+    """The fewest pattern edges that no single host edge can carry, the
+    minimum over every injective vertex map of the pattern edges beyond
+    the host edges between their ends' images (host loops, for a loop)."""
+    def multiplicity(X):
+        count = {}
+        for a, b in X.edges.values():
+            count[a, b] = count.get((a, b), 0) + 1
+        return count
+
+    gmult, hmult = multiplicity(G), multiplicity(H)
+    hnames = sorted(H.vertices)
+    best = None
+    for images in itertools.permutations(sorted(G.vertices), len(hnames)):
+        phi = dict(zip(hnames, images))
+        need = 0
+        for (a, b), k in hmult.items():
+            u, v = sorted((phi[a], phi[b]))
+            need += max(0, k - gmult.get((u, v), 0))
+        best = need if best is None else min(best, need)
+    return best
+
+
 def test_a_query_ruled_out_before_the_search_has_no_immersion():
     # pattern edges become edge-disjoint paths between distinct branch
     # vertices, so the host has at least as many pairs joined by one path,
-    # and by two edge-disjoint paths, as the pattern
+    # and by two edge-disjoint paths, as the pattern, at least its cycle
+    # rank, and room for the routes that no single host edge carries:
+    # spare edges, and for a strong immersion spare vertices
     rng = random.Random(2214)
     by_pairs = 0
+    rules = dict.fromkeys(("rank", "edges", "vertices"), 0)
     for _ in range(5000):
         G = random_multigraph(rng, max_n=6, max_edges=8)
         H = random_multigraph(rng, max_n=4, max_edges=5)
         (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
+        spare = len(G.vertices) - len(H.vertices)
+        room = len(G.edges) - len(H.edges)
+        counted = (
+            spare >= 0 and room >= 0 and h1 <= g1 and h2 <= g2
+            and all(map(operator.le, H.degree_sequence, G.degree_sequence))
+        )
+        if counted:
+            # matching the sorted multiplicities bounds the fewest such
+            # routes from below
+            need = sum(
+                max(0, h - g)
+                for hs, gs in zip(H.multiplicities, G.multiplicities)
+                for h, g in itertools.zip_longest(hs, gs, fillvalue=0)
+            )
+            assert need <= _direct_edge_need(G, H)
         for strong in (True, False):
             if find_immersion(G, H, strong=strong, budget=0).status == ABSENT:
                 assert oracle_search.find_immersion(G, H, strong=strong).status == ABSENT
                 by_pairs += h1 > g1 or h2 > g2
+                if not counted:
+                    continue
+                if H.cycle_rank > G.cycle_rank:
+                    rules["rank"] += 1
+                elif need > room:
+                    rules["edges"] += 1
+                elif strong and need > G.spare_capacity[spare]:
+                    rules["vertices"] += 1
     assert by_pairs >= 500
+    assert rules["rank"] >= 50 and rules["edges"] >= 10 and rules["vertices"] >= 25, rules
 
 
 # -- the explicit search stack -----------------------------------------

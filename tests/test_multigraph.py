@@ -310,6 +310,69 @@ def test_pair_counts_of_long_paths_and_cycles():
     assert Multigraph(names, doubled).pair_counts == (every_pair, 1)
 
 
+def _counting_facts_by_brute_force(G):
+    """Cycle rank from a union-find, multiplicities from a count over every
+    vertex pair and loop site, and spare capacity as the best sum of
+    deg // 2 over every vertex subset of each size."""
+    names = sorted(G.vertices)
+    root = {v: v for v in names}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in G.edges.values():
+        root[find(a)] = find(b)
+    components = sum(root[v] == v for v in names)
+    ends = list(G.edges.values())
+    pairs = [ends.count((u, v)) for u, v in itertools.combinations(names, 2)]
+    loops = [ends.count((v, v)) for v in names]
+    half = [G.degrees[v] // 2 for v in names]
+    spare = [
+        max(sum(half[i] for i in chosen) for chosen in itertools.combinations(range(len(names)), k))
+        for k in range(len(names) + 1)
+    ]
+    return (
+        len(ends) - len(names) + components,
+        (tuple(sorted(filter(None, pairs), reverse=True)),
+         tuple(sorted(filter(None, loops), reverse=True))),
+        tuple(spare),
+        components,
+    )
+
+
+def test_counting_facts_match_a_brute_force_count():
+    rng = random.Random(25)
+    shapes = dict.fromkeys(("loop", "parallel", "isolated", "several"), 0)
+    for _ in range(400):
+        G = random_multigraph(rng, max_n=9, max_edges=14)
+        rank, multiplicities, spare, components = _counting_facts_by_brute_force(G)
+        assert (G.cycle_rank, G.multiplicities, G.spare_capacity) == (
+            rank, multiplicities, spare
+        ), sorted(G.edges.values())
+        pairs = list(G.edges.values())
+        shapes["loop"] += any(a == b for a, b in pairs)
+        shapes["parallel"] += len(set(pairs)) < len(pairs)
+        shapes["isolated"] += 0 in G.degrees.values()
+        shapes["several"] += components - list(G.degrees.values()).count(0) >= 2
+    assert min(shapes.values()) >= 40, shapes
+
+
+def test_counting_facts_of_long_paths_and_cycles():
+    # the same depth-first search as the pair counts: no recursion limit
+    n = 5000
+    names = frozenset(f"v{i}" for i in range(n))
+    path = Multigraph(names, {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(n - 1)})
+    cycle = Multigraph(names, dict(path.edges, closing=(f"v{n - 1}", "v0")))
+    assert (path.cycle_rank, cycle.cycle_rank) == (0, 1)
+    assert path.multiplicities == ((1,) * (n - 1), ())
+    assert cycle.multiplicities == ((1,) * n, ())
+    # two path ends of degree 1 carry no route through them
+    assert path.spare_capacity == tuple(range(n - 1)) + (n - 2, n - 2)
+    assert cycle.spare_capacity == tuple(range(n + 1))
+
+
 def test_searching_leaves_equality_unchanged():
     G = gen_random_multigraph(6, 12, 2, 5)
     H = gen_complete(3)
