@@ -125,8 +125,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "slack-not-given-back",
         "src/immtools/immersion.py",
-        "                    if cur != x:\n                        slack[cur] += 2",
-        "                    if cur != x:\n                        pass",
+        "                if cur != x:\n                    slack[cur] += 2",
+        "                if cur != x:\n                    pass",
         (_CRITERION_2,),
         "a weak route that backs out of a branch image keeps its two"
         " edge-ends taken (first made for the residual-slack rule)",
@@ -153,8 +153,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "bridge-search-skips-the-parent-vertex",
         "src/immtools/multigraph.py",
-        "if bit == into or u == v:",
-        "if u == v or len(stack) > 1 and u == stack[-2][0]:",
+        "stack.append([u, links[u] & ~e, len(pending)])",
+        "stack.append([u, links[u] & ~links[v], len(pending)])",
         (_PAIR_COUNTS, _RULED_OUT),
         "a doubled edge counts as a bridge, so a host has too few"
         " 2-edge-connected pairs (first made for the pair-count rule)",
@@ -162,8 +162,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "p2-not-compared",
         "src/immtools/immersion.py",
-        "if h1 > g1 or h2 > g2:",
-        "if h1 > g1:",
+        "h.p1 > g.p1 or h.p2 > g.p2",
+        "h.p1 > g.p1",
         ("tests/test_immersion.py::test_pair_counts_answer_without_a_step",),
         "a query with more 2-edge-connected pairs than its host is searched"
         " (first made for the pair-count rule)",
@@ -171,8 +171,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "cycle-rank-not-compared",
         "src/immtools/immersion.py",
-        "if H.cycle_rank > G.cycle_rank:",
-        "if False:",
+        " or h.cycle_rank > g.cycle_rank:",
+        ":",
         (_DIRECT_EDGES,),
         "a pattern of larger cycle rank than its host is searched (first"
         " made for the cycle-rank rule)",
@@ -180,7 +180,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "edge-budget-not-compared",
         "src/immtools/immersion.py",
-        "if need > len(G.edges) - len(H.edges):",
+        "if need > g.m - h.m:",
         "if False:",
         (_DIRECT_EDGES,),
         "a pattern whose routes of two host edges or more do not fit in the"
@@ -190,8 +190,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "spare-vertex-index-off-by-one",
         "src/immtools/immersion.py",
-        "G.spare_capacity[len(gseq) - len(hseq)]",
-        "G.spare_capacity[len(gseq) - len(hseq) + 1]",
+        "g.spare_capacity[g.n - h.n]",
+        "g.spare_capacity[g.n - h.n + 1]",
         (_DIRECT_EDGES,),
         "a strong query counts one host vertex too many as free to carry"
         " routes (first made for the direct-edge budget)",
@@ -199,13 +199,33 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "table-skips-bent-states",
         "src/immtools/immersion.py",
-        "if (full ^ f[2]).bit_count() > j:",
-        "if (full ^ f[2]).bit_count() > j + 1:",
+        "(full ^ avail).bit_count() > j:",
+        "(full ^ avail).bit_count() > j + 1:",
         ("tests/test_immersion.py::test_the_refuted_state_table_is_consulted",),
         "the refuted-state table is not consulted where one earlier route"
         " has two edges, though such states repeat; no answer or step count"
         " changes, only the hits (first made for consulting the table only"
         " where a state can repeat)",
+    ),
+    Mutant(
+        "parallel-edges-tried-again",
+        "src/immtools/immersion.py",
+        "                untried &= ~links[nb]\n",
+        "                untried &= ~e\n",
+        ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
+        "a path tries each parallel edge to a neighbour, not only the first;"
+        " no answer changes, only the step counts (first made for the route"
+        " kernel on edge masks)",
+    ),
+    Mutant(
+        "x-frame-step-not-counted",
+        "src/immtools/immersion.py",
+        "                    untried = avail & links[x]\n                    steps += 1\n",
+        "                    untried = avail & links[x]\n",
+        ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
+        "the route frame that turns into the path frame at x counts no step,"
+        " so every budget boundary moves (first made for the route kernel on"
+        " edge masks)",
     ),
     Mutant(
         "budget-answered-at-the-limit",
@@ -220,8 +240,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "incident-edge-off-by-one",
         "src/immtools/multigraph.py",
-        "index.edges[bit.bit_length() - 1] for bit, _ in",
-        "index.edges[bit.bit_length()] for bit, _ in",
+        "return [index.edges[k] for k in",
+        "return [index.edges[k - 1] for k in",
         ("tests/test_multigraph.py::test_incidence_index_matches_an_edge_scan",),
         "incident(v) names the edge after each incident one (first made for"
         " the string queries read from the index)",

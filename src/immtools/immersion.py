@@ -9,25 +9,35 @@ is exhausted; the optional budget caps the number of search steps.
 
 Search and verification run on each graph's integer index
 (`Multigraph.index`, built once per graph and kept): vertex ids in name
-order, one bit per edge in id order, and adjacency as (edge bit,
-neighbour id) pairs.  The available host edges are one int bitmask, and
-branch images and slack are lists indexed by vertex id.  The pattern's
-vertex order and twins are also kept on the pattern graph.
+order, one bit per edge in id order, and incidence as edge masks: per
+vertex, the bits of its non-loop edges (`links`) and of its loops
+(`loops`), and per edge, the xor of its end ids (`other`), so the edge k
+leads from v to other[k] ^ v.  The available host edges are one int
+bitmask, and branch images and slack are lists indexed by vertex id.  The
+pattern's vertex order and twins, and the counts that rule a query out
+before the search (`Multigraph.counts`), are also kept on each graph.
 
 The search is one loop over an explicit stack of frames: one frame per
 assigned pattern vertex, per pattern edge being routed, and per vertex of
-the path being grown.  So its depth is bounded by memory, not by the
-interpreter's recursion limit, and a route may run along thousands of
-host vertices.  Each frame is one search step, and the frames are pushed
-in the depth-first order of a recursion (assign, then route, then extend
-the path), so step counts, the budget boundary and the first certificate
-are those of the recursive search this loop replaced.  A descent of the
-assignment is taken in one pass of the loop: once a pattern vertex takes
-an image, each next one takes its first feasible image, one frame per
-level, and a complete assignment starts its routing, before the loop
-checks the budget again.  So a descent may push frames past the limit,
-as a skipped subtree (below) may charge steps past it.  Neither yields an
-immersion, so the search stops where a check per frame would stop it,
+the path being grown after its first; the path frame at a route's first
+vertex x is the route frame itself.  So its depth is bounded by memory,
+not by the interpreter's recursion limit, and a route may run along
+thousands of host vertices.  Each frame is one search step, and so is a
+route frame's turn into the path frame at x.  The frames come in the
+depth-first order of a recursion (assign, then route, then extend the
+path), so step counts, the budget boundary and the first certificate are
+those of the recursive search this loop replaced.  A path frame holds its
+untried edges as one mask: the available non-loop edges at its vertex
+that it has not tried yet.
+
+A descent of the assignment is taken in one pass of the loop: once a
+pattern vertex takes an image, each next one takes its first feasible
+image, one frame per level, and a complete assignment starts its
+routing, before the loop checks the budget again.  Likewise a route frame
+takes its first path step in the pass that turns it into the path frame
+at x.  So a descent or that step may push frames past the limit, as a
+skipped subtree (below) may charge steps past it.  None of these yields
+an immersion, so the search stops where a check per frame would stop it,
 and its step count reads limit + 1.
 
 Route states that have failed are not searched again.  Once the
@@ -57,8 +67,11 @@ and two parallel edges to the same neighbour are both available and both
 off the partial route, swapping them is an automorphism of the host that
 fixes the assignment, every route chosen so far and the partial route.  Any
 completion through the second edge maps to one through the first, so once
-the first has been tried (and failed) the second is skipped.  The same
-holds for two available loops at the vertex a loop is routed from.
+the first has been tried (and failed) the second is skipped: a path frame
+at cur that tries an edge to nb drops every edge joining the two from its
+untried mask at once (untried &= ~links[nb]).  The same holds for two
+available loops at the vertex a loop is routed from, so only the lowest
+bit of the available loops there is offered.
 
 Three more necessary conditions cut subtrees that hold no immersion.  The
 depth-first order is unchanged, so the first certificate found is the one
@@ -72,16 +85,16 @@ the unpruned search finds.
   so the images of two pattern vertices joined by a path, or by two
   edge-disjoint paths, are joined in the same way; the map is injective,
   so G has at least as many pairs in one component, and in one component
-  once the bridges are removed, as H (`Multigraph.pair_counts`).  H
+  once the bridges are removed, as H (p1 and p2 of `Multigraph.counts`).  H
   arises from a subgraph of G by lifting pairs of edges and deleting
   edges and isolated vertices; a lift or an edge deletion lowers m by
   one and raises the number of components c by at most one, and an
   isolated vertex takes one from n and from c.  So H's cycle rank
-  m - n + c (`Multigraph.cycle_rank`) is at most G's.
+  m - n + c is at most G's.
   Each pattern edge is either one host edge between the images of its
   ends (a host loop, for a loop) or a route of two host edges or more.
   Sort both graphs' pair multiplicities, and their loop counts, in
-  descending order (`Multigraph.multiplicities`).  Then need, the sum of
+  descending order.  Then need, the sum of
   (h_i - g_i)+ over the pairs plus the same sum over the loops, is a
   lower bound on the pattern edges that take two host edges or more:
   the vertex map matches H's pairs to distinct pairs of G, and H's loop
@@ -90,8 +103,8 @@ the unpruned search finds.
   at most m_G - m_H.  In a strong immersion each of those routes also
   passes through a host vertex that is no branch image, taking two of
   its edge-ends, so need is at most the sum of the n_G - n_H largest
-  values of deg_G // 2 (`Multigraph.spare_capacity`).  A query that
-  fails any of this is absent before any search step.
+  values of deg_G // 2 (the spare capacity).  A query that fails any
+  of this is absent before any search step.
 - Residual slack, weak routing.  Once the assignment is complete, each
   branch image gv = phi(a) gets slack deg_G(gv) - deg_H(a).  A route uses
   one edge-end at each of its own ends, and a loop route two at its
@@ -116,10 +129,10 @@ from __future__ import annotations
 import dataclasses
 import operator
 import sys
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .flow import FlowNetwork
-from .multigraph import Multigraph, _fresh_name
+from .multigraph import GraphIndex, Multigraph, _fresh_name, bit_positions
 from .simplegraph import StarMinorModel
 
 FOUND = "found"
@@ -149,16 +162,21 @@ _OUT_OF_BUDGET = SearchResult(status=BUDGET)
 # -- verification -----------------------------------------------------
 
 
-def _reach(adj, mask: int, x: int) -> Set[int]:
-    """Vertex ids reachable from x over the host edges whose bits are in
-    mask."""
-    seen = {x}
+def _reach(index: GraphIndex, mask: int, x: int) -> int:
+    """The vertex ids reachable from x over the host edges whose bits are
+    in mask, as the bits of a mask."""
+    links, other = index.links, index.other
+    seen = 1 << x
     stack = [x]
     while stack:
         v = stack.pop()
-        for e, u in adj[v]:
-            if mask & e and u not in seen:
-                seen.add(u)
+        m = mask & links[v]
+        while m:
+            e = m & -m
+            m ^= e
+            u = other[e.bit_length() - 1] ^ v
+            if not seen >> u & 1:
+                seen |= 1 << u
                 stack.append(u)
     return seen
 
@@ -181,22 +199,22 @@ def verify_immersion(
     if set(em) != H.edges.keys():
         raise ValueError("edge_map keys do not match the pattern's edges")
     index = G.index
-    ids, bits, ends, adj = index.ids, index.bits, index.ends, index.adj
+    ids, bits, ends, links, other = index.ids, index.bits, index.ends, index.links, index.other
     for hv, gv in vm.items():
         if gv not in ids:
             raise ValueError(f"vertex_map sends {hv!r} to unknown vertex {gv!r}")
-    # each image as an edge bitmask and the vertex ids it spans
-    images: Dict[str, Tuple[int, Set[int]]] = {}
+    # each image as an edge mask and a mask of the vertex ids it spans
+    images: Dict[str, Tuple[int, int]] = {}
     claims = union = 0
     for he, ge in em.items():
-        mask = 0
-        spanned: Set[int] = set()
+        mask = spanned = 0
         for e in ge:
             if e not in bits:
                 raise ValueError(f"edge_map of {he!r} references unknown edge {e!r}")
             bit = bits[e]
             mask |= bit
-            spanned.update(ends[bit.bit_length() - 1])
+            u, v = ends[bit.bit_length() - 1]
+            spanned |= 1 << u | 1 << v
         images[he] = mask, spanned
         claims += len(ge)
         union |= mask
@@ -230,21 +248,23 @@ def verify_immersion(
             # A cycle through x: a loop at x, or an edge at x whose other
             # end still reaches x without it.
             x = ids[vm[hu]]
-            if not any(
-                mask & e and (u == x or x in _reach(adj, mask & ~e, u))
-                for e, u in adj[x]
+            if not mask & index.loops[x] and not any(
+                _reach(index, mask & ~(1 << k), other[k] ^ x) >> x & 1
+                for k in bit_positions(mask & links[x])
             ):
                 violations.append(
                     f"loop {he!r}: image contains no cycle through {vm[hu]!r}"
                 )
-        elif ids[vm[hu]] not in spanned or ids[vm[hv]] not in spanned:
+        elif not spanned >> ids[vm[hu]] & 1 or not spanned >> ids[vm[hv]] & 1:
             violations.append(f"edge {he!r}: image misses an endpoint image")
         # one edge is connected; more are when one end reaches every end
-        if mask & (mask - 1) and _reach(adj, mask, next(iter(spanned))) != spanned:
+        if mask & (mask - 1) and _reach(
+            index, mask, (spanned & -spanned).bit_length() - 1
+        ) != spanned:
             violations.append(f"edge {he!r}: image is not connected")
         if strong:
             for hw in H.index.vertices:
-                if hw != hu and hw != hv and ids[vm[hw]] in spanned:
+                if hw != hu and hw != hv and spanned >> ids[vm[hw]] & 1:
                     violations.append(
                         f"edge {he!r}: image contains branch vertex {vm[hw]!r}"
                         f" (= image of non-incident {hw!r})"
@@ -261,23 +281,21 @@ def _dominated(G: Multigraph, H: Multigraph, strong: bool) -> bool:
     2-edge-connected class, at least H's cycle rank, H's degrees, sorted
     in descending order, at most G's place by place, and room for the
     pattern edges that no single host edge can carry."""
-    gseq, hseq = G.degree_sequence, H.degree_sequence
-    if len(hseq) > len(gseq) or len(H.edges) > len(G.edges):
+    g, h = G.counts, H.counts
+    if h.n > g.n or h.m > g.m or h.p1 > g.p1 or h.p2 > g.p2 or h.cycle_rank > g.cycle_rank:
         return False
-    (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
-    if h1 > g1 or h2 > g2:
-        return False
-    if not all(map(operator.le, hseq, gseq)):
-        return False
-    if H.cycle_rank > G.cycle_rank:
+    if not all(map(operator.le, h.degree_sequence, g.degree_sequence)):
         return False
     # need, the sum of (h_i - g_i)+, is m_H less the sums of min(h_i, g_i):
     # the most pattern edges that single host edges can carry
-    (gp, gl), (hp, hl) = G.multiplicities, H.multiplicities
-    need = len(H.edges) - sum(map(min, hp, gp)) - sum(map(min, hl, gl))
-    if need > len(G.edges) - len(H.edges):
+    need = (
+        h.m
+        - sum(map(min, h.pair_multiplicities, g.pair_multiplicities))
+        - sum(map(min, h.loop_counts, g.loop_counts))
+    )
+    if need > g.m - h.m:
         return False
-    return not strong or need <= G.spare_capacity[len(gseq) - len(hseq)]
+    return not strong or need <= g.spare_capacity[g.n - h.n]
 
 
 # Frame kinds of the search stack.
@@ -289,11 +307,12 @@ _FREE = 1 << 62
 
 class _Searcher:
     """Depth-first search for immersions of H in G on their integer
-    indexes; see the module docstring.  `steps` counts the frames pushed
+    indexes; see the module docstring.  `steps` counts the search steps
     so far, a skipped subtree's steps charged as if they were taken.  A
-    descent of the assignment and a skipped subtree may each go past the
-    budget in one pass; when the budget runs out, `immersions()` returns
-    with `steps` at budget + 1, the one sign of a spent budget.
+    descent of the assignment, a route's first path step and a skipped
+    subtree may each go past the budget in one pass; when the budget runs
+    out, `immersions()` returns with `steps` at budget + 1, the one sign
+    of a spent budget.
     `refuted_hits` counts the route frames skipped as refuted states, and
     `refuted_steps` the steps charged for them."""
 
@@ -311,7 +330,7 @@ class _Searcher:
         the budget runs out; the pruning skips those that differ from an
         earlier one only by swapping parallel host edges or twins' images."""
         gindex, hindex = self.G.index, self.H.index
-        adj, gdeg = gindex.adj, gindex.degree
+        links, loops, other, gdeg = gindex.links, gindex.loops, gindex.other, gindex.degree
         ng = len(gdeg)
         order, twin = self.H.degree_order, self.H.earlier_twins
         hdeg, hends = hindex.degree, hindex.ends
@@ -333,10 +352,10 @@ class _Searcher:
         # (route level, available edges) -> the steps its subtree took, for
         # the route frames of the current assignment that yielded nothing;
         # starts[j]: the step count when level j began, -1 when it is not
-        # to be recorded (states that cannot repeat, and levels open at a
-        # yield)
+        # to be recorded (states that cannot repeat, levels open at a
+        # yield, and the find level mh)
         refuted: Dict[Tuple[int, int], int] = {}
-        starts = [-1] * mh
+        starts = [-1] * (mh + 1)
         j = -1  # the route level being built
         x = y = -1
         first = 0
@@ -345,79 +364,41 @@ class _Searcher:
         #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
         #     none yet); with i == nh, gv is 0 while its routing runs, and
         #     -1 only in the start frame of a pattern without vertices;
-        #   [_ROUTE, phase, avail]: route pattern edge j; phase 0 to start
-        #     (or to skip a refuted state), 1 after the loop route, 2 after
-        #     the paths; j == mh is a find;
-        #   [_STEP, cur, iterator over adj[cur], tried neighbours (bits),
-        #     path vertices (bits), avail]: a path of level j at cur.
-        # Pushing a frame is one search step.  A frame resumes with its own
-        # avail, which undoes its children's routes, and a path frame gives
-        # back its vertex's slack when it is popped.
+        #   [_ROUTE, phase, untried, avail]: route pattern edge j; phase 0
+        #     to start (or to skip a refuted state), 1 after the loop
+        #     route, 2 while it is the path frame at x; j == mh is a find;
+        #   [_STEP, cur, untried, path vertices (bits), avail]: a path of
+        #     level j at cur.
+        # untried: the available non-loop edges at the path's vertex that
+        # it has not tried.  Pushing a frame is one search step, and so is
+        # a route frame's turn to the path at x.  A frame resumes with its
+        # own avail, which undoes its children's routes, and a path frame
+        # gives back its vertex's slack when it is popped.
         steps = 1
         stack: List[list] = [[_ASSIGN, 0, -1]]
         while stack:
             if steps > limit:
-                # a descent or a skipped subtree may take steps past the
-                # limit at once
+                # a descent, a route's first path step or a skipped
+                # subtree may take steps past the limit at once
                 steps = limit + 1
                 break
             f = stack[-1]
             kind = f[0]
             if kind == _STEP:
-                # tried: neighbours reached by an edge already tried from
-                # cur.  A later parallel edge to one of them is also
-                # available and off the path, so swapping it with the tried
-                # edge is a host automorphism fixing the assignment, the
-                # earlier routes and the path so far: its completions
-                # mirror ones that have already failed.
-                _, cur, pairs, tried, visited, avail = f
-                for e, nb in pairs:
-                    if not avail & e or nb == cur:
-                        continue
-                    nbit = 1 << nb
-                    if tried & nbit:
-                        continue
-                    if nb == y:
-                        tried |= nbit
-                        # With y == x the closing edge e ends a cycle that
-                        # the search also walks the other way round, leaving
-                        # x by e and returning by the first edge.  Both end
-                        # edges are tried from x in edge order, so keeping
-                        # the traversal that leaves by the smaller one keeps
-                        # each cycle's first occurrence and the order of the
-                        # distinct routes.
-                        if y == x and e < first:
-                            continue
-                        f[3] = tried
-                        avail &= ~e
-                        stack.append([_ROUTE, 0, avail])
-                        j += 1
-                        steps += 1
-                        break
-                    if visited & nbit:
-                        continue
-                    # passing through a branch image takes two of its
-                    # edge-ends, and its remaining pattern edges need theirs
-                    s = slack[nb]
-                    if s < 2:
-                        continue
-                    slack[nb] = s - 2
-                    tried |= nbit
-                    f[3] = tried
-                    if cur == x:
-                        first = firsts[j] = e
-                    stack.append([_STEP, nb, iter(adj[nb]), 0, visited | nbit, avail & ~e])
-                    steps += 1
-                    break
-                else:
-                    stack.pop()
-                    if cur != x:
-                        slack[cur] += 2
+                _, cur, untried, visited, avail = f
             elif kind == _ROUTE:
-                phase = f[1]
-                if phase == 0 and 1 < j < mh:
-                    if (full ^ f[2]).bit_count() > j:
-                        skipped = refuted.get((j, f[2]))
+                _, phase, untried, avail = f
+                if phase == 0:
+                    if j == mh:
+                        level_avail[mh] = avail
+                        self.steps = steps
+                        yield self._certificate(img, level_avail)
+                        # every open route level leads to this immersion
+                        for k in range(2, mh):
+                            starts[k] = -1
+                        phase = 3  # the route frame ends without a path
+                    elif j > 1 and (full ^ avail).bit_count() > j:
+                        skipped = refuted.get((j, avail))
                         if skipped is None:
                             starts[j] = steps
                         else:
@@ -427,50 +408,33 @@ class _Searcher:
                             self.refuted_hits += 1
                             self.refuted_steps += skipped
                             starts[j] = -1
-                            phase = 2
-                    else:
+                            phase = 3
+                    elif j > 1:
                         # every route below is one edge: a new state
                         starts[j] = -1
-                if j == mh or phase == 2:
-                    stack.pop()
-                    if j == mh:
-                        level_avail[mh] = f[2]
-                        self.steps = steps
-                        yield self._certificate(img, level_avail)
-                        # every open route level leads to this immersion
-                        for k in range(2, mh):
-                            starts[k] = -1
-                    elif starts[j] >= 0:
-                        refuted[j, f[2]] = steps - starts[j]
-                    j -= 1
-                    if j >= 0:
-                        x, y, first = xs[j], ys[j], firsts[j]
-                elif phase == 0:
-                    avail = level_avail[j] = f[2]
-                    hu, hv = hends[j]
-                    x = xs[j] = img[hu]
-                    y = ys[j] = img[hv]
-                    loop = 0
-                    if hu == hv:
+                    if phase == 0:
+                        level_avail[j] = avail
+                        hu, hv = hends[j]
+                        x = xs[j] = img[hu]
+                        y = ys[j] = img[hv]
                         # Two available loops at x are swapped by a host
                         # automorphism that fixes everything chosen so far,
                         # so only the first is offered, before the cycles.
-                        for e, nb in adj[x]:
-                            if nb == x and avail & e:
-                                loop = e
-                                break
-                    if loop:
-                        f[1] = 1
-                        stack.append([_ROUTE, 0, avail & ~loop])
-                        j += 1
-                    else:
-                        f[1] = 2
-                        stack.append([_STEP, x, iter(adj[x]), 0, 1 << x, avail])
-                    steps += 1
-                else:
+                        loop = avail & loops[x] if hu == hv else 0
+                        if loop:
+                            f[1] = 1
+                            stack.append([_ROUTE, 0, 0, avail & ~(loop & -loop)])
+                            j += 1
+                            steps += 1
+                            continue
+                if phase < 2:
+                    # the route frame turns into the path frame at x
                     f[1] = 2
-                    stack.append([_STEP, x, iter(adj[x]), 0, 1 << x, f[2]])
+                    untried = avail & links[x]
                     steps += 1
+                # the path at x: nb is never x, so its vertex set is
+                # wanted only by the frame it pushes
+                cur, visited = x, 0
             else:
                 _, i, gv = f
                 if gv >= 0:
@@ -510,9 +474,64 @@ class _Searcher:
                         gv = img[hv]
                         slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
                     refuted.clear()
-                    stack.append([_ROUTE, 0, full])
+                    stack.append([_ROUTE, 0, 0, full])
                     j = 0
                     steps += 1
+                continue
+
+            # The path at cur tries its untried edges in edge order.  Every
+            # edge joining cur and the neighbour nb leaves the untried set
+            # at once: a later parallel edge is also available and off the
+            # path, so swapping it with the tried edge is a host
+            # automorphism fixing the assignment, the earlier routes and
+            # the path so far, and its completions mirror ones that have
+            # already failed (or, past a visited or saturated nb, fail
+            # the same way).
+            while untried:
+                e = untried & -untried
+                nb = other[e.bit_length() - 1] ^ cur
+                untried &= ~links[nb]
+                if nb == y:
+                    # With y == x the closing edge e ends a cycle that the
+                    # search also walks the other way round, leaving x by e
+                    # and returning by the first edge.  Both end edges are
+                    # tried from x in edge order, so keeping the traversal
+                    # that leaves by the smaller one keeps each cycle's
+                    # first occurrence and the order of the distinct routes.
+                    if y == x and e < first:
+                        continue
+                    f[2] = untried
+                    stack.append([_ROUTE, 0, 0, avail & ~e])
+                    j += 1
+                    steps += 1
+                    break
+                if visited >> nb & 1:
+                    continue
+                # passing through a branch image takes two of its
+                # edge-ends, and its remaining pattern edges need theirs
+                s = slack[nb]
+                if s < 2:
+                    continue
+                slack[nb] = s - 2
+                f[2] = untried
+                if cur == x:
+                    first = firsts[j] = e
+                    visited = 1 << x
+                rest = avail & ~e
+                stack.append([_STEP, nb, rest & links[nb], visited | 1 << nb, rest])
+                steps += 1
+                break
+            else:
+                stack.pop()
+                if cur != x:
+                    slack[cur] += 2
+                else:
+                    # the route frame of level j ends
+                    if starts[j] >= 0:
+                        refuted[j, avail] = steps - starts[j]
+                    j -= 1
+                    if j >= 0:
+                        x, y, first = xs[j], ys[j], firsts[j]
         self.steps = steps
 
     def _certificate(self, img: List[int], level_avail: List[int]) -> ImmersionCertificate:
@@ -521,12 +540,7 @@ class _Searcher:
         edge_map: Dict[str, FrozenSet[str]] = {}
         for k, he in enumerate(hindex.edges):
             route = level_avail[k] & ~level_avail[k + 1]
-            names = []
-            while route:
-                bit = route & -route
-                names.append(gedges[bit.bit_length() - 1])
-                route ^= bit
-            edge_map[he] = frozenset(names)
+            edge_map[he] = frozenset(gedges[i] for i in bit_positions(route))
         return ImmersionCertificate(
             vertex_map={hindex.vertices[h]: gnames[img[h]] for h in self.H.degree_order},
             edge_map=edge_map,

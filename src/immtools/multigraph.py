@@ -17,7 +17,7 @@ import functools
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
-from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -27,19 +27,53 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
+def bit_positions(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class GraphIndex(NamedTuple):
     """A multigraph on integers.  Vertex i is the i-th smallest vertex name
     and the edge with the k-th smallest id is the bit 1 << k, so comparing
-    ids or bits compares names."""
+    ids or bits compares names.  Incidence is kept as edge masks: the
+    edges at v are links[v] | loops[v], and the non-loop edge k leads from
+    v to other[k] ^ v."""
 
     vertices: Tuple[str, ...]  # vertex id -> name
     ids: Dict[str, int]  # name -> vertex id
     edges: Tuple[str, ...]  # k -> the edge id of bit 1 << k
     bits: Dict[str, int]  # edge id -> its bit
     ends: Tuple[Tuple[int, int], ...]  # k -> end ids, the smaller first
-    # vertex id -> (edge bit, neighbour id) pairs in edge order; loops once
-    adj: Tuple[Tuple[Tuple[int, int], ...], ...]
+    links: Tuple[int, ...]  # vertex id -> the bits of its non-loop edges
+    loops: Tuple[int, ...]  # vertex id -> the bits of its loops
+    other: Tuple[int, ...]  # k -> the xor of its end ids (0 for a loop)
     degree: Tuple[int, ...]  # vertex id -> degree, a loop counting 2
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class GraphCounts:
+    """The counting facts that `find_immersion` compares before it
+    searches; see `Multigraph.counts`.  Slots, not a NamedTuple: the
+    interpreter reads a slot without a lookup, and every call reads
+    these."""
+
+    n: int  # vertices
+    m: int  # edges
+    p1: int  # vertex pairs joined by a path
+    p2: int  # vertex pairs joined by two edge-disjoint paths
+    cycle_rank: int  # m - n + components: the edges a spanning forest leaves out
+    degree_sequence: Tuple[int, ...]  # the degrees, in descending order
+    # the edge counts of the vertex pairs joined by an edge, and the loop
+    # counts of the vertices with a loop, each in descending order
+    pair_multiplicities: Tuple[int, ...]
+    loop_counts: Tuple[int, ...]
+    # k -> the sum of the k largest values of deg // 2, for k from 0 to n.
+    # A path through a vertex takes two of its edge-ends, so this bounds
+    # how many edge-disjoint paths k vertices carry through them.
+    spare_capacity: Tuple[int, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,18 +84,12 @@ class Multigraph:
     more; equality still compares only the vertices and edges):
 
     - `degrees`, the map behind `degree()`;
-    - `degree_sequence`: the degrees, sorted in descending order;
-    - `pair_counts`: how many vertex pairs share a component, and how many
-      share a component once the bridges are removed;
-    - `cycle_rank`: edges minus vertices plus components, from the same
-      depth-first search as `pair_counts`;
-    - `multiplicities`: the edge counts of the vertex pairs joined by an
-      edge, and the loop counts of the vertices with a loop, each sorted
-      in descending order;
-    - `spare_capacity`: entry k is the sum of the k largest values of
-      deg // 2, the most paths that k vertices can carry through them;
     - `index`: the `GraphIndex` that `incident`, `neighbors` and
       `adjacency()` read, and the immersion search and its verifier run on;
+    - `counts`: one `GraphCounts` record of the vertex and edge counts,
+      the pairs in one component and in one component once the bridges
+      are removed, the cycle rank, the sorted degrees, pair
+      multiplicities and loop counts, and the spare capacity;
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
@@ -97,7 +125,8 @@ class Multigraph:
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
         index = self.index
-        return [index.edges[bit.bit_length() - 1] for bit, _ in index.adj[index.ids[v]]]
+        i = index.ids[v]
+        return [index.edges[k] for k in bit_positions(index.links[i] | index.loops[i])]
 
     def degree(self, v: str) -> int:
         if v not in self.vertices:
@@ -110,7 +139,8 @@ class Multigraph:
             raise ValueError(f"unknown vertex {v!r}")
         index = self.index
         i = index.ids[v]
-        return frozenset(index.vertices[u] for _, u in index.adj[i] if u != i)
+        names, other = index.vertices, index.other
+        return frozenset(names[other[k] ^ i] for k in bit_positions(index.links[i]))
 
     def boundary(self, X: Iterable[str]) -> FrozenSet[str]:
         """delta(X): non-loop edges with exactly one endpoint in X."""
@@ -125,9 +155,13 @@ class Multigraph:
     def adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
         """vertex -> (edge id, other endpoint) pairs sorted by edge id;
         loops appear once.  A fresh mapping on each call."""
-        names, edges, adj = self.index.vertices, self.index.edges, self.index.adj
+        index = self.index
+        names, edges, other = index.vertices, index.edges, index.other
         return {
-            v: tuple((edges[bit.bit_length() - 1], names[u]) for bit, u in adj[i])
+            v: tuple(
+                (edges[k], names[other[k] ^ i])
+                for k in bit_positions(index.links[i] | index.loops[i])
+            )
             for i, v in enumerate(names)
         }
 
@@ -141,50 +175,54 @@ class Multigraph:
         return deg
 
     @functools.cached_property
-    def degree_sequence(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.degrees.values(), reverse=True))
+    def counts(self) -> GraphCounts:
+        n, m = len(self.vertices), len(self.edges)
+        p1, p2, components = self._bridge_search()
+        sequence = tuple(sorted(self.index.degree, reverse=True))
+        pairs, loops = [], []
+        for (a, b), k in Counter(self.edges.values()).items():
+            (loops if a == b else pairs).append(k)
+        return GraphCounts(
+            n, m, p1, p2, m - n + components, sequence,
+            tuple(sorted(pairs, reverse=True)), tuple(sorted(loops, reverse=True)),
+            tuple(accumulate((d // 2 for d in sequence), initial=0)),
+        )
 
-    @functools.cached_property
-    def pair_counts(self) -> Tuple[int, int]:
-        """(p1, p2): the vertex pairs joined by a path, and those joined by
-        two edge-disjoint paths, that is, in one component of G minus its
-        bridges."""
-        return self._bridge_search[:2]
-
-    @functools.cached_property
-    def cycle_rank(self) -> int:
-        """m - n + c: the edges that a spanning forest leaves out."""
-        return len(self.edges) - len(self.vertices) + self._bridge_search[2]
-
-    @functools.cached_property
     def _bridge_search(self) -> Tuple[int, int, int]:
-        """`pair_counts` and the number of components, one per root.  One
-        depth-first search on an explicit stack finds the bridges (Tarjan,
-        "A note on finding the bridges of a graph", IPL 1974).  It skips
-        loops and the edge it came in by, not every edge back to the
-        parent, so a doubled edge is never a bridge."""
-        adj = self.index.adj
-        disc = [0] * len(adj)  # discovery time from 1; 0 while unseen
-        low = [0] * len(adj)  # the earliest disc reached by one back edge below
+        """(p1, p2), the pairs in one component and in one component of G
+        minus its bridges, and the number of components, one per root.
+        One depth-first search on an explicit stack finds the bridges
+        (Tarjan, "A note on finding the bridges of a graph", IPL 1974).  A
+        frame holds the edges at its vertex that it has not scanned, less
+        the edge it came in by, not every edge back to the parent, so a
+        doubled edge is never a bridge."""
+        links, other = self.index.links, self.index.other
+        n = len(links)
+        disc = [0] * n  # discovery time from 1; 0 while unseen
+        low = [0] * n  # the earliest disc reached by one back edge below
         pending: List[int] = []  # vertices whose 2-edge-connected class is open
         p1 = p2 = time = roots = 0
-        for root in range(len(adj)):
+        for root in range(n):
             if disc[root]:
                 continue
             roots += 1
             time += 1
             disc[root] = low[root] = time
-            stack = [(root, 0, iter(adj[root]), len(pending))]
+            # [vertex, its unscanned edges, len(pending) when it was found]
+            stack = [[root, links[root], len(pending)]]
             pending.append(root)
             while stack:
-                v, into, it, at = stack[-1]
-                for bit, u in it:
-                    if bit == into or u == v:
-                        continue
+                f = stack[-1]
+                v, m, at = f
+                while m:
+                    e = m & -m
+                    m ^= e
+                    u = other[e.bit_length() - 1] ^ v
                     if not disc[u]:
+                        f[1] = m
                         time += 1
                         disc[u] = low[u] = time
-                        stack.append((u, bit, iter(adj[u]), len(pending)))
+                        stack.append([u, links[u] & ~e, len(pending)])
                         pending.append(u)
                         break
                     if disc[u] < low[v]:
@@ -206,41 +244,30 @@ class Multigraph:
         return p1, p2, roots
 
     @functools.cached_property
-    def multiplicities(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """(pairs, loops): how many edges join each vertex pair joined by
-        one, and how many loops each vertex with a loop has, each sorted in
-        descending order."""
-        pairs, loops = [], []
-        for (a, b), k in Counter(self.edges.values()).items():
-            (loops if a == b else pairs).append(k)
-        return tuple(sorted(pairs, reverse=True)), tuple(sorted(loops, reverse=True))
-
-    @functools.cached_property
-    def spare_capacity(self) -> Tuple[int, ...]:
-        """k -> the sum of the k largest values of deg // 2, for k from 0
-        to n.  A path through a vertex takes two of its edge-ends, so this
-        bounds how many edge-disjoint paths k vertices carry through them."""
-        return tuple(accumulate((d // 2 for d in self.degree_sequence), initial=0))
-
-    @functools.cached_property
     def index(self) -> GraphIndex:
         names = tuple(sorted(self.vertices))
         ids = {v: i for i, v in enumerate(names)}
         edges = tuple(sorted(self.edges))
         bits = {}
         ends = []
-        adj: List[List[Tuple[int, int]]] = [[] for _ in names]
+        other = []
+        links = [0] * len(names)
+        loops = [0] * len(names)
         for k, e in enumerate(edges):
             a, b = self.edges[e]
             u, v = ids[a], ids[b]
             bit = bits[e] = 1 << k
             ends.append((u, v))
-            adj[u].append((bit, v))
-            if v != u:
-                adj[v].append((bit, u))
+            other.append(u ^ v)
+            if u == v:
+                loops[u] |= bit
+            else:
+                links[u] |= bit
+                links[v] |= bit
         degree = tuple(self.degrees[v] for v in names)
         return GraphIndex(
-            names, ids, edges, bits, tuple(ends), tuple(map(tuple, adj)), degree
+            names, ids, edges, bits, tuple(ends), tuple(links), tuple(loops), tuple(other),
+            degree,
         )
 
     @functools.cached_property
@@ -255,15 +282,18 @@ class Multigraph:
         run of `degree_order`, and within such a run equal multiplicities
         to third vertices already force equal loop counts."""
         index = self.index
+        other = index.other
+        # v -> {neighbour: multiplicity}, over the non-loop edges
         mult: List[Dict[int, int]] = []
-        for pairs in index.adj:
+        for v, mask in enumerate(index.links):
             counts: Dict[int, int] = {}
-            for _, u in pairs:
+            for k in bit_positions(mask):
+                u = other[k] ^ v
                 counts[u] = counts.get(u, 0) + 1
             mult.append(counts)
 
-        def third(v: int, other: int) -> Dict[int, int]:
-            return {u: m for u, m in mult[v].items() if u != other and u != v}
+        def third(v: int, w: int) -> Dict[int, int]:
+            return {u: m for u, m in mult[v].items() if u != w}
 
         order, degree = self.degree_order, index.degree
         twin = [-1] * len(order)

@@ -395,7 +395,8 @@ def test_degree_domination_answers_without_a_step():
 )
 def test_pair_counts_answer_without_a_step(host, counts):
     K3 = gen_complete(3)
-    assert (host.pair_counts, K3.pair_counts) == (counts, (3, 3))
+    pairs = [(X.counts.p1, X.counts.p2) for X in (host, K3)]
+    assert pairs == [counts, (3, 3)]
     for strong in (True, False):
         assert find_immersion(host, K3, strong=strong, budget=0).status == ABSENT
         assert oracle_search.find_immersion(host, K3, strong=strong).status == ABSENT
@@ -482,33 +483,34 @@ def test_a_query_ruled_out_before_the_search_has_no_immersion():
     for _ in range(5000):
         G = random_multigraph(rng, max_n=6, max_edges=8)
         H = random_multigraph(rng, max_n=4, max_edges=5)
-        (g1, g2), (h1, h2) = G.pair_counts, H.pair_counts
+        g, h = G.counts, H.counts
         spare = len(G.vertices) - len(H.vertices)
         room = len(G.edges) - len(H.edges)
         counted = (
-            spare >= 0 and room >= 0 and h1 <= g1 and h2 <= g2
-            and all(map(operator.le, H.degree_sequence, G.degree_sequence))
+            spare >= 0 and room >= 0 and h.p1 <= g.p1 and h.p2 <= g.p2
+            and all(map(operator.le, h.degree_sequence, g.degree_sequence))
         )
         if counted:
             # matching the sorted multiplicities bounds the fewest such
             # routes from below
             need = sum(
-                max(0, h - g)
-                for hs, gs in zip(H.multiplicities, G.multiplicities)
-                for h, g in itertools.zip_longest(hs, gs, fillvalue=0)
+                max(0, hk - gk)
+                for hs, gs in [(h.pair_multiplicities, g.pair_multiplicities),
+                               (h.loop_counts, g.loop_counts)]
+                for hk, gk in itertools.zip_longest(hs, gs, fillvalue=0)
             )
             assert need <= _direct_edge_need(G, H)
         for strong in (True, False):
             if find_immersion(G, H, strong=strong, budget=0).status == ABSENT:
                 assert oracle_search.find_immersion(G, H, strong=strong).status == ABSENT
-                by_pairs += h1 > g1 or h2 > g2
+                by_pairs += h.p1 > g.p1 or h.p2 > g.p2
                 if not counted:
                     continue
-                if H.cycle_rank > G.cycle_rank:
+                if h.cycle_rank > g.cycle_rank:
                     rules["rank"] += 1
                 elif need > room:
                     rules["edges"] += 1
-                elif strong and need > G.spare_capacity[spare]:
+                elif strong and need > g.spare_capacity[spare]:
                     rules["vertices"] += 1
     assert by_pairs >= 500
     assert rules["rank"] >= 50 and rules["edges"] >= 10 and rules["vertices"] >= 25, rules
@@ -564,11 +566,14 @@ C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
         (gen_random_multigraph(8, 30, 2, 3), gen_complete(5), False, 8683, FOUND),
         (gen_random_multigraph(8, 30, 2, 0), gen_complete(5), False, 12048, FOUND),
         (gen_random_multigraph(8, 30, 2, 11), gen_complete(5), True, 19444, ABSENT),
+        # the thickest host: every path step drops a whole parallel class
+        (gen_pk_chorded(8), gen_complete(4), True, 22803, ABSENT),
     ],
     ids=["weak-K5-in-random", "strong-K4-in-pk_chorded7",
          "strong-K4-in-pk_chorded5", "weak-K5-in-pk4",
          "weak-loops-on-a-pair", "strong-loops-on-a-pair",
-         "weak-K5-in-random-3", "weak-K5-in-random-0", "strong-K5-in-random-11"],
+         "weak-K5-in-random-3", "weak-K5-in-random-0", "strong-K5-in-random-11",
+         "strong-K4-in-pk_chorded8"],
 )
 def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, status):
     assert find_immersion(host, pattern, strong, budget=steps).status == status

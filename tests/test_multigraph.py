@@ -185,12 +185,35 @@ def _index_graphs():
                 break
 
 
+def _masks_by_scan(G):
+    """links, loops and other of G's index, from a scan of every edge in
+    edge id order."""
+    names, edges = sorted(G.vertices), sorted(G.edges)
+    links = [0] * len(names)
+    loops = [0] * len(names)
+    other = []
+    for k, e in enumerate(edges):
+        u, v = (names.index(x) for x in G.edges[e])
+        other.append(u ^ v)
+        if u == v:
+            loops[u] += 1 << k
+        else:
+            links[u] += 1 << k
+            links[v] += 1 << k
+    return tuple(links), tuple(loops), tuple(other)
+
+
 def test_incidence_index_matches_an_edge_scan():
-    loops = parallels = 0
-    for G in _index_graphs():
+    rng = random.Random(27)
+    shapes = dict.fromkeys(("loop", "parallel", "isolated"), 0)
+    seeded = (random_multigraph(rng, max_n=9, max_edges=14) for _ in range(400))
+    for G in itertools.chain(_index_graphs(), seeded):
         ends = list(G.edges.values())
-        loops += any(a == b for a, b in ends)
-        parallels += len(set(ends)) < len(ends)
+        shapes["loop"] += any(a == b for a, b in ends)
+        shapes["parallel"] += len(set(ends)) < len(ends)
+        shapes["isolated"] += 0 in G.degrees.values()
+        index = G.index
+        assert (index.links, index.loops, index.other) == _masks_by_scan(G)
         adj = G.adjacency()
         assert set(adj) == G.vertices
         for v in sorted(G.vertices):
@@ -201,7 +224,7 @@ def test_incidence_index_matches_an_edge_scan():
             assert adj[v] == tuple(
                 (e, b if a == v else a) for e in incident for a, b in [G.edges[e]]
             )
-    assert loops and parallels
+    assert min(shapes.values()) >= 40, shapes
 
 
 def test_index_queries_reject_unknown_vertices():
@@ -242,7 +265,7 @@ def test_cached_search_facts_match_a_fresh_computation():
         names = sorted(G.vertices)
         edges = sorted(G.edges)
         deg = {v: sum((a == v) + (b == v) for a, b in G.edges.values()) for v in names}
-        assert G.degree_sequence == tuple(sorted(deg.values(), reverse=True))
+        assert G.counts.degree_sequence == tuple(sorted(deg.values(), reverse=True))
 
         index = G.index
         assert index.vertices == tuple(names)
@@ -251,11 +274,6 @@ def test_cached_search_facts_match_a_fresh_computation():
         assert index.bits == {e: 1 << edges.index(e) for e in edges}
         assert index.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
         assert index.degree == tuple(deg[v] for v in names)
-        for v in names:
-            assert index.adj[names.index(v)] == tuple(
-                (1 << k, names.index(b if a == v else a))
-                for k, e in enumerate(edges) for a, b in [G.edges[e]] if v in (a, b)
-            )
 
         order = sorted(names, key=lambda v: (-deg[v], v))
         assert [names[i] for i in G.degree_order] == order
@@ -286,7 +304,7 @@ def test_pair_counts_match_all_pairs_flows():
     for _ in range(400):
         G = random_multigraph(rng, max_n=9, max_edges=14)
         counts, components = _pair_counts_by_flows(G)
-        assert G.pair_counts == counts, sorted(G.edges.values())
+        assert (G.counts.p1, G.counts.p2) == counts, sorted(G.edges.values())
         pairs = list(G.edges.values())
         shapes["loop"] += any(a == b for a, b in pairs)
         shapes["parallel"] += len(set(pairs)) < len(pairs)
@@ -302,12 +320,16 @@ def test_pair_counts_of_long_paths_and_cycles():
     names = frozenset(f"v{i}" for i in range(n))
     path = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(n - 1)}
     every_pair = n * (n - 1) // 2
-    assert Multigraph(names, path).pair_counts == (every_pair, 0)
+
+    def pairs(G):
+        return G.counts.p1, G.counts.p2
+
+    assert pairs(Multigraph(names, path)) == (every_pair, 0)
     cycle = dict(path, closing=(f"v{n - 1}", "v0"))
-    assert Multigraph(names, cycle).pair_counts == (every_pair, every_pair)
+    assert pairs(Multigraph(names, cycle)) == (every_pair, every_pair)
     # a doubled edge is two paths, never a bridge
     doubled = dict(path, twin=("v0", "v1"))
-    assert Multigraph(names, doubled).pair_counts == (every_pair, 1)
+    assert pairs(Multigraph(names, doubled)) == (every_pair, 1)
 
 
 def _counting_facts_by_brute_force(G):
@@ -348,7 +370,9 @@ def test_counting_facts_match_a_brute_force_count():
     for _ in range(400):
         G = random_multigraph(rng, max_n=9, max_edges=14)
         rank, multiplicities, spare, components = _counting_facts_by_brute_force(G)
-        assert (G.cycle_rank, G.multiplicities, G.spare_capacity) == (
+        c = G.counts
+        assert (c.n, c.m) == (len(G.vertices), len(G.edges))
+        assert (c.cycle_rank, (c.pair_multiplicities, c.loop_counts), c.spare_capacity) == (
             rank, multiplicities, spare
         ), sorted(G.edges.values())
         pairs = list(G.edges.values())
@@ -365,12 +389,13 @@ def test_counting_facts_of_long_paths_and_cycles():
     names = frozenset(f"v{i}" for i in range(n))
     path = Multigraph(names, {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(n - 1)})
     cycle = Multigraph(names, dict(path.edges, closing=(f"v{n - 1}", "v0")))
-    assert (path.cycle_rank, cycle.cycle_rank) == (0, 1)
-    assert path.multiplicities == ((1,) * (n - 1), ())
-    assert cycle.multiplicities == ((1,) * n, ())
+    p, c = path.counts, cycle.counts
+    assert (p.cycle_rank, c.cycle_rank) == (0, 1)
+    assert (p.pair_multiplicities, p.loop_counts) == ((1,) * (n - 1), ())
+    assert (c.pair_multiplicities, c.loop_counts) == ((1,) * n, ())
     # two path ends of degree 1 carry no route through them
-    assert path.spare_capacity == tuple(range(n - 1)) + (n - 2, n - 2)
-    assert cycle.spare_capacity == tuple(range(n + 1))
+    assert p.spare_capacity == tuple(range(n - 1)) + (n - 2, n - 2)
+    assert c.spare_capacity == tuple(range(n + 1))
 
 
 def test_searching_leaves_equality_unchanged():
