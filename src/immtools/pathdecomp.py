@@ -532,7 +532,9 @@ def linear_decompose(
     cut the graph by nested minimal separators.
 
     Returns a small-cut witness when the auxiliary graph is disconnected or
-    some separator cost reaches w_limit.
+    some separator cost reaches w_limit.  Either witness is a cut of G:
+    its edges are delta_G(source_side) and its value is their number.  A
+    separator's witness has its side L, so its value is at least the cost.
     """
     return _linear_decompose(G, W, m, w_limit)[0]
 
@@ -586,8 +588,10 @@ def _linear_decompose(
                 )
                 L = frozenset(names[v] for v in net.residual_side)
                 if cost >= w_limit:
-                    reduced = G.without_vertices(A | {ordering[i - 1]})
-                    witness = CutWitness(cost, reduced.boundary(L), L)
+                    # the cut of G around L: the separator's cost edges
+                    # and L's edges to the closed vertices
+                    cut = G.boundary(L)
+                    witness = CutWitness(len(cut), cut, L)
                     return FailureWitness(kind=SMALL_CUT, payload=witness), aux
                 seps.append(L)
         seps.append(G.vertices - A - {ordering[t - 1]})

@@ -561,7 +561,7 @@ def test_linear_decompose_star_aux_deletes_center():
 
 def test_linear_decompose_respects_w_limit():
     # P_3 plus a long chord v0-v3: the chord crosses every interior
-    # separator, so its cost 1 trips a w_limit of 1
+    # separator, so its cost 1 trips a w_limit of 1 but not of 2
     G = gen_pk(3)
     edges = dict(G.edges)
     edges["long"] = ("v0", "v3")
@@ -569,8 +569,12 @@ def test_linear_decompose_respects_w_limit():
     r = linear_decompose(G, G.vertices, m=3, w_limit=1)
     assert isinstance(r, FailureWitness)
     assert r.kind == SMALL_CUT
-    assert r.payload.value == 1
-    assert "long" in r.payload.cut_edges
+    # the witness is the cut of G around L_2 = {v0}: the chord and the
+    # three v0-v1 edges into the closed x_2 = v1
+    assert r.payload.source_side == frozenset({"v0"})
+    assert r.payload.cut_edges == frozenset({"long", "e0c0", "e0c1", "e0c2"})
+    assert r.payload.value == 4
+    assert isinstance(linear_decompose(G, G.vertices, m=3, w_limit=2), LinearityCertificate)
 
 
 def test_linear_decompose_rejects_a_w_limit_below_one():

@@ -116,9 +116,27 @@ def test_k_connectivity_is_monotone(seed):
     assert results == sorted(results, reverse=True)
 
 
+# seeds on which a separator's witness was once a cut of G - A - {x_i}
+# while it claimed to be a cut of G
+WRONG_GRAPH_CUT_SEEDS = (
+    93, 823, 2642, 2946, 3009, 4019, 4389, 5076, 5663, 5955, 6708, 7404,
+    7423, 9593, 10941, 11582, 12243, 13225, 13737, 13741, 14583, 14756,
+    15761, 17739, 18266, 19079, 19506, 19540, 19886, 1956275, 5100572,
+)
+
+
 @given(seeds)
 @settings(max_examples=40, deadline=None)
 def test_linear_decompose_output_contract(seed):
+    _check_linear_decompose_contract(seed)
+
+
+def test_linear_decompose_output_contract_on_wrong_graph_cut_seeds():
+    for seed in WRONG_GRAPH_CUT_SEEDS:
+        _check_linear_decompose_contract(seed)
+
+
+def _check_linear_decompose_contract(seed):
     rng = random.Random(seed)
     G = random_multigraph(rng, max_n=6, max_edges=9)
     W = frozenset(v for v in sorted(G.vertices) if rng.random() < 0.7)
@@ -128,6 +146,7 @@ def test_linear_decompose_output_contract(seed):
         assert result.kind == "small-cut"
         assert isinstance(result.payload, CutWitness)
         assert result.payload.cut_edges == G.boundary(result.payload.source_side)
+        assert result.payload.value == len(result.payload.cut_edges)
     else:
         bad = verify_linear_certificate(
             G, W, result, result.achieved_a, result.achieved_w, result.achieved_p
