@@ -57,6 +57,7 @@ _TREE_AGREEMENT = (
 _PAIR_COUNTS = "tests/test_multigraph.py::test_pair_counts_match_all_pairs_flows"
 _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_has_no_immersion"
 _DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
+_PLANTED = "tests/test_planted.py::test_no_planted_query_is_absent"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -66,8 +67,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "certificate-route-unmasked",
         "src/immtools/immersion.py",
-        "route = level_avail[k] & ~level_avail[k + 1]",
-        "route = level_avail[k]",
+        "route = before & ~after",
+        "route = before",
         (_CRITERION_2,),
         "a found certificate routes each pattern edge over every host edge"
         " still free at its level; once caught by find_immersion's own"
@@ -228,6 +229,29 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " edge masks)",
     ),
     Mutant(
+        "closing-edge-not-first",
+        "src/immtools/immersion.py",
+        "e = untried & to_y",
+        "e = 0",
+        ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
+        "a path tries its edge to the route's end in edge order, not first;"
+        " no answer changes, only first-found step counts and certificates"
+        " (first made for closing each route first)",
+    ),
+    Mutant(
+        "closing-frame-drops-its-other-edges",
+        "src/immtools/immersion.py",
+        "                    nb = y\n",
+        "                    nb = y\n                    untried = 0\n",
+        ("tests/test_immersion.py::test_enumeration_pins_the_immersions_and_steps",),
+        "a path whose closing edge failed tries none of its other edges."
+        " No status changes: a later route through the closing edge could"
+        " take the detour instead, so the pruned subtrees hold no first"
+        " immersion, and neither the oracle nor the planted queries kill"
+        " it. Exhaustive counts and the enumeration change (first made for"
+        " closing each route first)",
+    ),
+    Mutant(
         "budget-answered-at-the-limit",
         "src/immtools/immersion.py",
         "if budget is not None and searcher.steps > budget:",
@@ -235,6 +259,44 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
         "a search that ends absent on exactly its budget's last step answers"
         " budget (first made for the step count as the one budget signal)",
+    ),
+    # -- the counting rules, against planted immersions: each unsound
+    # variant answers absent on hosts that hold an immersion by design
+    Mutant(
+        "cycle-rank-compared-with-ge",
+        "src/immtools/immersion.py",
+        "h.cycle_rank > g.cycle_rank",
+        "h.cycle_rank >= g.cycle_rank",
+        (_PLANTED,),
+        "a pattern of the host's cycle rank is ruled out (first made for"
+        " the planted immersions)",
+    ),
+    Mutant(
+        "edge-budget-halved",
+        "src/immtools/immersion.py",
+        "if need > g.m - h.m:",
+        "if need > (g.m - h.m) // 2:",
+        (_PLANTED,),
+        "routes of two host edges or more get half the host's spare edges"
+        " (first made for the planted immersions)",
+    ),
+    Mutant(
+        "spare-vertex-comparison-strict",
+        "src/immtools/immersion.py",
+        "need <= g.spare_capacity[g.n - h.n]",
+        "need < g.spare_capacity[g.n - h.n]",
+        (_PLANTED,),
+        "a strong query whose long routes exactly fill the spare vertices"
+        " is ruled out (first made for the planted immersions)",
+    ),
+    Mutant(
+        "p2-compared-with-ge",
+        "src/immtools/immersion.py",
+        "h.p2 > g.p2",
+        "h.p2 >= g.p2",
+        (_PLANTED,),
+        "a pattern with as many 2-edge-connected pairs as its host is ruled"
+        " out (first made for the planted immersions)",
     ),
     # -- the multigraph index
     Mutant(

@@ -7,6 +7,20 @@ a time, enumerating every simple path (or cycle, for loops) over the
 still-unused host edges.  "Absent" is reported only after the whole space
 is exhausted; the optional budget caps the number of search steps.
 
+A route from x to y != x closes first: each vertex of its path tries its
+lowest available edge to y before its other edges, which follow in edge
+order, so a route takes a direct edge before any detour that would block
+the routes after it (the cheapest form of "fail first": Haralick and
+Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", AI 14, 1980).  A loop's cycles are tried in edge order.  The
+order decides which immersion comes first and the first-found step
+counts, but not what an exhaustive search counts.  A path frame has the
+same children in either order, one per parallel class of its edges, each
+by its lowest edge, and the pruning rules below read a frame's state, not
+when it is reached.  So a search that finds nothing, or a full
+enumeration, counts the frames of one tree, whatever the order its
+children are taken in.
+
 Search and verification run on each graph's integer index
 (`Multigraph.index`, built once per graph and kept): vertex ids in name
 order, one bit per edge in id order, and incidence as edge masks: per
@@ -359,6 +373,8 @@ class _Searcher:
         j = -1  # the route level being built
         x = y = -1
         first = 0
+        # the non-loop edges at y, for a route with y != x; 0 for a loop
+        to_y = 0
 
         # Frames:
         #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
@@ -417,6 +433,7 @@ class _Searcher:
                         hu, hv = hends[j]
                         x = xs[j] = img[hu]
                         y = ys[j] = img[hv]
+                        to_y = links[y] if y != x else 0
                         # Two available loops at x are swapped by a host
                         # automorphism that fixes everything chosen so far,
                         # so only the first is offered, before the cycles.
@@ -479,7 +496,8 @@ class _Searcher:
                     steps += 1
                 continue
 
-            # The path at cur tries its untried edges in edge order.  Every
+            # The path at cur tries its lowest untried edge to y first, when
+            # y != x, and then its other untried edges in edge order.  Every
             # edge joining cur and the neighbour nb leaves the untried set
             # at once: a later parallel edge is also available and off the
             # path, so swapping it with the tried edge is a host
@@ -488,8 +506,13 @@ class _Searcher:
             # already failed (or, past a visited or saturated nb, fail
             # the same way).
             while untried:
-                e = untried & -untried
-                nb = other[e.bit_length() - 1] ^ cur
+                e = untried & to_y
+                if e:
+                    e &= -e
+                    nb = y
+                else:
+                    e = untried & -untried
+                    nb = other[e.bit_length() - 1] ^ cur
                 untried &= ~links[nb]
                 if nb == y:
                     # With y == x the closing edge e ends a cycle that the
@@ -532,17 +555,32 @@ class _Searcher:
                     j -= 1
                     if j >= 0:
                         x, y, first = xs[j], ys[j], firsts[j]
+                        to_y = links[y] if y != x else 0
         self.steps = steps
 
     def _certificate(self, img: List[int], level_avail: List[int]) -> ImmersionCertificate:
-        gindex, hindex = self.G.index, self.H.index
-        gnames, gedges = gindex.vertices, gindex.edges
+        """The immersion of the routes now open: pattern edge k takes the
+        host edges of level_avail[k] that level k + 1 lacks."""
+        G, H = self.G, self.H
+        gnames, gedges, singletons = G.index.vertices, G.index.edges, G.edge_singletons
         edge_map: Dict[str, FrozenSet[str]] = {}
-        for k, he in enumerate(hindex.edges):
-            route = level_avail[k] & ~level_avail[k + 1]
-            edge_map[he] = frozenset(gedges[i] for i in bit_positions(route))
+        before = level_avail[0]
+        for k, he in enumerate(H.index.edges):
+            after = level_avail[k + 1]
+            route = before & ~after
+            before = after
+            if route & (route - 1):
+                names = []
+                while route:
+                    e = route & -route
+                    names.append(gedges[e.bit_length() - 1])
+                    route ^= e
+                edge_map[he] = frozenset(names)
+            else:
+                # most routes are one edge: its frozenset is shared
+                edge_map[he] = singletons[route.bit_length() - 1]
         return ImmersionCertificate(
-            vertex_map={hindex.vertices[h]: gnames[img[h]] for h in self.H.degree_order},
+            vertex_map={a: gnames[img[h]] for a, h in zip(H.degree_order_names, H.degree_order)},
             edge_map=edge_map,
             strong=self.strong,
         )

@@ -3,7 +3,8 @@ residual-slack, twin, degree-domination and pair-count pruning that
 `immtools.immersion.find_immersion` applies.
 
 It backtracks over every degree-feasible injective assignment in the same
-order and routes with the same parallel-edge rule, so for every query
+order, and routes in the same order (each path tries its edge to the
+route's end first) with the same parallel-edge rule, so for every query
 without a budget it gives the same status and the same certificate as
 `find_immersion`; only its step counts are larger.
 """
@@ -105,8 +106,9 @@ class _Searcher:
         self, x: str, y: str, forbidden: Set[str]
     ) -> Iterator[Tuple[str, ...]]:
         """All simple x-y paths over available edges, interiors avoiding
-        the forbidden vertex set, up to swapping parallel edges.  With
-        y == x these are the non-loop cycles through x."""
+        the forbidden vertex set, up to swapping parallel edges, in the
+        search's order: each vertex tries its edge to y first.  With
+        y == x these are the non-loop cycles through x, in edge order."""
         path: List[str] = []
         visited = {x}
 
@@ -118,6 +120,16 @@ class _Searcher:
             # fixing the assignment, the earlier routes and the path so far:
             # its completions mirror ones that have already failed.
             tried: Set[str] = set()
+            # A route with y != x closes first: the lowest available edge
+            # from cur to y, before the other edges in sorted order.
+            if y != x:
+                for e, nb in self.gadj[cur]:
+                    if nb == y and e in self.avail and e not in path:
+                        tried.add(nb)
+                        path.append(e)
+                        yield tuple(path)
+                        path.pop()
+                        break
             for e, nb in self.gadj[cur]:
                 if e not in self.avail or e in path or nb == cur or nb in tried:
                     continue
