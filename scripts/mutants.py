@@ -308,6 +308,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "incident(v) names the edge after each incident one (first made for"
         " the string queries read from the index)",
     ),
+    # -- the simple-graph index
+    Mutant(
+        "index-sets-one-direction",
+        "src/immtools/simplegraph.py",
+        "            _join(nbr, index[u], index[v])\n",
+        "            nbr[index[u]] |= 1 << index[v]\n",
+        ("tests/test_simplegraph.py::test_the_index_matches_an_edge_scan",),
+        "each edge of a SimpleGraph is in the mask of one of its ends only,"
+        " so queries that read the masks lose neighbours (first made for"
+        " the one neighbour-mask index)",
+    ),
+    Mutant(
+        "path-union-accepts-degree-three",
+        "src/immtools/simplegraph.py",
+        "        if d > 2:\n",
+        "        if d > 3:\n",
+        ("tests/test_simplegraph.py::test_every_query_matches_a_string_reference",),
+        "a claw counts as a union of paths, so a linearizing set can be too"
+        " small (first made for the one neighbour-mask index)",
+    ),
     # -- linearity certificates
     Mutant(
         "sweep-misses-the-last-crossing",

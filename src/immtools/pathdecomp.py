@@ -4,24 +4,25 @@ linearizing-set search, and the decomposition algorithm built from nested
 minimal separators.
 
 The decomposer and the verifier work on integers.  The auxiliary graph is
-a list of neighbour bitmasks over W in sorted order (`_MaskGraph`), and a
-decomposition is a position for every vertex of G - A (`_positions`), so
-that width and boundedness come from one pass over G's edges (`_sweep`)
-and no reduced graph is built."""
+a list of neighbour bitmasks over W in sorted order (`MaskGraph`, the
+index that every `SimpleGraph` reads, so the public searches take a
+`SimpleGraph` at no conversion), and a decomposition is a position for
+every vertex of G - A (`_positions`), so that width and boundedness come
+from one pass over G's edges (`_sweep`) and no reduced graph is built."""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
 from collections import Counter
-from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
-from .multigraph import Multigraph
-from .simplegraph import SimpleGraph, StarMinorModel
+from .multigraph import Multigraph, bit_positions
+from .simplegraph import (
+    MaskGraph, SimpleGraph, StarMinorModel, _components, _is_path_union, _join,
+)
 
 SMALL_CUT = "small-cut"
 STAR_MINOR = "star-minor"
@@ -219,30 +220,9 @@ def verify_linear_certificate(
 # -- auxiliary graph and its structure --------------------------------
 
 
-class _MaskGraph(NamedTuple):
-    """A simple graph on bitmasks: `verts` in sorted order, and `nbr[i]`
-    the mask of the i-th vertex's neighbours, bit j standing for verts[j]."""
-
-    verts: List[str]
-    nbr: List[int]
-
-    def names(self, mask: int) -> List[str]:
-        """The vertices of a mask, in sorted order."""
-        return [v for i, v in enumerate(self.verts) if mask >> i & 1]
-
-    def components(self) -> List[int]:
-        return _components(self.nbr, (1 << len(self.verts)) - 1)
-
-    def graph(self) -> SimpleGraph:
-        verts = self.verts
-        return SimpleGraph.build(verts, (
-            (u, v) for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
-        ))
-
-
 def _auxiliary(
     G: Multigraph, W: FrozenSet[str], m: int
-) -> Tuple[_MaskGraph, Optional[FlowNetwork]]:
+) -> Tuple[MaskGraph, Optional[FlowNetwork]]:
     """The auxiliary graph of `build_auxiliary_graph`, and G's flow network
     if a flow ran (else None).
 
@@ -259,7 +239,7 @@ def _auxiliary(
         raise ValueError("m must be at least 1")
     verts = sorted(W)
     if len(verts) < 2:
-        return _MaskGraph(verts, [0] * len(verts)), None  # no pair to join
+        return MaskGraph(verts, [0] * len(verts)), None  # no pair to join
     index = {v: i for i, v in enumerate(verts)}
     mult: Counter = Counter()  # (i, j), i < j -> edges joining verts[i] and verts[j]
     parent: Dict[str, str] = {}  # union-find over the vertices of G - W
@@ -304,12 +284,7 @@ def _auxiliary(
             closed = nodes[:i] + nodes[i + 1:j] + nodes[j + 1:]
             if net.max_flow([nodes[i]], [nodes[j]], closed, limit=m) >= m:
                 _join(nbr, i, j)
-    return _MaskGraph(verts, nbr), net
-
-
-def _join(nbr: List[int], i: int, j: int) -> None:
-    nbr[i] |= 1 << j
-    nbr[j] |= 1 << i
+    return MaskGraph(verts, nbr), net
 
 
 def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGraph:
@@ -325,7 +300,7 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     if k < 2:
         raise ValueError("k must be at least 2")
     _check_ceiling(len(H.vertices))
-    verts, nbr = aux = _neighbour_masks(H)
+    verts, nbr = aux = H.masks
     n = len(verts)
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
@@ -335,60 +310,19 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 outside |= nbr[i]
             outside &= ~C
             if outside.bit_count() >= k and len(_components(nbr, C)) == 1:
-                leaves = aux.names(outside)[:k]
-                return _star_model(H, frozenset(aux.names(C)), leaves)
+                for _ in range(outside.bit_count() - k):
+                    outside ^= 1 << (outside.bit_length() - 1)  # keep the k lowest
+                return _star_model(aux, C, outside)
     return False
 
 
 def _check_ceiling(n: int) -> None:
     """The subset searches stop above this many vertices."""
     if n > _SUBSET_SEARCH_LIMIT:
-        raise SizeLimitError("instance above configured size limit")
-
-
-def _neighbour_masks(H: SimpleGraph) -> _MaskGraph:
-    """H on bitmasks."""
-    verts = sorted(H.vertices)
-    index = {v: i for i, v in enumerate(verts)}
-    nbr = [0] * len(verts)
-    for e in H.edges:
-        u, v = e
-        nbr[index[u]] |= 1 << index[v]
-        nbr[index[v]] |= 1 << index[u]
-    return _MaskGraph(verts, nbr)
-
-
-def _components(nbr: List[int], keep: int) -> List[int]:
-    """The components of the subgraph induced on the mask keep, as masks,
-    in the order of their lowest vertices."""
-    comps = []
-    while keep:
-        comp = frontier = keep & -keep
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = nbr[low.bit_length() - 1] & keep & ~comp
-            comp |= new
-            frontier |= new
-        keep &= ~comp
-        comps.append(comp)
-    return comps
-
-
-def _is_path_union(nbr: List[int], keep: int) -> bool:
-    """Whether the subgraph induced on the mask keep is a disjoint union
-    of paths: max degree <= 2 and acyclic, i.e. edges = vertices -
-    components."""
-    degrees = 0
-    rest = keep
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        d = (nbr[low.bit_length() - 1] & keep).bit_count()
-        if d > 2:
-            return False
-        degrees += d
-    return degrees // 2 == keep.bit_count() - len(_components(nbr, keep))
+        raise SizeLimitError(
+            f"{n} vertices, more than the {_SUBSET_SEARCH_LIMIT}-vertex limit of the"
+            " linearizing-set and star-minor searches"
+        )
 
 
 def _path_ordering(nbr: List[int], keep: int) -> List[int]:
@@ -410,46 +344,38 @@ def _path_ordering(nbr: List[int], keep: int) -> List[int]:
     return order
 
 
-def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
-    # spanning tree of H[C] plus one pendant edge per designated leaf,
+def _star_model(aux: MaskGraph, C: int, leaves: int) -> StarMinorModel:
+    # spanning tree of aux[C] plus one pendant edge per designated leaf,
     # pruned so the designated leaves are exactly the tree's leaves
-    tree_edges = set()
-    seen = {min(C)}
-    frontier = [min(C)]
-    adj = H.adjacency()
+    verts, nbr = aux
+    tree = [0] * len(verts)
+    seen = C & -C
+    frontier = [seen.bit_length() - 1]
     while frontier:
         v = frontier.pop()
-        for u in adj[v]:
-            if u in C and u not in seen:
-                seen.add(u)
-                tree_edges.add(frozenset((v, u)))
-                frontier.append(u)
-    nodes = set(C)
-    for leaf in leaf_list:
-        anchor = min(u for u in adj[leaf] if u in C)
-        tree_edges.add(frozenset((leaf, anchor)))
-        nodes.add(leaf)
-    designated = set(leaf_list)
-    while True:
-        tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
-        prune = sorted(
-            v for v in nodes if tree.degree(v) <= 1 and v not in designated
-        )
-        if not prune:
-            break
-        v = prune[0]
-        nodes.discard(v)
-        tree_edges = {e for e in tree_edges if v not in e}
-    tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
-    center = min(v for v in nodes if v not in tree.leaves())
-    return StarMinorModel(center=center, leaves=frozenset(designated), tree=tree)
+        for u in bit_positions(nbr[v] & C & ~seen):
+            seen |= 1 << u
+            _join(tree, v, u)
+            frontier.append(u)
+    for leaf in bit_positions(leaves):
+        anchor = nbr[leaf] & C
+        _join(tree, leaf, (anchor & -anchor).bit_length() - 1)
+    keep = C | leaves
+    while prune := [v for v in bit_positions(keep ^ leaves) if (tree[v] & keep).bit_count() < 2]:
+        keep ^= 1 << prune[0]
+    names = aux.names
+    model = SimpleGraph.build(names(keep), (
+        (verts[v], u) for v in bit_positions(keep) for u in names(tree[v] & keep) if verts[v] < u
+    ))
+    center = next(verts[v] for v in bit_positions(keep) if (tree[v] & keep).bit_count() > 1)
+    return StarMinorModel(center=center, leaves=frozenset(names(leaves)), tree=model)
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     """Smallest X with H - X a disjoint union of paths, the first such set
     in lexicographic order, by a pruned depth-first search (see
     `_min_linearizing_mask`)."""
-    aux = _neighbour_masks(H)
+    aux = H.masks
     return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
 
 
@@ -541,7 +467,7 @@ def linear_decompose(
 
 def _linear_decompose(
     G: Multigraph, W: Iterable[str], m: int, w_limit: int
-) -> Tuple[Union[LinearityCertificate, FailureWitness], _MaskGraph]:
+) -> Tuple[Union[LinearityCertificate, FailureWitness], MaskGraph]:
     """`linear_decompose`, and the auxiliary graph it was built from.
 
     Every flow runs on one network of G, built on first need: the

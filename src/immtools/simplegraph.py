@@ -1,11 +1,43 @@
-"""Loop-free simple graphs (used for the pairwise-connectivity auxiliary
-graph) and star-minor models over them."""
+"""Loop-free simple graphs (the pairwise-connectivity auxiliary graph,
+decomposition trees) and star-minor models over them.
+
+Every query reads one neighbour-mask index, `SimpleGraph.masks`: the
+vertices in sorted order and one bitmask of neighbours per vertex
+(`MaskGraph`).  A graph builds it on the first query that needs it; a
+graph made by `MaskGraph.graph` keeps the masks it was made from."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+
+from .multigraph import bit_positions
+
+
+class MaskGraph(NamedTuple):
+    """A simple graph on bitmasks: `verts` in sorted order, and `nbr[i]`
+    the mask of the i-th vertex's neighbours, bit j standing for verts[j]."""
+
+    verts: List[str]
+    nbr: List[int]
+
+    def names(self, mask: int) -> List[str]:
+        """The vertices of a mask, in sorted order."""
+        verts = self.verts
+        return [verts[i] for i in bit_positions(mask)]
+
+    def components(self) -> List[int]:
+        return _components(self.nbr, (1 << len(self.verts)) - 1)
+
+    def graph(self) -> "SimpleGraph":
+        """The same graph on names, with these masks as its index."""
+        verts = self.verts
+        H = SimpleGraph.build(verts, (
+            (u, v) for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
+        ))
+        object.__setattr__(H, "masks", self)
+        return H
 
 
 @dataclasses.dataclass(frozen=True)
@@ -24,6 +56,17 @@ class SimpleGraph:
     def build(cls, vertices: Iterable[str], edges: Iterable[Tuple[str, str]]) -> "SimpleGraph":
         return cls(frozenset(vertices), frozenset(frozenset(e) for e in edges))
 
+    @functools.cached_property
+    def masks(self) -> MaskGraph:
+        """The neighbour-mask index, built on first read and shared: do not
+        modify it."""
+        verts = sorted(self.vertices)
+        index = {v: i for i, v in enumerate(verts)}
+        nbr = [0] * len(verts)
+        for u, v in self.edges:
+            _join(nbr, index[u], index[v])
+        return MaskGraph(verts, nbr)
+
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -34,12 +77,8 @@ class SimpleGraph:
 
     @functools.cached_property
     def _adjacency(self) -> Dict[str, Tuple[str, ...]]:
-        adj: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            u, v = e
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        masks = self.masks
+        return {v: tuple(masks.names(nbr)) for v, nbr in zip(masks.verts, masks.nbr)}
 
     def neighbors(self, v: str) -> FrozenSet[str]:
         return frozenset(self._adjacency.get(v, ()))
@@ -53,43 +92,62 @@ class SimpleGraph:
         return SimpleGraph(keep, frozenset(e for e in self.edges if e <= keep))
 
     def connected_components(self) -> List[FrozenSet[str]]:
-        adj = self.adjacency()
-        seen: Set[str] = set()
-        comps = []
-        for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
+        """The components, in the order of their smallest vertices."""
+        masks = self.masks
+        return [frozenset(masks.names(comp)) for comp in masks.components()]
 
     def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or len(self.connected_components()) == 1
+        return len(self.masks.components()) <= 1
 
     def is_disjoint_union_of_paths(self) -> bool:
         """Every component is a path (single vertices and the empty graph count)."""
-        if any(self.degree(v) > 2 for v in self.vertices):
-            return False
-        # max degree <= 2 and acyclic <=> path union
-        return len(self.edges) == len(self.vertices) - len(self.connected_components())
+        verts, nbr = self.masks
+        return _is_path_union(nbr, (1 << len(verts)) - 1)
 
     def is_tree(self) -> bool:
-        return (
-            bool(self.vertices)
-            and self.is_connected()
-            and len(self.edges) == len(self.vertices) - 1
-        )
+        return len(self.masks.components()) == 1 and len(self.edges) == len(self.vertices) - 1
 
     def leaves(self) -> FrozenSet[str]:
-        return frozenset(v for v in self.vertices if self.degree(v) == 1)
+        verts, nbr = self.masks
+        return frozenset(v for v, around in zip(verts, nbr) if around.bit_count() == 1)
+
+
+def _join(nbr: List[int], i: int, j: int) -> None:
+    nbr[i] |= 1 << j
+    nbr[j] |= 1 << i
+
+
+def _components(nbr: List[int], keep: int) -> List[int]:
+    """The components of the subgraph induced on the mask keep, as masks,
+    in the order of their lowest vertices."""
+    comps = []
+    while keep:
+        comp = frontier = keep & -keep
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbr[low.bit_length() - 1] & keep & ~comp
+            comp |= new
+            frontier |= new
+        keep &= ~comp
+        comps.append(comp)
+    return comps
+
+
+def _is_path_union(nbr: List[int], keep: int) -> bool:
+    """Whether the subgraph induced on the mask keep is a disjoint union
+    of paths: max degree <= 2 and acyclic, i.e. edges = vertices -
+    components."""
+    degrees = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (nbr[low.bit_length() - 1] & keep).bit_count()
+        if d > 2:
+            return False
+        degrees += d
+    return degrees // 2 == keep.bit_count() - len(_components(nbr, keep))
 
 
 @dataclasses.dataclass(frozen=True)

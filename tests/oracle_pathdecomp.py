@@ -30,7 +30,8 @@ from immtools import (
     width,
 )
 from immtools.flow import FlowNetwork
-from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _is_path_union, _star_model
+from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _star_model
+from immtools.simplegraph import _is_path_union
 
 
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
@@ -47,7 +48,9 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 continue
             outside = frozenset().union(*(H.neighbors(v) for v in C)) - C
             if len(outside) >= k:
-                return _star_model(H, C, sorted(outside)[:k])
+                bit = {v: 1 << i for i, v in enumerate(verts)}
+                leaves = sorted(outside)[:k]
+                return _star_model(H.masks, sum(map(bit.get, C)), sum(map(bit.get, leaves)))
     return False
 
 

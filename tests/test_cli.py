@@ -303,7 +303,10 @@ def test_subset_search_ceiling_is_a_limit_exit_code(tmp_path, capsys):
     g = write(tmp_path, "g.json", json.loads(host))
     code, out, err = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
     assert (code, out) == (3, "")
-    assert err == "error: instance above configured size limit\n"
+    assert err == (
+        "error: 17 vertices, more than the 16-vertex limit of the"
+        " linearizing-set and star-minor searches\n"
+    )
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):
