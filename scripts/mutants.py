@@ -316,17 +316,17 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "            nbr[index[u]] |= 1 << index[v]\n",
         ("tests/test_simplegraph.py::test_the_index_matches_an_edge_scan",),
         "each edge of a SimpleGraph is in the mask of one of its ends only,"
-        " so queries that read the masks lose neighbours (first made for"
-        " the one neighbour-mask index)",
+        " so the subset searches that read the masks lose neighbours (first"
+        " made for the cached neighbour masks)",
     ),
     Mutant(
         "path-union-accepts-degree-three",
         "src/immtools/simplegraph.py",
         "        if d > 2:\n",
         "        if d > 3:\n",
-        ("tests/test_simplegraph.py::test_every_query_matches_a_string_reference",),
+        ("tests/test_simplegraph.py::test_the_mask_readers_match_the_queries",),
         "a claw counts as a union of paths, so a linearizing set can be too"
-        " small (first made for the one neighbour-mask index)",
+        " small (first made for the cached neighbour masks)",
     ),
     # -- linearity certificates
     Mutant(

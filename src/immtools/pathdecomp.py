@@ -4,11 +4,12 @@ linearizing-set search, and the decomposition algorithm built from nested
 minimal separators.
 
 The decomposer and the verifier work on integers.  The auxiliary graph is
-a list of neighbour bitmasks over W in sorted order (`MaskGraph`, the
-index that every `SimpleGraph` reads, so the public searches take a
-`SimpleGraph` at no conversion), and a decomposition is a position for
-every vertex of G - A (`_positions`), so that width and boundedness come
-from one pass over G's edges (`_sweep`) and no reduced graph is built."""
+a list of neighbour bitmasks over W in sorted order (`MaskGraph`, the form
+that `SimpleGraph.masks` caches, so the public searches read a
+`SimpleGraph` with no conversion of their own), and a decomposition is a
+position for every vertex of G - A (`_positions`), so that width and
+boundedness come from one pass over G's edges (`_sweep`) and no reduced
+graph is built."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Seque
 
 from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
-from .multigraph import Multigraph, bit_positions
+from .multigraph import Multigraph
 from .simplegraph import (
     MaskGraph, SimpleGraph, StarMinorModel, _components, _is_path_union, _join,
 )
@@ -310,9 +311,8 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 outside |= nbr[i]
             outside &= ~C
             if outside.bit_count() >= k and len(_components(nbr, C)) == 1:
-                for _ in range(outside.bit_count() - k):
-                    outside ^= 1 << (outside.bit_length() - 1)  # keep the k lowest
-                return _star_model(aux, C, outside)
+                leaves = aux.names(outside)[:k]
+                return _star_model(H, frozenset(aux.names(C)), leaves)
     return False
 
 
@@ -344,37 +344,46 @@ def _path_ordering(nbr: List[int], keep: int) -> List[int]:
     return order
 
 
-def _star_model(aux: MaskGraph, C: int, leaves: int) -> StarMinorModel:
-    # spanning tree of aux[C] plus one pendant edge per designated leaf,
+def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
+    # spanning tree of H[C] plus one pendant edge per designated leaf,
     # pruned so the designated leaves are exactly the tree's leaves
-    verts, nbr = aux
-    tree = [0] * len(verts)
-    seen = C & -C
-    frontier = [seen.bit_length() - 1]
+    tree_edges = set()
+    seen = {min(C)}
+    frontier = [min(C)]
+    adj = H.adjacency()
     while frontier:
         v = frontier.pop()
-        for u in bit_positions(nbr[v] & C & ~seen):
-            seen |= 1 << u
-            _join(tree, v, u)
-            frontier.append(u)
-    for leaf in bit_positions(leaves):
-        anchor = nbr[leaf] & C
-        _join(tree, leaf, (anchor & -anchor).bit_length() - 1)
-    keep = C | leaves
-    while prune := [v for v in bit_positions(keep ^ leaves) if (tree[v] & keep).bit_count() < 2]:
-        keep ^= 1 << prune[0]
-    names = aux.names
-    model = SimpleGraph.build(names(keep), (
-        (verts[v], u) for v in bit_positions(keep) for u in names(tree[v] & keep) if verts[v] < u
-    ))
-    center = next(verts[v] for v in bit_positions(keep) if (tree[v] & keep).bit_count() > 1)
-    return StarMinorModel(center=center, leaves=frozenset(names(leaves)), tree=model)
+        for u in adj[v]:
+            if u in C and u not in seen:
+                seen.add(u)
+                tree_edges.add(frozenset((v, u)))
+                frontier.append(u)
+    nodes = set(C)
+    for leaf in leaf_list:
+        anchor = min(u for u in adj[leaf] if u in C)
+        tree_edges.add(frozenset((leaf, anchor)))
+        nodes.add(leaf)
+    designated = set(leaf_list)
+    while True:
+        tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
+        prune = sorted(
+            v for v in nodes if tree.degree(v) <= 1 and v not in designated
+        )
+        if not prune:
+            break
+        v = prune[0]
+        nodes.discard(v)
+        tree_edges = {e for e in tree_edges if v not in e}
+    tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
+    center = min(v for v in nodes if v not in tree.leaves())
+    return StarMinorModel(center=center, leaves=frozenset(designated), tree=tree)
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     """Smallest X with H - X a disjoint union of paths, the first such set
     in lexicographic order, by a pruned depth-first search (see
     `_min_linearizing_mask`)."""
+    _check_ceiling(len(H.vertices))
     aux = H.masks
     return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
 

@@ -1,16 +1,16 @@
 """Loop-free simple graphs (the pairwise-connectivity auxiliary graph,
 decomposition trees) and star-minor models over them.
 
-Every query reads one neighbour-mask index, `SimpleGraph.masks`: the
-vertices in sorted order and one bitmask of neighbours per vertex
-(`MaskGraph`).  A graph builds it on the first query that needs it; a
-graph made by `MaskGraph.graph` keeps the masks it was made from."""
+Queries read a string adjacency, linear in the graph's size.  The subset
+searches (at most 16 vertices) read `SimpleGraph.masks`, one neighbour
+bitmask per vertex (`MaskGraph`), which on a large sparse graph such as a
+decomposition tree would take space quadratic in the vertex count."""
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
 
 from .multigraph import bit_positions
 
@@ -31,7 +31,7 @@ class MaskGraph(NamedTuple):
         return _components(self.nbr, (1 << len(self.verts)) - 1)
 
     def graph(self) -> "SimpleGraph":
-        """The same graph on names, with these masks as its index."""
+        """The same graph on names, keeping these masks as its `masks`."""
         verts = self.verts
         H = SimpleGraph.build(verts, (
             (u, v) for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
@@ -58,8 +58,8 @@ class SimpleGraph:
 
     @functools.cached_property
     def masks(self) -> MaskGraph:
-        """The neighbour-mask index, built on first read and shared: do not
-        modify it."""
+        """The graph on bitmasks, for the subset searches; built on first
+        read and shared: do not modify it."""
         verts = sorted(self.vertices)
         index = {v: i for i, v in enumerate(verts)}
         nbr = [0] * len(verts)
@@ -77,8 +77,12 @@ class SimpleGraph:
 
     @functools.cached_property
     def _adjacency(self) -> Dict[str, Tuple[str, ...]]:
-        masks = self.masks
-        return {v: tuple(masks.names(nbr)) for v, nbr in zip(masks.verts, masks.nbr)}
+        adj: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        for e in self.edges:
+            u, v = e
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     def neighbors(self, v: str) -> FrozenSet[str]:
         return frozenset(self._adjacency.get(v, ()))
@@ -92,24 +96,43 @@ class SimpleGraph:
         return SimpleGraph(keep, frozenset(e for e in self.edges if e <= keep))
 
     def connected_components(self) -> List[FrozenSet[str]]:
-        """The components, in the order of their smallest vertices."""
-        masks = self.masks
-        return [frozenset(masks.names(comp)) for comp in masks.components()]
+        adj = self.adjacency()
+        seen: Set[str] = set()
+        comps = []
+        for start in sorted(self.vertices):
+            if start in seen:
+                continue
+            comp = {start}
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for u in adj[v]:
+                    if u not in comp:
+                        comp.add(u)
+                        stack.append(u)
+            seen |= comp
+            comps.append(frozenset(comp))
+        return comps
 
     def is_connected(self) -> bool:
-        return len(self.masks.components()) <= 1
+        return len(self.vertices) <= 1 or len(self.connected_components()) == 1
 
     def is_disjoint_union_of_paths(self) -> bool:
         """Every component is a path (single vertices and the empty graph count)."""
-        verts, nbr = self.masks
-        return _is_path_union(nbr, (1 << len(verts)) - 1)
+        if any(self.degree(v) > 2 for v in self.vertices):
+            return False
+        # max degree <= 2 and acyclic <=> path union
+        return len(self.edges) == len(self.vertices) - len(self.connected_components())
 
     def is_tree(self) -> bool:
-        return len(self.masks.components()) == 1 and len(self.edges) == len(self.vertices) - 1
+        return (
+            bool(self.vertices)
+            and self.is_connected()
+            and len(self.edges) == len(self.vertices) - 1
+        )
 
     def leaves(self) -> FrozenSet[str]:
-        verts, nbr = self.masks
-        return frozenset(v for v, around in zip(verts, nbr) if around.bit_count() == 1)
+        return frozenset(v for v in self.vertices if self.degree(v) == 1)
 
 
 def _join(nbr: List[int], i: int, j: int) -> None:

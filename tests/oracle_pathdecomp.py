@@ -48,9 +48,7 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 continue
             outside = frozenset().union(*(H.neighbors(v) for v in C)) - C
             if len(outside) >= k:
-                bit = {v: 1 << i for i, v in enumerate(verts)}
-                leaves = sorted(outside)[:k]
-                return _star_model(H.masks, sum(map(bit.get, C)), sum(map(bit.get, leaves)))
+                return _star_model(H, C, sorted(outside)[:k])
     return False
 
 

@@ -1,55 +1,25 @@
-"""The neighbour-mask index of `SimpleGraph` against string-level
-references.
+"""The two forms of a `SimpleGraph`: the string adjacency that its
+queries read, and the neighbour masks (`SimpleGraph.masks`) that the
+linearizing-set and star-minor searches read.
 
-Every query of a `SimpleGraph` reads one index, `SimpleGraph.masks`.  The
-references below scan the edge set directly: a depth-first components
-search over a string adjacency, and the path-union test by degrees and
-an edge count."""
+The masks must describe the same graph as the edge set, the mask-level
+readers must agree with the string-level queries, and only the subset
+searches may build the masks: on a large sparse graph they take space
+quadratic in the vertex count."""
 
 import itertools
 import random
+import tracemalloc
 
 import oracle_flow
 from enumerate_graphs import connected_simple_graphs
 from helpers import random_multigraph
-from immtools import SimpleGraph, build_auxiliary_graph, has_k1k_minor
+from immtools import (
+    Multigraph, SimpleGraph, TreeCutDecomposition, build_auxiliary_graph, has_k1k_minor,
+    min_linearizing_set, torsos,
+)
 from immtools.pathdecomp import _auxiliary
-
-
-def _reference_adjacency(H):
-    adj = {v: set() for v in H.vertices}
-    for e in H.edges:
-        u, v = e
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-
-
-def _reference_components(H):
-    adj = _reference_adjacency(H)
-    seen = set()
-    comps = []
-    for start in sorted(H.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
-def _reference_path_union(H):
-    # max degree <= 2 and acyclic <=> path union
-    if any(len(nbrs) > 2 for nbrs in _reference_adjacency(H).values()):
-        return False
-    return len(H.edges) == len(H.vertices) - len(_reference_components(H))
+from immtools.simplegraph import _is_path_union
 
 
 def _graphs():
@@ -82,36 +52,59 @@ def test_the_index_matches_an_edge_scan():
     assert graphs == 143 + 4 + 200  # 143 connected simple graphs on 1..6 vertices
 
 
-def test_every_query_matches_a_string_reference():
-    disconnected = paths = trees = 0
+def test_the_mask_readers_match_the_queries():
+    disconnected = paths = 0
     for H in _graphs():
-        adj = _reference_adjacency(H)
-        comps = _reference_components(H)
-        assert H.adjacency() == adj
-        for v in H.vertices:
-            assert H.neighbors(v) == frozenset(adj[v])
-            assert H.degree(v) == len(adj[v])
-        assert H.neighbors("absent") == frozenset() and H.degree("absent") == 0
-        assert H.connected_components() == comps
+        aux = H.masks
+        full = (1 << len(aux.verts)) - 1
+        assert H.adjacency() == {v: tuple(aux.names(n)) for v, n in zip(aux.verts, aux.nbr)}
+        assert [H.degree(v) for v in aux.verts] == [n.bit_count() for n in aux.nbr]
+        comps = H.connected_components()
+        assert comps == [frozenset(aux.names(c)) for c in aux.components()]
         assert H.is_connected() == (len(comps) <= 1)
-        assert H.is_disjoint_union_of_paths() == _reference_path_union(H)
-        is_tree = len(comps) == 1 and len(H.edges) == len(H.vertices) - 1
-        assert H.is_tree() == is_tree
-        assert H.leaves() == frozenset(v for v in H.vertices if len(adj[v]) == 1)
+        assert H.is_disjoint_union_of_paths() == _is_path_union(aux.nbr, full)
         disconnected += len(comps) > 1
-        paths += _reference_path_union(H)
-        trees += is_tree
-    assert disconnected > 100 and paths > 50 and trees > 20
+        paths += H.is_disjoint_union_of_paths()
+    assert disconnected > 100 and paths > 50
 
 
-def test_a_graph_builds_its_index_on_first_query():
+def test_only_the_subset_searches_build_the_masks():
     H = SimpleGraph.build("abcd", [("a", "b"), ("b", "c")])
     assert H == SimpleGraph.build("dcba", [("c", "b"), ("b", "a")])
     assert H.has_edge("a", "b") and {H: 1}[H] == 1
     assert H.without("a").vertices == frozenset("bcd")
+    assert H.is_connected() is False and H.is_disjoint_union_of_paths()
+    assert H.is_tree() is False and H.leaves() == frozenset("ac")
+    assert H.connected_components() and H.adjacency() and H.neighbors("b") and H.degree("d") == 0
     assert "masks" not in vars(H)
-    assert H.is_connected() is False
+    assert min_linearizing_set(H) == frozenset()
     assert vars(H)["masks"] is H.masks
+
+
+def test_large_decomposition_trees_stay_linear():
+    # A path-shaped tree of 10^4 nodes: its queries use a few hundred
+    # bytes per node, where neighbour masks would take about n / 16.
+    n = 10_000
+    nodes = [f"t{i}" for i in range(n)]
+    verts = [f"v{i}" for i in range(n)]
+    G = Multigraph(frozenset(verts), {f"e{i}": e for i, e in enumerate(zip(verts, verts[1:]))})
+    D = TreeCutDecomposition(
+        frozenset(nodes),
+        frozenset(frozenset(e) for e in zip(nodes, nodes[1:])),
+        dict(zip(nodes, (frozenset([v]) for v in verts))),
+    )
+    T = D.tree()
+    tracemalloc.start()
+    try:
+        assert T.is_tree() and T.leaves() == {"t0", f"t{n - 1}"}
+        assert len(T.adjacency()) == n and T.is_disjoint_union_of_paths()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * n, peak
+    parts = torsos(G, D)
+    assert len(parts) == n and parts["t1"].peripheral == {"peri:t0", "peri:t2"}
+    assert "masks" not in vars(T)
 
 
 def test_the_auxiliary_graph_keeps_its_masks():
