@@ -4,12 +4,10 @@ linearizing-set search, and the decomposition algorithm built from nested
 minimal separators.
 
 The decomposer and the verifier work on integers.  The auxiliary graph is
-a list of neighbour bitmasks over W in sorted order (`MaskGraph`, the form
-that `SimpleGraph.masks` caches, so the public searches read a
-`SimpleGraph` with no conversion of their own), and a decomposition is a
-position for every vertex of G - A (`_positions`), so that width and
-boundedness come from one pass over G's edges (`_sweep`) and no reduced
-graph is built."""
+a list of neighbour bitmasks over W in sorted order (`MaskGraph`), and a
+decomposition is a position for every vertex of G - A (`_positions`), so
+that width and boundedness come from one pass over G's edges (`_sweep`)
+and no reduced graph is built."""
 
 from __future__ import annotations
 
