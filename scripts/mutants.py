@@ -328,6 +328,38 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "a claw counts as a union of paths, so a linearizing set can be too"
         " small (first made for the cached neighbour masks)",
     ),
+    # -- the linearizing-set search
+    Mutant(
+        "keep-branch-keeps-three-neighbours",
+        "src/immtools/pathdecomp.py",
+        "if size > 2 or least > 2:",
+        "if size > 3 or least > 2:",
+        ("tests/test_pathdecomp.py::test_linearizing_search_prunes",),
+        "a kept vertex with three kept neighbours, a claw no deletion can"
+        " break, is its own keep branch, so the search makes that node again"
+        " until the work limit (first made for the branching linearizing"
+        " search)",
+    ),
+    Mutant(
+        "cycle-costs-nothing",
+        "src/immtools/pathdecomp.py",
+        "                k -= 1\n                deleted |= free & -free\n",
+        "                deleted |= free & -free\n",
+        ("tests/test_pathdecomp.py::test_each_cycle_costs_one_deletion",),
+        "the cycles left once every live degree is at most 2 use up none of"
+        " the deletions, so too small a set counts as enough (first made for"
+        " the branching linearizing search)",
+    ),
+    Mutant(
+        "lexicographic-pass-keeps-a-deletable-vertex",
+        "src/immtools/pathdecomp.py",
+        "found = self.feasible(live ^ bit, kept, k - 1)",
+        "found = None",
+        ("tests/test_pathdecomp.py::test_linearizing_search_on_a_benchmark_graph_above_the_enumerators",),
+        "the pass keeps every vertex outside the first set the size search"
+        " found, which is a smallest set but not the first in lexicographic"
+        " order (first made for the branching linearizing search)",
+    ),
     # -- linearity certificates
     Mutant(
         "sweep-misses-the-last-crossing",

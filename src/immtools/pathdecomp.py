@@ -14,11 +14,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import Counter
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
-from .multigraph import Multigraph
+from .multigraph import Multigraph, bit_positions
 from .simplegraph import (
     MaskGraph, SimpleGraph, StarMinorModel, _components, _is_path_union, _join,
 )
@@ -27,7 +29,9 @@ SMALL_CUT = "small-cut"
 STAR_MINOR = "star-minor"
 NOT_PATH_SHAPED = "not-path-shaped"
 
-_SUBSET_SEARCH_LIMIT = 16
+# decision nodes of one linearizing-set search, center sets tested by one
+# star-minor search
+_WORK_LIMIT = 100_000
 
 
 class SizeLimitError(ValueError):
@@ -295,14 +299,19 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     """A K_{1,k} minor model (as a subtree with k leaves and a non-leaf
     vertex) or False after exhaustive search over connected center sets,
-    by increasing size, each size in lexicographic order."""
+    by increasing size, each size in lexicographic order.  The search
+    tests at most `_WORK_LIMIT` center sets, and raises SizeLimitError
+    past that."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    _check_ceiling(len(H.vertices))
     verts, nbr = aux = H.masks
     n = len(verts)
+    tested = 0
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):
+            tested += 1
+            if tested > _WORK_LIMIT:
+                raise _over_limit("center sets", "star-minor")
             C = outside = 0
             for i in combo:
                 C |= 1 << i
@@ -314,13 +323,11 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     return False
 
 
-def _check_ceiling(n: int) -> None:
-    """The subset searches stop above this many vertices."""
-    if n > _SUBSET_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"{n} vertices, more than the {_SUBSET_SEARCH_LIMIT}-vertex limit of the"
-            " linearizing-set and star-minor searches"
-        )
+def _over_limit(units: str, search: str) -> SizeLimitError:
+    """The error of a search that went over `_WORK_LIMIT` of its units."""
+    return SizeLimitError(
+        f"more than {_WORK_LIMIT} {units}, the work limit of the {search} search"
+    )
 
 
 def _path_ordering(nbr: List[int], keep: int) -> List[int]:
@@ -379,55 +386,190 @@ def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> Star
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     """Smallest X with H - X a disjoint union of paths, the first such set
-    in lexicographic order, by a pruned depth-first search (see
-    `_min_linearizing_mask`)."""
-    _check_ceiling(len(H.vertices))
+    in lexicographic order, by a branching search (see
+    `_LinearizingSearch`)."""
     aux = H.masks
     return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
 
 
 def _min_linearizing_mask(nbr: List[int]) -> int:
-    """`min_linearizing_set` on bitmasks: a depth-first search for each
-    size of the set in turn, deciding the vertices in order and trying to
-    delete each one before keeping it, so that the first set found is the
-    first smallest one in lexicographic order."""
-    n = len(nbr)
-    _check_ceiling(n)
-    for size in range(n + 1):
-        removed = _linearizing_within(nbr, n, 0, 0, size)
-        if removed is not None:
-            return removed
-    raise AssertionError("removing every vertex always leaves a path union")
+    """`min_linearizing_set` on bitmasks: the mask of the first smallest
+    linearizing set, from one `_LinearizingSearch` within the work
+    limit."""
+    return _LinearizingSearch(nbr).first_smallest()
 
 
-def _linearizing_within(nbr: List[int], n: int, i: int, removed: int, left: int) -> Optional[int]:
-    """The first mask, in lexicographic order, that extends `removed` by at
-    most `left` of the vertices i..n-1 and leaves a path union, or None.
+_Node = Tuple[int, int, int, int]  # live, kept, k, and the vertices deleted so far
 
-    The vertices below i that `removed` keeps induce a path union, and each
-    has at most 2 + left neighbours outside `removed`.  A branch stops as
-    soon as either fails: deleting vertices never joins two kept ones, and
-    a kept vertex loses at most one neighbour per deletion."""
-    live = ((1 << n) - 1) ^ removed
-    if not left or i == n:
-        return removed if _is_path_union(nbr, live) else None
-    bit = 1 << i
-    kept = live & (bit - 1)
-    # delete i: the kept vertices it does not touch lose a deletion, not a neighbour
-    rest = kept & ~nbr[i]
-    while rest:
-        low = rest & -rest
-        if (nbr[low.bit_length() - 1] & live).bit_count() > left + 1:
-            break
-        rest ^= low
-    else:
-        found = _linearizing_within(nbr, n, i + 1, removed | bit, left - 1)
-        if found is not None:
-            return found
-    # keep i
-    if (nbr[i] & live).bit_count() <= 2 + left and _is_path_union(nbr, kept | bit):
-        return _linearizing_within(nbr, n, i + 1, removed, left)
-    return None
+
+class _LinearizingSearch:
+    """The first smallest linearizing set of a graph on bitmasks, from a
+    decision search that branches on the vertices of degree >= 3.
+
+    `feasible(live, kept, k)` asks whether deleting at most k vertices of
+    live, none of them in kept, leaves a path union.  It branches at the
+    live vertex v of highest live degree d >= 3 (the lowest such v on a
+    tie): either delete v, or keep v with a set S of at most 2 of its live
+    neighbours, S holding every kept one and no two adjacent ones, and
+    delete the other d - |S|.
+    Once every live degree is at most 2, each cycle costs one deletion of
+    a vertex outside kept.  A node is cut off when k deletions cannot
+    remove enough edges, or enough degree at the vertices that stay (see
+    `_out_of_reach`).
+
+    `first_smallest` finds the size k of a smallest set by trying
+    k = 0, 1, ... in turn, then decides the vertices 0..n-1 in order,
+    deleting each one whenever the rest can still be finished with the
+    deletions left.  So the set it returns is the first smallest one in
+    lexicographic order.
+
+    The search runs on an explicit stack, so its depth is not bounded by
+    the interpreter's recursion limit.  `nodes` counts the decision nodes
+    made; one search makes at most `_WORK_LIMIT`, and raises
+    SizeLimitError past that."""
+
+    def __init__(self, nbr: List[int]):
+        self.nbr = nbr
+        self.nodes = 0
+
+    def first_smallest(self) -> int:
+        n = len(self.nbr)
+        live = (1 << n) - 1
+        if _is_path_union(self.nbr, live):
+            return 0
+        k = 1
+        while (witness := self.feasible(live, 0, k)) is None:
+            k += 1
+        # witness: deletions that finish the current state; a vertex in it
+        # can be deleted with no further search
+        kept = removed = 0
+        for i in range(n):
+            if not k:
+                break
+            bit = 1 << i
+            if witness & bit:
+                witness ^= bit
+            else:
+                found = self.feasible(live ^ bit, kept, k - 1)
+                if found is None:
+                    kept |= bit
+                    continue
+                witness = found
+            removed |= bit
+            live ^= bit
+            k -= 1
+        return removed
+
+    def feasible(self, live: int, kept: int, k: int) -> Optional[int]:
+        """The vertices to delete, at most k of live outside kept, that
+        leave a path union, or None if there are none."""
+        nbr = self.nbr
+        # each frame yields the nodes below one branching vertex
+        stack = [iter([(live, kept, k, 0)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            self.nodes += 1
+            if self.nodes > _WORK_LIMIT:
+                raise _over_limit("decision nodes", "linearizing-set")
+            live, kept, k, deleted = node
+            if not k:
+                if _is_path_union(nbr, live):
+                    return deleted
+                continue
+            top = 2
+            v = ends = total = 0
+            kept_degrees = []
+            free_degrees = []
+            rest = live
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = low.bit_length() - 1
+                d = (nbr[u] & live).bit_count()
+                total += d
+                if d > top:
+                    top, v = d, u
+                elif d < 2:
+                    ends |= low
+                (kept_degrees if kept & low else free_degrees).append(d)
+            if _out_of_reach(total // 2, kept_degrees, free_degrees, k):
+                continue
+            if top > 2:
+                stack.append(_branches(nbr, node, v, top))
+                continue
+            # a path union but for its cycles: each costs one deletion
+            for comp in _components(nbr, live):
+                if comp & ends:
+                    continue
+                free = comp & ~kept
+                if not free or not k:
+                    break
+                k -= 1
+                deleted |= free & -free
+            else:
+                return deleted
+        return None
+
+
+def _branches(nbr: List[int], node: _Node, v: int, d: int) -> Iterator[_Node]:
+    """The nodes below `node` = (live, kept, k, deleted) when it branches
+    at v, of live degree d >= 3: delete v, unless it is kept; or keep v
+    with some of its live neighbours (`_kept_sets`) and delete the rest."""
+    live, kept, k, deleted = node
+    bv = 1 << v
+    if not kept & bv:
+        yield live ^ bv, kept, k - 1, deleted | bv
+    around = nbr[v] & live
+    # keeping fewer than d - k neighbours would cost more than k deletions
+    for S in _kept_sets(nbr, around & ~kept, around & kept, d - k):
+        gone = around ^ S
+        yield live ^ gone, kept | bv | S, k - gone.bit_count(), deleted | gone
+
+
+def _kept_sets(nbr: List[int], free: int, fixed: int, least: int) -> Iterator[int]:
+    """The neighbour sets a kept vertex can keep, when fixed are its kept
+    neighbours and free the others: S = fixed + some of free, with
+    least <= |S| <= 2 and no two vertices of S adjacent (they would close
+    a triangle with the kept vertex)."""
+    size = fixed.bit_count()
+    if size > 2 or least > 2:
+        return
+    if size == 2:
+        if not nbr[(fixed & -fixed).bit_length() - 1] & fixed:
+            yield fixed
+        return
+    if size >= least:
+        yield fixed
+    if size:
+        for u in bit_positions(free & ~nbr[fixed.bit_length() - 1]):
+            yield fixed | 1 << u
+        return
+    for u in bit_positions(free):
+        if least <= 1:
+            yield 1 << u
+        for w in bit_positions(free & ~nbr[u] & -(2 << u)):
+            yield 1 << u | 1 << w
+
+
+def _out_of_reach(edges: int, kept_degrees: List[int], free_degrees: List[int], k: int) -> bool:
+    """Whether no j = min(k, len(free_degrees)) deletions among the free
+    vertices, of the given live degrees, can leave a path union: the
+    r vertices left would keep more than r - 1 edges, or a degree sum
+    above 2r - 2 although each of them loses at most j neighbours.
+    Deleting more vertices never spoils a path union, so testing j
+    deletions covers every smaller number."""
+    j = min(k, len(free_degrees))
+    r = len(kept_degrees) + len(free_degrees) - j
+    if r <= 0:
+        return False
+    free_degrees.sort()
+    stays = len(free_degrees) - j
+    if edges - sum(free_degrees[stays:]) > r - 1:
+        return True
+    return sum(d - j for d in kept_degrees + free_degrees[:stays] if d > j) > 2 * r - 2
 
 
 # -- the decomposition algorithm --------------------------------------

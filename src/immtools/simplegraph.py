@@ -1,10 +1,11 @@
 """Loop-free simple graphs (the pairwise-connectivity auxiliary graph,
 decomposition trees) and star-minor models over them.
 
-Queries read a string adjacency, linear in the graph's size.  The subset
-searches (at most 16 vertices) read `SimpleGraph.masks`, one neighbour
-bitmask per vertex (`MaskGraph`), which on a large sparse graph such as a
-decomposition tree would take space quadratic in the vertex count."""
+Queries read a string adjacency, linear in the graph's size.  The
+linearizing-set and star-minor searches read `SimpleGraph.masks`, one
+neighbour bitmask per vertex (`MaskGraph`), which on a large sparse graph
+such as a decomposition tree would take space quadratic in the vertex
+count."""
 
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ class SimpleGraph:
 
     @functools.cached_property
     def masks(self) -> MaskGraph:
-        """The graph on bitmasks, for the subset searches; built on first
-        read and shared: do not modify it."""
+        """The graph on bitmasks, for the linearizing-set and star-minor
+        searches; built on first read and shared: do not modify it."""
         verts = sorted(self.vertices)
         index = {v: i for i, v in enumerate(verts)}
         nbr = [0] * len(verts)

@@ -5,9 +5,16 @@
   center sets, in the same order, on vertex bitmasks, so both return the
   same first hit.
 - `min_linearizing_mask` tests every subset of each size, in lexicographic
-  order, on vertex bitmasks.  `immtools.pathdecomp` finds the same first
-  smallest set by a depth-first search that stops a branch once its kept
-  vertices cannot end as a path union.
+  order, on vertex bitmasks.  Like the string versions above, it stops
+  above `ENUMERATION_LIMIT` vertices, since it tries up to 2^n subsets.
+- `pruned_linearizing_mask` is the reference above that range: a
+  depth-first search for each size in turn that decides the vertices in
+  order, tries deleting each one before keeping it, and stops a branch
+  once its kept vertices cannot end as a path union.  The first set it
+  finds is the first smallest one in lexicographic order.
+  `immtools.pathdecomp` finds the same set by a decision search that
+  branches on the vertices of degree >= 3, then decides the vertices in
+  order.
 - `build_auxiliary_graph` runs one flow per pair of W, on one network of
   G with the rest of W closed.  `immtools.pathdecomp` runs flows only for
   the pairs below m that share a component of G - W.
@@ -19,7 +26,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, List, Union
+from typing import FrozenSet, Iterable, List, Optional, Union
 
 from immtools import (
     LinearityCertificate,
@@ -30,14 +37,16 @@ from immtools import (
     width,
 )
 from immtools.flow import FlowNetwork
-from immtools.pathdecomp import _SUBSET_SEARCH_LIMIT, _star_model
+from immtools.pathdecomp import _star_model
 from immtools.simplegraph import _is_path_union
+
+ENUMERATION_LIMIT = 16  # the subset enumerators stop above this many vertices
 
 
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     if k < 2:
         raise ValueError("k must be at least 2")
-    if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
+    if len(H.vertices) > ENUMERATION_LIMIT:
         raise ValueError("instance above configured size limit")
     verts = sorted(H.vertices)
     for size in range(1, len(verts) + 1):
@@ -53,7 +62,7 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
-    if len(H.vertices) > _SUBSET_SEARCH_LIMIT:
+    if len(H.vertices) > ENUMERATION_LIMIT:
         raise ValueError("instance above configured size limit")
     verts = sorted(H.vertices)
     for size in range(len(verts) + 1):
@@ -65,7 +74,7 @@ def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
 
 def min_linearizing_mask(nbr: List[int]) -> int:
     n = len(nbr)
-    if n > _SUBSET_SEARCH_LIMIT:
+    if n > ENUMERATION_LIMIT:
         raise ValueError("instance above configured size limit")
     full = (1 << n) - 1
     for size in range(n + 1):
@@ -76,6 +85,45 @@ def min_linearizing_mask(nbr: List[int]) -> int:
             if _is_path_union(nbr, full ^ removed):
                 return removed
     raise AssertionError("removing every vertex always leaves a path union")
+
+
+def pruned_linearizing_mask(nbr: List[int]) -> int:
+    n = len(nbr)
+    for size in range(n + 1):
+        removed = _linearizing_within(nbr, n, 0, 0, size)
+        if removed is not None:
+            return removed
+    raise AssertionError("removing every vertex always leaves a path union")
+
+
+def _linearizing_within(nbr: List[int], n: int, i: int, removed: int, left: int) -> Optional[int]:
+    """The first mask, in lexicographic order, that extends `removed` by at
+    most `left` of the vertices i..n-1 and leaves a path union, or None.
+
+    The vertices below i that `removed` keeps induce a path union, and each
+    has at most 2 + left neighbours outside `removed`.  A branch stops as
+    soon as either fails: deleting vertices never joins two kept ones, and
+    a kept vertex loses at most one neighbour per deletion."""
+    live = ((1 << n) - 1) ^ removed
+    if not left or i == n:
+        return removed if _is_path_union(nbr, live) else None
+    bit = 1 << i
+    kept = live & (bit - 1)
+    # delete i: the kept vertices it does not touch lose a deletion, not a neighbour
+    rest = kept & ~nbr[i]
+    while rest:
+        low = rest & -rest
+        if (nbr[low.bit_length() - 1] & live).bit_count() > left + 1:
+            break
+        rest ^= low
+    else:
+        found = _linearizing_within(nbr, n, i + 1, removed | bit, left - 1)
+        if found is not None:
+            return found
+    # keep i
+    if (nbr[i] & live).bit_count() <= 2 + left and _is_path_union(nbr, kept | bit):
+        return _linearizing_within(nbr, n, i + 1, removed, left)
+    return None
 
 
 def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGraph:

@@ -297,16 +297,47 @@ def test_w_limit_below_one_exit_code(tmp_path, capsys):
     assert err == "error: w_limit must be at least 1\n"
 
 
-def test_subset_search_ceiling_is_a_limit_exit_code(tmp_path, capsys):
-    # more than 16 high-degree vertices reach the linearity subset search
-    _, host, _ = run(capsys, "gen", "random", "20", "60", "2", "--seed", "7")
+def test_linearizing_search_work_limit_is_a_limit_exit_code(tmp_path, capsys):
+    # the auxiliary graph of a 60-vertex random graph at m = 1 is its
+    # simple graph, whose smallest linearizing set the search does not
+    # settle within its work limit
+    _, host, _ = run(capsys, "gen", "random", "60", "200", "1", "--seed", "1")
     g = write(tmp_path, "g.json", json.loads(host))
-    code, out, err = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
+    code, out, err = run(
+        capsys, "decompose", "linear", "--graph", g, "--W", "all", "--m", "1", "--w-limit", "3"
+    )
     assert (code, out) == (3, "")
     assert err == (
-        "error: 17 vertices, more than the 16-vertex limit of the"
-        " linearizing-set and star-minor searches\n"
+        "error: more than 100000 decision nodes, the work limit of the"
+        " linearizing-set search\n"
     )
+
+
+def test_more_than_16_auxiliary_vertices_get_an_answer(tmp_path, capsys):
+    # 17 high-degree vertices reach the linearizing-set search, which
+    # stopped above 16 vertices before it branched on degree-3 vertices
+    _, host, _ = run(capsys, "gen", "random", "20", "60", "2", "--seed", "7")
+    g = write(tmp_path, "g.json", json.loads(host))
+    code, out, _ = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
+    assert code == 2
+    witness = json.loads(out)
+    assert witness["kind"] == "not-path-shaped"
+    assert [len(c) for c in witness["payload"]["auxiliary_components"]] == [17]
+    assert witness["payload"]["violations"] == ["|A| = 8 exceeds a = 4"]
+    _, host, _ = run(capsys, "gen", "complete", "17")
+    g = write(tmp_path, "k17.json", json.loads(host))
+    code, out, _ = run(
+        capsys, "decompose", "linear", "--graph", g, "--W", "all", "--m", "1", "--w-limit", "4"
+    )
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["achieved"] == {"a": 15, "w": 1, "p": 2}
+    c = write(tmp_path, "c.json", cert)
+    code, _, _ = run(
+        capsys, "verify", "linear", "--graph", g, "--W", "all", "--cert", c,
+        "--a", "15", "--w", "1", "--p", "2",
+    )
+    assert code == 0
 
 
 def test_malformed_input_exit_code(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import dataclasses
+import inspect
 import itertools
 import random
+import sys
+import time
 from collections import Counter
 
 import pytest
@@ -378,13 +381,29 @@ def test_min_linearizing_set_examples():
     assert len(min_linearizing_set(K4)) == 2
 
 
+def test_each_cycle_costs_one_deletion():
+    # two triangles and a square, joined by nothing: one deletion each
+    H = sg("abcdefwxyz", [
+        ("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f"),
+        ("w", "x"), ("x", "y"), ("y", "z"), ("w", "z"),
+    ])
+    assert min_linearizing_set(H) == {"a", "d", "w"}
+
+
 def _agree_with_the_oracle(H, ks):
     """The bitmask searches return the oracle's set and star model, and
-    the linearizing-set search the subset enumerator's mask."""
-    assert min_linearizing_set(H) == oracle_pathdecomp.min_linearizing_set(H)
+    the linearizing-set search the pruned depth-first search's mask and,
+    up to the enumerators' size limit, the subset enumerator's."""
     nbr = H.masks.nbr
-    assert pathdecomp._min_linearizing_mask(nbr) == oracle_pathdecomp.min_linearizing_mask(nbr)
+    mask = pathdecomp._min_linearizing_mask(nbr)
+    assert mask == oracle_pathdecomp.pruned_linearizing_mask(nbr)
     models = [has_k1k_minor(H, k) for k in ks]
+    if len(nbr) > oracle_pathdecomp.ENUMERATION_LIMIT:
+        for k, model in zip(ks, models):
+            assert model is False or model.violations(H) == [] and len(model.leaves) == k
+        return models
+    assert min_linearizing_set(H) == oracle_pathdecomp.min_linearizing_set(H)
+    assert mask == oracle_pathdecomp.min_linearizing_mask(nbr)
     assert models == [oracle_pathdecomp.has_k1k_minor(H, k) for k in ks], ks
     return models
 
@@ -403,7 +422,7 @@ def test_subset_searches_agree_with_the_oracle_on_random_graphs():
     rng = random.Random(11)
     largest = no_star = big_sets = 0
     for _ in range(40):
-        n = rng.randint(6, 16)
+        n = rng.randint(6, 20)
         p = rng.choice((0.1, 0.18, 0.25))
         verts = [f"v{i}" for i in range(n)]  # v10 sorts before v2
         H = SimpleGraph.build(
@@ -414,19 +433,89 @@ def test_subset_searches_agree_with_the_oracle_on_random_graphs():
         largest = max(largest, n)
         no_star += models.count(False)
         big_sets += len(min_linearizing_set(H)) >= 3
-    assert largest == 16 and no_star > 10 and big_sets > 5
+    assert largest == 20 and no_star > 10 and big_sets > 5
 
 
-def test_subset_searches_keep_the_ceiling():
-    verts = [f"v{i}" for i in range(17)]
-    assert min_linearizing_set(SimpleGraph.build(verts[:16], zip(verts, verts[1:16]))) == set()
-    H = SimpleGraph.build(verts, zip(verts, verts[1:]))
-    with pytest.raises(ValueError, match="17 vertices, more than the 16-vertex limit"):
-        min_linearizing_set(H)
-    with pytest.raises(ValueError, match="17 vertices, more than the 16-vertex limit"):
-        has_k1k_minor(H, 3)
+def test_linearizing_search_agrees_with_the_pruned_search_above_the_enumerators():
+    rng = random.Random(17)
+    sizes = Counter()
+    for _ in range(60):
+        n = rng.randint(17, 26)
+        p = rng.choice((0.12, 0.15, 0.2, 0.25))
+        nbr = [0] * n
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                nbr[i] |= 1 << j
+                nbr[j] |= 1 << i
+        mask = pathdecomp._min_linearizing_mask(nbr)
+        assert mask == oracle_pathdecomp.pruned_linearizing_mask(nbr), nbr
+        sizes[mask.bit_count()] += 1
+    assert max(sizes) >= 9 and len(sizes) >= 6
+
+
+def test_searches_have_no_vertex_ceiling():
+    verts = [f"v{i}" for i in range(40)]
+    path = SimpleGraph.build(verts, zip(verts, verts[1:]))
+    assert min_linearizing_set(path) == set()
+    assert has_k1k_minor(path, 2).violations(path) == []
+    cycle = SimpleGraph.build(verts, zip(verts, verts[1:] + verts[:1]))
+    assert min_linearizing_set(cycle) == {"v0"}
+
+
+def test_linearizing_search_stops_at_the_work_limit(monkeypatch):
+    # AUX_15 takes more decision nodes than any of these limits
+    for limit in (2, 7, 40):
+        monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", limit)
+        search = pathdecomp._LinearizingSearch(AUX_15)
+        with pytest.raises(SizeLimitError, match=(
+            f"^more than {limit} decision nodes, the work limit of the linearizing-set"
+            " search$"
+        )):
+            search.first_smallest()
+        assert search.nodes == limit + 1
+
+
+def test_linearizing_search_answers_at_exactly_its_node_count(monkeypatch):
+    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES)
+    assert pathdecomp._min_linearizing_mask(AUX_15) == AUX_15_SET
+    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES - 1)
     with pytest.raises(SizeLimitError):
-        has_k1k_minor(H, 3)
+        pathdecomp._min_linearizing_mask(AUX_15)
+
+
+def test_star_search_stops_at_the_work_limit(monkeypatch):
+    # a path has no K_{1,3} minor, so the search tests every center set
+    verts = [f"v{i}" for i in range(20)]
+    path = SimpleGraph.build(verts, zip(verts, verts[1:]))
+    with pytest.raises(SizeLimitError, match=(
+        f"^more than {pathdecomp._WORK_LIMIT} center sets, the work limit of the"
+        " star-minor search$"
+    )):
+        has_k1k_minor(path, 3)
+    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 2 ** 12 - 1)  # the subsets of 12 vertices
+    assert has_k1k_minor(SimpleGraph.build(verts[:12], zip(verts, verts[1:12])), 3) is False
+    with pytest.raises(SizeLimitError):
+        has_k1k_minor(SimpleGraph.build(verts[:13], zip(verts, verts[1:13])), 3)
+
+
+def test_linearizing_search_needs_no_call_stack_on_a_large_complete_graph():
+    # K_n needs n - 2 deletions; a search that recursed once per deletion
+    # would pass the interpreter's recursion limit, set low here
+    n = 300
+    nbr = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    search = pathdecomp._LinearizingSearch(nbr)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        start = time.perf_counter()
+        assert search.first_smallest() == (1 << n - 2) - 1
+        elapsed = time.perf_counter() - start
+    finally:
+        sys.setrecursionlimit(limit)
+    # each k from 1 to n - 3 is cut off at its root, and k = n - 2
+    # deletes the vertices in order down to a triangle
+    assert search.nodes == (n - 3) + (n - 2)
+    assert elapsed < 1.0
 
 
 def test_linearizing_search_agrees_with_the_enumerator_on_every_labelling():
@@ -448,26 +537,40 @@ def test_linearizing_search_agrees_with_the_enumerator_on_every_labelling():
 # on one of their random multigraphs; its smallest linearizing set has 7 vertices
 AUX_15 = [16590, 12033, 1321, 20485, 28928, 19588, 16129, 5153, 8278, 27714, 742, 25186,
           8408, 6994, 2617]
+AUX_15_SET = 0b111110100000001  # vertices 0, 8, 10, 11, 12, 13, 14
+AUX_15_NODES = 279  # decision nodes of the linearizing search
+
+# a 24-vertex auxiliary graph of another of those multigraphs, above the
+# enumerators' limit; its smallest linearizing set has 10 vertices
+AUX_24 = [2793488, 2230532, 8537474, 2361360, 919305, 2129920, 3507456, 16644, 8389846,
+          32784, 7414100, 2113546, 3678208, 3232769, 9447556, 3670625, 140352, 65559,
+          5242968, 36881, 324672, 4242539, 10748928, 4210948]
+AUX_24_SET = 0b1100000100010001110111  # vertices 0, 1, 2, 4, 5, 6, 10, 14, 20, 21
 
 
 def test_linearizing_search_prunes(monkeypatch):
     tests = Counter()
 
-    def counting(module):
-        test = module._is_path_union
-        def wrapper(nbr, keep):
-            tests[module.__name__] += 1
-            return test(nbr, keep)
-        monkeypatch.setattr(module, "_is_path_union", wrapper)
+    def counting(nbr, keep, test=oracle_pathdecomp._is_path_union):
+        tests["path unions"] += 1
+        return test(nbr, keep)
 
-    counting(pathdecomp)
-    counting(oracle_pathdecomp)
-    want = 0b111110100000001  # vertices 0, 8, 10, 11, 12, 13, 14
-    assert pathdecomp._min_linearizing_mask(AUX_15) == want
-    assert oracle_pathdecomp.min_linearizing_mask(AUX_15) == want
+    monkeypatch.setattr(oracle_pathdecomp, "_is_path_union", counting)
     # every subset of at most 6 vertices, then the 7-subsets up to the first hit
-    assert tests["oracle_pathdecomp"] == 12951
-    assert tests["immtools.pathdecomp"] == 566
+    assert oracle_pathdecomp.min_linearizing_mask(AUX_15) == AUX_15_SET
+    assert tests.pop("path unions") == 12951
+    assert oracle_pathdecomp.pruned_linearizing_mask(AUX_15) == AUX_15_SET
+    assert tests.pop("path unions") == 566
+    search = pathdecomp._LinearizingSearch(AUX_15)
+    assert search.first_smallest() == AUX_15_SET
+    assert search.nodes == AUX_15_NODES
+
+
+def test_linearizing_search_on_a_benchmark_graph_above_the_enumerators():
+    assert oracle_pathdecomp.pruned_linearizing_mask(AUX_24) == AUX_24_SET
+    search = pathdecomp._LinearizingSearch(AUX_24)
+    assert search.first_smallest() == AUX_24_SET
+    assert search.nodes == 540
 
 
 # -- separators and the decomposition algorithm ------------------------
