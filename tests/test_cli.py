@@ -314,8 +314,8 @@ def test_linearizing_search_work_limit_is_a_limit_exit_code(tmp_path, capsys):
 
 
 def test_more_than_16_auxiliary_vertices_get_an_answer(tmp_path, capsys):
-    # 17 high-degree vertices reach the linearizing-set search, which
-    # stopped above 16 vertices before it branched on degree-3 vertices
+    # 17 high-degree vertices make a 17-vertex auxiliary graph: its
+    # smallest linearizing set is found, and is too large for alpha 4
     _, host, _ = run(capsys, "gen", "random", "20", "60", "2", "--seed", "7")
     g = write(tmp_path, "g.json", json.loads(host))
     code, out, _ = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
