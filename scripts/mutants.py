@@ -58,6 +58,7 @@ _PAIR_COUNTS = "tests/test_multigraph.py::test_pair_counts_match_all_pairs_flows
 _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_has_no_immersion"
 _DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
 _PLANTED = "tests/test_planted.py::test_no_planted_query_is_absent"
+_SWEEP_KEYS = "tests/test_iso.py::test_keys_match_the_oracle_on_the_sweep_graphs"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -378,6 +379,38 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/test_pathdecomp.py",),
         "a separator flow runs through the linearizing set A (first made"
         " for the separators on G's own network)",
+    ),
+    # -- canonical keys
+    Mutant(
+        "start-colour-drops-the-loop-count",
+        "src/immtools/iso.py",
+        "_rank([(degrees[v], k) for v, k in zip(names, loops)])",
+        "_rank([(degrees[v], 0) for v, k in zip(names, loops)])",
+        (_SWEEP_KEYS,),
+        "a vertex with loops ranks by its neighbours' colours alone, so the"
+        " blocks come in another order and the key differs (first made for"
+        " the integer refinement)",
+    ),
+    Mutant(
+        "twins-by-neighbour-set",
+        "src/immtools/iso.py",
+        "return {w: k for w, k in mult[u].items() if w != v} == {\n"
+        "        w: k for w, k in mult[v].items() if w != u\n    }",
+        "return mult[u].keys() - {v} == mult[v].keys() - {u}",
+        ("tests/test_iso.py::test_keys_match_the_oracle_on_random_multigraphs",),
+        "vertices with the same neighbours at different multiplicities count"
+        " as twins, so a block skips orders that give the least form (first"
+        " made for the twin-pruned product)",
+    ),
+    Mutant(
+        "discrete-pairs-unordered",
+        "src/immtools/iso.py",
+        "(ranks[i], ranks[j]) if ranks[i] <= ranks[j] else (ranks[j], ranks[i])",
+        "(ranks[i], ranks[j])",
+        (_SWEEP_KEYS,),
+        "an edge of a discretely coloured graph keeps its ends in name order,"
+        " so relabelling it changes its key (first made for the discrete"
+        " fast path)",
     ),
     # -- command line
     Mutant(

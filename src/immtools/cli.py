@@ -3,9 +3,10 @@
 Subcommands read and write the shared JSON formats on files or standard
 streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 2 verification or decomposition rejection, 3 a resource limit reached:
-the immersion search budget ran out, a subset search met more than 16
-auxiliary-graph vertices, or an integer argument or a bound has more
-decimal digits than the interpreter converts.  A usage error is malformed
+the immersion search budget ran out, a linearity search (smallest
+linearizing set, star minor) went over its work limit of 100,000
+decision nodes or center sets, or an integer argument or a bound has
+more decimal digits than the interpreter converts.  A usage error is malformed
 input: one stderr line starting "error: immtools".
 
 One table, `_COMMANDS`, parses, checks and documents every command:

@@ -1,78 +1,163 @@
 """Multigraph isomorphism via canonical forms.
 
-Canonical keys are computed by exhaustive permutation, restricted to
-permutations that respect an iterated degree-refinement coloring; the
-coloring is isomorphism-invariant, so the minimum labeled form over the
-restricted permutation set is still a complete invariant.  Intended for
-desk-scale graphs (the refinement keeps the search tiny except on highly
-regular inputs).
+A canonical key is the least labelled form of G, a sorted list of edge
+end pairs, over the vertex orders that respect a refined colouring and
+put its blocks in rank order.  The colouring is isomorphism-invariant, so
+the key determines G up to isomorphism.
+
+- Integer refinement.  Vertex i is the i-th smallest name.  The colours
+  start from the degree and the loop count, and each round adds the
+  sorted colours of a vertex's neighbours, until the number of colours
+  stops growing or every vertex has its own.  When every vertex has its
+  own, the key is one sorted list of pairs.
+- The twin-pruned product.  Two vertices of one block are twins when
+  they have the same multiplicity to every third vertex (a block shares
+  its loop count).  Swapping two twins is an automorphism, so it leaves
+  the labelled form of a vertex order as it is.  Each block therefore
+  tries only the distinct arrangements of its twin classes, each class
+  in id order, and the least form, so the key, is the one the full
+  product of block permutations gives.
+
+The search stays small when refinement splits G finely or its blocks are
+twin classes (K_n and the edgeless graph need one form, K_{n,n} one per
+arrangement of its two sides).  A regular graph without twins, such as a
+long cycle, keeps one block of n vertices and tries n! forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .multigraph import Multigraph
 
+Pair = Tuple[int, int]
 
-def _refined_colors(G: Multigraph) -> Dict[str, int]:
-    loops = Counter()
-    nbrs: Dict[str, list] = {v: [] for v in G.vertices}
+
+def _refined(G: Multigraph):
+    """(n, G's edges as id pairs (i <= j), the final colour of each id, the
+    number of colours, each id's neighbour ids)."""
+    names = sorted(G.vertices)
+    n = len(names)
+    ids = dict(zip(names, range(n)))
+    loops = [0] * n
+    nbrs: List[List[int]] = [[] for _ in names]
+    pairs: List[Pair] = []
     for a, b in G.edges.values():
-        if a == b:
-            loops[a] += 1
+        i, j = ids[a], ids[b]  # a <= b, so i <= j
+        pairs.append((i, j))
+        if i == j:
+            loops[i] += 1
         else:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    colors = {v: (G.degree(v), loops[v]) for v in G.vertices}
-    ranks = _rank(colors)
-    for _ in range(len(G.vertices)):
-        refined = {
-            v: (ranks[v], tuple(sorted(ranks[u] for u in nbrs[v])))
-            for v in G.vertices
-        }
-        new_ranks = _rank(refined)
-        if new_ranks == ranks:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+    degrees = G.degrees
+    ranks, count = _rank([(degrees[v], k) for v, k in zip(names, loops)])
+    while count < n:
+        refined, new_count = _rank(
+            [(r, tuple(sorted([ranks[u] for u in nb]))) for r, nb in zip(ranks, nbrs)]
+        )
+        # a round only splits colours and keeps their order, so as many
+        # colours as before means the same ranks
+        if new_count == count:
             break
-        ranks = new_ranks
-    return ranks
+        ranks, count = refined, new_count
+    return n, pairs, ranks, count, nbrs
 
 
-def _rank(colors: Dict[str, object]) -> Dict[str, int]:
-    order = {c: i for i, c in enumerate(sorted(set(colors.values())))}
-    return {v: order[c] for v, c in colors.items()}
+def _rank(colors: List[tuple]) -> Tuple[List[int], int]:
+    order = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [order[c] for c in colors], len(order)
+
+
+def _twins(u: int, v: int, mult: Dict[int, Counter]) -> bool:
+    """Do u and v have the same multiplicity to every third vertex?"""
+    return {w: k for w, k in mult[u].items() if w != v} == {
+        w: k for w, k in mult[v].items() if w != u
+    }
+
+
+def _shuffles(classes: List[List[int]]) -> List[List[int]]:
+    """Every order of the classes' vertices that keeps each class in order."""
+    if len(classes) == 1:
+        return classes
+    first, rests = classes[0], _shuffles(classes[1:])
+    size = len(first) + len(rests[0])
+    orders = []
+    for places in itertools.combinations(range(size), len(first)):
+        others = [p for p in range(size) if p not in places]
+        for rest in rests:
+            order = [0] * size
+            for p, v in zip(places, first):
+                order[p] = v
+            for p, v in zip(others, rest):
+                order[p] = v
+            orders.append(order)
+    return orders
+
+
+def _block_orders(
+    ranks: List[int], count: int, nbrs: List[List[int]]
+) -> List[List[List[int]]]:
+    """For each block in rank order, the orders of its vertices to try: one
+    per arrangement of its twin classes."""
+    blocks: List[List[int]] = [[] for _ in range(count)]
+    for v, r in enumerate(ranks):
+        blocks[r].append(v)
+    result = []
+    for block in blocks:
+        if len(block) == 1:
+            result.append([block])
+            continue
+        mult = {v: Counter(nbrs[v]) for v in block}
+        classes: List[List[int]] = []
+        for v in block:
+            for cls in classes:
+                if _twins(cls[0], v, mult):  # twinhood is transitive
+                    cls.append(v)
+                    break
+            else:
+                classes.append([v])
+        result.append(_shuffles(classes))
+    return result
+
+
+def _least_form(n: int, pairs: Sequence[Pair], block_orders) -> Tuple[Pair, ...]:
+    """The least sorted list of end pairs over the product of block orders.
+    A pair (a, b), a <= b, is compared as the integer a * n + b."""
+    best: Optional[List[int]] = None
+    pos = [0] * n
+    for orders in itertools.product(*block_orders):
+        for p, v in enumerate(itertools.chain.from_iterable(orders)):
+            pos[v] = p
+        form = sorted(
+            [
+                pos[i] * n + pos[j] if pos[i] <= pos[j] else pos[j] * n + pos[i]
+                for i, j in pairs
+            ]
+        )
+        if best is None or form < best:
+            best = form
+    return tuple(divmod(x, n) for x in best)
 
 
 def canonical_key(G: Multigraph) -> Tuple:
-    """Hashable invariant determining G up to isomorphism."""
-    ranks = _refined_colors(G)
-    classes: Dict[int, list] = {}
-    for v in sorted(G.vertices):
-        classes.setdefault(ranks[v], []).append(v)
-    blocks = [classes[r] for r in sorted(classes)]
-    offsets = []
-    base = 0
-    for block in blocks:
-        offsets.append(base)
-        base += len(block)
-    edge_list = list(G.edges.values())
-    best = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        pos = {}
-        for block_perm, off in zip(perms, offsets):
-            for i, v in enumerate(block_perm):
-                pos[v] = off + i
-        labeled = tuple(
+    """Hashable invariant determining G up to isomorphism: (n, the least
+    labelled form).  It compares one form per arrangement of the twin
+    classes of each colour block, so a regular graph without twins, such
+    as a long cycle, costs n! forms."""
+    n, pairs, ranks, count, nbrs = _refined(G)
+    if count == n:  # every vertex has its own colour: one labelled form
+        return n, tuple(
             sorted(
-                (pos[a], pos[b]) if pos[a] <= pos[b] else (pos[b], pos[a])
-                for a, b in edge_list
+                [
+                    (ranks[i], ranks[j]) if ranks[i] <= ranks[j] else (ranks[j], ranks[i])
+                    for i, j in pairs
+                ]
             )
         )
-        if best is None or labeled < best:
-            best = labeled
-    return (len(G.vertices), best if best is not None else ())
+    return n, _least_form(n, pairs, _block_orders(ranks, count, nbrs))
 
 
 def are_isomorphic(G: Multigraph, H: Multigraph) -> bool:

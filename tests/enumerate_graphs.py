@@ -19,13 +19,9 @@ def _names(n: int) -> List[str]:
     return [f"v{i}" for i in range(n)]
 
 
-def multigraph_classes(
-    max_n: int, max_e: int, include_loops: bool = True
-) -> List[Multigraph]:
-    """One representative per isomorphism class with at most max_n
-    vertices and at most max_e edges (isolated vertices matter: classes
-    with different vertex counts are distinct)."""
-    reps: Dict[tuple, Multigraph] = {}
+def multigraphs(max_n: int, max_e: int, include_loops: bool = True) -> Iterator[Multigraph]:
+    """Every edge multiset over the vertex pairs (and loop sites) of
+    v0..v{n-1}, for n up to max_n, with at most max_e edges."""
     for n in range(0, max_n + 1):
         names = _names(n)
         sites: List[Tuple[str, str]] = [
@@ -35,13 +31,21 @@ def multigraph_classes(
             sites += [(v, v) for v in names]
         for e in range(0, max_e + 1):
             for combo in itertools.combinations_with_replacement(sites, e):
-                G = Multigraph(
+                yield Multigraph(
                     frozenset(names),
                     {f"e{i}": pair for i, pair in enumerate(combo)},
                 )
-                key = canonical_key(G)
-                if key not in reps:
-                    reps[key] = G
+
+
+def multigraph_classes(
+    max_n: int, max_e: int, include_loops: bool = True
+) -> List[Multigraph]:
+    """One representative per isomorphism class with at most max_n
+    vertices and at most max_e edges (isolated vertices matter: classes
+    with different vertex counts are distinct)."""
+    reps: Dict[tuple, Multigraph] = {}
+    for G in multigraphs(max_n, max_e, include_loops):
+        reps.setdefault(canonical_key(G), G)
     return list(reps.values())
 
 
