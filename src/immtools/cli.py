@@ -6,8 +6,8 @@ streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 the immersion search budget ran out, a linearity search (smallest
 linearizing set, star minor) went over its work limit of 100,000
 decision nodes or center sets, or an integer argument or a bound has
-more decimal digits than the interpreter converts.  A usage error is malformed
-input: one stderr line starting "error: immtools".
+more decimal digits than the interpreter converts.  A usage error is
+malformed input: one stderr line starting "error: immtools".
 
 One table, `_COMMANDS`, parses, checks and documents every command:
 after its words, options (`--flag value`, `--flag=value`, or a unique

@@ -81,7 +81,7 @@ def _twins(u: int, v: int, mult: Dict[int, Counter]) -> bool:
 def _shuffles(classes: List[List[int]]) -> List[List[int]]:
     """Every order of the classes' vertices that keeps each class in order."""
     if len(classes) == 1:
-        return classes
+        return [classes[0]]
     first, rests = classes[0], _shuffles(classes[1:])
     size = len(first) + len(rests[0])
     orders = []

@@ -19,7 +19,9 @@ def _names(n: int) -> List[str]:
     return [f"v{i}" for i in range(n)]
 
 
-def multigraphs(max_n: int, max_e: int, include_loops: bool = True) -> Iterator[Multigraph]:
+def multigraphs(
+    max_n: int, max_e: int, include_loops: bool = True
+) -> Iterator[Multigraph]:
     """Every edge multiset over the vertex pairs (and loop sites) of
     v0..v{n-1}, for n up to max_n, with at most max_e edges."""
     for n in range(0, max_n + 1):

@@ -169,3 +169,12 @@ def test_regular_inputs_need_few_labelled_forms():
     for n in range(8):
         for G in (complete(n), edgeless(n), doubled_complete_bipartite(n // 2)):
             assert canonical_key(G) == oracle_iso.canonical_key(G), (n, len(G.edges))
+
+
+def test_keys_read_only_the_degree_cache():
+    # the immersion sweep keys its graphs in setup; the incidence index
+    # and the counts are first built by the timed searches
+    G = mg("abcd", {"1": "ab", "2": "ab", "3": "bc", "4": "cd", "l": "dd"})
+    canonical_key(G)
+    assert "degrees" in vars(G)
+    assert "index" not in vars(G) and "counts" not in vars(G)
