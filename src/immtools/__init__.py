@@ -31,14 +31,8 @@ from .immersion import (
     star_minor_to_immersion,
     verify_immersion,
 )
-from .iso import are_isomorphic, canonical_key, isomorphic_with_pins
-from .multigraph import (
-    Multigraph,
-    consolidate,
-    is_separation,
-    lift,
-    split_off_vertex,
-)
+from .iso import canonical_key
+from .multigraph import Multigraph, consolidate
 from .pathdecomp import (
     NOT_PATH_SHAPED,
     SMALL_CUT,
@@ -51,7 +45,6 @@ from .pathdecomp import (
     build_auxiliary_graph,
     compute_separator,
     has_k1k_minor,
-    is_p_bounded,
     linear_decompose,
     min_linearizing_set,
     verify_linear_certificate,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import sys
 from functools import partial
@@ -221,15 +222,37 @@ def _cmd_torso(graph: str, decomp: str, node: str) -> int:
     return EXIT_OK
 
 
+def _over_digit_limit(limit: int) -> SizeLimitError:
+    return SizeLimitError(
+        f"the bound has more than {limit} decimal digits, the limit on"
+        " integer-to-string conversion (sys.set_int_max_str_digits)"
+    )
+
+
 def _check_digits(*values: int) -> None:
     """Raise SizeLimitError if a value has more decimal digits than the
     interpreter's integer-to-string conversion limit."""
     limit = _int_max_str_digits()
     if limit and any(abs(n) >= 10**limit for n in values):
-        raise SizeLimitError(
-            f"the bound has more than {limit} decimal digits, the limit on"
-            " integer-to-string conversion (sys.set_int_max_str_digits)"
-        )
+        raise _over_digit_limit(limit)
+
+
+def _check_d_of_k(k: int) -> None:
+    """Check d(k) against the digit limit before computing it, for k >= 1:
+    d(k) > (2k+1)^(8k+4), which has at least (8k+4) log10(2k+1) digits.
+    One digit of margin covers the float's rounding, and since the bound
+    grows with k, a k above the limit is taken as the limit, which keeps
+    the float finite.  The exact check on the value stays."""
+    limit = _int_max_str_digits()
+    if limit and k >= 1:
+        k = min(k, limit)
+        if (8 * k + 4) * math.log10(2 * k + 1) > limit + 1:
+            raise _over_digit_limit(limit)
+
+
+def _d_of_k(k: int) -> int:
+    _check_d_of_k(k)
+    return bounds_mod.d_of_k(k)
 
 
 def _cmd_bound(quantity: Callable[..., int], *params: int) -> int:
@@ -240,7 +263,10 @@ def _cmd_bound(quantity: Callable[..., int], *params: int) -> int:
 
 
 def _cmd_theorem31(pattern: str) -> int:
-    constants = dataclasses.asdict(bounds_mod.theorem31_constants(_read_graph(pattern)))
+    F = _read_graph(pattern)
+    # theorem31_constants computes d(k) at k = max(3, the largest degree)
+    _check_d_of_k(max(3, max(F.degrees.values(), default=0)))
+    constants = dataclasses.asdict(bounds_mod.theorem31_constants(F))
     _check_digits(*constants.values())
     _emit(constants)
     return EXIT_OK
@@ -276,7 +302,7 @@ _COMMANDS: Dict[Tuple[str, ...], Tuple[Callable[..., int], tuple, Dict[str, tupl
     ("edge-sum",): (_cmd_edge_sum, (), {"--g1": _STR, "--v1": _STR, "--g2": _STR, "--v2": _STR,
                                         "--pi": _STR}),
     ("torso",): (_cmd_torso, (), {"--graph": _STR, "--decomp": _STR, "--node": _STR}),
-    ("bounds", "d-of-k"): (partial(_cmd_bound, bounds_mod.d_of_k), (("k", int),), {}),
+    ("bounds", "d-of-k"): (partial(_cmd_bound, _d_of_k), (("k", int),), {}),
     ("bounds", "theorem31"): (_cmd_theorem31, (("pattern", str),), {}),
     ("bounds", "converse"): (partial(_cmd_bound, bounds_mod.converse_n),
                              (("d", int), ("a", int), ("w", int), ("p", int)), {}),

@@ -43,8 +43,8 @@ class FlowNetwork:
     its arcs in that order too.  A caller may set an arc's capacity to 0.
 
     A network made by `split` lists its arcs in the order it met them,
-    and keeps each pair's edge id.  Flow values and residual sides do not
-    depend on the order; the paths of a flow do.
+    and keeps no edge ids: flow values and residual sides do not depend
+    on the order, and `path_edges` reads only a network built from G.
     """
 
     def __init__(self, G: Multigraph):
@@ -145,14 +145,15 @@ class FlowNetwork:
         The work is the size of `side` and of its arcs, whatever the size
         of the network; a later flow here still pays for the dead nodes
         and arcs, so a caller copies the network once most of it is dead.
+        The fresh network keeps no edge ids, so `path_edges` cannot read
+        it; paths are read from a network built from G.
         """
-        adj, head, cap, ids = self.adj, self.head, self.cap, self.edge_ids
+        adj, head, cap = self.adj, self.head, self.cap
         names = [self.names[u] for u in side]
         local = dict(zip(side, range(len(names))))
         sub_adj: List[List[int]] = [[] for _ in names]
         sub_head: List[int] = []
         sub_cap: List[int] = []
-        sub_ids: List[str] = []
         cut: List[int] = []  # the arcs leaving side
         for u, a in local.items():
             for i in adj[u]:
@@ -164,7 +165,6 @@ class FlowNetwork:
                     sub_adj[b].append(len(sub_head) + 1)
                     sub_head += (b, a)
                     sub_cap += (cap[i], cap[i ^ 1])
-                    sub_ids.append(ids[i >> 1])
         self.dead_arcs += len(sub_head)
         rest = None
         if cut:
@@ -178,7 +178,6 @@ class FlowNetwork:
                 sub_adj[g].append(len(sub_head) + 1)
                 sub_head += (g, a)
                 sub_cap += (cap[i], cap[i ^ 1])
-                sub_ids.append(ids[i >> 1])
             rest = len(adj)
             adj.append(cut)  # each cut arc now leaves the new node ...
             for i in cut:
@@ -187,7 +186,7 @@ class FlowNetwork:
             self.index[rest_glue] = rest
         net = FlowNetwork.__new__(FlowNetwork)
         net.names, net.index = names, dict(zip(names, range(len(names))))
-        net.adj, net.head, net.cap, net.edge_ids = sub_adj, sub_head, sub_cap, sub_ids
+        net.adj, net.head, net.cap = sub_adj, sub_head, sub_cap
         net.dead_arcs = 0
         return net, rest
 

@@ -3,7 +3,8 @@
 A canonical key is the least labelled form of G, a sorted list of edge
 end pairs, over the vertex orders that respect a refined colouring and
 put its blocks in rank order.  The colouring is isomorphism-invariant, so
-the key determines G up to isomorphism.
+the key determines G up to isomorphism: two multigraphs are isomorphic
+exactly when their keys are equal.
 
 - Integer refinement.  Vertex i is the i-th smallest name.  The colours
   start from the degree and the loop count, and each round adds the
@@ -158,64 +159,3 @@ def canonical_key(G: Multigraph) -> Tuple:
             )
         )
     return n, _least_form(n, pairs, _block_orders(ranks, count, nbrs))
-
-
-def are_isomorphic(G: Multigraph, H: Multigraph) -> bool:
-    if len(G.vertices) != len(H.vertices) or len(G.edges) != len(H.edges):
-        return False
-    return canonical_key(G) == canonical_key(H)
-
-
-def isomorphic_with_pins(
-    G: Multigraph,
-    H: Multigraph,
-    pins: Dict[str, str],
-    max_size: int = 10,
-) -> Optional[bool]:
-    """Does an isomorphism G -> H extend the given partial map?
-
-    Returns True/False, or None when either graph exceeds max_size and the
-    check is skipped as unverified.
-    """
-    if len(G.vertices) > max_size or len(H.vertices) > max_size:
-        return None
-    if len(G.vertices) != len(H.vertices) or len(G.edges) != len(H.edges):
-        return False
-    for g, h in pins.items():
-        if g not in G.vertices or h not in H.vertices:
-            return False
-    mg = Counter(G.edges.values())  # sorted end pair -> multiplicity
-    mh = Counter(H.edges.values())
-    gverts = sorted(pins) + sorted(G.vertices - set(pins))
-    mapped: Dict[str, str] = {}
-    used = set()
-
-    def consistent(v: str, w: str) -> bool:
-        if G.degree(v) != H.degree(w):
-            return False
-        if mg[(v, v)] != mh[(w, w)]:
-            return False
-        for u, x in mapped.items():
-            a, b = (v, u) if v <= u else (u, v)
-            c, d = (w, x) if w <= x else (x, w)
-            if mg[(a, b)] != mh[(c, d)]:
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == len(gverts):
-            return True
-        v = gverts[i]
-        candidates = [pins[v]] if v in pins else sorted(H.vertices - used)
-        for w in candidates:
-            if w in used or not consistent(v, w):
-                continue
-            mapped[v] = w
-            used.add(w)
-            if extend(i + 1):
-                return True
-            del mapped[v]
-            used.discard(w)
-        return False
-
-    return extend(0)

@@ -143,10 +143,6 @@ def boundedness(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str]) -> in
     return len(Z & set(P.ordering)) + hit_bags
 
 
-def is_p_bounded(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str], p: int) -> bool:
-    return boundedness(G, P, Z) <= p
-
-
 def _positions(P: PathLikeDecomposition) -> Dict[str, int]:
     """x_k at 2k and the vertices of bag j at 2j + 1, so that an edge ab
     crosses the cut at x_i iff pos(a) < 2i < pos(b)."""

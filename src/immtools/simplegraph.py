@@ -68,9 +68,6 @@ class SimpleGraph:
             _join(nbr, index[u], index[v])
         return MaskGraph(verts, nbr)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def adjacency(self) -> Dict[str, Tuple[str, ...]]:
         """vertex -> sorted neighbours, built once and shared: do not
         modify it."""

@@ -268,17 +268,12 @@ def compose_decompositions(
     D2: TreeCutDecomposition,
     v1: str,
     v2: str,
-    pi: Optional[Mapping[str, str]] = None,
 ) -> TreeCutDecomposition:
     """Decomposition of G1 (+)_k G2: join the trees by an edge between the
     nodes owning v1 and v2, and drop the glued vertices from their bags.
-
-    The bags do not depend on the edge bijection; pi is accepted so callers
-    can keep the full edge-sum data together, and is validated when given.
-    """
+    The bags do not depend on the edge bijection of the sum, so it takes
+    none; `edge_sum` checks it."""
     _require_valid(D1.violations(G1) + D2.violations(G2))
-    if pi is not None:
-        edge_sum(G1, v1, G2, v2, pi)  # precondition check only
     for G, v in ((G1, v1), (G2, v2)):
         if v not in G.vertices:
             raise ValueError(f"unknown vertex {v!r}")

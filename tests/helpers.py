@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from immtools import Multigraph, SimpleGraph
 
@@ -89,3 +90,58 @@ def all_min_cut_sides(G: Multigraph, S, T, value: int) -> List[frozenset]:
             if len(G.boundary(side)) == value:
                 sides.append(side)
     return sides
+
+
+def isomorphic_with_pins(
+    G: Multigraph,
+    H: Multigraph,
+    pins: Dict[str, str],
+    max_size: int = 10,
+) -> Optional[bool]:
+    """Does an isomorphism G -> H extend the given partial map?
+
+    Returns True/False, or None when either graph exceeds max_size and the
+    check is skipped as unverified.
+    """
+    if len(G.vertices) > max_size or len(H.vertices) > max_size:
+        return None
+    if len(G.vertices) != len(H.vertices) or len(G.edges) != len(H.edges):
+        return False
+    for g, h in pins.items():
+        if g not in G.vertices or h not in H.vertices:
+            return False
+    mg = Counter(G.edges.values())  # sorted end pair -> multiplicity
+    mh = Counter(H.edges.values())
+    gverts = sorted(pins) + sorted(G.vertices - set(pins))
+    mapped: Dict[str, str] = {}
+    used = set()
+
+    def consistent(v: str, w: str) -> bool:
+        if G.degree(v) != H.degree(w):
+            return False
+        if mg[(v, v)] != mh[(w, w)]:
+            return False
+        for u, x in mapped.items():
+            a, b = (v, u) if v <= u else (u, v)
+            c, d = (w, x) if w <= x else (x, w)
+            if mg[(a, b)] != mh[(c, d)]:
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == len(gverts):
+            return True
+        v = gverts[i]
+        candidates = [pins[v]] if v in pins else sorted(H.vertices - used)
+        for w in candidates:
+            if w in used or not consistent(v, w):
+                continue
+            mapped[v] = w
+            used.add(w)
+            if extend(i + 1):
+                return True
+            del mapped[v]
+            used.discard(w)
+        return False
+
+    return extend(0)

@@ -9,14 +9,89 @@ deletions.  The oracle computes the full closure of a host under these
 operations, up to isomorphism, and answers membership queries by
 canonical key.  Closure sets are memoized globally by canonical key, so
 hosts sharing intermediate graphs share work.
+
+The two operations of the definition, `lift` and `split_off_vertex`, live
+here: the oracle is their only caller, and the property tests of
+`tests/test_multigraph.py` and `tests/test_properties.py` check them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple
 
-from immtools import Multigraph, canonical_key, lift, split_off_vertex
+from immtools import Multigraph, canonical_key
+from immtools.multigraph import _fresh_name
+
+
+def _lift_pivot(G: Multigraph, e: str, f: str, pivot: str | None) -> str:
+    ea, eb = G.ends(e)
+    fa, fb = G.ends(f)
+    shared = {ea, eb} & {fa, fb}
+    if not shared:
+        raise ValueError(f"edges {e!r} and {f!r} are not incident")
+    if len(shared) == 2 and pivot is None:
+        raise ValueError(
+            f"edges {e!r} and {f!r} share both endpoints; name the pivot explicitly"
+        )
+    if pivot is None:
+        (pivot,) = shared
+    elif pivot not in shared:
+        raise ValueError(f"{pivot!r} is not a shared endpoint of {e!r} and {f!r}")
+    return pivot
+
+
+def lift(G: Multigraph, e: str, f: str, pivot: str | None = None) -> Multigraph:
+    """Replace incident edges e = uv, f = vw by a single edge uw.
+
+    Loops cannot be lifted.  When e and f are parallel, the pivot vertex
+    must be named by the caller; the result is then a loop at the other
+    endpoint.
+    """
+    if e == f:
+        raise ValueError("lift needs two distinct edges")
+    for eid in (e, f):
+        if eid not in G.edges:
+            raise ValueError(f"unknown edge {eid!r}")
+        if G.is_loop(eid):
+            raise ValueError(f"cannot lift the loop {eid!r}")
+    v = _lift_pivot(G, e, f, pivot)
+    ea, eb = G.ends(e)
+    fa, fb = G.ends(f)
+    u = ea if eb == v else eb
+    w = fa if fb == v else fb
+    edges = {k: ab for k, ab in G.edges.items() if k not in (e, f)}
+    new_id = _fresh_name(f"{e}*{f}", edges.keys())
+    edges[new_id] = (u, w)
+    return Multigraph(G.vertices, edges)
+
+
+def split_off_vertex(
+    G: Multigraph, v: str, pairing: Iterable[Tuple[str, str]]
+) -> Multigraph:
+    """Lift each pair of the pairing at v, then delete v and its leftovers."""
+    if v not in G.vertices:
+        raise ValueError(f"unknown vertex {v!r}")
+    pairing = list(pairing)
+    seen = set()
+    for e, f in pairing:
+        for eid in (e, f):
+            if eid not in G.edges:
+                raise ValueError(f"unknown edge {eid!r}")
+            if v not in G.ends(eid):
+                raise ValueError(f"edge {eid!r} is not incident with {v!r}")
+            if G.is_loop(eid):
+                raise ValueError(f"loop {eid!r} cannot take part in a splitting")
+            if eid in seen:
+                raise ValueError(f"edge {eid!r} appears in two pairs")
+            seen.add(eid)
+        if e == f:
+            raise ValueError("a pair must consist of two distinct edges")
+    H = G
+    for e, f in pairing:
+        H = lift(H, e, f, pivot=v)
+    return H.without_vertices({v})
+
 
 _strong_memo: Dict[tuple, FrozenSet[tuple]] = {}
 _weak_memo: Dict[tuple, FrozenSet[tuple]] = {}

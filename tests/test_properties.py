@@ -12,13 +12,13 @@ from immtools import (
     consolidate,
     edge_disjoint_paths,
     is_k_edge_connected_set,
-    lift,
     linear_decompose,
     max_flow_min_cut,
     verify_linear_certificate,
     Multigraph,
 )
 from helpers import all_min_cut_sides, check_path, random_multigraph
+from oracle_lift_closure import lift
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
