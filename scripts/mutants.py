@@ -82,7 +82,7 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "achieved_w=widest,",
         ("tests/test_treecut.py::test_structure_certificates_hold_at_their_achieved_values",),
         "an emitted linearity certificate claims a width it does not meet;"
-        " once caught by _linear_decompose's own verify_linear_certificate call",
+        " once caught by the decomposer's own verify_linear_certificate call",
     ),
     Mutant(
         "glue-arc-dropped",
@@ -413,6 +413,16 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " fast path)",
     ),
     # -- command line
+    Mutant(
+        "edge-item-shape-unchecked",
+        "src/immtools/jsonio.py",
+        'eid = item.get("id") if isinstance(item, dict) else None',
+        'eid = item.get("id")',
+        ("tests/test_cli.py::test_mutated_artifacts_are_answered_or_rejected",),
+        "a graph whose edge list holds a non-object escapes the command"
+        " line as an AttributeError instead of exit 1 (first made for the"
+        " mutated-artifact test)",
+    ),
     Mutant(
         "required-flag-not-checked",
         "src/immtools/cli.py",

@@ -6,8 +6,10 @@ streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 the immersion search budget ran out, a linearity search (smallest
 linearizing set, star minor) went over its work limit of 100,000
 decision nodes or center sets, or an integer argument or a bound has
-more decimal digits than the interpreter converts.  A usage error is
-malformed input: one stderr line starting "error: immtools".
+more decimal digits than the interpreter converts; 141 (128 + SIGPIPE)
+standard output closed by its reader, with nothing on stderr.  An
+unreadable input file is malformed input, and so is a usage error: one
+stderr line starting "error: immtools".
 
 One table, `_COMMANDS`, parses, checks and documents every command:
 after its words, options (`--flag value`, `--flag=value`, or a unique
@@ -27,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
 from functools import partial
@@ -37,7 +40,6 @@ from . import bounds as bounds_mod
 from . import generators
 from .immersion import BUDGET, FOUND, find_immersion, verify_immersion
 from .jsonio import (
-    cut_witness_to_json,
     failure_to_json,
     graph_from_json,
     graph_to_json,
@@ -48,7 +50,6 @@ from .jsonio import (
     structure_from_json,
     structure_to_json,
     torso_to_json,
-    treecut_from_json,
 )
 from .multigraph import Multigraph
 from .pathdecomp import (
@@ -63,6 +64,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_REJECTED = 2
 EXIT_LIMIT = 3
+EXIT_PIPE = 141
 
 
 def _int_max_str_digits() -> int:
@@ -101,6 +103,8 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except OSError as exc:  # an input that cannot be read is malformed input
+        raise ValueError(str(exc)) from None
 
 
 def _read_graph(path: str) -> Multigraph:
@@ -217,7 +221,7 @@ def _cmd_edge_sum(g1: str, v1: str, g2: str, v2: str, pi: str) -> int:
 
 
 def _cmd_torso(graph: str, decomp: str, node: str) -> int:
-    G, D = _read_graph(graph), treecut_from_json(_read_json(decomp))
+    G, D = _read_graph(graph), structure_from_json(_read_json(decomp)).decomposition
     _emit(torso_to_json(torso_at(G, D, node)))
     return EXIT_OK
 
@@ -351,6 +355,7 @@ def _option(prog: str, token: str, options: Sequence[str]) -> Tuple[str, Optiona
         if eq:
             raise ValueError(f"{prog}: argument -h/--help: ignored explicit argument {value!r}")
         print(_usage(tuple(prog.split()[1:])))
+        sys.stdout.flush()  # a closed pipe is found here, not at exit
         raise SystemExit(0)
     return name, value if eq else None
 
@@ -406,8 +411,14 @@ def _parse(argv: Sequence[str]) -> Tuple[Callable[..., int], List[Any], Dict[str
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         handler, args, kwargs = _parse(sys.argv[1:] if argv is None else argv)
-        return handler(*args, **kwargs)
-    except (ValueError, KeyError, OSError) as exc:
+        code = handler(*args, **kwargs)
+        sys.stdout.flush()  # a closed pipe is found here, not at exit
+        return code
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:  # so that its flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
 

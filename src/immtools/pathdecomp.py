@@ -385,14 +385,7 @@ def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
     in lexicographic order, by a branching search (see
     `_LinearizingSearch`)."""
     aux = H.masks
-    return frozenset(aux.names(_min_linearizing_mask(aux.nbr)))
-
-
-def _min_linearizing_mask(nbr: List[int]) -> int:
-    """`min_linearizing_set` on bitmasks: the mask of the first smallest
-    linearizing set, from one `_LinearizingSearch` within the work
-    limit."""
-    return _LinearizingSearch(nbr).first_smallest()
+    return frozenset(aux.names(_LinearizingSearch(aux.nbr).first_smallest()))
 
 
 _Node = Tuple[int, int, int, int]  # live, kept, k, and the vertices deleted so far
@@ -606,14 +599,6 @@ def linear_decompose(
     some separator cost reaches w_limit.  Either witness is a cut of G:
     its edges are delta_G(source_side) and its value is their number.  A
     separator's witness has its side L, so its value is at least the cost.
-    """
-    return _linear_decompose(G, W, m, w_limit)[0]
-
-
-def _linear_decompose(
-    G: Multigraph, W: Iterable[str], m: int, w_limit: int
-) -> Tuple[Union[LinearityCertificate, FailureWitness], MaskGraph]:
-    """`linear_decompose`, and the auxiliary graph it was built from.
 
     Every flow runs on one network of G, built on first need: the
     auxiliary graph's, the small cut's and the t - 2 separators'.  The
@@ -634,9 +619,9 @@ def _linear_decompose(
         net = net or FlowNetwork(G)
         X1, X2 = (net.nodes(aux.names(X)) for X in (comps[0], full ^ comps[0]))
         cut = _witness(G, net, net.max_flow(X1, X2))
-        return FailureWitness(kind=SMALL_CUT, payload=cut), aux
+        return FailureWitness(kind=SMALL_CUT, payload=cut)
 
-    removed = _min_linearizing_mask(nbr)
+    removed = _LinearizingSearch(nbr).first_smallest()
     A = frozenset(aux.names(removed))
     ordering = tuple(verts[i] for i in _path_ordering(nbr, full ^ removed))
     t = len(ordering)
@@ -663,7 +648,7 @@ def _linear_decompose(
                     # and L's edges to the closed vertices
                     cut = G.boundary(L)
                     witness = CutWitness(len(cut), cut, L)
-                    return FailureWitness(kind=SMALL_CUT, payload=witness), aux
+                    return FailureWitness(kind=SMALL_CUT, payload=witness)
                 seps.append(L)
         seps.append(G.vertices - A - {ordering[t - 1]})
         bag_list = [frozenset()]
@@ -680,4 +665,4 @@ def _linear_decompose(
         achieved_a=len(A),
         achieved_w=widest + 1,
         achieved_p=max(bounded.values(), default=0),
-    ), aux
+    )

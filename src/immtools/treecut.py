@@ -17,14 +17,14 @@ from .flow import FlowNetwork
 from .multigraph import Multigraph, _fresh_name
 from .pathdecomp import (
     NOT_PATH_SHAPED,
-    SMALL_CUT,
     STAR_MINOR,
     FailureWitness,
     LinearityCertificate,
     _bag_owners,
     _cover_violations,
-    _linear_decompose,
+    build_auxiliary_graph,
     has_k1k_minor,
+    linear_decompose,
     verify_linear_certificate,
 )
 from .simplegraph import SimpleGraph
@@ -310,25 +310,25 @@ def is_alpha_basic(H: Multigraph, alpha: int) -> Union[LinearityCertificate, Fai
     if alpha < 1:
         raise ValueError("alpha must be positive")
     W = frozenset(v for v, d in H.degrees.items() if d >= alpha)
-    result, aux = _linear_decompose(H, W, m=1, w_limit=alpha)
+    result = linear_decompose(H, W, m=1, w_limit=alpha)
     if isinstance(result, FailureWitness):
         return result
     # the certificate holds at its achieved values, so it holds at alpha
     # exactly when none of them exceeds alpha
     if max(result.achieved_a, result.achieved_w, result.achieved_p) <= alpha:
         return result
-    bad = verify_linear_certificate(H, W, result, alpha, alpha, alpha)
     if len(result.A) > alpha:
         # a linearizing set above 4k forces a K_{1,k} minor of the
         # auxiliary graph; surface the largest such star
         k_max = (len(result.A) - 1) // 4
         if k_max >= 2:
-            model = has_k1k_minor(aux.graph(), k_max)
+            model = has_k1k_minor(build_auxiliary_graph(H, W, 1), k_max)
             if model is not False:
                 return FailureWitness(kind=STAR_MINOR, payload=model)
     detail = {
-        "violations": bad,
-        "auxiliary_components": [aux.names(c) for c in aux.components()],
+        "violations": verify_linear_certificate(H, W, result, alpha, alpha, alpha),
+        # a certificate comes only from a connected auxiliary graph
+        "auxiliary_components": [sorted(W)] if W else [],
         "achieved": {
             "a": result.achieved_a,
             "w": result.achieved_w,

@@ -522,9 +522,13 @@ def test_criterion_10_round_trips():
         summed = save("sum.json", out)
         assert json.loads(out) == graph_to_json(graph_from_json(json.loads(out)))
 
+        # torso reads the decomposition of a structure artifact
         decomp = save("d.json", json.dumps({
-            "tree": {"nodes": ["p", "q"], "edges": [["p", "q"]]},
-            "bags": {"p": ["a1", "a2"], "q": ["b1", "b2"]},
+            "decomposition": {
+                "tree": {"nodes": ["p", "q"], "edges": [["p", "q"]]},
+                "bags": {"p": ["a1", "a2"], "q": ["b1", "b2"]},
+            },
+            "certificates": {},
         }))
         code, out, _ = _cli("torso", "--graph", summed, "--decomp", decomp,
                             "--node", "p")

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -21,9 +22,18 @@ from immtools import (
     is_alpha_basic,
     structure_decompose,
     theorem31_constants,
+    torso_at,
     torsos,
 )
-from immtools.jsonio import failure_to_json, graph_to_json, immersion_to_json, structure_to_json
+from immtools.jsonio import (
+    failure_to_json,
+    graph_from_json,
+    graph_to_json,
+    immersion_to_json,
+    structure_from_json,
+    structure_to_json,
+    torso_to_json,
+)
 from immtools.cli import main
 from helpers import mg
 
@@ -238,8 +248,11 @@ def test_edge_sum_and_torso(tmp_path, capsys):
         tmp_path,
         "d.json",
         {
-            "tree": {"nodes": ["p", "q"], "edges": [["p", "q"]]},
-            "bags": {"p": ["a1", "a2"], "q": ["b1", "b2"]},
+            "decomposition": {
+                "tree": {"nodes": ["p", "q"], "edges": [["p", "q"]]},
+                "bags": {"p": ["a1", "a2"], "q": ["b1", "b2"]},
+            },
+            "certificates": {},
         },
     )
     code, out, _ = run(capsys, "torso", "--graph", g, "--decomp", decomp, "--node", "p")
@@ -247,6 +260,21 @@ def test_edge_sum_and_torso(tmp_path, capsys):
     torso = json.loads(out)
     assert sorted(torso["core"]) == ["a1", "a2"]
     assert len(torso["peripheral"]) == 1
+
+
+def test_torso_reads_what_decompose_structure_prints(tmp_path, capsys):
+    _, graph, _ = run(capsys, "gen", "pk", "3")
+    g = write(tmp_path, "pk3.json", json.loads(graph))
+    code, out, _ = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
+    assert code == 0
+    decomp = tmp_path / "decomp.json"
+    decomp.write_text(out)
+    G, D = graph_from_json(json.loads(graph)), structure_from_json(json.loads(out)).decomposition
+    assert len(D.tree_nodes) == 2
+    for node in sorted(D.tree_nodes):
+        code, out, err = run(capsys, "torso", "--graph", g, "--decomp", str(decomp), "--node", node)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == torso_to_json(torso_at(G, D, node))
 
 
 def test_bounds_subcommands(tmp_path, capsys):
@@ -477,6 +505,48 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     assert err == f"error: {deep}: JSON nested too deeply\n"
 
 
+def test_an_unreadable_input_file_is_malformed_input(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "decompose", "structure", "--graph", str(missing), "--alpha", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    code, out, err = run(capsys, "bounds", "theorem31", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone: a write, or a flush when
+    `at_flush`, raises BrokenPipeError."""
+
+    def __init__(self, at_flush):
+        super().__init__()
+        self.at_flush = at_flush
+
+    def write(self, text):
+        if not self.at_flush:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.at_flush:
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("at_flush", [False, True], ids=["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ("gen", "pk", "30"),
+    ("gen", "complete", "3"),
+    ("bounds", "d-of-k", "1"),
+    ("decompose", "structure", "--help"),
+], ids=" ".join)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(capsys, monkeypatch, argv, at_flush):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(at_flush))
+    code = main(list(argv))
+    assert code == cli.EXIT_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
 # -- the argv contract ---------------------------------------------------------
 # G stands for a pk(2) graph file, P for a K3 file; "-" reads standard input
 
@@ -662,3 +732,75 @@ def test_writer_matches_the_standard_encoder_on_artifacts():
 def test_writer_rejects_values_no_artifact_holds(obj):
     with pytest.raises(TypeError):
         cli._dumps(obj)
+
+
+# -- mutated artifacts ---------------------------------------------------------
+
+_SWAPS = (None, 0, "x", [], {}, True)
+
+
+def _mutants(obj):
+    """Every copy of the JSON value obj with one change: obj or a value
+    inside it swapped for each of _SWAPS, a key deleted, or a list element
+    dropped or duplicated."""
+    yield from _SWAPS
+    if isinstance(obj, dict):
+        for key in sorted(obj):
+            yield {k: v for k, v in obj.items() if k != key}
+            for inner in _mutants(obj[key]):
+                yield {**obj, key: inner}
+    elif isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield obj[:i] + obj[i + 1:]
+            yield obj[:i + 1] + obj[i:]
+            for inner in _mutants(item):
+                yield obj[:i] + [inner] + obj[i + 1:]
+
+
+def test_mutated_artifacts_are_answered_or_rejected(tmp_path, capsys):
+    # every artifact a command reads, from pk(3), and the commands that
+    # read it; "M" stands for the mutated file
+    pk3 = write(tmp_path, "pk3.json", graph_to_json(gen_pk(3)))
+    k3 = write(tmp_path, "k3.json", graph_to_json(gen_complete(3)))
+    g1 = write(tmp_path, "g1.json", graph_to_json(mg(
+        ["a1", "a2", "a3"], {"t1": ("a1", "a2"), "t2": ("a2", "a3"), "t3": ("a1", "a3")})))
+    g2 = write(tmp_path, "g2.json", graph_to_json(mg(
+        ["b1", "b2", "b3"], {"u1": ("b1", "b2"), "u2": ("b2", "b3"), "u3": ("b1", "b3")})))
+
+    def output(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return json.loads(out)
+
+    cases = [
+        (output("gen", "pk", "3"), [
+            ("decompose", "structure", "--graph", "M", "--alpha", "4"),
+            ("find-immersion", "--host", "M", "--pattern", k3),
+        ]),
+        (output("find-immersion", "--host", pk3, "--pattern", k3), [
+            ("verify", "immersion", "--host", pk3, "--pattern", k3, "--cert", "M"),
+        ]),
+        (output("decompose", "linear", "--graph", pk3, "--W", "all", "--m", "3",
+                "--w-limit", "3"), [
+            ("verify", "linear", "--graph", pk3, "--W", "all", "--cert", "M",
+             "--a", "0", "--w", "1", "--p", "1"),
+        ]),
+        (output("decompose", "structure", "--graph", pk3, "--alpha", "4"), [
+            ("verify", "structure", "--graph", pk3, "--structure", "M", "--alpha", "4"),
+            ("torso", "--graph", pk3, "--decomp", "M", "--node", "n0"),
+        ]),
+        ({"t2": "u2", "t3": "u3"}, [
+            ("edge-sum", "--g1", g1, "--v1", "a3", "--g2", g2, "--v2", "b3", "--pi", "M"),
+        ]),
+    ]
+    mutated = tmp_path / "mutated.json"
+    codes = Counter()
+    for artifact, commands in cases:
+        for mutant in _mutants(artifact):
+            mutated.write_text(json.dumps(mutant))
+            for argv in commands:
+                code, _, _ = run(capsys, *[str(mutated) if a == "M" else a for a in argv])
+                assert code in (0, 1, 2), (argv, mutant)
+                codes[code] += 1
+    # the mutants reach answers, rejections and malformed-input errors
+    assert min(codes[0], codes[1], codes[2]) > 0, codes

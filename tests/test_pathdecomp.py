@@ -394,7 +394,7 @@ def _agree_with_the_oracle(H, ks):
     the linearizing-set search the pruned depth-first search's mask and,
     up to the enumerators' size limit, the subset enumerator's."""
     nbr = H.masks.nbr
-    mask = pathdecomp._min_linearizing_mask(nbr)
+    mask = pathdecomp._LinearizingSearch(nbr).first_smallest()
     assert mask == oracle_pathdecomp.pruned_linearizing_mask(nbr)
     models = [has_k1k_minor(H, k) for k in ks]
     if len(nbr) > oracle_pathdecomp.ENUMERATION_LIMIT:
@@ -446,7 +446,7 @@ def test_linearizing_search_agrees_with_the_pruned_search_above_the_enumerators(
             if rng.random() < p:
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
-        mask = pathdecomp._min_linearizing_mask(nbr)
+        mask = pathdecomp._LinearizingSearch(nbr).first_smallest()
         assert mask == oracle_pathdecomp.pruned_linearizing_mask(nbr), nbr
         sizes[mask.bit_count()] += 1
     assert max(sizes) >= 9 and len(sizes) >= 6
@@ -476,10 +476,10 @@ def test_linearizing_search_stops_at_the_work_limit(monkeypatch):
 
 def test_linearizing_search_answers_at_exactly_its_node_count(monkeypatch):
     monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES)
-    assert pathdecomp._min_linearizing_mask(AUX_15) == AUX_15_SET
+    assert pathdecomp._LinearizingSearch(AUX_15).first_smallest() == AUX_15_SET
     monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES - 1)
     with pytest.raises(SizeLimitError):
-        pathdecomp._min_linearizing_mask(AUX_15)
+        pathdecomp._LinearizingSearch(AUX_15).first_smallest()
 
 
 def test_star_search_stops_at_the_work_limit(monkeypatch):
@@ -527,7 +527,8 @@ def test_linearizing_search_agrees_with_the_enumerator_on_every_labelling():
                 if chosen >> b & 1:
                     nbr[i] |= 1 << j
                     nbr[j] |= 1 << i
-            assert pathdecomp._min_linearizing_mask(nbr) == oracle_pathdecomp.min_linearizing_mask(nbr), nbr
+            got = pathdecomp._LinearizingSearch(nbr).first_smallest()
+            assert got == oracle_pathdecomp.min_linearizing_mask(nbr), nbr
             graphs += 1
     assert graphs == 1 + 1 + 2 + 8 + 64 + 1024
 
