@@ -59,6 +59,7 @@ _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_
 _DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
 _PLANTED = "tests/test_planted.py::test_no_planted_query_is_absent"
 _SWEEP_KEYS = "tests/test_iso.py::test_keys_match_the_oracle_on_the_sweep_graphs"
+_TWIN_CLASSES = "tests/test_multigraph.py::test_twin_classes_match_the_definition"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -253,6 +254,17 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " closing each route first)",
     ),
     Mutant(
+        "twin-bound-dropped",
+        "src/immtools/immersion.py",
+        "low = img[twin[i]] + 1",
+        "pass",
+        ("tests/test_immersion.py::test_twin_breaking_refutes_strong_k4_in_pk_chorded_7",),
+        "a pattern vertex takes images below its nearest earlier twin's, so"
+        " the search tries every order of K4's images and strong K4 in"
+        " pk_chorded(7) runs out of its budget (first made for the twin"
+        " bound)",
+    ),
+    Mutant(
         "budget-answered-at-the-limit",
         "src/immtools/immersion.py",
         "if budget is not None and searcher.steps > budget:",
@@ -392,17 +404,6 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " the integer refinement)",
     ),
     Mutant(
-        "twins-by-neighbour-set",
-        "src/immtools/iso.py",
-        "return {w: k for w, k in mult[u].items() if w != v} == {\n"
-        "        w: k for w, k in mult[v].items() if w != u\n    }",
-        "return mult[u].keys() - {v} == mult[v].keys() - {u}",
-        ("tests/test_iso.py::test_keys_match_the_oracle_on_random_multigraphs",),
-        "vertices with the same neighbours at different multiplicities count"
-        " as twins, so a block skips orders that give the least form (first"
-        " made for the twin-pruned product)",
-    ),
-    Mutant(
         "discrete-pairs-unordered",
         "src/immtools/iso.py",
         "(ranks[i], ranks[j]) if ranks[i] <= ranks[j] else (ranks[j], ranks[i])",
@@ -411,6 +412,38 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "an edge of a discretely coloured graph keeps its ends in name order,"
         " so relabelling it changes its key (first made for the discrete"
         " fast path)",
+    ),
+    # -- twin classes, which canonical keys and the immersion search share
+    Mutant(
+        "twins-by-neighbour-set",
+        "src/immtools/multigraph.py",
+        "[x for x in firsts[w] if x != v] == [x for x in key if x != w]",
+        "set(firsts[w]) - {v} == set(key) - {w}",
+        (_TWIN_CLASSES, "tests/test_iso.py::test_keys_match_the_oracle_on_random_multigraphs"),
+        "joined vertices with the same neighbours at different multiplicities"
+        " count as twins, so a colour block skips orders that give the least"
+        " form (first made for the twin-pruned product, in iso.py's own twin"
+        " test)",
+    ),
+    Mutant(
+        "unjoined-twins-keyed-by-neighbour-set",
+        "src/immtools/multigraph.py",
+        "key = tuple(sorted(nbrs[v]))",
+        "key = tuple(sorted(set(nbrs[v])))",
+        (_TWIN_CLASSES,),
+        "unjoined vertices with the same neighbours at different"
+        " multiplicities count as twins (first made for the one twin"
+        " relation)",
+    ),
+    Mutant(
+        "joined-twins-compared-whole",
+        "src/immtools/multigraph.py",
+        "[x for x in firsts[w] if x != v] == [x for x in key if x != w]",
+        "firsts[w] == key",
+        (_TWIN_CLASSES,),
+        "two joined twins are compared with each other still in their"
+        " neighbour lists, so no joined twins are found and K_n's vertices"
+        " are tried in every order (first made for the one twin relation)",
     ),
     # -- command line
     Mutant(

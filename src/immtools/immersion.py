@@ -128,7 +128,8 @@ the unpruned search finds.
   vertex only when its slack is at least 2.  A strong route has no branch
   image inside, so the rule applies to weak routing only.
 - Pattern twins.  Two pattern vertices are twins when they have the same
-  loop count and the same multiplicity to every third vertex.  Swapping
+  loop count and the same multiplicity to every third vertex; the classes
+  come from `multigraph.twin_classes`, as canonical keys' do.  Swapping
   them is an automorphism of H, and twinhood is an equivalence relation.
   Swapping two twins' images maps an immersion to an immersion, and it
   makes the assignment lexicographically smaller (in pattern order, then
@@ -213,7 +214,9 @@ def verify_immersion(
     if set(em) != H.edges.keys():
         raise ValueError("edge_map keys do not match the pattern's edges")
     index = G.index
-    ids, bits, ends, links, other = index.ids, index.bits, index.ends, index.links, index.other
+    ids, positions, ends, links, other = (
+        index.ids, index.positions, index.ends, index.links, index.other
+    )
     for hv, gv in vm.items():
         if gv not in ids:
             raise ValueError(f"vertex_map sends {hv!r} to unknown vertex {gv!r}")
@@ -223,11 +226,11 @@ def verify_immersion(
     for he, ge in em.items():
         mask = spanned = 0
         for e in ge:
-            if e not in bits:
+            if e not in positions:
                 raise ValueError(f"edge_map of {he!r} references unknown edge {e!r}")
-            bit = bits[e]
-            mask |= bit
-            u, v = ends[bit.bit_length() - 1]
+            k = positions[e]
+            mask |= 1 << k
+            u, v = ends[k]
             spanned |= 1 << u | 1 << v
         images[he] = mask, spanned
         claims += len(ge)

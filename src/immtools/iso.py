@@ -11,13 +11,14 @@ exactly when their keys are equal.
   sorted colours of a vertex's neighbours, until the number of colours
   stops growing or every vertex has its own.  When every vertex has its
   own, the key is one sorted list of pairs.
-- The twin-pruned product.  Two vertices of one block are twins when
-  they have the same multiplicity to every third vertex (a block shares
-  its loop count).  Swapping two twins is an automorphism, so it leaves
-  the labelled form of a vertex order as it is.  Each block therefore
-  tries only the distinct arrangements of its twin classes, each class
-  in id order, and the least form, so the key, is the one the full
-  product of block permutations gives.
+- The twin-pruned product.  Two vertices are twins when they have the
+  same loop count and the same multiplicity to every third vertex, and
+  `multigraph.twin_classes` finds the classes of each block (a block
+  shares its degree and loop count).  Swapping two twins is an
+  automorphism, so it leaves the labelled form of a vertex order as it
+  is.  Each block therefore tries only the distinct arrangements of its
+  twin classes, each class in id order, and the least form, so the key,
+  is the one the full product of block permutations gives.
 
 The search stays small when refinement splits G finely or its blocks are
 twin classes (K_n and the edgeless graph need one form, K_{n,n} one per
@@ -28,10 +29,9 @@ long cycle, keeps one block of n vertices and tries n! forms.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .multigraph import Multigraph
+from .multigraph import Multigraph, twin_classes
 
 Pair = Tuple[int, int]
 
@@ -72,13 +72,6 @@ def _rank(colors: List[tuple]) -> Tuple[List[int], int]:
     return [order[c] for c in colors], len(order)
 
 
-def _twins(u: int, v: int, mult: Dict[int, Counter]) -> bool:
-    """Do u and v have the same multiplicity to every third vertex?"""
-    return {w: k for w, k in mult[u].items() if w != v} == {
-        w: k for w, k in mult[v].items() if w != u
-    }
-
-
 def _shuffles(classes: List[List[int]]) -> List[List[int]]:
     """Every order of the classes' vertices that keeps each class in order."""
     if len(classes) == 1:
@@ -106,22 +99,7 @@ def _block_orders(
     blocks: List[List[int]] = [[] for _ in range(count)]
     for v, r in enumerate(ranks):
         blocks[r].append(v)
-    result = []
-    for block in blocks:
-        if len(block) == 1:
-            result.append([block])
-            continue
-        mult = {v: Counter(nbrs[v]) for v in block}
-        classes: List[List[int]] = []
-        for v in block:
-            for cls in classes:
-                if _twins(cls[0], v, mult):  # twinhood is transitive
-                    cls.append(v)
-                    break
-            else:
-                classes.append([v])
-        result.append(_shuffles(classes))
-    return result
+    return [_shuffles(twin_classes(block, nbrs)) for block in blocks]
 
 
 def _least_form(n: int, pairs: Sequence[Pair], block_orders) -> Tuple[Pair, ...]:

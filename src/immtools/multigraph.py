@@ -17,7 +17,7 @@ import functools
 from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -35,6 +35,37 @@ def bit_positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def twin_classes(group: Sequence[int], nbrs: Sequence[List[int]]) -> List[List[int]]:
+    """The twin classes of `group`, vertex ids of one degree, each in group
+    order, the classes in the order of their first members.  nbrs[v] holds
+    the other end of each non-loop edge at v.
+
+    Twins have the same loop count and the same multiplicity to every third
+    vertex; at one degree the second gives the first.  Twinhood is an
+    equivalence, and the members of a class are pairwise joined by one
+    number of edges, so a class is unjoined or joined throughout (twins are
+    the two-vertex modules: Habib and Paul, Comput. Sci. Rev. 4(1), 2010).
+    Unjoined twins have one sorted neighbour list, which keys them.  A
+    joined twin of v is its neighbour, and so is the first member of its
+    class, so v is compared only with the first members among its
+    neighbours, each of the two removed from the other's list."""
+    keyed: Dict[Tuple[int, ...], List[int]] = {}  # a first member's key -> its class
+    firsts: Dict[int, Tuple[int, ...]] = {}  # a class's first member -> its key
+    for v in group:
+        key = tuple(sorted(nbrs[v]))
+        cls = keyed.get(key)
+        if cls is None:
+            for w in key:
+                if w in firsts and [x for x in firsts[w] if x != v] == [x for x in key if x != w]:
+                    cls = keyed[firsts[w]]
+                    break
+            else:
+                firsts[v] = key
+                cls = keyed[key] = []
+        cls.append(v)
+    return list(keyed.values())
+
+
 class GraphIndex(NamedTuple):
     """A multigraph on integers.  Vertex i is the i-th smallest vertex name
     and the edge with the k-th smallest id is the bit 1 << k, so comparing
@@ -45,7 +76,7 @@ class GraphIndex(NamedTuple):
     vertices: Tuple[str, ...]  # vertex id -> name
     ids: Dict[str, int]  # name -> vertex id
     edges: Tuple[str, ...]  # k -> the edge id of bit 1 << k
-    bits: Dict[str, int]  # edge id -> its bit
+    positions: Dict[str, int]  # edge id -> k
     ends: Tuple[Tuple[int, int], ...]  # k -> end ids, the smaller first
     links: Tuple[int, ...]  # vertex id -> the bits of its non-loop edges
     loops: Tuple[int, ...]  # vertex id -> the bits of its loops
@@ -93,7 +124,7 @@ class Multigraph:
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
-      nearest earlier twin, or -1;
+      member before it in its class of `twin_classes`, or -1;
     - `degree_order_names` and `edge_singletons`: the names in
       `degree_order`, and a one-edge frozenset per edge bit, which the
       search's certificates share.
@@ -251,7 +282,7 @@ class Multigraph:
         names = tuple(sorted(self.vertices))
         ids = {v: i for i, v in enumerate(names)}
         edges = tuple(sorted(self.edges))
-        bits = {}
+        positions = dict(zip(edges, range(len(edges))))
         ends = []
         other = []
         links = [0] * len(names)
@@ -259,7 +290,7 @@ class Multigraph:
         for k, e in enumerate(edges):
             a, b = self.edges[e]
             u, v = ids[a], ids[b]
-            bit = bits[e] = 1 << k
+            bit = 1 << k
             ends.append((u, v))
             other.append(u ^ v)
             if u == v:
@@ -269,8 +300,8 @@ class Multigraph:
                 links[v] |= bit
         degree = tuple(self.degrees[v] for v in names)
         return GraphIndex(
-            names, ids, edges, bits, tuple(ends), tuple(links), tuple(loops), tuple(other),
-            degree,
+            names, ids, edges, positions, tuple(ends), tuple(links), tuple(loops),
+            tuple(other), degree,
         )
 
     @functools.cached_property
@@ -289,35 +320,24 @@ class Multigraph:
 
     @functools.cached_property
     def earlier_twins(self) -> Tuple[int, ...]:
-        """Twins have the same loop count and the same multiplicity to
-        every third vertex.  They have equal degree, so they sit in one
-        run of `degree_order`, and within such a run equal multiplicities
-        to third vertices already force equal loop counts."""
+        """Twins have equal degree, so each run of `degree_order` at one
+        degree is split by `twin_classes`."""
         index = self.index
-        other = index.other
-        # v -> {neighbour: multiplicity}, over the non-loop edges
-        mult: List[Dict[int, int]] = []
-        for v, mask in enumerate(index.links):
-            counts: Dict[int, int] = {}
-            for k in bit_positions(mask):
-                u = other[k] ^ v
-                counts[u] = counts.get(u, 0) + 1
-            mult.append(counts)
-
-        def third(v: int, w: int) -> Dict[int, int]:
-            return {u: m for u, m in mult[v].items() if u != w}
-
         order, degree = self.degree_order, index.degree
-        twin = [-1] * len(order)
-        for i in range(1, len(order)):
-            v = order[i]
-            for u in reversed(order[:i]):
-                if degree[u] != degree[v]:
-                    break
-                if third(u, v) == third(v, u):
-                    twin[i] = u
-                    break
-        return tuple(twin)
+        nbrs: List[List[int]] = [[] for _ in order]
+        for u, v in index.ends:
+            if u != v:
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        prev = [-1] * len(order)  # vertex id -> the one before it in its class
+        runs: Dict[int, List[int]] = {}  # degree -> its run of degree_order
+        for v in order:
+            runs.setdefault(degree[v], []).append(v)
+        for run in runs.values():
+            for cls in twin_classes(run, nbrs):
+                for u, v in zip(cls, cls[1:]):
+                    prev[v] = u
+        return tuple(map(prev.__getitem__, order))
 
     # -- derived graphs ------------------------------------------------
 

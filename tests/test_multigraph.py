@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,10 @@ from immtools import (
     gen_random_multigraph,
     max_flow_min_cut,
 )
+from enumerate_graphs import multigraph_classes
 from helpers import mg, random_multigraph
+from immtools.iso import _refined
+from immtools.multigraph import twin_classes
 from oracle_lift_closure import lift, split_off_vertex
 
 
@@ -234,16 +239,22 @@ def test_querying_leaves_equality_and_repr_unchanged():
     assert repr(G) == repr(fresh)
 
 
-def _nearest_earlier_twins(G, order):
-    """By the definition: same loop count and the same multiplicity to
-    every third vertex, searched over every earlier vertex of the order."""
-    def mult(u, w):
-        return sum(1 for a, b in G.edges.values() if {a, b} == {u, w})
+def _twin_relation(G):
+    """By the definition: are u and v twins, with the same loop count and
+    the same multiplicity to every third vertex?"""
+    mult = Counter(frozenset(ab) for ab in G.edges.values())
 
     def twins(u, v):
-        thirds = G.vertices - {u, v}
-        return mult(u, u) == mult(v, v) and all(mult(u, w) == mult(v, w) for w in thirds)
+        return mult[frozenset((u,))] == mult[frozenset((v,))] and all(
+            mult[frozenset((u, w))] == mult[frozenset((v, w))] for w in G.vertices - {u, v}
+        )
 
+    return twins
+
+
+def _nearest_earlier_twins(G, order):
+    """By the definition, searched over every earlier vertex of the order."""
+    twins = _twin_relation(G)
     return [next((u for u in reversed(order[:i]) if twins(u, v)), None) for i, v in enumerate(order)]
 
 
@@ -261,7 +272,7 @@ def test_cached_search_facts_match_a_fresh_computation():
         assert index.vertices == tuple(names)
         assert index.ids == {v: names.index(v) for v in names}
         assert index.edges == tuple(edges)
-        assert index.bits == {e: 1 << edges.index(e) for e in edges}
+        assert index.positions == {e: edges.index(e) for e in edges}
         assert index.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
         assert index.degree == tuple(deg[v] for v in names)
 
@@ -271,6 +282,87 @@ def test_cached_search_facts_match_a_fresh_computation():
         assert [None if t < 0 else names[t] for t in G.earlier_twins] == expected
         twins += sum(t is not None for t in expected)
     assert twins
+
+
+def _check_twin_classes(G):
+    """twin_classes on each run of equal degree and each colour block of
+    `canonical_key`'s refinement, against classes built pair by pair from
+    the definition.  Returns the classes of more than one vertex, with the
+    edge count between two of their members."""
+    names = sorted(G.vertices)
+    ids = {v: i for i, v in enumerate(names)}
+    nbrs = [[] for _ in names]
+    for a, b in G.edges.values():
+        if a != b:
+            nbrs[ids[a]].append(ids[b])
+            nbrs[ids[b]].append(ids[a])
+    twins = _twin_relation(G)
+    by_degree, by_colour = {}, {}
+    for v in sorted(range(len(names)), key=lambda v: (-G.degrees[names[v]], v)):
+        by_degree.setdefault(G.degrees[names[v]], []).append(v)
+    for v, colour in enumerate(_refined(G)[2]):
+        by_colour.setdefault(colour, []).append(v)
+    found = []
+    for group in [*by_degree.values(), *by_colour.values()]:
+        expected, placed = [], set()
+        for i, v in enumerate(group):
+            if v not in placed:
+                cls = [v] + [u for u in group[i + 1:] if twins(names[v], names[u])]
+                placed.update(cls)
+                expected.append(cls)
+        assert twin_classes(group, nbrs) == expected, (sorted(G.edges.values()), group)
+        found += [(cls, nbrs[cls[0]].count(cls[1])) for cls in expected if len(cls) > 1]
+    return found
+
+
+def _modular_multigraph(rng):
+    """Up to four modules of one to three vertices each, joined inside by
+    0 to 3 edges a pair, with one loop count per module and one edge
+    count, 0 to 3, between the members of two modules, so the members of a
+    module are twins; then perhaps one more edge or loop, which can leave
+    two vertices with the same neighbours at different multiplicities."""
+    modules = [[f"m{i}x{j}" for j in range(rng.randint(1, 3))] for i in range(rng.randint(1, 4))]
+    edges = []
+    for i, mod in enumerate(modules):
+        inner, loops = rng.choice((0, 0, 1, 2, 3)), rng.choice((0, 0, 1, 2))
+        edges += [(u, w) for u, w in itertools.combinations(mod, 2) for _ in range(inner)]
+        edges += [(u, u) for u in mod for _ in range(loops)]
+        for other in modules[i + 1:]:
+            k = rng.choice((0, 0, 1, 2, 3))
+            edges += [(u, w) for u in mod for w in other for _ in range(k)]
+    names = [v for mod in modules for v in mod]
+    if rng.random() < 0.5:
+        edges.append((rng.choice(names), rng.choice(names)))
+    return mg(names, {f"e{k}": ab for k, ab in enumerate(edges)})
+
+
+def test_twin_classes_match_the_definition():
+    # a doubled K4: one joined class with 2 edges between its members
+    pairs = [u + w for u, w in itertools.combinations("abcd", 2)] * 2
+    doubled_k4 = mg("abcd", {f"e{k}": ab for k, ab in enumerate(pairs)})
+    assert _check_twin_classes(doubled_k4) == [([0, 1, 2, 3], 2)] * 2
+    # the same neighbours at other multiplicities, at one degree: not
+    # twins, joined (u and w) or not (c, and d with a loop)
+    pairs = "uw ua ua ub wa wb wb ca ca cb cb da db dd".split()
+    assert _check_twin_classes(mg("uwabcd", {f"e{k}": ab for k, ab in enumerate(pairs)})) == []
+    classes = multigraph_classes(4, 6)
+    assert len(classes) == 749
+    rng = random.Random(36)
+    graphs = classes + [_modular_multigraph(rng) for _ in range(2000)]
+    graphs += [random_multigraph(rng, max_n=7, max_edges=14) for _ in range(1000)]
+    # classes unjoined, joined by one edge a pair, and by more
+    shapes = Counter(min(k, 2) for G in graphs for _, k in _check_twin_classes(G))
+    assert min(shapes[0], shapes[1], shapes[2]) >= 1000, shapes
+
+
+def test_earlier_twins_of_a_long_cycle_take_no_pairwise_scan():
+    # 3,000 vertices of degree 2 and no twins; scanning back over the run
+    # of equal degree takes seconds
+    n = 3000
+    C = mg([f"v{i}" for i in range(n)], {f"e{i}": (f"v{i}", f"v{(i + 1) % n}") for i in range(n)})
+    start = time.perf_counter()
+    assert C.earlier_twins == (-1,) * n
+    assert time.perf_counter() - start < 0.5
 
 
 def _pair_counts_by_flows(G):
