@@ -59,6 +59,8 @@ _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_
 _DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
 _PLANTED = "tests/test_planted.py::test_no_planted_query_is_absent"
 _SWEEP_KEYS = "tests/test_iso.py::test_keys_match_the_oracle_on_the_sweep_graphs"
+_CACHED_FACTS = "tests/test_multigraph.py::test_cached_search_facts_match_a_fresh_computation"
+_COUNTING_FACTS = "tests/test_multigraph.py::test_counting_facts_match_a_brute_force_count"
 _TWIN_CLASSES = "tests/test_multigraph.py::test_twin_classes_match_the_definition"
 
 # The named tests are deterministic: one that draws fresh examples on each
@@ -321,6 +323,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "incident(v) names the edge after each incident one (first made for"
         " the string queries read from the index)",
     ),
+    Mutant(
+        "index-counts-a-loop-once",
+        "src/immtools/multigraph.py",
+        "            degree[u] += 1\n            degree[v] += 1\n",
+        "            degree[u] += 1\n            degree[v] += u != v\n",
+        (_CACHED_FACTS,),
+        "a loop adds 1, not 2, to index.degree, so the degree sequence, the"
+        " spare capacity and the pattern order are wrong for looped graphs"
+        " (first made for the degrees counted in the index's own edge loop)",
+    ),
+    Mutant(
+        "counts-a-loop-as-a-pair",
+        "src/immtools/multigraph.py",
+        "(loops if u == v else pairs).append(k)",
+        "pairs.append(k)",
+        (_COUNTING_FACTS,),
+        "a vertex's loops count as the multiplicity of a vertex pair, so"
+        " the pair multiplicities are too many and the loop counts empty"
+        " (first made for the counts read off the index)",
+    ),
     # -- the simple-graph index
     Mutant(
         "index-sets-one-direction",
@@ -396,22 +418,49 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "start-colour-drops-the-loop-count",
         "src/immtools/iso.py",
-        "_rank([(degrees[v], k) for v, k in zip(names, loops)])",
-        "_rank([(degrees[v], 0) for v, k in zip(names, loops)])",
+        "_rank(list(zip(degree, loops)))",
+        "_rank(list(zip(degree, [0] * n)))",
         (_SWEEP_KEYS,),
         "a vertex with loops ranks by its neighbours' colours alone, so the"
         " blocks come in another order and the key differs (first made for"
         " the integer refinement)",
     ),
     Mutant(
+        "refinement-counts-a-loop-once",
+        "src/immtools/iso.py",
+        "        degree[i] += 1\n        degree[j] += 1\n",
+        "        degree[i] += 1\n        degree[j] += i != j\n",
+        (_SWEEP_KEYS,),
+        "a loop adds 1, not 2, to the start colour's degree, so a looped"
+        " vertex ranks below an unlooped one of its degree and the key"
+        " differs (first made for the degrees counted in the refinement's"
+        " own edge pass)",
+    ),
+    Mutant(
         "discrete-pairs-unordered",
         "src/immtools/iso.py",
-        "(ranks[i], ranks[j]) if ranks[i] <= ranks[j] else (ranks[j], ranks[i])",
-        "(ranks[i], ranks[j])",
+        "(pos[i], pos[j]) if pos[i] <= pos[j] else (pos[j], pos[i])",
+        "(pos[i], pos[j])",
         (_SWEEP_KEYS,),
-        "an edge of a discretely coloured graph keeps its ends in name order,"
-        " so relabelling it changes its key (first made for the discrete"
-        " fast path)",
+        "an edge of a graph with one vertex order keeps its ends in name"
+        " order, so relabelling it changes its key (first made for the"
+        " discrete fast path)",
+    ),
+    Mutant(
+        "one-order-path-with-several-arrangements",
+        "src/immtools/iso.py",
+        "if any(len(orders) > 1 for orders in block_orders):\n"
+        "            return n, _least_form(n, pairs, block_orders)\n"
+        "        pos = [0] * n\n"
+        "        for p, v in enumerate(itertools.chain.from_iterable(order for (order,) in block_orders)):",
+        "if any(len(orders) > 2 for orders in block_orders):\n"
+        "            return n, _least_form(n, pairs, block_orders)\n"
+        "        pos = [0] * n\n"
+        "        for p, v in enumerate(itertools.chain.from_iterable(o[0] for o in block_orders)):",
+        (_SWEEP_KEYS,),
+        "a colour block with two arrangements of its twin classes takes the"
+        " one-order path in its first arrangement, which need not give the"
+        " least form (first made for the one-order path)",
     ),
     # -- twin classes, which canonical keys and the immersion search share
     Mutant(

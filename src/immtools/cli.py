@@ -5,8 +5,9 @@ streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 2 verification or decomposition rejection, 3 a resource limit reached:
 the immersion search budget ran out, a linearity search (smallest
 linearizing set, star minor) went over its work limit of 100,000
-decision nodes or center sets, or an integer argument or a bound has
-more decimal digits than the interpreter converts; 141 (128 + SIGPIPE)
+decision nodes or center sets, an integer argument or a bound has more
+decimal digits than the interpreter converts, or the process ran out of
+memory (one stderr line, "error: out of memory"); 141 (128 + SIGPIPE)
 standard output closed by its reader, with nothing on stderr.  An
 unreadable input file is malformed input, and so is a usage error: one
 stderr line starting "error: immtools".
@@ -421,6 +422,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

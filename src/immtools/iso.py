@@ -6,11 +6,12 @@ put its blocks in rank order.  The colouring is isomorphism-invariant, so
 the key determines G up to isomorphism: two multigraphs are isomorphic
 exactly when their keys are equal.
 
-- Integer refinement.  Vertex i is the i-th smallest name.  The colours
-  start from the degree and the loop count, and each round adds the
-  sorted colours of a vertex's neighbours, until the number of colours
-  stops growing or every vertex has its own.  When every vertex has its
-  own, the key is one sorted list of pairs.
+- Integer refinement.  Vertex i is the i-th smallest name.  One pass
+  over the edges gives the id pairs, the neighbour lists, the degrees and
+  the loop counts, so keying builds no cached fact of G (not even its
+  degree map).  The colours start from the degree and the loop count, and
+  each round adds the sorted colours of a vertex's neighbours, until the
+  number of colours stops growing or every vertex has its own.
 - The twin-pruned product.  Two vertices are twins when they have the
   same loop count and the same multiplicity to every third vertex, and
   `multigraph.twin_classes` finds the classes of each block (a block
@@ -18,7 +19,10 @@ exactly when their keys are equal.
   automorphism, so it leaves the labelled form of a vertex order as it
   is.  Each block therefore tries only the distinct arrangements of its
   twin classes, each class in id order, and the least form, so the key,
-  is the one the full product of block permutations gives.
+  is the one the full product of block permutations gives.  When no block
+  has two arrangements (every vertex has its own colour, or each block is
+  one twin class) the vertex order is fixed, and the key is one sorted
+  list of position pairs.
 
 The search stays small when refinement splits G finely or its blocks are
 twin classes (K_n and the edgeless graph need one form, K_{n,n} one per
@@ -42,19 +46,21 @@ def _refined(G: Multigraph):
     names = sorted(G.vertices)
     n = len(names)
     ids = dict(zip(names, range(n)))
+    degree = [0] * n
     loops = [0] * n
     nbrs: List[List[int]] = [[] for _ in names]
     pairs: List[Pair] = []
     for a, b in G.edges.values():
         i, j = ids[a], ids[b]  # a <= b, so i <= j
         pairs.append((i, j))
+        degree[i] += 1
+        degree[j] += 1
         if i == j:
             loops[i] += 1
         else:
             nbrs[i].append(j)
             nbrs[j].append(i)
-    degrees = G.degrees
-    ranks, count = _rank([(degrees[v], k) for v, k in zip(names, loops)])
+    ranks, count = _rank(list(zip(degree, loops)))
     while count < n:
         refined, new_count = _rank(
             [(r, tuple(sorted([ranks[u] for u in nb]))) for r, nb in zip(ranks, nbrs)]
@@ -127,13 +133,16 @@ def canonical_key(G: Multigraph) -> Tuple:
     classes of each colour block, so a regular graph without twins, such
     as a long cycle, costs n! forms."""
     n, pairs, ranks, count, nbrs = _refined(G)
-    if count == n:  # every vertex has its own colour: one labelled form
-        return n, tuple(
-            sorted(
-                [
-                    (ranks[i], ranks[j]) if ranks[i] <= ranks[j] else (ranks[j], ranks[i])
-                    for i, j in pairs
-                ]
-            )
-        )
-    return n, _least_form(n, pairs, _block_orders(ranks, count, nbrs))
+    if count == n:  # every vertex has its own colour
+        pos = ranks
+    else:
+        block_orders = _block_orders(ranks, count, nbrs)
+        if any(len(orders) > 1 for orders in block_orders):
+            return n, _least_form(n, pairs, block_orders)
+        pos = [0] * n
+        for p, v in enumerate(itertools.chain.from_iterable(order for (order,) in block_orders)):
+            pos[v] = p
+    # one vertex order up to twins: one labelled form
+    return n, tuple(
+        sorted([(pos[i], pos[j]) if pos[i] <= pos[j] else (pos[j], pos[i]) for i, j in pairs])
+    )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
@@ -116,11 +115,14 @@ class Multigraph:
 
     - `degrees`, the map behind `degree()`;
     - `index`: the `GraphIndex` that `incident`, `neighbors` and
-      `adjacency()` read, and the immersion search and its verifier run on;
+      `adjacency()` read, and the immersion search and its verifier run
+      on.  It counts the degrees in its own edge loop, so building it
+      does not build `degrees`;
     - `counts`: one `GraphCounts` record of the vertex and edge counts,
       the pairs in one component and in one component once the bridges
       are removed, the cycle rank, the sorted degrees, pair
-      multiplicities and loop counts, and the spare capacity;
+      multiplicities and loop counts (read off `index.ends`), and the
+      spare capacity;
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
@@ -212,10 +214,14 @@ class Multigraph:
     def counts(self) -> GraphCounts:
         n, m = len(self.vertices), len(self.edges)
         p1, p2, components = self._bridge_search()
-        sequence = tuple(sorted(self.index.degree, reverse=True))
+        index = self.index
+        sequence = tuple(sorted(index.degree, reverse=True))
+        mult: Dict[Tuple[int, int], int] = {}  # end ids -> edges between them
+        for ends in index.ends:
+            mult[ends] = mult.get(ends, 0) + 1
         pairs, loops = [], []
-        for (a, b), k in Counter(self.edges.values()).items():
-            (loops if a == b else pairs).append(k)
+        for (u, v), k in mult.items():
+            (loops if u == v else pairs).append(k)
         return GraphCounts(
             n, m, p1, p2, m - n + components, sequence,
             tuple(sorted(pairs, reverse=True)), tuple(sorted(loops, reverse=True)),
@@ -287,21 +293,23 @@ class Multigraph:
         other = []
         links = [0] * len(names)
         loops = [0] * len(names)
+        degree = [0] * len(names)
         for k, e in enumerate(edges):
             a, b = self.edges[e]
             u, v = ids[a], ids[b]
             bit = 1 << k
             ends.append((u, v))
             other.append(u ^ v)
+            degree[u] += 1
+            degree[v] += 1
             if u == v:
                 loops[u] |= bit
             else:
                 links[u] |= bit
                 links[v] |= bit
-        degree = tuple(self.degrees[v] for v in names)
         return GraphIndex(
             names, ids, edges, positions, tuple(ends), tuple(links), tuple(loops),
-            tuple(other), degree,
+            tuple(other), tuple(degree),
         )
 
     @functools.cached_property

@@ -497,6 +497,19 @@ def test_integer_arguments_above_the_digit_limit_are_a_limit_exit_code(tmp_path,
         assert (code, out) == (1, ""), bad[:5]
 
 
+def test_running_out_of_memory_is_a_limit_exit_code(tmp_path, capsys, monkeypatch):
+    # a search whose index does not fit in memory is a resource limit, not
+    # malformed input; the allocation is made to fail without using memory
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "find_immersion", out_of_memory)
+    g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
+    code, out, err = run(capsys, "find-immersion", "--host", g, "--pattern", g)
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
