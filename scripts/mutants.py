@@ -62,6 +62,8 @@ _SWEEP_KEYS = "tests/test_iso.py::test_keys_match_the_oracle_on_the_sweep_graphs
 _CACHED_FACTS = "tests/test_multigraph.py::test_cached_search_facts_match_a_fresh_computation"
 _COUNTING_FACTS = "tests/test_multigraph.py::test_counting_facts_match_a_brute_force_count"
 _TWIN_CLASSES = "tests/test_multigraph.py::test_twin_classes_match_the_definition"
+_VERTEX_SETS = "tests/test_multigraph.py::test_every_vertex_set_check_names_all_its_unknown_vertices"
+_AUX_NO_FLOW = "tests/test_pathdecomp.py::test_at_m_1_the_auxiliary_graph_builds_no_network"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -90,8 +92,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "glue-arc-dropped",
         "src/immtools/flow.py",
-        "for i in cut:\n                a = local[head[i ^ 1]]",
-        "for i in cut[1:]:\n                a = local[head[i ^ 1]]",
+        "for i in cut:\n                ends.append(",
+        "for i in cut[1:]:\n                ends.append(",
         _TREE_AGREEMENT,
         "the moved side of a split gets a glue vertex with k - 1 arcs, so"
         " it is not grounded; once caught by the split loop's groundedness"
@@ -343,6 +345,26 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " the pair multiplicities are too many and the loop counts empty"
         " (first made for the counts read off the index)",
     ),
+    # -- the vertex-set check
+    Mutant(
+        "vertex-set-check-reads-the-first-vertex",
+        "src/immtools/multigraph.py",
+        "unknown = X - vertices",
+        "unknown = set(sorted(X)[:1]) - vertices",
+        (_VERTEX_SETS,),
+        "a vertex set is checked on its first vertex only, so an unknown"
+        " vertex after it passes (first made for the shared vertex-set"
+        " check)",
+    ),
+    Mutant(
+        "vertex-set-check-needs-two-unknown",
+        "src/immtools/multigraph.py",
+        "    if unknown:\n        raise ValueError(f\"{what}: {sorted(unknown)}\")",
+        "    if len(unknown) > 1:\n        raise ValueError(f\"{what}: {sorted(unknown)}\")",
+        (_VERTEX_SETS,),
+        "a vertex set with one unknown vertex passes the check (first made"
+        " for the shared vertex-set check)",
+    ),
     # -- the simple-graph index
     Mutant(
         "index-sets-one-direction",
@@ -362,6 +384,27 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/test_simplegraph.py::test_the_mask_readers_match_the_queries",),
         "a claw counts as a union of paths, so a linearizing set can be too"
         " small (first made for the cached neighbour masks)",
+    ),
+    # -- the auxiliary graph
+    Mutant(
+        "shared-components-not-counted",
+        "src/immtools/pathdecomp.py",
+        "paths = mult + shared",
+        "paths = mult",
+        (_AUX_NO_FLOW,),
+        "a pair that shares a component of G - W runs a flow to learn what"
+        " the component already shows (first made for the shared-component"
+        " rule)",
+    ),
+    Mutant(
+        "known-paths-must-exceed-m",
+        "src/immtools/pathdecomp.py",
+        "if count >= m:",
+        "if count > m:",
+        (_AUX_NO_FLOW,),
+        "a pair with exactly m known paths is neither joined nor given a"
+        " flow, so the auxiliary graph loses edges (first made for the"
+        " shared-component rule)",
     ),
     # -- the linearizing-set search
     Mutant(

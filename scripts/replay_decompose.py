@@ -3,7 +3,7 @@
 a digest of the answers, so that two checkouts can be compared byte for
 byte.
 
-    PYTHONHASHSEED=0 python3 scripts/replay_decompose.py
+    python3 scripts/replay_decompose.py
 
 The ops are the ones `DecomposeCli` in bench/workload.py sets up: its
 passes of README pipelines on inputs drawn from its fixed input seed.  Each
@@ -11,10 +11,11 @@ runs once, in set-up order, through `immtools.cli.main` in this process:
 `decompose structure` or `decompose linear`, then the matching `verify`
 when the decomposition succeeds.  The script prints the op count, the mix
 of the decompose commands' exit codes, and one SHA-256 over every op's
-decompose stdout and its decompose and verify exit codes.  Compare runs
-made under the same PYTHONHASHSEED, so that the order in which sets
-iterate cannot differ between them.  The benchmark's inputs and workload
-are read, never changed; only the standard library is used.
+decompose stdout and its decompose and verify exit codes.  The digest
+does not depend on PYTHONHASHSEED: seeds 0, 1, 7 and a random one give
+the same, and CI requires it under seeds 0 and 1.  The benchmark's
+inputs and workload are read, never changed; only the standard library
+is used.
 """
 
 import hashlib

@@ -52,7 +52,7 @@ from .jsonio import (
     structure_to_json,
     torso_to_json,
 )
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _check_known
 from .pathdecomp import (
     FailureWitness,
     SizeLimitError,
@@ -151,9 +151,7 @@ def _parse_W(spec: str, G: Multigraph) -> frozenset:
     if spec == "all":
         return G.vertices
     W = frozenset(x for x in spec.split(",") if x)
-    unknown = W - G.vertices
-    if unknown:
-        raise ValueError(f"unknown vertices in --W: {sorted(unknown)}")
+    _check_known(W, G.vertices, "unknown vertices in --W")
     return W
 
 

@@ -13,7 +13,7 @@ import dataclasses
 from typing import FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from .flow import FlowNetwork
-from .multigraph import Multigraph
+from .multigraph import Multigraph, _check_known
 
 
 @dataclasses.dataclass(frozen=True)
@@ -29,9 +29,7 @@ def _check_terminals(vertices: FrozenSet[str], S, T) -> Tuple[FrozenSet[str], Fr
         raise ValueError("source and sink sets must be non-empty")
     if S & T:
         raise ValueError(f"source and sink sets overlap: {sorted(S & T)}")
-    unknown = (S | T) - vertices
-    if unknown:
-        raise ValueError(f"unknown terminal vertices: {sorted(unknown)}")
+    _check_known(S | T, vertices, "unknown terminal vertices")
     return S, T
 
 
@@ -73,9 +71,7 @@ def is_k_edge_connected_set(
     """True if every pair of W has min cut >= k, else the CutWitness of the
     first violating pair in sorted order."""
     W = frozenset(W)
-    unknown = W - G.vertices
-    if unknown:
-        raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
+    _check_known(W, G.vertices, "unknown vertices in W")
     if len(W) <= 1:
         return True
     net = FlowNetwork(G)

@@ -4,9 +4,11 @@ Nodes are the integers 0..n-1.  Every arc i is stored with a residual
 companion at i ^ 1, and the flow on the companion is always the negation
 of the flow on i.  An undirected edge is one arc whose companion has the
 same capacity, so the pair carries flow in at most one direction and a
-flow can never use an edge both ways.  Augmentation is BFS shortest-path
-with arcs visited in insertion order, which makes all results
-deterministic when callers add arcs in sorted edge-id order.
+flow can never use an edge both ways.  One method lays out every network,
+built from a graph or by a split: pair j is arcs 2j and 2j + 1, and each
+node lists its arcs in pair order.  Augmentation is BFS shortest-path
+with arcs visited in that order, which makes all results deterministic
+when the pairs come in sorted edge-id order.
 
 A network is built once per graph and serves a batch of flows.  Each
 `max_flow` starts from the zero flow, runs between two disjoint node
@@ -39,31 +41,34 @@ class FlowNetwork:
     """The network of a multigraph G.  Node i is `names[i]`, the i-th
     vertex of G in sorted order, and `index` maps each vertex to its node.
     Each non-loop edge is one undirected unit arc pair, pairs in the
-    order of `edge_ids`, G's non-loop edge ids sorted, so every node lists
-    its arcs in that order too.  A caller may set an arc's capacity to 0.
+    order of `edge_ids`, G's non-loop edge ids sorted (`_lay_out`).  A
+    caller may set an arc's capacity to 0.
 
-    A network made by `split` lists its arcs in the order it met them,
+    A network made by `split` lays out its pairs in the order it met them,
     and keeps no edge ids: flow values and residual sides do not depend
     on the order, and `path_edges` reads only a network built from G.
     """
 
     def __init__(self, G: Multigraph):
-        names = sorted(G.vertices)
-        index = {v: i for i, v in enumerate(names)}
+        edges = G.edges
+        self.edge_ids = ids = sorted(e for e, (a, b) in edges.items() if a != b)
+        self._lay_out(sorted(G.vertices), map(edges.__getitem__, ids), [1] * (2 * len(ids)))
+
+    def _lay_out(self, names: List[str], ends: Iterable[Tuple[str, str]], cap: List[int]) -> None:
+        """Lay the network out on the nodes `names`: the j-th pair (a, b) of
+        `ends` becomes arc 2j from a to b, with capacity cap[2j], and its
+        companion 2j + 1, with capacity cap[2j + 1], and every node lists
+        its arcs in pair order."""
+        index = dict(zip(names, range(len(names))))
         adj: List[List[int]] = [[] for _ in names]
         head: List[int] = []
-        edges = G.edges
-        ids = sorted(e for e, (a, b) in edges.items() if a != b)
-        for i, e in enumerate(ids):
-            a, b = edges[e]  # the pair's first arc runs a -> b
+        for a, b in ends:
             a, b = index[a], index[b]
+            adj[a].append(len(head))
+            adj[b].append(len(head) + 1)
             head += (b, a)
-            adj[a].append(2 * i)
-            adj[b].append(2 * i + 1)
         self.names, self.index = names, index
-        self.adj, self.head = adj, head
-        self.cap: List[int] = [1] * len(head)
-        self.edge_ids = ids
+        self.adj, self.head, self.cap = adj, head, cap
         self.dead_arcs = 0
 
     def nodes(self, vertices: Iterable[str]) -> List[int]:
@@ -145,50 +150,35 @@ class FlowNetwork:
         The work is the size of `side` and of its arcs, whatever the size
         of the network; a later flow here still pays for the dead nodes
         and arcs, so a caller copies the network once most of it is dead.
-        The fresh network keeps no edge ids, so `path_edges` cannot read
-        it; paths are read from a network built from G.
         """
-        adj, head, cap = self.adj, self.head, self.cap
-        names = [self.names[u] for u in side]
-        local = dict(zip(side, range(len(names))))
-        sub_adj: List[List[int]] = [[] for _ in names]
-        sub_head: List[int] = []
-        sub_cap: List[int] = []
+        adj, head, cap, names = self.adj, self.head, self.cap, self.names
+        inside = set(side)
+        ends: List[Tuple[str, str]] = []  # the moved pairs, then the cut's
+        caps: List[int] = []
         cut: List[int] = []  # the arcs leaving side
-        for u, a in local.items():
+        for u in side:
             for i in adj[u]:
-                b = local.get(head[i])
-                if b is None:
+                if head[i] not in inside:
                     cut.append(i)
                 elif not i & 1:  # each pair once, from its first arc
-                    sub_adj[a].append(len(sub_head))
-                    sub_adj[b].append(len(sub_head) + 1)
-                    sub_head += (b, a)
-                    sub_cap += (cap[i], cap[i ^ 1])
-        self.dead_arcs += len(sub_head)
+                    ends.append((names[u], names[head[i]]))
+                    caps += (cap[i], cap[i ^ 1])
+        self.dead_arcs += len(caps)
+        moved = [names[u] for u in side]
         rest = None
         if cut:
             assert glue is not None and rest_glue is not None, "a cut needs glue nodes"
-            g = len(names)
-            names.append(glue)
-            sub_adj.append([])
+            moved.append(glue)
             for i in cut:
-                a = local[head[i ^ 1]]
-                sub_adj[a].append(len(sub_head))
-                sub_adj[g].append(len(sub_head) + 1)
-                sub_head += (g, a)
-                sub_cap += (cap[i], cap[i ^ 1])
+                ends.append((names[head[i ^ 1]], glue))
+                caps += (cap[i], cap[i ^ 1])
             rest = len(adj)
             adj.append(cut)  # each cut arc now leaves the new node ...
             for i in cut:
                 head[i ^ 1] = rest  # ... and its companion enters it
-            self.names.append(rest_glue)
+            names.append(rest_glue)
             self.index[rest_glue] = rest
-        net = FlowNetwork.__new__(FlowNetwork)
-        net.names, net.index = names, dict(zip(names, range(len(names))))
-        net.adj, net.head, net.cap = sub_adj, sub_head, sub_cap
-        net.dead_arcs = 0
-        return net, rest
+        return _SplitNetwork(moved, ends, caps), rest
 
     # -- flow decomposition -------------------------------------------
 
@@ -233,3 +223,10 @@ class FlowNetwork:
         """The edge ids of G along an arc path."""
         ids = self.edge_ids
         return [ids[i >> 1] for i in arcs]
+
+
+class _SplitNetwork(FlowNetwork):
+    """A network that `split` lays out from a moved side."""
+
+    def __init__(self, names: List[str], ends: Iterable[Tuple[str, str]], cap: List[int]):
+        self._lay_out(names, ends, cap)

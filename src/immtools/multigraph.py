@@ -19,6 +19,14 @@ from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 
+def _check_known(X: FrozenSet[str], vertices: FrozenSet[str], what: str) -> None:
+    """Raise a ValueError that names, after `what`, the members of X outside
+    `vertices` in sorted order, if there are any."""
+    unknown = X - vertices
+    if unknown:
+        raise ValueError(f"{what}: {sorted(unknown)}")
+
+
 def _fresh_name(base: str, taken) -> str:
     name = base
     while name in taken:
@@ -181,9 +189,7 @@ class Multigraph:
     def boundary(self, X: Iterable[str]) -> FrozenSet[str]:
         """delta(X): non-loop edges with exactly one endpoint in X."""
         X = frozenset(X)
-        unknown = X - self.vertices
-        if unknown:
-            raise ValueError(f"boundary of unknown vertices: {sorted(unknown)}")
+        _check_known(X, self.vertices, "boundary of unknown vertices")
         return frozenset(
             e for e, (a, b) in self.edges.items() if (a in X) != (b in X)
         )
@@ -351,9 +357,7 @@ class Multigraph:
 
     def induced(self, X: Iterable[str]) -> "Multigraph":
         X = frozenset(X)
-        unknown = X - self.vertices
-        if unknown:
-            raise ValueError(f"induced on unknown vertices: {sorted(unknown)}")
+        _check_known(X, self.vertices, "induced on unknown vertices")
         return Multigraph(
             X, {e: ab for e, ab in self.edges.items() if ab[0] in X and ab[1] in X}
         )
@@ -378,9 +382,7 @@ def consolidate(G: Multigraph, X: Iterable[str], name: str | None = None) -> Mul
     X = frozenset(X)
     if not X:
         raise ValueError("cannot consolidate an empty vertex set")
-    unknown = X - G.vertices
-    if unknown:
-        raise ValueError(f"consolidate of unknown vertices: {sorted(unknown)}")
+    _check_known(X, G.vertices, "consolidate of unknown vertices")
     rest = G.vertices - X
     if name is None:
         name = "(" + "+".join(sorted(X)) + ")"

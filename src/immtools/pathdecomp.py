@@ -20,7 +20,7 @@ from typing import (
 
 from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
-from .multigraph import Multigraph, bit_positions
+from .multigraph import Multigraph, _check_known, bit_positions
 from .simplegraph import (
     MaskGraph, SimpleGraph, StarMinorModel, _components, _is_path_union, _join,
 )
@@ -226,14 +226,14 @@ def _auxiliary(
     if a flow ran (else None).
 
     A path from x to y in G - (W - {x, y}) is an x-y edge or has its
-    interior in one component of G - W.  So a pair joined by m edges is
-    an edge with no flow, a pair joined by fewer that shares no component
-    is not an edge, and only the remaining pairs run a flow, all on one
-    network, each stopped at m.
+    interior in one component of G - W, and each component that both x
+    and y attach to holds such a path.  So a pair whose parallel edges and
+    shared components number m or more is an edge with no flow, any other
+    pair that shares no component is not an edge, and only the remaining
+    pairs run a flow, all on one network, each stopped at m.  At m = 1 no
+    flow runs.
     """
-    unknown = W - G.vertices
-    if unknown:
-        raise ValueError(f"unknown vertices in W: {sorted(unknown)}")
+    _check_known(W, G.vertices, "unknown vertices in W")
     if m < 1:
         raise ValueError("m must be at least 1")
     verts = sorted(W)
@@ -262,24 +262,23 @@ def _auxiliary(
             touches.append((i, b))
         else:
             mult[i, j] += 1
-    nbr = [0] * len(verts)
-    for (i, j), count in mult.items():
-        if count >= m:
-            _join(nbr, i, j)
     attached: Dict[str, set] = {}  # component root -> indices of its neighbours in W
     for i, v in touches:
         attached.setdefault(root(v), set()).add(i)
-    candidates = {
-        pair
-        for ends in attached.values()
-        for pair in itertools.combinations(sorted(ends), 2)
-        if mult[pair] < m
-    }
+    shared = Counter(  # (i, j), i < j -> components of G - W both attach to
+        pair for ends in attached.values() for pair in itertools.combinations(sorted(ends), 2)
+    )
+    paths = mult + shared  # edge-disjoint paths known without a flow
+    nbr = [0] * len(verts)
+    for (i, j), count in paths.items():
+        if count >= m:
+            _join(nbr, i, j)
+    candidates = sorted(pair for pair in shared if paths[pair] < m)
     net = None
     if candidates:
         net = FlowNetwork(G)
         nodes = [net.index[v] for v in verts]
-        for i, j in sorted(candidates):
+        for i, j in candidates:
             closed = nodes[:i] + nodes[i + 1:j] + nodes[j + 1:]
             if net.max_flow([nodes[i]], [nodes[j]], closed, limit=m) >= m:
                 _join(nbr, i, j)

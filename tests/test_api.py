@@ -6,7 +6,8 @@ or is listed in `NO_SRC_CALLER` with the reason it stays public, and
 each one listed there still has no such caller.  A call from its own
 definition, from `__init__.py`, or from another exported function that
 itself has no caller does not count, so a public function reached only
-from a test-only one is reported too.  Every name a module other than
+from a test-only one is reported too, and neither does a local variable
+that shares the function's name.  Every name a module other than
 `__init__.py` imports is read somewhere in that module.
 """
 
@@ -31,6 +32,8 @@ NO_SRC_CALLER = {
     "min_linearizing_set": "definition the decomposer's linearizing search is tested against",
     "compute_separator": "definition the decomposer's separators are tested against",
     "boundedness": "definition the decomposer's sweep is tested against",
+    "width": "definition the decomposer's sweep is tested against",
+    "xi_cut": "definition the decomposer's sweep and separators are tested against",
     "consolidate": "definition the split loop's contraction is tested against",
     # waiting for ROADMAP items 1 and 6
     "star_minor_to_immersion": "awaits the dichotomy's immersion side (item 6)",
@@ -50,13 +53,19 @@ def _modules():
 
 def _callers():
     """name -> the top-level definitions (None for module level code) of
-    src/immtools, `__init__.py` aside, that read that name."""
+    src/immtools, `__init__.py` aside, that read that name.  A name that a
+    definition binds itself, by assignment or as an argument, is its own
+    variable, so reading it is not a read of the module's name."""
     readers = {}
     for _, tree in _modules():
         for top in tree.body:
             owner = getattr(top, "name", None)
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
+            nodes = list(ast.walk(top))
+            own = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
+                n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
+            }
+            for node in nodes:
+                if isinstance(node, ast.Name) and node.id not in own:
                     readers.setdefault(node.id, set()).add(owner)
                 elif isinstance(node, ast.Attribute):
                     readers.setdefault(node.attr, set()).add(owner)

@@ -7,14 +7,17 @@ import pytest
 
 from immtools import (
     Multigraph,
+    build_auxiliary_graph,
     consolidate,
     find_immersion,
     gen_complete,
     gen_random_multigraph,
+    is_k_edge_connected_set,
     max_flow_min_cut,
 )
 from enumerate_graphs import multigraph_classes
 from helpers import mg, random_multigraph
+from immtools.cli import _parse_W
 from immtools.iso import _refined
 from immtools.multigraph import twin_classes
 from oracle_lift_closure import lift, split_off_vertex
@@ -227,6 +230,26 @@ def test_index_queries_reject_unknown_vertices():
     for query in (G.degree, G.incident, G.neighbors):
         with pytest.raises(ValueError):
             query("z")
+
+
+def test_every_vertex_set_check_names_all_its_unknown_vertices():
+    # the seven entry points that take a vertex set share one check: each
+    # names every vertex the graph lacks, sorted, after its own prefix
+    G = mg("ab", {"e": "ab"})
+    checks = [
+        ("unknown vertices in --W", lambda X: _parse_W(",".join(sorted(X)), G)),
+        ("unknown terminal vertices", lambda X: max_flow_min_cut(G, X, {"b"})),
+        ("unknown vertices in W", lambda X: is_k_edge_connected_set(G, X, 1)),
+        ("unknown vertices in W", lambda X: build_auxiliary_graph(G, X, 1)),
+        ("boundary of unknown vertices", G.boundary),
+        ("induced on unknown vertices", G.induced),
+        ("consolidate of unknown vertices", lambda X: consolidate(G, X)),
+    ]
+    for what, check in checks:
+        for unknown in (["x"], ["x", "y"]):
+            with pytest.raises(ValueError) as raised:
+                check({"a", *unknown})
+            assert str(raised.value) == f"{what}: {unknown}"
 
 
 def test_querying_leaves_equality_and_repr_unchanged():

@@ -227,6 +227,22 @@ def test_auxiliary_graph_agrees_with_the_all_pairs_oracle():
     assert by_flow > 1000
 
 
+def test_at_m_1_the_auxiliary_graph_builds_no_network():
+    # a component of G - W that x and y both attach to holds an x-y path
+    # that avoids W - {x, y}, so at m = 1 a shared component alone makes
+    # a pair an edge, and no pair is left for a flow
+    cases = through_components = 0
+    for G, W in _aux_corpus():
+        aux, net = pathdecomp._auxiliary(G, W, 1)
+        assert net is None, (sorted(G.edges.items()), sorted(W))
+        assert aux == oracle_pathdecomp.build_auxiliary_graph(G, W, 1).masks
+        cases += 1
+        adjacent = {frozenset(e) for e in G.edges.values()}
+        through_components += sum(e not in adjacent for e in aux.graph().edges)
+    assert cases == 400 + 996 + 900
+    assert through_components > 1000
+
+
 def test_sweep_width_and_boundedness_match_the_definitions():
     # random decompositions of G - A for random A: the sweep's width is
     # the widest x_i-cut, and its count for each vertex of A is the
