@@ -63,6 +63,7 @@ _CACHED_FACTS = "tests/test_multigraph.py::test_cached_search_facts_match_a_fres
 _COUNTING_FACTS = "tests/test_multigraph.py::test_counting_facts_match_a_brute_force_count"
 _TWIN_CLASSES = "tests/test_multigraph.py::test_twin_classes_match_the_definition"
 _VERTEX_SETS = "tests/test_multigraph.py::test_every_vertex_set_check_names_all_its_unknown_vertices"
+_STAR_AGREEMENT = "tests/test_pathdecomp.py::test_subset_searches_agree_with_the_oracle_on_small_graphs"
 _AUX_NO_FLOW = "tests/test_pathdecomp.py::test_at_m_1_the_auxiliary_graph_builds_no_network"
 
 # The named tests are deterministic: one that draws fresh examples on each
@@ -319,11 +320,11 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "incident-edge-off-by-one",
         "src/immtools/multigraph.py",
-        "return [index.edges[k] for k in",
-        "return [index.edges[k - 1] for k in",
+        "return sorted(e for e, ends in self.edges.items() if v in ends)",
+        "return sorted(e for e, ends in self.edges.items() if v in ends)[1:]",
         ("tests/test_multigraph.py::test_incidence_index_matches_an_edge_scan",),
-        "incident(v) names the edge after each incident one (first made for"
-        " the string queries read from the index)",
+        "incident(v) leaves out the first of its edges (first made for the"
+        " string queries read from the index, re-expressed on the edge scan)",
     ),
     Mutant(
         "index-counts-a-loop-once",
@@ -405,6 +406,36 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "a pair with exactly m known paths is neither joined nor given a"
         " flow, so the auxiliary graph loses edges (first made for the"
         " shared-component rule)",
+    ),
+    # -- the star model
+    Mutant(
+        "star-centre-at-the-highest-vertex",
+        "src/immtools/pathdecomp.py",
+        "root = (C & -C).bit_length() - 1",
+        "root = C.bit_length() - 1",
+        (_STAR_AGREEMENT,),
+        "the star model's tree grows from, and is centred at, the highest"
+        " vertex of the center set (first made for the one-walk star model)",
+    ),
+    Mutant(
+        "star-leaf-at-its-highest-anchor",
+        "src/immtools/pathdecomp.py",
+        "verts[(anchors & -anchors).bit_length() - 1]",
+        "verts[anchors.bit_length() - 1]",
+        (_STAR_AGREEMENT,),
+        "each leaf of a star model hangs from its highest neighbour in the"
+        " center set (first made for the one-walk star model)",
+    ),
+    Mutant(
+        "star-tree-breadth-first",
+        "src/immtools/pathdecomp.py",
+        "        v = stack.pop()\n        new = nbr[v] & C & ~seen\n",
+        "        v = stack.pop(0)\n        new = nbr[v] & C & ~seen\n",
+        (_STAR_AGREEMENT,),
+        "the star model spans its center set by a breadth-first tree; the"
+        " two trees differ only on a center set with a cycle of length >= 4,"
+        " which needs a 12-vertex graph (first made for the one-walk star"
+        " model)",
     ),
     # -- the linearizing-set search
     Mutant(

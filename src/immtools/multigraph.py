@@ -4,10 +4,10 @@ Vertices and edge identifiers are opaque strings.  Parallel edges are
 distinct entries with equal endpoint pairs; a loop stores the same vertex
 twice.  All operations are pure and return new graphs.
 
-Each graph works out its incidence once, on the first query that needs
-it, and keeps it: the degree map, the integer index and the facts the
-immersion search reads (see `Multigraph`) are shared by every later query
-and caller, and must not be modified.
+The general queries scan the edge list.  Each graph works out its degree
+map, and the integer index and the facts that the immersion search reads
+(see `Multigraph`), once, on the first read, and keeps them: they are
+shared by every later query and caller, and must not be modified.
 """
 
 from __future__ import annotations
@@ -74,11 +74,13 @@ def twin_classes(group: Sequence[int], nbrs: Sequence[List[int]]) -> List[List[i
 
 
 class GraphIndex(NamedTuple):
-    """A multigraph on integers.  Vertex i is the i-th smallest vertex name
-    and the edge with the k-th smallest id is the bit 1 << k, so comparing
-    ids or bits compares names.  Incidence is kept as edge masks: the
-    edges at v are links[v] | loops[v], and the non-loop edge k leads from
-    v to other[k] ^ v."""
+    """A multigraph on integers, for the immersion search, its verifier and
+    the facts they compare.  Vertex i is the i-th smallest vertex name and
+    the edge with the k-th smallest id is the bit 1 << k, so comparing ids
+    or bits compares names.  Incidence is kept as edge masks: the edges at
+    v are links[v] | loops[v], and the non-loop edge k leads from v to
+    other[k] ^ v.  The masks of a graph take space quadratic in its size,
+    so the general queries do not read them."""
 
     vertices: Tuple[str, ...]  # vertex id -> name
     ids: Dict[str, int]  # name -> vertex id
@@ -122,10 +124,11 @@ class Multigraph:
     more; equality still compares only the vertices and edges):
 
     - `degrees`, the map behind `degree()`;
-    - `index`: the `GraphIndex` that `incident`, `neighbors` and
-      `adjacency()` read, and the immersion search and its verifier run
-      on.  It counts the degrees in its own edge loop, so building it
-      does not build `degrees`;
+    - `index`: the `GraphIndex` that the immersion search and its
+      verifier run on, and the facts below are read from.  It counts the
+      degrees in its own edge loop, so building it does not build
+      `degrees`.  `incident`, `neighbors` and `adjacency()` scan the edge
+      list instead, so a graph that is not searched never builds it;
     - `counts`: one `GraphCounts` record of the vertex and edge counts,
       the pairs in one component and in one component once the bridges
       are removed, the cycle rank, the sorted degrees, pair
@@ -168,9 +171,7 @@ class Multigraph:
         """Edge ids touching v (loops listed once), sorted."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        index = self.index
-        i = index.ids[v]
-        return [index.edges[k] for k in bit_positions(index.links[i] | index.loops[i])]
+        return sorted(e for e, ends in self.edges.items() if v in ends)
 
     def degree(self, v: str) -> int:
         if v not in self.vertices:
@@ -181,10 +182,9 @@ class Multigraph:
         """Vertices joined to v by a non-loop edge."""
         if v not in self.vertices:
             raise ValueError(f"unknown vertex {v!r}")
-        index = self.index
-        i = index.ids[v]
-        names, other = index.vertices, index.other
-        return frozenset(names[other[k] ^ i] for k in bit_positions(index.links[i]))
+        return frozenset(
+            b if a == v else a for a, b in self.edges.values() if (a == v) != (b == v)
+        )
 
     def boundary(self, X: Iterable[str]) -> FrozenSet[str]:
         """delta(X): non-loop edges with exactly one endpoint in X."""
@@ -197,15 +197,13 @@ class Multigraph:
     def adjacency(self) -> Dict[str, Tuple[Tuple[str, str], ...]]:
         """vertex -> (edge id, other endpoint) pairs sorted by edge id;
         loops appear once.  A fresh mapping on each call."""
-        index = self.index
-        names, edges, other = index.vertices, index.edges, index.other
-        return {
-            v: tuple(
-                (edges[k], names[other[k] ^ i])
-                for k in bit_positions(index.links[i] | index.loops[i])
-            )
-            for i, v in enumerate(names)
-        }
+        adj: Dict[str, List[Tuple[str, str]]] = {v: [] for v in sorted(self.vertices)}
+        for e in sorted(self.edges):
+            a, b = self.edges[e]
+            adj[a].append((e, b))
+            if a != b:
+                adj[b].append((e, a))
+        return {v: tuple(pairs) for v, pairs in adj.items()}
 
     @functools.cached_property
     def degrees(self) -> Dict[str, int]:

@@ -313,8 +313,7 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
                 outside |= nbr[i]
             outside &= ~C
             if outside.bit_count() >= k and len(_components(nbr, C)) == 1:
-                leaves = aux.names(outside)[:k]
-                return _star_model(H, frozenset(aux.names(C)), leaves)
+                return _star_model(aux, C, itertools.islice(bit_positions(outside), k))
     return False
 
 
@@ -344,39 +343,35 @@ def _path_ordering(nbr: List[int], keep: int) -> List[int]:
     return order
 
 
-def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
-    # spanning tree of H[C] plus one pendant edge per designated leaf,
-    # pruned so the designated leaves are exactly the tree's leaves
-    tree_edges = set()
-    seen = {min(C)}
-    frontier = [min(C)]
-    adj = H.adjacency()
-    while frontier:
-        v = frontier.pop()
-        for u in adj[v]:
-            if u in C and u not in seen:
-                seen.add(u)
-                tree_edges.add(frozenset((v, u)))
-                frontier.append(u)
-    nodes = set(C)
-    for leaf in leaf_list:
-        anchor = min(u for u in adj[leaf] if u in C)
-        tree_edges.add(frozenset((leaf, anchor)))
-        nodes.add(leaf)
-    designated = set(leaf_list)
-    while True:
-        tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
-        prune = sorted(
-            v for v in nodes if tree.degree(v) <= 1 and v not in designated
-        )
-        if not prune:
-            break
-        v = prune[0]
-        nodes.discard(v)
-        tree_edges = {e for e in tree_edges if v not in e}
-    tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
-    center = min(v for v in nodes if v not in tree.leaves())
-    return StarMinorModel(center=center, leaves=frozenset(designated), tree=tree)
+def _star_model(aux: MaskGraph, C: int, leaves: Iterable[int]) -> StarMinorModel:
+    """The star model of the connected center set C, the first one by size
+    with at least k outside neighbours, and k of them as its leaves: a
+    depth-first spanning tree of C from its lowest vertex, and each leaf
+    joined to its lowest neighbour in C.
+
+    No vertex of C ends as a leaf of the tree: a leaf c of the spanning
+    tree with no leaf joined to it would leave C - c a smaller connected
+    center set, with c and the k leaves outside it.  So the tree's leaves
+    are the k leaves, and the center is C's lowest vertex."""
+    verts, nbr = aux
+    root = (C & -C).bit_length() - 1
+    edges = []
+    seen = 1 << root
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        new = nbr[v] & C & ~seen
+        seen |= new
+        for u in bit_positions(new):
+            edges.append(frozenset((verts[v], verts[u])))
+            stack.append(u)
+    leaf_names = []
+    for leaf in leaves:
+        anchors = nbr[leaf] & C
+        leaf_names.append(verts[leaf])
+        edges.append(frozenset((verts[leaf], verts[(anchors & -anchors).bit_length() - 1])))
+    tree = SimpleGraph(frozenset(aux.names(C)).union(leaf_names), frozenset(edges))
+    return StarMinorModel(center=verts[root], leaves=frozenset(leaf_names), tree=tree)
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:

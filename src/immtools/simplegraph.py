@@ -3,9 +3,11 @@ decomposition trees) and star-minor models over them.
 
 Queries read a string adjacency, linear in the graph's size.  The
 linearizing-set and star-minor searches read `SimpleGraph.masks`, one
-neighbour bitmask per vertex (`MaskGraph`), which on a large sparse graph
-such as a decomposition tree would take space quadratic in the vertex
-count."""
+neighbour bitmask per vertex (`MaskGraph`), built on the first read from
+the edge set, which on a large sparse graph such as a decomposition tree
+would take space quadratic in the vertex count.  A graph built from masks
+(`MaskGraph.graph`) does not keep them: the masks stay with the search
+that made them."""
 
 from __future__ import annotations
 
@@ -32,13 +34,12 @@ class MaskGraph(NamedTuple):
         return _components(self.nbr, (1 << len(self.verts)) - 1)
 
     def graph(self) -> "SimpleGraph":
-        """The same graph on names, keeping these masks as its `masks`."""
+        """The same graph on names."""
         verts = self.verts
-        H = SimpleGraph.build(verts, (
-            (u, v) for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
+        return SimpleGraph(frozenset(verts), frozenset(
+            frozenset((u, v))
+            for i, u in enumerate(verts) for v in self.names(self.nbr[i]) if u < v
         ))
-        object.__setattr__(H, "masks", self)
-        return H
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,10 +53,6 @@ class SimpleGraph:
                 raise ValueError(f"not a simple edge: {sorted(e)}")
             if not e <= self.vertices:
                 raise ValueError(f"edge endpoint outside vertex set: {sorted(e)}")
-
-    @classmethod
-    def build(cls, vertices: Iterable[str], edges: Iterable[Tuple[str, str]]) -> "SimpleGraph":
-        return cls(frozenset(vertices), frozenset(frozenset(e) for e in edges))
 
     @functools.cached_property
     def masks(self) -> MaskGraph:

@@ -8,7 +8,7 @@ import bisect
 import dataclasses
 import functools
 from typing import (
-    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Set,
+    AbstractSet, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Set,
     Tuple, Union,
 )
 
@@ -250,15 +250,10 @@ def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
         if G.degree(v) < 1:
             raise ValueError(f"{v!r} has degree 0")
         net = FlowNetwork(G)
-        if not _grounded(net, net.index[v], G.degree(v), net.nodes(G.vertices - {v})):
+        i, k = net.index[v], G.degree(v)
+        if not any(net.max_flow([i], [u], limit=k) >= k for u in net.nodes(G.vertices - {v})):
             return False
     return True
-
-
-def _grounded(net: FlowNetwork, v: int, k: int, others: Iterable[int]) -> bool:
-    """Whether some node of `others`, tried in order, is joined to the
-    node v of net by k edge-disjoint paths."""
-    return any(net.max_flow([v], [u], limit=k) >= k for u in others)
 
 
 def compose_decompositions(

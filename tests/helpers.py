@@ -30,7 +30,7 @@ def sg(vertices: Iterable[str], edges: Iterable[str | Tuple[str, str]]) -> Simpl
             pairs.append((e[0], e[1]))
         else:
             pairs.append(tuple(e))
-    return SimpleGraph.build(vertices, pairs)
+    return SimpleGraph(frozenset(vertices), frozenset(frozenset(p) for p in pairs))
 
 
 def random_multigraph(

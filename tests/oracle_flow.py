@@ -15,6 +15,7 @@ import itertools
 from collections import deque
 from typing import Dict, Hashable, List, Optional, Union
 
+from helpers import sg
 from immtools import CutWitness, Multigraph, SimpleGraph
 
 INF = 10**9
@@ -191,4 +192,4 @@ def build_auxiliary_graph(G: Multigraph, W, m: int) -> SimpleGraph:
         reduced = G.without_vertices(W - {x, y})
         if max_flow_min_cut(reduced, {x}, {y}).value >= m:
             edges.append((x, y))
-    return SimpleGraph.build(W, edges)
+    return sg(W, edges)

@@ -4,6 +4,12 @@
   every subset they try.  `immtools.pathdecomp` tests the same star-minor
   center sets, in the same order, on vertex bitmasks, so both return the
   same first hit.
+- `_star_model` builds a star model on names: a depth-first spanning tree
+  of the center set from its smallest vertex, one pendant edge per leaf to
+  its smallest neighbour in the set, then a prune of every other tree
+  leaf, the centre the smallest vertex left that is not a leaf.
+  `immtools.pathdecomp` builds the same model in one walk over the
+  search's bitmasks, without a prune.
 - `min_linearizing_mask` tests every subset of each size, in lexicographic
   order, on vertex bitmasks.  Like the string versions above, it stops
   above `ENUMERATION_LIMIT` vertices, since it tries up to 2^n subsets.
@@ -28,6 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterable, List, Optional, Union
 
+from helpers import sg
 from immtools import (
     LinearityCertificate,
     Multigraph,
@@ -37,7 +44,6 @@ from immtools import (
     width,
 )
 from immtools.flow import FlowNetwork
-from immtools.pathdecomp import _star_model
 from immtools.simplegraph import _is_path_union
 
 ENUMERATION_LIMIT = 16  # the subset enumerators stop above this many vertices
@@ -59,6 +65,41 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
             if len(outside) >= k:
                 return _star_model(H, C, sorted(outside)[:k])
     return False
+
+
+def _star_model(H: SimpleGraph, C: FrozenSet[str], leaf_list: List[str]) -> StarMinorModel:
+    # spanning tree of H[C] plus one pendant edge per designated leaf,
+    # pruned so the designated leaves are exactly the tree's leaves
+    tree_edges = set()
+    seen = {min(C)}
+    frontier = [min(C)]
+    adj = H.adjacency()
+    while frontier:
+        v = frontier.pop()
+        for u in adj[v]:
+            if u in C and u not in seen:
+                seen.add(u)
+                tree_edges.add(frozenset((v, u)))
+                frontier.append(u)
+    nodes = set(C)
+    for leaf in leaf_list:
+        anchor = min(u for u in adj[leaf] if u in C)
+        tree_edges.add(frozenset((leaf, anchor)))
+        nodes.add(leaf)
+    designated = set(leaf_list)
+    while True:
+        tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
+        prune = sorted(
+            v for v in nodes if tree.degree(v) <= 1 and v not in designated
+        )
+        if not prune:
+            break
+        v = prune[0]
+        nodes.discard(v)
+        tree_edges = {e for e in tree_edges if v not in e}
+    tree = SimpleGraph(frozenset(nodes), frozenset(tree_edges))
+    center = min(v for v in nodes if v not in tree.leaves())
+    return StarMinorModel(center=center, leaves=frozenset(designated), tree=tree)
 
 
 def min_linearizing_set(H: SimpleGraph) -> FrozenSet[str]:
@@ -136,7 +177,7 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
             closed = [index[w] for w in W - {x, y}]
             if net.max_flow([index[x]], [index[y]], closed, limit=m) >= m:
                 edges.append((x, y))
-    return SimpleGraph.build(W, edges)
+    return sg(W, edges)
 
 
 def verify_linear_certificate(

@@ -140,15 +140,15 @@ def test_the_split_loop_builds_one_network_from_g(monkeypatch):
     # grounded by construction), and no graph is built at all
     built = _count_networks(monkeypatch)
     copied, grounded, graphs = [], [], []
-    split, check, init = FlowNetwork.split, treecut._grounded, Multigraph.__init__
+    split, check, init = FlowNetwork.split, treecut.is_grounded, Multigraph.__init__
 
     def counted_split(self, side, glue=None, rest_glue=None):
         copied.append(len(side) + (glue is not None))
         return split(self, side, glue, rest_glue)
 
-    def counted_check(net, v, k, others):
-        grounded.append(net.names[v])
-        return check(net, v, k, others)
+    def counted_check(G1, v1, G2, v2):
+        grounded.append((v1, v2))
+        return check(G1, v1, G2, v2)
 
     def counted_init(self, *args, **kwargs):
         graphs.append(1)
@@ -158,7 +158,7 @@ def test_the_split_loop_builds_one_network_from_g(monkeypatch):
         f"e{i}c{c}": (f"v{i}", f"v{i + 1}") for i in range(39) for c in range(2)
     })
     monkeypatch.setattr(FlowNetwork, "split", counted_split)
-    monkeypatch.setattr(treecut, "_grounded", counted_check)
+    monkeypatch.setattr(treecut, "is_grounded", counted_check)
     monkeypatch.setattr(Multigraph, "__init__", counted_init)
     D = treecut._structure_tree(G, 3)
     assert len(D.tree_nodes) == 38

@@ -9,6 +9,7 @@ from immtools import (
     Multigraph,
     build_auxiliary_graph,
     consolidate,
+    edge_sum,
     find_immersion,
     gen_complete,
     gen_random_multigraph,
@@ -223,6 +224,34 @@ def test_incidence_index_matches_an_edge_scan():
                 (e, b if a == v else a) for e in incident for a, b in [G.edges[e]]
             )
     assert min(shapes.values()) >= 40, shapes
+
+
+def test_general_queries_scan_the_edges_and_build_no_index():
+    # incident, neighbors, adjacency() and edge_sum answer from the edge
+    # list: none of them builds the immersion search's index, whose masks
+    # take space quadratic in the graph's size
+    G = mg("abcd", {"l": "aa", "e1": "ab", "e2": "ab", "e3": "bc", "e4": "ca", "e5": "dd"})
+    adj = G.adjacency()
+    assert list(adj) == sorted(G.vertices)
+    for v in sorted(G.vertices):
+        incident, _, nbrs = _scan(G, v)
+        assert G.incident(v) == incident
+        assert G.neighbors(v) == nbrs
+        assert adj[v] == tuple(
+            (e, b if a == v else a) for e in incident for a, b in [G.edges[e]]
+        )
+    G1 = mg("xabc", {"f1": "xa", "f2": "xb", "f3": "xb", "g1": "ab", "g2": "cc"})
+    G2 = mg("ypq", {"h1": "yp", "h2": "yq", "h3": "yq", "h4": "pq"})
+    pi = {"f1": "h2", "f2": "h1", "f3": "h3"}
+    glued = {e: ab for H, v in ((G1, "x"), (G2, "y")) for e, ab in H.edges.items() if v not in ab}
+    for e1, e2 in pi.items():
+        (x,) = set(G1.edges[e1]) - {"x"}
+        (y,) = set(G2.edges[e2]) - {"y"}
+        glued[f"{e1}~{e2}"] = (x, y)
+    S = edge_sum(G1, "x", G2, "y", pi)
+    assert S == Multigraph(frozenset("abcpq"), glued)
+    for H in (G, G1, G2, S):
+        assert "index" not in vars(H)
 
 
 def test_index_queries_reject_unknown_vertices():

@@ -17,7 +17,6 @@ from immtools import (
     Multigraph,
     PathLikeDecomposition,
     SMALL_CUT,
-    SimpleGraph,
     SizeLimitError,
     boundedness,
     build_auxiliary_graph,
@@ -431,6 +430,15 @@ def test_subset_searches_agree_with_the_oracle_on_small_graphs():
         stars += sum(m is not False for m in models)
     assert graphs == 996  # every connected simple graph on 1..7 vertices
     assert stars > 500
+    # Each vertex that leaves a first center set connected has two
+    # neighbours of its own outside it, so a set with a cycle of length
+    # >= 4, where depth-first and breadth-first trees can differ, needs 12
+    # vertices: here the 4-cycle abcd, two pendants at each, and k = 8
+    H = sg("abcdpqrstuvw", [
+        "ab", "bc", "cd", "da", "ap", "aq", "br", "bs", "ct", "cu", "dv", "dw",
+    ])
+    (model,) = _agree_with_the_oracle(H, [8])
+    assert model.tree.vertices == H.vertices
 
 
 def test_subset_searches_agree_with_the_oracle_on_random_graphs():
@@ -440,9 +448,7 @@ def test_subset_searches_agree_with_the_oracle_on_random_graphs():
         n = rng.randint(6, 20)
         p = rng.choice((0.1, 0.18, 0.25))
         verts = [f"v{i}" for i in range(n)]  # v10 sorts before v2
-        H = SimpleGraph.build(
-            verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p]
-        )
+        H = sg(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
         # a large k without a star minor tries every subset: keep those small
         models = _agree_with_the_oracle(H, (2, 3, rng.randint(4, n) if n <= 12 else 4))
         largest = max(largest, n)
@@ -470,10 +476,10 @@ def test_linearizing_search_agrees_with_the_pruned_search_above_the_enumerators(
 
 def test_searches_have_no_vertex_ceiling():
     verts = [f"v{i}" for i in range(40)]
-    path = SimpleGraph.build(verts, zip(verts, verts[1:]))
+    path = sg(verts, zip(verts, verts[1:]))
     assert min_linearizing_set(path) == set()
     assert has_k1k_minor(path, 2).violations(path) == []
-    cycle = SimpleGraph.build(verts, zip(verts, verts[1:] + verts[:1]))
+    cycle = sg(verts, zip(verts, verts[1:] + verts[:1]))
     assert min_linearizing_set(cycle) == {"v0"}
 
 
@@ -501,16 +507,16 @@ def test_linearizing_search_answers_at_exactly_its_node_count(monkeypatch):
 def test_star_search_stops_at_the_work_limit(monkeypatch):
     # a path has no K_{1,3} minor, so the search tests every center set
     verts = [f"v{i}" for i in range(20)]
-    path = SimpleGraph.build(verts, zip(verts, verts[1:]))
+    path = sg(verts, zip(verts, verts[1:]))
     with pytest.raises(SizeLimitError, match=(
         f"^more than {pathdecomp._WORK_LIMIT} center sets, the work limit of the"
         " star-minor search$"
     )):
         has_k1k_minor(path, 3)
     monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 2 ** 12 - 1)  # the subsets of 12 vertices
-    assert has_k1k_minor(SimpleGraph.build(verts[:12], zip(verts, verts[1:12])), 3) is False
+    assert has_k1k_minor(sg(verts[:12], zip(verts, verts[1:12])), 3) is False
     with pytest.raises(SizeLimitError):
-        has_k1k_minor(SimpleGraph.build(verts[:13], zip(verts, verts[1:13])), 3)
+        has_k1k_minor(sg(verts[:13], zip(verts, verts[1:13])), 3)
 
 
 def test_linearizing_search_needs_no_call_stack_on_a_large_complete_graph():

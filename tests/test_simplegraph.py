@@ -13,7 +13,7 @@ import tracemalloc
 
 import oracle_flow
 from enumerate_graphs import connected_simple_graphs
-from helpers import random_multigraph
+from helpers import random_multigraph, sg
 from immtools import (
     Multigraph, SimpleGraph, TreeCutDecomposition, build_auxiliary_graph, has_k1k_minor,
     min_linearizing_set, torsos,
@@ -27,17 +27,15 @@ def _graphs():
     isolated vertices, and seeded random graphs, most of them
     disconnected, on up to 12 vertices (so that v10 sorts before v2)."""
     yield from connected_simple_graphs(6)
-    yield SimpleGraph.build([], [])
-    yield SimpleGraph.build(["a"], [])
-    yield SimpleGraph.build(["a", "b", "c"], [])
-    yield SimpleGraph.build(["a", "b", "c", "d"], [("b", "d")])
+    yield sg([], [])
+    yield sg(["a"], [])
+    yield sg(["a", "b", "c"], [])
+    yield sg(["a", "b", "c", "d"], [("b", "d")])
     rng = random.Random(29)
     for _ in range(200):
         verts = [f"v{i}" for i in range(rng.randint(2, 12))]
         p = rng.choice((0.1, 0.2, 0.35))
-        yield SimpleGraph.build(
-            verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p]
-        )
+        yield sg(verts, [e for e in itertools.combinations(verts, 2) if rng.random() < p])
 
 
 def test_the_index_matches_an_edge_scan():
@@ -69,8 +67,8 @@ def test_the_mask_readers_match_the_queries():
 
 
 def test_only_the_subset_searches_build_the_masks():
-    H = SimpleGraph.build("abcd", [("a", "b"), ("b", "c")])
-    assert H == SimpleGraph.build("dcba", [("c", "b"), ("b", "a")])
+    H = sg("abcd", [("a", "b"), ("b", "c")])
+    assert H == sg("dcba", [("c", "b"), ("b", "a")])
     assert frozenset(("a", "b")) in H.edges and {H: 1}[H] == 1
     assert H.without("a").vertices == frozenset("bcd")
     assert H.is_connected() is False and H.is_disjoint_union_of_paths()
@@ -107,7 +105,7 @@ def test_large_decomposition_trees_stay_linear():
     assert "masks" not in vars(T)
 
 
-def test_the_auxiliary_graph_keeps_its_masks():
+def test_the_auxiliary_graph_rebuilds_the_masks_it_came_from():
     rng = random.Random(7)
     edges = stars = 0
     for _ in range(150):
@@ -117,7 +115,6 @@ def test_the_auxiliary_graph_keeps_its_masks():
         aux = _auxiliary(G, W, m)[0]
         H = aux.graph()
         assert H == build_auxiliary_graph(G, W, m) == oracle_flow.build_auxiliary_graph(G, W, m)
-        assert vars(H)["masks"] is aux
         assert aux == SimpleGraph(H.vertices, H.edges).masks
         edges += len(H.edges)
         if len(H.vertices) >= 3:
