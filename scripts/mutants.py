@@ -57,6 +57,7 @@ _TREE_AGREEMENT = (
 _PAIR_COUNTS = "tests/test_multigraph.py::test_pair_counts_match_all_pairs_flows"
 _RULED_OUT = "tests/test_immersion.py::test_a_query_ruled_out_before_the_search_has_no_immersion"
 _DIRECT_EDGES = "tests/test_immersion.py::test_cycle_rank_and_direct_edges_answer_without_a_step"
+_VERIFIER_ORACLE = "tests/test_immersion.py::test_verifier_agrees_with_the_edge_scanning_oracle"
 _PLANTED = "tests/test_planted.py::test_no_planted_query_is_absent"
 _SWEEP_KEYS = "tests/test_iso.py::test_keys_match_the_oracle_on_the_sweep_graphs"
 _CACHED_FACTS = "tests/test_multigraph.py::test_cached_search_facts_match_a_fresh_computation"
@@ -567,6 +568,37 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "two joined twins are compared with each other still in their"
         " neighbour lists, so no joined twins are found and K_n's vertices"
         " are tried in every order (first made for the one twin relation)",
+    ),
+    # -- certificate verification
+    Mutant(
+        "loop-returns-by-the-edge-it-left-on",
+        "src/immtools/immersion.py",
+        "reached = {x}",
+        "reached = set()",
+        (_VERIFIER_ORACLE,),
+        "the cycle search for a loop spreads back through x, so a path"
+        " through x passes for a cycle through it (first made for the"
+        " verifier on the named host edges)",
+    ),
+    Mutant(
+        "strong-check-skips-one-end",
+        "src/immtools/immersion.py",
+        "if hw != hu and hw != hv]",
+        "if hw != hu]",
+        (_VERIFIER_ORACLE,),
+        "a strong image is charged with the image of its own second end as"
+        " a foreign branch vertex (first made for the verifier on the named"
+        " host edges)",
+    ),
+    Mutant(
+        "connectivity-checked-from-three-edges",
+        "src/immtools/immersion.py",
+        "if len(em[he]) > 1 and",
+        "if len(em[he]) > 2 and",
+        (_VERIFIER_ORACLE,),
+        "an image of two disjoint host edges, one at each end image, passes"
+        " as connected (first made for the verifier on the named host"
+        " edges)",
     ),
     # -- command line
     Mutant(

@@ -41,15 +41,12 @@ from .pathdecomp import (
     LinearityCertificate,
     PathLikeDecomposition,
     SizeLimitError,
-    boundedness,
     build_auxiliary_graph,
     compute_separator,
     has_k1k_minor,
     linear_decompose,
     min_linearizing_set,
     verify_linear_certificate,
-    width,
-    xi_cut,
 )
 from .simplegraph import SimpleGraph, StarMinorModel
 from .treecut import (

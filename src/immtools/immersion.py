@@ -21,15 +21,17 @@ when it is reached.  So a search that finds nothing, or a full
 enumeration, counts the frames of one tree, whatever the order its
 children are taken in.
 
-Search and verification run on each graph's integer index
-(`Multigraph.index`, built once per graph and kept): vertex ids in name
-order, one bit per edge in id order, and incidence as edge masks: per
-vertex, the bits of its non-loop edges (`links`) and of its loops
-(`loops`), and per edge, the xor of its end ids (`other`), so the edge k
-leads from v to other[k] ^ v.  The available host edges are one int
-bitmask, and branch images and slack are lists indexed by vertex id.  The
-pattern's vertex order and twins, and the counts that rule a query out
-before the search (`Multigraph.counts`), are also kept on each graph.
+Verification reads only the host edges that a certificate names and
+builds no index, so its cost follows the certificate, not the host.  The
+search runs on each graph's integer index (`Multigraph.index`, built
+once per graph and kept): vertex ids in name order, one bit per edge in
+id order, and incidence as edge masks: per vertex, the bits of its
+non-loop edges (`links`) and of its loops (`loops`), and per edge, the
+xor of its end ids (`other`), so the edge k leads from v to
+other[k] ^ v.  The available host edges are one int bitmask, and branch
+images and slack are lists indexed by vertex id.  The pattern's vertex
+order and twins, and the counts that rule a query out before the search
+(`Multigraph.counts`), are also kept on each graph.
 
 The search is one loop over an explicit stack of frames: one frame per
 assigned pattern vertex, per pattern edge being routed, and per vertex of
@@ -144,10 +146,10 @@ from __future__ import annotations
 import dataclasses
 import operator
 import sys
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .flow import FlowNetwork
-from .multigraph import GraphIndex, Multigraph, _fresh_name, bit_positions
+from .multigraph import Multigraph, _fresh_name
 from .simplegraph import StarMinorModel
 
 FOUND = "found"
@@ -177,23 +179,17 @@ _OUT_OF_BUDGET = SearchResult(status=BUDGET)
 # -- verification -----------------------------------------------------
 
 
-def _reach(index: GraphIndex, mask: int, x: int) -> int:
-    """The vertex ids reachable from x over the host edges whose bits are
-    in mask, as the bits of a mask."""
-    links, other = index.links, index.other
-    seen = 1 << x
-    stack = [x]
+def _spread(adj: Dict[str, List[str]], v: str, reached: Set[str]) -> Set[str]:
+    """Add v to `reached`, then every vertex that v reaches in adj through
+    vertices not yet in it, and return it."""
+    reached.add(v)
+    stack = [v]
     while stack:
-        v = stack.pop()
-        m = mask & links[v]
-        while m:
-            e = m & -m
-            m ^= e
-            u = other[e.bit_length() - 1] ^ v
-            if not seen >> u & 1:
-                seen |= 1 << u
+        for u in adj[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
                 stack.append(u)
-    return seen
+    return reached
 
 
 def verify_immersion(
@@ -204,7 +200,10 @@ def verify_immersion(
 ) -> List[str]:
     """Empty list on accept; otherwise one message per violated condition.
 
-    References to nonexistent vertices or edges raise ValueError.
+    The checks read only the host edges the certificate names: each image
+    is one adjacency, vertex -> the other end of each of its edges there,
+    a loop listed once.  References to nonexistent vertices or edges raise
+    ValueError.
     """
     if strong is None:
         strong = cert.strong
@@ -213,79 +212,64 @@ def verify_immersion(
         raise ValueError("vertex_map keys do not match the pattern's vertices")
     if set(em) != H.edges.keys():
         raise ValueError("edge_map keys do not match the pattern's edges")
-    index = G.index
-    ids, positions, ends, links, other = (
-        index.ids, index.positions, index.ends, index.links, index.other
-    )
+    preimages: Dict[str, List[str]] = {}
     for hv, gv in vm.items():
-        if gv not in ids:
+        if gv not in G.vertices:
             raise ValueError(f"vertex_map sends {hv!r} to unknown vertex {gv!r}")
-    # each image as an edge mask and a mask of the vertex ids it spans
-    images: Dict[str, Tuple[int, int]] = {}
-    claims = union = 0
+        preimages.setdefault(gv, []).append(hv)
+    images: Dict[str, Dict[str, List[str]]] = {}
     for he, ge in em.items():
-        mask = spanned = 0
+        adj = images[he] = {}
         for e in ge:
-            if e not in positions:
+            if e not in G.edges:
                 raise ValueError(f"edge_map of {he!r} references unknown edge {e!r}")
-            k = positions[e]
-            mask |= 1 << k
-            u, v = ends[k]
-            spanned |= 1 << u | 1 << v
-        images[he] = mask, spanned
-        claims += len(ge)
-        union |= mask
+            a, b = G.edges[e]
+            adj.setdefault(a, []).append(b)
+            if a != b:
+                adj.setdefault(b, []).append(a)
 
     violations: List[str] = []
-    if len(set(vm.values())) < len(vm):
-        preimages: Dict[str, List[str]] = {}
-        for hv, gv in vm.items():
-            preimages.setdefault(gv, []).append(hv)
-        for gv, hvs in sorted(preimages.items()):
-            if len(hvs) > 1:
-                violations.append(
-                    f"vertex_map not injective: {sorted(hvs)} all map to {gv!r}"
-                )
+    for gv, hvs in sorted(preimages.items()):
+        if len(hvs) > 1:
+            violations.append(f"vertex_map not injective: {sorted(hvs)} all map to {gv!r}")
 
-    if union.bit_count() < claims:
-        claimed: Dict[str, str] = {}
-        for he in sorted(em):
-            for e in sorted(em[he]):
-                if e in claimed:
-                    violations.append(
-                        f"edges {claimed[e]!r} and {he!r} share host edge {e!r}"
-                    )
-                else:
-                    claimed[e] = he
+    claimed: Dict[str, str] = {}
+    for he in sorted(em):
+        for e in sorted(em[he]):
+            if e in claimed:
+                violations.append(f"edges {claimed[e]!r} and {he!r} share host edge {e!r}")
+            else:
+                claimed[e] = he
 
-    for he in H.index.edges:
+    for he in sorted(H.edges):
         hu, hv = H.edges[he]
-        mask, spanned = images[he]
+        adj = images[he]
         if hu == hv:
-            # A cycle through x: a loop at x, or an edge at x whose other
-            # end still reaches x without it.
-            x = ids[vm[hu]]
-            if not mask & index.loops[x] and not any(
-                _reach(index, mask & ~(1 << k), other[k] ^ x) >> x & 1
-                for k in bit_positions(mask & links[x])
-            ):
-                violations.append(
-                    f"loop {he!r}: image contains no cycle through {vm[hu]!r}"
-                )
-        elif not spanned >> ids[vm[hu]] & 1 or not spanned >> ids[vm[hv]] & 1:
+            # A cycle through x leaves it by one edge and comes back by
+            # another: leave by each edge in turn and spread without x, and
+            # an edge to a vertex already reached closes one (a loop at
+            # once, as its other end is x).
+            x = vm[hu]
+            reached = {x}
+            for u in adj.get(x, ()):
+                if u in reached:
+                    break
+                _spread(adj, u, reached)
+            else:
+                violations.append(f"loop {he!r}: image contains no cycle through {x!r}")
+        elif vm[hu] not in adj or vm[hv] not in adj:
             violations.append(f"edge {he!r}: image misses an endpoint image")
-        # one edge is connected; more are when one end reaches every end
-        if mask & (mask - 1) and _reach(
-            index, mask, (spanned & -spanned).bit_length() - 1
-        ) != spanned:
+        # one edge is connected; more are when one of their ends reaches
+        # all the others
+        if len(em[he]) > 1 and len(_spread(adj, next(iter(adj)), set())) < len(adj):
             violations.append(f"edge {he!r}: image is not connected")
         if strong:
-            for hw in H.index.vertices:
-                if hw != hu and hw != hv and spanned >> ids[vm[hw]] & 1:
-                    violations.append(
-                        f"edge {he!r}: image contains branch vertex {vm[hw]!r}"
-                        f" (= image of non-incident {hw!r})"
-                    )
+            inside = [hw for gv in adj for hw in preimages.get(gv, ()) if hw != hu and hw != hv]
+            for hw in sorted(inside):
+                violations.append(
+                    f"edge {he!r}: image contains branch vertex {vm[hw]!r}"
+                    f" (= image of non-incident {hw!r})"
+                )
     return violations
 
 

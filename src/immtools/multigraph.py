@@ -74,18 +74,17 @@ def twin_classes(group: Sequence[int], nbrs: Sequence[List[int]]) -> List[List[i
 
 
 class GraphIndex(NamedTuple):
-    """A multigraph on integers, for the immersion search, its verifier and
-    the facts they compare.  Vertex i is the i-th smallest vertex name and
-    the edge with the k-th smallest id is the bit 1 << k, so comparing ids
-    or bits compares names.  Incidence is kept as edge masks: the edges at
-    v are links[v] | loops[v], and the non-loop edge k leads from v to
+    """A multigraph on integers, for the immersion search and the facts it
+    compares.  Vertex i is the i-th smallest vertex name and the edge with
+    the k-th smallest id is the bit 1 << k, so comparing ids or bits
+    compares names.  Incidence is kept as edge masks: the edges at v are
+    links[v] | loops[v], and the non-loop edge k leads from v to
     other[k] ^ v.  The masks of a graph take space quadratic in its size,
-    so the general queries do not read them."""
+    so the general queries and the certificate verifier do not read
+    them."""
 
     vertices: Tuple[str, ...]  # vertex id -> name
-    ids: Dict[str, int]  # name -> vertex id
     edges: Tuple[str, ...]  # k -> the edge id of bit 1 << k
-    positions: Dict[str, int]  # edge id -> k
     ends: Tuple[Tuple[int, int], ...]  # k -> end ids, the smaller first
     links: Tuple[int, ...]  # vertex id -> the bits of its non-loop edges
     loops: Tuple[int, ...]  # vertex id -> the bits of its loops
@@ -124,10 +123,10 @@ class Multigraph:
     more; equality still compares only the vertices and edges):
 
     - `degrees`, the map behind `degree()`;
-    - `index`: the `GraphIndex` that the immersion search and its
-      verifier run on, and the facts below are read from.  It counts the
-      degrees in its own edge loop, so building it does not build
-      `degrees`.  `incident`, `neighbors` and `adjacency()` scan the edge
+    - `index`: the `GraphIndex` that the immersion search runs on, and
+      the facts below are read from.  It counts the degrees in its own
+      edge loop, so building it does not build `degrees`.  `incident`,
+      `neighbors`, `adjacency()` and `verify_immersion` read the edge
       list instead, so a graph that is not searched never builds it;
     - `counts`: one `GraphCounts` record of the vertex and edge counts,
       the pairs in one component and in one component once the bridges
@@ -292,7 +291,6 @@ class Multigraph:
         names = tuple(sorted(self.vertices))
         ids = {v: i for i, v in enumerate(names)}
         edges = tuple(sorted(self.edges))
-        positions = dict(zip(edges, range(len(edges))))
         ends = []
         other = []
         links = [0] * len(names)
@@ -312,8 +310,7 @@ class Multigraph:
                 links[u] |= bit
                 links[v] |= bit
         return GraphIndex(
-            names, ids, edges, positions, tuple(ends), tuple(links), tuple(loops),
-            tuple(other), tuple(degree),
+            names, edges, tuple(ends), tuple(links), tuple(loops), tuple(other), tuple(degree)
         )
 
     @functools.cached_property

@@ -112,37 +112,6 @@ class FailureWitness:
 # -- decomposition measurements ---------------------------------------
 
 
-def xi_cut(G: Multigraph, P: PathLikeDecomposition, i: int) -> FrozenSet[str]:
-    """Edges crossing the prefix/suffix split around x_i (1-based)."""
-    t = len(P.ordering)
-    if not 1 <= i <= t:
-        raise ValueError(f"index {i} out of range 1..{t}")
-    left = set(P.ordering[: i - 1])
-    for bag in P.bags[:i]:
-        left |= bag
-    right = set(P.ordering[i:])
-    for bag in P.bags[i:]:
-        right |= bag
-    return frozenset(
-        e
-        for e, (a, b) in G.edges.items()
-        if (a in left and b in right) or (b in left and a in right)
-    )
-
-
-def width(G: Multigraph, P: PathLikeDecomposition) -> int:
-    t = len(P.ordering)
-    if t == 0:
-        return 0
-    return max(len(xi_cut(G, P, i)) for i in range(1, t + 1))
-
-
-def boundedness(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str]) -> int:
-    Z = frozenset(Z)
-    hit_bags = sum(1 for bag in P.bags if bag & Z)
-    return len(Z & set(P.ordering)) + hit_bags
-
-
 def _positions(P: PathLikeDecomposition) -> Dict[str, int]:
     """x_k at 2k and the vertices of bag j at 2j + 1, so that an edge ab
     crosses the cut at x_i iff pos(a) < 2i < pos(b)."""

@@ -24,6 +24,9 @@
 - `build_auxiliary_graph` runs one flow per pair of W, on one network of
   G with the rest of W closed.  `immtools.pathdecomp` runs flows only for
   the pairs below m that share a component of G - W.
+- `xi_cut`, `width` and `boundedness` measure a decomposition by their
+  definitions: the edges across the split at each x_i, the most of them,
+  and the ordering vertices and bags that a vertex set meets.
 - `verify_linear_certificate` builds G - A and measures the width as the
   largest `xi_cut` and each boundedness by `boundedness`.
   `immtools.pathdecomp` measures both in one sweep over G's edges.
@@ -38,10 +41,9 @@ from helpers import sg
 from immtools import (
     LinearityCertificate,
     Multigraph,
+    PathLikeDecomposition,
     SimpleGraph,
     StarMinorModel,
-    boundedness,
-    width,
 )
 from immtools.flow import FlowNetwork
 from immtools.simplegraph import _is_path_union
@@ -178,6 +180,37 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
             if net.max_flow([index[x]], [index[y]], closed, limit=m) >= m:
                 edges.append((x, y))
     return sg(W, edges)
+
+
+def xi_cut(G: Multigraph, P: PathLikeDecomposition, i: int) -> FrozenSet[str]:
+    """Edges crossing the prefix/suffix split around x_i (1-based)."""
+    t = len(P.ordering)
+    if not 1 <= i <= t:
+        raise ValueError(f"index {i} out of range 1..{t}")
+    left = set(P.ordering[: i - 1])
+    for bag in P.bags[:i]:
+        left |= bag
+    right = set(P.ordering[i:])
+    for bag in P.bags[i:]:
+        right |= bag
+    return frozenset(
+        e
+        for e, (a, b) in G.edges.items()
+        if (a in left and b in right) or (b in left and a in right)
+    )
+
+
+def width(G: Multigraph, P: PathLikeDecomposition) -> int:
+    t = len(P.ordering)
+    if t == 0:
+        return 0
+    return max(len(xi_cut(G, P, i)) for i in range(1, t + 1))
+
+
+def boundedness(G: Multigraph, P: PathLikeDecomposition, Z: Iterable[str]) -> int:
+    Z = frozenset(Z)
+    hit_bags = sum(1 for bag in P.bags if bag & Z)
+    return len(Z & set(P.ordering)) + hit_bags
 
 
 def verify_linear_certificate(

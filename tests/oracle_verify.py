@@ -1,10 +1,11 @@
-"""Reference immersion-certificate verifier: the edge-scanning version
-that `immtools.immersion.verify_immersion` replaced.
+"""Reference immersion-certificate verifier, edge by edge.
 
 Each helper scans the whole image for every vertex it visits, and the
 cycle test lists simple paths back to the vertex, so this is only fit for
-small images.  `violations` returns the same messages in the same order
-as `verify_immersion` for certificates whose references are valid.
+small images.  `immtools.immersion.verify_immersion` reads the same host
+edges, but builds one adjacency per image and walks it once per check.
+`violations` returns the same messages in the same order as
+`verify_immersion` for certificates whose references are valid.
 """
 
 from __future__ import annotations

@@ -46,13 +46,12 @@ from immtools import (
     torso_at,
     verify_immersion,
     verify_linear_certificate,
-    width,
-    xi_cut,
 )
 from immtools.cli import main as cli_main
 from enumerate_graphs import connected_simple_graphs, multigraph_classes
 from helpers import all_min_cut_sides, check_path, isomorphic_with_pins
 from oracle_lift_closure import _strong_successors, strong_closure, weak_closure
+from oracle_pathdecomp import width, xi_cut
 
 
 RESULTS: List[str] = []

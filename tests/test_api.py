@@ -31,9 +31,6 @@ NO_SRC_CALLER = {
     # the definitions that the fast paths are tested against (ROADMAP item 9)
     "min_linearizing_set": "definition the decomposer's linearizing search is tested against",
     "compute_separator": "definition the decomposer's separators are tested against",
-    "boundedness": "definition the decomposer's sweep is tested against",
-    "width": "definition the decomposer's sweep is tested against",
-    "xi_cut": "definition the decomposer's sweep and separators are tested against",
     "consolidate": "definition the split loop's contraction is tested against",
     # waiting for ROADMAP items 1 and 6
     "star_minor_to_immersion": "awaits the dichotomy's immersion side (item 6)",

@@ -195,6 +195,39 @@ def test_verifier_agrees_with_the_edge_scanning_oracle():
     assert all(kinds.values()), kinds
 
 
+def _path_and_k2(n):
+    """The path v0 - ... - v(n-1) on edges e1..e(n-1), and K2 on x and y."""
+    G = Multigraph(
+        frozenset(f"v{i}" for i in range(n)),
+        {f"e{i}": (f"v{i - 1}", f"v{i}") for i in range(1, n)},
+    )
+    return G, mg("xy", {"p": "xy"})
+
+
+def test_verifying_reads_the_named_host_edges_and_builds_no_index():
+    G = mg("abc", {"1": "ab", "2": "bc", "3": "ac"})
+    H = mg("abc", {"1": "ab", "2": "bc", "3": "ac"})
+    good = identity_cert(G)
+    bad = ImmersionCertificate({**good.vertex_map, "a": "b"}, good.edge_map, True)
+    assert verify_immersion(G, H, good) == []
+    assert verify_immersion(G, H, bad)[0] == "vertex_map not injective: ['a', 'b'] all map to 'b'"
+    assert "index" not in vars(G) and "index" not in vars(H)
+
+    # a K2 whose image is a whole 20,000-vertex path, then the path less
+    # one middle edge; the oracle, which scans the image once per vertex it
+    # visits, gives the same message on a short path
+    for n in (40, 20000):
+        G, H = _path_and_k2(n)
+        vm = {"x": "v0", "y": f"v{n - 1}"}
+        whole = ImmersionCertificate(vm, {"p": frozenset(G.edges)}, True)
+        cut = ImmersionCertificate(vm, {"p": frozenset(G.edges) - {f"e{n // 2}"}}, True)
+        assert verify_immersion(G, H, whole) == []
+        assert verify_immersion(G, H, cut) == ["edge 'p': image is not connected"]
+        if n < 100:
+            assert oracle_verify.violations(G, H, cut, True) == verify_immersion(G, H, cut)
+        assert "index" not in vars(G) and "index" not in vars(H)
+
+
 def test_k3_in_p2_weak_yes_strong_no():
     G = gen_pk(2)
     K3 = gen_complete(3)

@@ -322,9 +322,7 @@ def test_cached_search_facts_match_a_fresh_computation():
 
         index = G.index
         assert index.vertices == tuple(names)
-        assert index.ids == {v: names.index(v) for v in names}
         assert index.edges == tuple(edges)
-        assert index.positions == {e: edges.index(e) for e in edges}
         assert index.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
         assert index.degree == tuple(deg[v] for v in names)
 

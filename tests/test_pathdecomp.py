@@ -18,7 +18,6 @@ from immtools import (
     PathLikeDecomposition,
     SMALL_CUT,
     SizeLimitError,
-    boundedness,
     build_auxiliary_graph,
     compute_separator,
     gen_complete,
@@ -29,11 +28,10 @@ from immtools import (
     max_flow_min_cut,
     min_linearizing_set,
     verify_linear_certificate,
-    width,
-    xi_cut,
 )
 from immtools import pathdecomp
 from helpers import mg, sg
+from oracle_pathdecomp import boundedness, width, xi_cut
 from test_acceptance import _rand_graph
 
 # the 4-vertex worked example: a-x1, x1-x2, x2-b, a-b
