@@ -66,6 +66,7 @@ _TWIN_CLASSES = "tests/test_multigraph.py::test_twin_classes_match_the_definitio
 _VERTEX_SETS = "tests/test_multigraph.py::test_every_vertex_set_check_names_all_its_unknown_vertices"
 _STAR_AGREEMENT = "tests/test_pathdecomp.py::test_subset_searches_agree_with_the_oracle_on_small_graphs"
 _AUX_NO_FLOW = "tests/test_pathdecomp.py::test_at_m_1_the_auxiliary_graph_builds_no_network"
+_STAR_MODEL_SHAPES = "tests/test_pathdecomp.py::test_star_model_violations_name_each_rejected_shape"
 
 # The named tests are deterministic: one that draws fresh examples on each
 # run (a hypothesis test) could fail by chance and count a mutant killed.
@@ -129,6 +130,28 @@ CATALOGUE: Tuple[Mutant, ...] = (
         ("tests/test_treecut.py::test_a_network_whose_arcs_are_mostly_dead_is_copied",),
         "a network whose arcs are mostly dead is kept, and every later flow"
         " on it pays for them (first made for the smaller-side split network)",
+    ),
+    # -- edge sums
+    Mutant(
+        "glue-loop-unchecked",
+        "src/immtools/treecut.py",
+        "if any(G.edges[e] == (v, v) for e in edges):",
+        "if False:",
+        ("tests/test_treecut.py::test_edge_sum_rejections_name_the_problem",
+         "tests/test_treecut.py::test_is_grounded_rejections_name_the_problem"),
+        "edge_sum, is_grounded and compose_decompositions accept a glue"
+        " vertex with a loop, and edge_sum then reports it as some other"
+        " problem (first made for the shared glue check)",
+    ),
+    # -- flow decomposition
+    Mutant(
+        "walk-cycle-not-trimmed",
+        "src/immtools/flow.py",
+        "walk = walk[:p]",
+        "walk = walk",
+        ("tests/test_flow.py::test_extracted_paths_trim_a_circulation_off_the_flow",),
+        "a path extracted from a flow with a circulation keeps the cycle's"
+        " arcs, so it is not a walk (first made for the circulation test)",
     ),
     # -- immersion search
     Mutant(
@@ -437,6 +460,34 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " two trees differ only on a center set with a cycle of length >= 4,"
         " which needs a 12-vertex graph (first made for the one-walk star"
         " model)",
+    ),
+    Mutant(
+        "star-model-vertices-unchecked",
+        "src/immtools/simplegraph.py",
+        "if not self.tree.vertices <= host.vertices:",
+        "if False:",
+        (_STAR_MODEL_SHAPES,),
+        "a star model whose tree has a vertex outside the host is reported"
+        " without that violation (first made for the star model's"
+        " rejection tests)",
+    ),
+    Mutant(
+        "star-model-edges-unchecked",
+        "src/immtools/simplegraph.py",
+        "if not self.tree.edges <= host.edges:",
+        "if False:",
+        (_STAR_MODEL_SHAPES,),
+        "a star model whose tree uses an edge the host lacks passes (first"
+        " made for the star model's rejection tests)",
+    ),
+    Mutant(
+        "star-model-tree-unchecked",
+        "src/immtools/simplegraph.py",
+        "if not self.tree.is_tree():",
+        "if False:",
+        (_STAR_MODEL_SHAPES,),
+        "a star model whose connecting subgraph has a cycle is judged by its"
+        " leaves alone (first made for the star model's rejection tests)",
     ),
     # -- the linearizing-set search
     Mutant(

@@ -20,14 +20,14 @@ def main() -> None:
         connected = is_k_edge_connected_set(G, G.vertices, k) is True
         status = find_immersion(G, K3, strong=True).status
         print(
-            f"pk({k}): {len(G.vertices)} vertices, {G.num_edges()} edges; "
+            f"pk({k}): {len(G.vertices)} vertices, {len(G.edges)} edges; "
             f"{k}-edge-connected: {connected}; strong K3: {status}"
         )
     for k in range(3, 8):
         G = gen_pk_chorded(k)
         status = find_immersion(G, K4, strong=True).status
         print(
-            f"pk-chorded({k}): {len(G.vertices)} vertices, {G.num_edges()} "
+            f"pk-chorded({k}): {len(G.vertices)} vertices, {len(G.edges)} "
             f"edges; strong K4: {status}"
         )
 

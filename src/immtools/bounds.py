@@ -33,7 +33,7 @@ class Theorem31Constants:
 
 def theorem31_constants(F: Multigraph) -> Theorem31Constants:
     nF = len(F.vertices)
-    eF = F.num_edges()
+    eF = len(F.edges)
     if nF == 0:
         raise ValueError("the pattern must have at least one vertex")
     m = 2 * eF

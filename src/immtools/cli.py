@@ -417,7 +417,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if sys.stdout is sys.__stdout__:  # so that its flush at exit cannot fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT if isinstance(exc, SizeLimitError) else EXIT_MALFORMED
     except MemoryError:

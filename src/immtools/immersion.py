@@ -667,7 +667,7 @@ def star_minor_to_immersion(
     unused = {v: iter(by_leaf[theta[v]]) for v in fverts}
     edge_map: Dict[str, FrozenSet[str]] = {}
     for e in sorted(F.edges):
-        u, v = F.ends(e)
+        u, v = F.edges[e]
         edge_map[e] = frozenset(next(unused[u])) | frozenset(next(unused[v]))
 
     cert = ImmersionCertificate(vertex_map=theta, edge_map=edge_map, strong=True)

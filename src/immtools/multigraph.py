@@ -156,16 +156,6 @@ class Multigraph:
 
     # -- basic queries -------------------------------------------------
 
-    def ends(self, eid: str) -> Tuple[str, str]:
-        return self.edges[eid]
-
-    def is_loop(self, eid: str) -> bool:
-        u, v = self.edges[eid]
-        return u == v
-
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def incident(self, v: str) -> List[str]:
         """Edge ids touching v (loops listed once), sorted."""
         if v not in self.vertices:

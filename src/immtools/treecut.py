@@ -1,6 +1,7 @@
-"""Tree-cut decompositions: adhesion, torsos, edge sums, groundedness,
-decomposition composition, alpha-basic testing and the structure
-algorithm that splits on small cuts between high-degree vertices."""
+"""Tree-cut decompositions: adhesion, torsos, edge sums, groundedness and
+decomposition composition (which check their glue vertices with one
+helper, `_glue_edges`), alpha-basic testing and the structure algorithm
+that splits on small cuts between high-degree vertices."""
 
 from __future__ import annotations
 
@@ -41,12 +42,9 @@ class TreeCutDecomposition:
     tree_edges: FrozenSet[FrozenSet[str]]
     bags: Dict[str, FrozenSet[str]]
 
-    def tree(self) -> SimpleGraph:
-        """The decomposition tree, built on the first call and shared."""
-        return self._tree
-
     @functools.cached_property
-    def _tree(self) -> SimpleGraph:
+    def tree(self) -> SimpleGraph:
+        """The decomposition tree, built on the first read and shared."""
         return SimpleGraph(self.tree_nodes, self.tree_edges)
 
     @functools.cached_property
@@ -55,7 +53,7 @@ class TreeCutDecomposition:
         if not self.tree_nodes:
             return _Shape(("decomposition tree has no nodes",), None)
         out = []
-        if not self.tree().is_tree():
+        if not self.tree.is_tree():
             out.append("decomposition tree is not a tree")
         if set(self.bags) != set(self.tree_nodes):
             out.append("bag index set differs from the tree nodes")
@@ -125,7 +123,7 @@ def torsos(G: Multigraph, D: TreeCutDecomposition) -> Dict[str, Torso]:
     """
     _require_valid(D.violations(G))
     owner = D._shape.owner
-    adj = D.tree().adjacency()
+    adj = D.tree.adjacency()
     root = min(D.tree_nodes)
     parent: Dict[str, Optional[str]] = {root: None}
     depth = {root: 0}
@@ -196,6 +194,15 @@ def torsos(G: Multigraph, D: TreeCutDecomposition) -> Dict[str, Torso]:
     return out
 
 
+def _glue_edges(G: Multigraph, v: str) -> List[str]:
+    """The edges at the glue vertex v of a summand, sorted; v must be a
+    vertex of G without a loop, since a loop has v at both ends."""
+    edges = G.incident(v)
+    if any(G.edges[e] == (v, v) for e in edges):
+        raise ValueError(f"{v!r} carries a loop; edge sums require loop-free ends")
+    return edges
+
+
 def edge_sum(
     G1: Multigraph,
     v1: str,
@@ -205,52 +212,37 @@ def edge_sum(
 ) -> Multigraph:
     """Glue G1 - v1 and G2 - v2 by matching the boundary edges of the two
     deleted degree-k vertices via the bijection pi."""
-    for G, v in ((G1, v1), (G2, v2)):
-        if v not in G.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-        if any(G.is_loop(e) for e in G.incident(v)):
-            raise ValueError(f"{v!r} carries a loop; edge sums require loop-free ends")
-    d1 = frozenset(G1.incident(v1))
-    d2 = frozenset(G2.incident(v2))
+    d1, d2 = _glue_edges(G1, v1), _glue_edges(G2, v2)
     k = len(d1)
     if k < 1 or len(d2) != k:
         raise ValueError(f"degree mismatch: |delta(v1)| = {k}, |delta(v2)| = {len(d2)}")
-    if set(pi) != d1 or set(pi.values()) != d2 or len(set(pi.values())) != k:
+    if set(pi) != set(d1) or set(pi.values()) != set(d2):
         raise ValueError("pi is not a bijection from delta(v1) to delta(v2)")
-    A = G1.without_vertices({v1})
-    B = G2.without_vertices({v2})
-    if A.vertices & B.vertices:
-        raise ValueError(
-            f"summand vertex sets overlap: {sorted(A.vertices & B.vertices)}"
-        )
-    if set(A.edges) & set(B.edges):
-        raise ValueError(
-            f"summand edge ids overlap: {sorted(set(A.edges) & set(B.edges))}"
-        )
-    edges = dict(A.edges)
-    edges.update(B.edges)
-    for e1 in sorted(d1):
+    V1, V2 = G1.vertices - {v1}, G2.vertices - {v2}
+    if V1 & V2:
+        raise ValueError(f"summand vertex sets overlap: {sorted(V1 & V2)}")
+    edges = {e: ab for e, ab in G1.edges.items() if v1 not in ab}
+    rest = {e: ab for e, ab in G2.edges.items() if v2 not in ab}
+    if edges.keys() & rest.keys():
+        raise ValueError(f"summand edge ids overlap: {sorted(edges.keys() & rest.keys())}")
+    edges.update(rest)
+    for e1 in d1:
         e2 = pi[e1]
-        a, b = G1.ends(e1)
-        x = b if a == v1 else a
-        c, d = G2.ends(e2)
-        y = d if c == v2 else c
-        edges[_fresh_name(f"{e1}~{e2}", edges)] = (x, y)
-    return Multigraph(A.vertices | B.vertices, edges)
+        a, b = G1.edges[e1]
+        c, d = G2.edges[e2]
+        edges[_fresh_name(f"{e1}~{e2}", edges)] = (b if a == v1 else a, d if c == v2 else c)
+    return Multigraph(V1 | V2, edges)
 
 
 def is_grounded(G1: Multigraph, v1: str, G2: Multigraph, v2: str) -> bool:
     """True iff each summand links its glue vertex to some other vertex by
     deg-many edge-disjoint paths."""
     for G, v in ((G1, v1), (G2, v2)):
-        if v not in G.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
-        if (v, v) in G.edges.values():
-            raise ValueError(f"{v!r} carries a loop")
-        if G.degree(v) < 1:
+        k = len(_glue_edges(G, v))
+        if k < 1:
             raise ValueError(f"{v!r} has degree 0")
         net = FlowNetwork(G)
-        i, k = net.index[v], G.degree(v)
+        i = net.index[v]
         if not any(net.max_flow([i], [u], limit=k) >= k for u in net.nodes(G.vertices - {v})):
             return False
     return True
@@ -269,9 +261,8 @@ def compose_decompositions(
     The bags do not depend on the edge bijection of the sum, so it takes
     none; `edge_sum` checks it."""
     _require_valid(D1.violations(G1) + D2.violations(G2))
-    for G, v in ((G1, v1), (G2, v2)):
-        if v not in G.vertices:
-            raise ValueError(f"unknown vertex {v!r}")
+    _glue_edges(G1, v1)
+    _glue_edges(G2, v2)
     return _join_trees(D1, D1._shape.owner[v1], {v1}, D2, D2._shape.owner[v2], {v2})
 
 
@@ -404,7 +395,7 @@ def _structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     bags: List[FrozenSet[str]] = []
     net = FlowNetwork(G)
     high = [v for v in net.names if degree[v] >= alpha]
-    stack: List[_Piece] = [(net, set(range(len(net.names))), high, G.num_edges(), None)]
+    stack: List[_Piece] = [(net, set(range(len(net.names))), high, len(G.edges), None)]
     while stack:
         net, live, high, m, joined_to = stack.pop()
         first = len(bags)

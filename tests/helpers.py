@@ -63,13 +63,13 @@ def check_path(G: Multigraph, path: Sequence[str], sources, sinks) -> None:
     assert len(set(path)) == len(path), "path repeats an edge"
     sources = frozenset(sources)
     sinks = frozenset(sinks)
-    a, b = G.ends(path[0])
+    a, b = G.edges[path[0]]
     starts = {a, b} & sources
     assert starts, f"path does not start at a source: {path}"
     # walk forward from a source endpoint
     here = next(iter(starts))
     for eid in path:
-        u, v = G.ends(eid)
+        u, v = G.edges[eid]
         assert here in (u, v), f"edges {path} do not chain at {here!r}"
         here = v if here == u else u
     assert here in sinks, f"path ends at {here!r}, not a sink"

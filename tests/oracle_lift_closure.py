@@ -25,8 +25,8 @@ from immtools.multigraph import _fresh_name
 
 
 def _lift_pivot(G: Multigraph, e: str, f: str, pivot: str | None) -> str:
-    ea, eb = G.ends(e)
-    fa, fb = G.ends(f)
+    ea, eb = G.edges[e]
+    fa, fb = G.edges[f]
     shared = {ea, eb} & {fa, fb}
     if not shared:
         raise ValueError(f"edges {e!r} and {f!r} are not incident")
@@ -53,11 +53,11 @@ def lift(G: Multigraph, e: str, f: str, pivot: str | None = None) -> Multigraph:
     for eid in (e, f):
         if eid not in G.edges:
             raise ValueError(f"unknown edge {eid!r}")
-        if G.is_loop(eid):
+        if len(set(G.edges[eid])) == 1:
             raise ValueError(f"cannot lift the loop {eid!r}")
     v = _lift_pivot(G, e, f, pivot)
-    ea, eb = G.ends(e)
-    fa, fb = G.ends(f)
+    ea, eb = G.edges[e]
+    fa, fb = G.edges[f]
     u = ea if eb == v else eb
     w = fa if fb == v else fb
     edges = {k: ab for k, ab in G.edges.items() if k not in (e, f)}
@@ -78,9 +78,9 @@ def split_off_vertex(
         for eid in (e, f):
             if eid not in G.edges:
                 raise ValueError(f"unknown edge {eid!r}")
-            if v not in G.ends(eid):
+            if v not in G.edges[eid]:
                 raise ValueError(f"edge {eid!r} is not incident with {v!r}")
-            if G.is_loop(eid):
+            if len(set(G.edges[eid])) == 1:
                 raise ValueError(f"loop {eid!r} cannot take part in a splitting")
             if eid in seen:
                 raise ValueError(f"edge {eid!r} appears in two pairs")
@@ -113,7 +113,7 @@ def _strong_successors(G: Multigraph) -> Iterator[Multigraph]:
         yield G.without_edges({e})
     for v in sorted(G.vertices):
         inc = G.incident(v)
-        if any(G.is_loop(e) for e in inc) or len(inc) % 2 != 0:
+        if any(len(set(G.edges[e])) == 1 for e in inc) or len(inc) % 2 != 0:
             continue
         for pairing in _perfect_pairings(inc):
             yield split_off_vertex(G, v, pairing)
@@ -124,9 +124,9 @@ def _weak_successors(G: Multigraph) -> Iterator[Multigraph]:
         yield G.without_edges({e})
     for v in sorted(G.vertices):
         yield G.without_vertices({v})
-    eids = sorted(e for e in G.edges if not G.is_loop(e))
+    eids = sorted(e for e in G.edges if len(set(G.edges[e])) != 1)
     for e, f in itertools.combinations(eids, 2):
-        shared = set(G.ends(e)) & set(G.ends(f))
+        shared = set(G.edges[e]) & set(G.edges[f])
         for pivot in sorted(shared):
             yield lift(G, e, f, pivot=pivot)
 

@@ -84,7 +84,7 @@ class _Searcher:
         if j == len(self.hedges):
             return True
         he = self.hedges[j]
-        hu, hv = self.H.ends(he)
+        hu, hv = self.H.edges[he]
         if self.strong:
             forbidden = {self.assign[w] for w in self.H.vertices if w not in (hu, hv)}
         else:

@@ -125,7 +125,7 @@ def structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     if k == 0:
         GX = G.induced(X)
         GY = G.without_vertices(X)
-        assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges()
+        assert len(GX.edges) < len(G.edges) and len(GY.edges) < len(G.edges)
         DX, DY = structure_tree(GX, alpha), structure_tree(GY, alpha)
         # the zero-order analogue of composition: any tree edge will do
         return _join_trees(
@@ -135,7 +135,7 @@ def structure_tree(G: Multigraph, alpha: int) -> TreeCutDecomposition:
     vx = "cut:(" + "+".join(sorted(X)) + ")"
     GX = consolidate(G, G.vertices - X, name=vy)
     GY = consolidate(G, X, name=vx)
-    assert GX.num_edges() < G.num_edges() and GY.num_edges() < G.num_edges(), (
+    assert len(GX.edges) < len(G.edges) and len(GY.edges) < len(G.edges), (
         "splitting on the witness cut must shed edges on both sides"
     )
     assert is_grounded(GX, vy, GY, vx), "minimum-order witness cut must be grounded"

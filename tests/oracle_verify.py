@@ -18,7 +18,7 @@ from immtools import ImmersionCertificate, Multigraph
 def _edge_subgraph_vertices(G: Multigraph, edge_ids) -> Set[str]:
     verts: Set[str] = set()
     for e in edge_ids:
-        a, b = G.ends(e)
+        a, b = G.edges[e]
         verts.add(a)
         verts.add(b)
     return verts
@@ -35,7 +35,7 @@ def _edge_set_connected(G: Multigraph, edge_ids) -> bool:
     while stack:
         v = stack.pop()
         for e in edge_ids:
-            a, b = G.ends(e)
+            a, b = G.edges[e]
             if a == v and b not in seen:
                 seen.add(b)
                 stack.append(b)
@@ -48,12 +48,12 @@ def _edge_set_connected(G: Multigraph, edge_ids) -> bool:
 def _has_cycle_through(G: Multigraph, edge_ids, v: str) -> bool:
     edge_ids = set(edge_ids)
     for e in edge_ids:
-        a, b = G.ends(e)
+        a, b = G.edges[e]
         if a == b == v:
             return True
     # a non-loop cycle through v: leave v by one edge, return by a different one
     for first in sorted(edge_ids):
-        a, b = G.ends(first)
+        a, b = G.edges[first]
         if v not in (a, b) or a == b:
             continue
         start = b if a == v else a
@@ -62,7 +62,7 @@ def _has_cycle_through(G: Multigraph, edge_ids, v: str) -> bool:
         while stack:
             cur, seen, used = stack.pop()
             for e in edge_ids - used:
-                x, y = G.ends(e)
+                x, y = G.edges[e]
                 if x == y:
                     continue
                 if cur not in (x, y):
@@ -94,7 +94,7 @@ def violations(
             else:
                 claimed[e] = he
     for he in sorted(H.edges):
-        hu, hv = H.ends(he)
+        hu, hv = H.edges[he]
         edge_ids = em[he]
         spanned = _edge_subgraph_vertices(G, edge_ids)
         if hu == hv:

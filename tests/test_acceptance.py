@@ -422,7 +422,7 @@ def test_criterion_09_bounds():
     assert d_of_k(2) == slow_power(5, 20) * 4 * 3
     for F in (gen_complete(3), gen_complete(4)):
         c = theorem31_constants(F)
-        nF, eF = len(F.vertices), F.num_edges()
+        nF, eF = len(F.vertices), len(F.edges)
         d = d_of_k(c.k)
         assert c.m == 2 * eF
         assert c.a == 4 * nF

@@ -62,7 +62,7 @@ def test_theorem31_single_edge():
 def test_theorem31_defining_equations():
     for F in (gen_complete(3), gen_complete(4)):
         c = theorem31_constants(F)
-        nF, eF = len(F.vertices), F.num_edges()
+        nF, eF = len(F.vertices), len(F.edges)
         d = d_of_k(c.k)
         assert c.m == 2 * eF
         assert c.a == 4 * nF

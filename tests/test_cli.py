@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 from collections import Counter
@@ -36,6 +39,8 @@ from immtools.jsonio import (
 )
 from immtools.cli import main
 from helpers import mg
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -134,6 +139,24 @@ def test_decompose_linear_pipeline(tmp_path, capsys):
         "--a", "0", "--w", "1", "--p", "1",
     )
     assert code == 0
+
+
+def test_decompose_linear_pipeline_on_an_explicit_vertex_list(tmp_path, capsys):
+    _, host, _ = run(capsys, "gen", "pk", "3")
+    g = write(tmp_path, "g.json", json.loads(host))
+    code, out, _ = run(
+        capsys, "decompose", "linear", "--graph", g, "--W", "v1,v2", "--m", "3",
+        "--w-limit", "3",
+    )
+    assert code == 0
+    cert = json.loads(out)
+    assert sorted(cert["ordering"]) == ["v1", "v2"]
+    c = write(tmp_path, "c.json", cert)
+    verify = ("verify", "linear", "--graph", g, "--cert", c, "--a", "0", "--w", "1", "--p", "1")
+    assert run(capsys, *verify, "--W", "v1,v2") == (0, "", "")
+    # the certificate decomposes {v1, v2}, not the whole vertex set
+    code, _, err = run(capsys, *verify, "--W", "all")
+    assert code == 2 and "ordering is not exactly the decomposed vertex set" in err
 
 
 def test_verify_linear_rejects_tampering(tmp_path, capsys):
@@ -508,6 +531,31 @@ def test_running_out_of_memory_is_a_limit_exit_code(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, "find-immersion", "--host", g, "--pattern", g)
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_an_internal_key_error_is_not_reported_as_malformed_input(tmp_path):
+    # no code in immtools raises KeyError on purpose: one that escapes a
+    # command is a fault of the program and ends the entry point with a
+    # traceback, not an `error:` line.  Its status is still 1, Python's
+    # own for an uncaught exception, so stderr alone tells it from exit 1
+    g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
+    entry = (
+        "import sys\n"
+        "from immtools import cli\n"
+        "def internal_fault(*args, **kwargs):\n"
+        "    raise KeyError('v0')\n"
+        "cli.find_immersion = internal_fault\n"
+        "sys.exit(cli.main())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", entry, "find-immersion", "--host", g, "--pattern", g],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback")
+    assert proc.stderr.endswith("KeyError: 'v0'\n")
+    assert "error:" not in proc.stderr
 
 
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):

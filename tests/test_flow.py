@@ -272,3 +272,30 @@ def test_set_flows_with_closed_vertices_match_the_reduced_graph():
             assert (value, side) == (want.value, want.source_side), (case, S, T, closed)
             assert paths == oracle_flow.edge_disjoint_paths(reduced, S, T), (case, S, T, closed)
     assert closing > 100
+
+
+def test_extracted_paths_trim_a_circulation_off_the_flow():
+    # two s-t paths, through a and through d, and a triangle a-b-c at a.
+    # The edge ids put ab before at in a's arc list, so with one unit
+    # circulating round the triangle the walk from s meets a twice, and
+    # the cycle a -> b -> c -> a is trimmed off before it goes on to t
+    G = mg("abcdst", {"ab": "ab", "at": "at", "bc": "bc", "ca": "ca", "dt": "dt",
+                      "sa": "sa", "sd": "sd"})
+    net = FlowNetwork(G)
+    s, t = net.index["s"], net.index["t"]
+    assert net.max_flow([s], [t]) == 2
+    for e, tail in (("ab", "a"), ("bc", "b"), ("ca", "c")):
+        j = net.edge_ids.index(e)
+        i = 2 * j if net.names[net.head[2 * j + 1]] == tail else 2 * j + 1
+        net.flow[i] += 1
+        net.flow[i ^ 1] -= 1
+    paths = net.extract_paths()
+    assert len(paths) == 2
+    used = [i >> 1 for arcs in paths for i in arcs]
+    assert len(used) == len(set(used))  # edge-disjoint
+    for arcs in paths:
+        nodes = [net.head[arcs[0] ^ 1]] + [net.head[i] for i in arcs]
+        assert (nodes[0], nodes[-1]) == (s, t)
+        assert all(net.head[i ^ 1] == u for i, u in zip(arcs, nodes))  # a walk
+        assert len(set(nodes)) == len(nodes)  # simple
+    assert sorted(map(net.path_edges, paths)) == [["sa", "at"], ["sd", "dt"]]

@@ -13,14 +13,14 @@ def test_pk_shape():
     for k in range(1, 7):
         G = gen_pk(k)
         assert len(G.vertices) == k + 1
-        assert G.num_edges() == k * k
+        assert len(G.edges) == k * k
         assert G.degree("v0") == G.degree(f"v{k}") == k
         for i in range(1, k):
             assert G.degree(f"v{i}") == 2 * k
 
 
 def test_pk_small_cases():
-    assert gen_pk(1).num_edges() == 1
+    assert len(gen_pk(1).edges) == 1
     G = gen_pk(2)
     assert [G.degree(f"v{i}") for i in range(3)] == [2, 4, 2]
 
@@ -38,11 +38,11 @@ def test_pk_rejects_zero():
 
 
 def test_pk_chorded_counts():
-    assert gen_pk_chorded(2).num_edges() == 5
+    assert len(gen_pk_chorded(2).edges) == 5
     G = gen_pk_chorded(3)
-    assert G.num_edges() == 11
-    assert G.ends("chord0") == ("v0", "v2")
-    assert G.ends("chord1") == ("v1", "v3")
+    assert len(G.edges) == 11
+    assert G.edges["chord0"] == ("v0", "v2")
+    assert G.edges["chord1"] == ("v1", "v3")
 
 
 def test_pk_chorded_rejects_small_k():
@@ -52,9 +52,9 @@ def test_pk_chorded_rejects_small_k():
 
 def test_complete_counts():
     assert len(gen_complete(1).vertices) == 1
-    assert gen_complete(1).num_edges() == 0
+    assert len(gen_complete(1).edges) == 0
     G = gen_complete(3)
-    assert G.num_edges() == 3
+    assert len(G.edges) == 3
     assert all(G.degree(v) == 2 for v in G.vertices)
     assert gen_complete(0).vertices == frozenset()
 
@@ -72,7 +72,7 @@ def test_random_respects_multiplicity_cap():
 
     G = gen_random_multigraph(3, 12, 2, seed=1)
     counts = Counter(G.edges.values())
-    assert G.num_edges() == 12
+    assert len(G.edges) == 12
     assert max(counts.values()) <= 2
 
 

@@ -799,7 +799,7 @@ def test_star_minor_construction_on_random_hosts():
         assert verify_immersion(G, F, cert, strong=True) == [], f"seed {seed}"
         built += 1
         ends = set(cert.vertex_map.values()) | {model.center}
-        spanned = {x for es in cert.edge_map.values() for e in es for x in G.ends(e)}
+        spanned = {x for es in cert.edge_map.values() for e in es for x in G.edges[e]}
         transit += bool(spanned - ends)
     assert built >= 50
     # some routes pass through vertices other than the leaves and the center

@@ -3,9 +3,11 @@ import random
 import string
 import time
 
+import pytest
+
 import oracle_iso
 from enumerate_graphs import multigraphs
-from immtools import Multigraph, canonical_key
+from immtools import Multigraph, SizeLimitError, canonical_key, pathdecomp
 from immtools.iso import _block_orders, _refined
 from helpers import isomorphic_with_pins, mg
 
@@ -176,3 +178,28 @@ def test_keys_build_no_cached_fact():
     G = mg("abcd", {"1": "ab", "2": "ab", "3": "bc", "4": "cd", "l": "dd"})
     canonical_key(G)
     assert not {"degrees", "index", "counts"} & vars(G).keys()
+
+
+def cycle(n: int) -> Multigraph:
+    names = [f"c{i}" for i in range(n)]
+    return Multigraph(
+        frozenset(names), {f"e{i}": (names[i], names[(i + 1) % n]) for i in range(n)}
+    )
+
+
+def test_keys_past_the_work_limit_are_refused_before_any_form_is_made(monkeypatch):
+    # a cycle is regular and has no twins: one block of n singleton
+    # classes, n! labelled forms; 8! = 40,320 is under the limit of
+    # 100,000 and 9! is over it
+    for n in (12, 1200):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="more than 100000 labelled forms"):
+            canonical_key(cycle(n))
+        assert time.perf_counter() - start < 0.1, n
+    assert labelled_forms(cycle(8)) == math.factorial(8)
+    assert canonical_key(cycle(8)) == oracle_iso.canonical_key(cycle(8))
+    # the limit is pathdecomp's, read when a key is made
+    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 100)
+    with pytest.raises(SizeLimitError, match="more than 100 labelled forms"):
+        canonical_key(cycle(5))
+    assert canonical_key(cycle(4)) == oracle_iso.canonical_key(cycle(4))

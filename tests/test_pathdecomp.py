@@ -18,6 +18,7 @@ from immtools import (
     PathLikeDecomposition,
     SMALL_CUT,
     SizeLimitError,
+    StarMinorModel,
     build_auxiliary_graph,
     compute_separator,
     gen_complete,
@@ -382,6 +383,23 @@ def test_k1k_minor_via_connected_center_set():
     model = has_k1k_minor(H, 3)
     assert model is not False
     assert model.violations(H) == []
+
+
+def test_star_model_violations_name_each_rejected_shape():
+    # host: the triangle c, a, b and the vertex d, joined to nothing
+    host = sg("cabd", ["ca", "cb", "ab"])
+
+    def violations(vertices, edges, leaves):
+        return StarMinorModel("c", frozenset(leaves), sg(vertices, edges)).violations(host)
+
+    assert violations("cab", ["ca", "cb"], "ab") == []
+    assert violations("caz", ["ca", "cz"], "az") == [
+        "model tree uses vertices outside the host",
+        "model tree uses edges outside the host",
+    ]
+    assert violations("cad", ["ca", "cd"], "ad") == ["model tree uses edges outside the host"]
+    # the whole triangle is not a tree, and its leaves are not compared
+    assert violations("cab", ["ca", "cb", "ab"], "ab") == ["connecting subgraph is not a tree"]
 
 
 def test_min_linearizing_set_examples():

@@ -26,7 +26,7 @@ seeds = st.integers(min_value=0, max_value=10**9)
 @given(seeds)
 def test_boundary_symmetry_and_handshake(seed):
     G = random_multigraph(random.Random(seed))
-    assert sum(G.degree(v) for v in G.vertices) == 2 * G.num_edges()
+    assert sum(G.degree(v) for v in G.vertices) == 2 * len(G.edges)
     verts = sorted(G.vertices)
     rng = random.Random(seed + 1)
     X = frozenset(v for v in verts if rng.random() < 0.5)
@@ -79,15 +79,15 @@ def test_lift_degree_bookkeeping(seed):
         (e, f)
         for e in sorted(G.edges)
         for f in sorted(G.edges)
-        if e < f and set(G.ends(e)) & set(G.ends(f))
+        if e < f and set(G.edges[e]) & set(G.edges[f])
     ]
     if not candidates:
         return
     e, f = rng.choice(candidates)
-    shared = sorted(set(G.ends(e)) & set(G.ends(f)))
+    shared = sorted(set(G.edges[e]) & set(G.edges[f]))
     pivot = rng.choice(shared)
     H = lift(G, e, f, pivot=pivot)
-    assert H.num_edges() == G.num_edges() - 1
+    assert len(H.edges) == len(G.edges) - 1
     for v in G.vertices:
         expected = G.degree(v) - (2 if v == pivot else 0)
         assert H.degree(v) == expected

@@ -91,7 +91,7 @@ def test_large_decomposition_trees_stay_linear():
         frozenset(frozenset(e) for e in zip(nodes, nodes[1:])),
         dict(zip(nodes, (frozenset([v]) for v in verts))),
     )
-    T = D.tree()
+    T = D.tree
     tracemalloc.start()
     try:
         assert T.is_tree() and T.leaves() == {"t0", f"t{n - 1}"}

@@ -108,7 +108,7 @@ def test_torso_empty_bag_leaf():
     )
     t = torso_at(C4, D, "leaf")
     assert len(t.graph.vertices) == 1
-    assert t.graph.num_edges() == 0  # consolidation deletes the resulting loops
+    assert len(t.graph.edges) == 0  # consolidation deletes the resulting loops
     assert t.core == frozenset()
 
 
@@ -572,7 +572,7 @@ def test_edge_sum_of_triangles_is_c4():
     S = edge_sum(TRI_A, "a3", TRI_B, "b3", {"t2": "u2", "t3": "u3"})
     assert canonical_key(S) == canonical_key(C4)
     assert len(S.vertices) == len(TRI_A.vertices) + len(TRI_B.vertices) - 2
-    assert S.num_edges() == TRI_A.num_edges() + TRI_B.num_edges() - 2
+    assert len(S.edges) == len(TRI_A.edges) + len(TRI_B.edges) - 2
 
 
 def test_edge_sum_bridge():
@@ -580,7 +580,7 @@ def test_edge_sum_bridge():
     G2 = mg(["b", "p2"], {"f": ("b", "p2")})
     S = edge_sum(G1, "p1", G2, "p2", {"e": "f"})
     assert S.vertices == frozenset({"a", "b"})
-    assert S.num_edges() == 1
+    assert len(S.edges) == 1
 
 
 def test_edge_sum_p2_endpoints():
@@ -591,7 +591,7 @@ def test_edge_sum_p2_endpoints():
     )
     S = edge_sum(G1, "v2", G2, "w0", {"e1c0": "f0a", "e1c1": "f0b"})
     assert len(S.vertices) == 4
-    assert S.num_edges() == 4 + 4 - 2
+    assert len(S.edges) == 4 + 4 - 2
     assert S.degree("v1") == 4 and S.degree("w1") == 4
 
 
@@ -615,6 +615,48 @@ def test_is_grounded_examples():
     G1 = mg(["a", "p1"], {"e": ("a", "p1")})
     G2 = mg(["b", "p2"], {"f": ("b", "p2")})
     assert is_grounded(G1, "p1", G2, "p2")  # k = 1 with connected summands
+
+
+LOOPY = mg(["a", "b"], {"l": ("b", "b"), "e": ("a", "b")})
+_LOOP_AT_B = "'b' carries a loop; edge sums require loop-free ends"
+
+
+@pytest.mark.parametrize("args, message", [
+    ((TRI_A, "zz", TRI_B, "b3", {}), "unknown vertex 'zz'"),
+    ((TRI_A, "a3", TRI_B, "zz", {}), "unknown vertex 'zz'"),
+    ((LOOPY, "b", TRI_B, "b3", {"e": "u2"}), _LOOP_AT_B),
+    ((TRI_B, "b3", LOOPY, "b", {"u2": "e"}), _LOOP_AT_B),
+    ((TRI_A, "a3", mg(["p", "q"], {"e": ("p", "q")}), "q", {"t2": "e"}),
+     "degree mismatch: |delta(v1)| = 2, |delta(v2)| = 1"),
+    ((mg(["x"], {}), "x", mg(["y"], {}), "y", {}),
+     "degree mismatch: |delta(v1)| = 0, |delta(v2)| = 0"),
+    ((TRI_A, "a3", TRI_B, "b3", {"t2": "u2", "t3": "u2"}),
+     "pi is not a bijection from delta(v1) to delta(v2)"),
+    ((mg(["a", "x"], {"e": ("a", "x")}), "x", mg(["a", "y"], {"f": ("a", "y")}), "y",
+      {"e": "f"}), "summand vertex sets overlap: ['a']"),
+    ((mg(["a", "b", "x"], {"e": ("a", "x"), "g": ("a", "b")}), "x",
+      mg(["c", "d", "y"], {"f": ("c", "y"), "g": ("c", "d")}), "y", {"e": "f"}),
+     "summand edge ids overlap: ['g']"),
+], ids=["unknown-v1", "unknown-v2", "loop-v1", "loop-v2", "degrees-differ", "degree-0",
+        "pi-not-injective", "vertex-overlap", "edge-id-overlap"])
+def test_edge_sum_rejections_name_the_problem(args, message):
+    with pytest.raises(ValueError) as info:
+        edge_sum(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", [
+    ((TRI_A, "zz", TRI_B, "b3"), "unknown vertex 'zz'"),
+    ((TRI_A, "a3", TRI_B, "zz"), "unknown vertex 'zz'"),
+    ((LOOPY, "b", TRI_B, "b3"), _LOOP_AT_B),
+    ((TRI_A, "a3", LOOPY, "b"), _LOOP_AT_B),
+    ((mg(["a", "x"], {"l": ("a", "a")}), "x", TRI_B, "b3"), "'x' has degree 0"),
+    ((TRI_A, "a3", mg(["y"], {}), "y"), "'y' has degree 0"),
+], ids=["unknown-v1", "unknown-v2", "loop-v1", "loop-v2", "degree-0-v1", "degree-0-v2"])
+def test_is_grounded_rejections_name_the_problem(args, message):
+    with pytest.raises(ValueError) as info:
+        is_grounded(*args)
+    assert str(info.value) == message
 
 
 # -- composition -------------------------------------------------------
@@ -642,6 +684,16 @@ def test_compose_rejects_unknown_glue_vertex(v1, v2):
     D = single_node(TRI_A)
     with pytest.raises(ValueError, match="unknown vertex 'zz'"):
         compose_decompositions(TRI_A, D, TRI_A, D, v1, v2)
+
+
+def test_compose_rejects_a_glue_vertex_with_a_loop():
+    # edge_sum never glues at a vertex with a loop, so there is no sum to
+    # decompose
+    for args in ((LOOPY, single_node(LOOPY), TRI_B, single_node(TRI_B), "b", "b3"),
+                 (TRI_B, single_node(TRI_B), LOOPY, single_node(LOOPY), "b3", "b")):
+        with pytest.raises(ValueError) as info:
+            compose_decompositions(*args)
+        assert str(info.value) == _LOOP_AT_B
 
 
 def test_compose_torsos_match_inputs():
