@@ -573,20 +573,14 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " discrete fast path)",
     ),
     Mutant(
-        "one-order-path-with-several-arrangements",
+        "least-form-keeps-the-first",
         "src/immtools/iso.py",
-        "if any(len(orders) > 1 for orders in block_orders):\n"
-        "            return n, _least_form(n, pairs, block_orders)\n"
-        "        pos = [0] * n\n"
-        "        for p, v in enumerate(itertools.chain.from_iterable(order for (order,) in block_orders)):",
-        "if any(len(orders) > 2 for orders in block_orders):\n"
-        "            return n, _least_form(n, pairs, block_orders)\n"
-        "        pos = [0] * n\n"
-        "        for p, v in enumerate(itertools.chain.from_iterable(o[0] for o in block_orders)):",
+        "if best is None or form < best:",
+        "if best is None:",
         (_SWEEP_KEYS,),
-        "a colour block with two arrangements of its twin classes takes the"
-        " one-order path in its first arrangement, which need not give the"
-        " least form (first made for the one-order path)",
+        "the key of a graph with several vertex orders is the form of the"
+        " first one, which need not be the least (first made when every"
+        " graph without a discrete colouring took the product)",
     ),
     # -- twin classes, which canonical keys and the immersion search share
     Mutant(
@@ -650,6 +644,27 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "an image of two disjoint host edges, one at each end image, passes"
         " as connected (first made for the verifier on the named host"
         " edges)",
+    ),
+    Mutant(
+        "spread-leaves-its-start-unmarked",
+        "src/immtools/simplegraph.py",
+        "    reached.add(v)\n    stack = [v]\n",
+        "    stack = [v]\n",
+        (_VERIFIER_ORACLE, "tests/test_simplegraph.py::test_the_mask_readers_match_the_queries"),
+        "the depth-first spread does not mark the vertex it starts from, so"
+        " an isolated vertex has an empty component and a loop image of two"
+        " parallel edges has no cycle (first made when the verifier and"
+        " connected_components came to share it)",
+    ),
+    Mutant(
+        "certificate-drops-the-last-route-edge",
+        "src/immtools/immersion.py",
+        "            while route:\n                e = route & -route",
+        "            while route & (route - 1):\n                e = route & -route",
+        ("tests/test_immersion.py::test_found_certificates_verify",),
+        "each route of a found certificate loses its highest host edge, a"
+        " one-edge route all of it (first made when one loop came to name"
+        " every route)",
     ),
     # -- command line
     Mutant(

@@ -4,6 +4,8 @@ run the structure decomposition, and print the resulting tree, bags,
 adhesion, and per-torso linearity certificates."""
 
 import json
+import os
+import sys
 
 from immtools import (
     FailureWitness,
@@ -48,4 +50,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe is found here, not at exit
+    except BrokenPipeError:  # as the immtools CLI: exit 141, nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

@@ -3,6 +3,9 @@
 edge-connected yet contain no strong triangle immersion, and the chorded
 variants contain no strong K4 immersion."""
 
+import os
+import sys
+
 from immtools import (
     find_immersion,
     gen_complete,
@@ -33,4 +36,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe is found here, not at exit
+    except BrokenPipeError:  # as the immtools CLI: exit 141, nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

@@ -7,10 +7,12 @@ the immersion search budget ran out, a linearity search (smallest
 linearizing set, star minor) went over its work limit of 100,000
 decision nodes or center sets, an integer argument or a bound has more
 decimal digits than the interpreter converts, or the process ran out of
-memory (one stderr line, "error: out of memory"); 141 (128 + SIGPIPE)
-standard output closed by its reader, with nothing on stderr.  An
-unreadable input file is malformed input, and so is a usage error: one
-stderr line starting "error: immtools".
+memory (one stderr line, "error: out of memory"); 70 (EX_SOFTWARE in
+sysexits.h) a fault of the program, any other exception, with its
+traceback on stderr; 141 (128 + SIGPIPE) standard output closed by its
+reader, with nothing on stderr.  An unreadable input file is malformed
+input, and so is a usage error: one stderr line starting "error:
+immtools".
 
 One table, `_COMMANDS`, parses, checks and documents every command:
 after its words, options (`--flag value`, `--flag=value`, or a unique
@@ -33,6 +35,7 @@ import math
 import os
 import re
 import sys
+import traceback
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -65,6 +68,7 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_REJECTED = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 70
 EXIT_PIPE = 141
 
 
@@ -423,6 +427,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_LIMIT
+    except Exception:  # a fault of the program, not of its input
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -146,11 +146,11 @@ from __future__ import annotations
 import dataclasses
 import operator
 import sys
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .flow import FlowNetwork
 from .multigraph import Multigraph, _fresh_name
-from .simplegraph import StarMinorModel
+from .simplegraph import StarMinorModel, _spread
 
 FOUND = "found"
 ABSENT = "absent"
@@ -177,19 +177,6 @@ _OUT_OF_BUDGET = SearchResult(status=BUDGET)
 
 
 # -- verification -----------------------------------------------------
-
-
-def _spread(adj: Dict[str, List[str]], v: str, reached: Set[str]) -> Set[str]:
-    """Add v to `reached`, then every vertex that v reaches in adj through
-    vertices not yet in it, and return it."""
-    reached.add(v)
-    stack = [v]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in reached:
-                reached.add(u)
-                stack.append(u)
-    return reached
 
 
 def verify_immersion(
@@ -549,25 +536,22 @@ class _Searcher:
         """The immersion of the routes now open: pattern edge k takes the
         host edges of level_avail[k] that level k + 1 lacks."""
         G, H = self.G, self.H
-        gnames, gedges, singletons = G.index.vertices, G.index.edges, G.edge_singletons
+        gedges = G.index.edges
         edge_map: Dict[str, FrozenSet[str]] = {}
         before = level_avail[0]
         for k, he in enumerate(H.index.edges):
             after = level_avail[k + 1]
             route = before & ~after
             before = after
-            if route & (route - 1):
-                names = []
-                while route:
-                    e = route & -route
-                    names.append(gedges[e.bit_length() - 1])
-                    route ^= e
-                edge_map[he] = frozenset(names)
-            else:
-                # most routes are one edge: its frozenset is shared
-                edge_map[he] = singletons[route.bit_length() - 1]
+            names = []
+            while route:
+                e = route & -route
+                names.append(gedges[e.bit_length() - 1])
+                route ^= e
+            edge_map[he] = frozenset(names)
+        hnames, gnames = H.index.vertices, G.index.vertices
         return ImmersionCertificate(
-            vertex_map={a: gnames[img[h]] for a, h in zip(H.degree_order_names, H.degree_order)},
+            vertex_map={hnames[h]: gnames[img[h]] for h in H.degree_order},
             edge_map=edge_map,
             strong=self.strong,
         )

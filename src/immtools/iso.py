@@ -19,10 +19,10 @@ exactly when their keys are equal.
   automorphism, so it leaves the labelled form of a vertex order as it
   is.  Each block therefore tries only the distinct arrangements of its
   twin classes, each class in id order, and the least form, so the key,
-  is the one the full product of block permutations gives.  When no block
-  has two arrangements (every vertex has its own colour, or each block is
-  one twin class) the vertex order is fixed, and the key is one sorted
-  list of position pairs.
+  is the one the full product of block permutations gives.  When every
+  vertex has its own colour the colours are the positions, and the key
+  is one sorted list of position pairs; every other graph takes the
+  product, which has one form when each block is one twin class.
 
 The search stays small when refinement splits G finely or its blocks are
 twin classes (K_n and the edgeless graph need one form, K_{n,n} one per
@@ -148,16 +148,9 @@ def canonical_key(G: Multigraph) -> Tuple:
     classes of each colour block, and raises SizeLimitError when there
     are more than 100,000 of them (a cycle on 9 or more vertices)."""
     n, pairs, ranks, count, nbrs = _refined(G)
-    if count == n:  # every vertex has its own colour
+    if count == n:  # every vertex has its own colour: one labelled form
         pos = ranks
-    else:
-        block_orders = _block_orders(ranks, count, nbrs)
-        if any(len(orders) > 1 for orders in block_orders):
-            return n, _least_form(n, pairs, block_orders)
-        pos = [0] * n
-        for p, v in enumerate(itertools.chain.from_iterable(order for (order,) in block_orders)):
-            pos[v] = p
-    # one vertex order up to twins: one labelled form
-    return n, tuple(
-        sorted([(pos[i], pos[j]) if pos[i] <= pos[j] else (pos[j], pos[i]) for i, j in pairs])
-    )
+        return n, tuple(
+            sorted([(pos[i], pos[j]) if pos[i] <= pos[j] else (pos[j], pos[i]) for i, j in pairs])
+        )
+    return n, _least_form(n, pairs, _block_orders(ranks, count, nbrs))

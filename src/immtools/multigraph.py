@@ -136,10 +136,10 @@ class Multigraph:
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
-      member before it in its class of `twin_classes`, or -1;
-    - `degree_order_names` and `edge_singletons`: the names in
-      `degree_order`, and a one-edge frozenset per edge bit, which the
-      search's certificates share.
+      member before it in its class of `twin_classes`, or -1.
+
+    No fact but `index` keeps a value per edge: a search's certificates
+    build their own edge sets.
     """
 
     vertices: FrozenSet[str]
@@ -307,15 +307,6 @@ class Multigraph:
     def degree_order(self) -> Tuple[int, ...]:
         degree = self.index.degree
         return tuple(sorted(range(len(degree)), key=lambda v: -degree[v]))
-
-    @functools.cached_property
-    def degree_order_names(self) -> Tuple[str, ...]:
-        names = self.index.vertices
-        return tuple(names[v] for v in self.degree_order)
-
-    @functools.cached_property
-    def edge_singletons(self) -> Tuple[FrozenSet[str], ...]:
-        return tuple(frozenset((e,)) for e in self.index.edges)
 
     @functools.cached_property
     def earlier_twins(self) -> Tuple[int, ...]:

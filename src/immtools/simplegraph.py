@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .multigraph import bit_positions
 
@@ -95,18 +95,9 @@ class SimpleGraph:
         seen: Set[str] = set()
         comps = []
         for start in sorted(self.vertices):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in adj[v]:
-                    if u not in comp:
-                        comp.add(u)
-                        stack.append(u)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if start not in seen:
+                comps.append(frozenset(_spread(adj, start, set())))
+                seen |= comps[-1]
         return comps
 
     def is_connected(self) -> bool:
@@ -128,6 +119,19 @@ class SimpleGraph:
 
     def leaves(self) -> FrozenSet[str]:
         return frozenset(v for v in self.vertices if self.degree(v) == 1)
+
+
+def _spread(adj: Mapping[str, Sequence[str]], v: str, reached: Set[str]) -> Set[str]:
+    """Add v to `reached`, then every vertex that v reaches in adj through
+    vertices not yet in it, and return it."""
+    reached.add(v)
+    stack = [v]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return reached
 
 
 def _join(nbr: List[int], i: int, j: int) -> None:

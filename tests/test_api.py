@@ -1,5 +1,5 @@
-"""The public functions of `immtools` and their callers, and the names
-each module imports.
+"""The public functions and methods of `immtools` and their callers, and
+the names each module imports.
 
 Each function in `immtools.__all__` is called by code in `src/immtools`,
 or is listed in `NO_SRC_CALLER` with the reason it stays public, and
@@ -7,8 +7,13 @@ each one listed there still has no such caller.  A call from its own
 definition, from `__init__.py`, or from another exported function that
 itself has no caller does not count, so a public function reached only
 from a test-only one is reported too, and neither does a local variable
-that shares the function's name.  Every name a module other than
-`__init__.py` imports is read somewhere in that module.
+that shares the function's name.  The methods and cached properties of
+each exported class are checked by the same rule against
+`NO_SRC_READER`; a method's code is its own definition, apart from the
+rest of its class.  A read is matched by name alone, so
+`Multigraph.adjacency` counts as read where `SimpleGraph.adjacency` is.
+Every name a module other than `__init__.py` imports is read somewhere
+in that module.
 """
 
 import ast
@@ -39,6 +44,22 @@ NO_SRC_CALLER = {
 }
 
 
+# Members of the exported classes that no code in src/immtools reads, as
+# "Class.member".  bench/tracer.py times each of these in a span of its
+# layer, so they stay as the definitions those spans measure (ROADMAP
+# item 9).
+NO_SRC_READER = {
+    "Multigraph.neighbors": "a bench/tracer.py span of multigraph.query",
+    "Multigraph.induced": "a bench/tracer.py span of multigraph.derive",
+    "Multigraph.without_vertices": "a bench/tracer.py span of multigraph.derive",
+    "Multigraph.without_edges": "a bench/tracer.py span of multigraph.derive",
+    "SimpleGraph.neighbors": "a bench/tracer.py span of simplegraph.query",
+    "SimpleGraph.without": "a bench/tracer.py span of simplegraph.query",
+    "SimpleGraph.is_disjoint_union_of_paths":
+        "a bench/tracer.py span of simplegraph.query, and its paths_tests counter",
+}
+
+
 def _modules():
     """(file name, syntax tree) of each module of src/immtools but `__init__.py`."""
     return [
@@ -48,46 +69,86 @@ def _modules():
     ]
 
 
-def _callers():
-    """name -> the top-level definitions (None for module level code) of
-    src/immtools, `__init__.py` aside, that read that name.  A name that a
-    definition binds itself, by assignment or as an argument, is its own
-    variable, so reading it is not a read of the module's name."""
-    readers = {}
+def _definitions():
+    """(owner, syntax tree) of each top-level definition of src/immtools,
+    `__init__.py` aside: a function by its name, each method of a class as
+    "Class.method", the rest of a class's body by the class name, and
+    module level code as None."""
     for _, tree in _modules():
         for top in tree.body:
-            owner = getattr(top, "name", None)
-            nodes = list(ast.walk(top))
-            own = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
-                n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
-            }
-            for node in nodes:
-                if isinstance(node, ast.Name) and node.id not in own:
-                    readers.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    readers.setdefault(node.attr, set()).add(owner)
+            if not isinstance(top, ast.ClassDef):
+                yield getattr(top, "name", None), top
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+                else:
+                    yield top.name, node
+
+
+def _callers():
+    """name -> the owners (see `_definitions`) that read that name.  A
+    name that a definition binds itself, by assignment or as an argument,
+    is its own variable, so reading it is not a read of the module's
+    name."""
+    readers = {}
+    for owner, top in _definitions():
+        nodes = list(ast.walk(top))
+        own = {n.arg for n in nodes if isinstance(n, ast.arg)} | {
+            n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)
+        }
+        for node in nodes:
+            if isinstance(node, ast.Name) and node.id not in own:
+                readers.setdefault(node.id, set()).add(owner)
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, set()).add(owner)
     return readers
 
 
+def _members():
+    """The methods and cached properties that the exported classes define,
+    dunder methods aside, as "Class.member" -> member."""
+    classes = {n for n in immtools.__all__ if inspect.isclass(getattr(immtools, n))}
+    return {
+        owner: node.name
+        for owner, node in _definitions()
+        if isinstance(node, ast.FunctionDef) and owner.partition(".")[0] in classes
+        and not node.name.startswith("__")
+    }
+
+
 def _without_src_caller():
-    functions = [n for n in immtools.__all__ if inspect.isfunction(getattr(immtools, n))]
+    """The exported functions, and the members of exported classes as
+    "Class.member", that no code in src/immtools reads."""
+    names = {n: n for n in immtools.__all__ if inspect.isfunction(getattr(immtools, n))}
+    names.update(_members())
     readers = _callers()
     uncalled = set()
-    while True:  # grows until no function's callers are all uncalled
-        grown = {n for n in functions if not readers.get(n, set()) - {n} - uncalled}
+    while True:  # grows until no definition's readers are all uncalled
+        grown = {q for q, n in names.items() if not readers.get(n, set()) - {q} - uncalled}
         if grown == uncalled:
             return uncalled
         uncalled = grown
 
 
 def test_every_public_function_has_a_caller_in_src_or_a_listed_reason():
-    uncalled = _without_src_caller()
+    uncalled = {n for n in _without_src_caller() if "." not in n}
     assert sorted(uncalled - NO_SRC_CALLER.keys()) == []
     assert set(NO_SRC_CALLER) <= set(immtools.__all__)
 
 
 def test_every_listed_function_still_has_no_src_caller():
     assert sorted(NO_SRC_CALLER.keys() - _without_src_caller()) == []
+
+
+def test_every_public_method_has_a_reader_in_src_or_a_listed_reason():
+    unread = {n for n in _without_src_caller() if "." in n}
+    assert sorted(unread - NO_SRC_READER.keys()) == []
+    assert set(NO_SRC_READER) <= set(_members())
+
+
+def test_every_listed_method_still_has_no_src_reader():
+    assert sorted(NO_SRC_READER.keys() - _without_src_caller()) == []
 
 
 def test_every_imported_name_is_read():

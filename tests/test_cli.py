@@ -535,9 +535,8 @@ def test_running_out_of_memory_is_a_limit_exit_code(tmp_path, capsys, monkeypatc
 
 def test_an_internal_key_error_is_not_reported_as_malformed_input(tmp_path):
     # no code in immtools raises KeyError on purpose: one that escapes a
-    # command is a fault of the program and ends the entry point with a
-    # traceback, not an `error:` line.  Its status is still 1, Python's
-    # own for an uncaught exception, so stderr alone tells it from exit 1
+    # command is a fault of the program and ends the entry point with
+    # EXIT_INTERNAL and a traceback, not exit 1 and an `error:` line
     g = write(tmp_path, "g.json", graph_to_json(gen_pk(2)))
     entry = (
         "import sys\n"
@@ -552,7 +551,7 @@ def test_an_internal_key_error_is_not_reported_as_malformed_input(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (1, "")
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_INTERNAL, "") == (70, "")
     assert proc.stderr.startswith("Traceback")
     assert proc.stderr.endswith("KeyError: 'v0'\n")
     assert "error:" not in proc.stderr

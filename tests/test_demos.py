@@ -22,6 +22,42 @@ def test_demo_runs(script):
     assert proc.returncode == 0, proc.stderr
 
 
+def _closed_early(script, lines):
+    """Run a demo into a pipe whose reader closes it after `lines` lines:
+    (the exit status, stderr).  Each print is written at once."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    read, write = os.pipe()
+    if not lines:  # no reader from the start: the first print meets it
+        os.close(read)
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / script)],
+        cwd=ROOT, env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+    )
+    os.close(write)
+    if lines:
+        with open(read) as out:
+            for _ in range(lines):
+                out.readline()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err
+
+
+@pytest.mark.parametrize("script, lines", [
+    ("structure_demo.py", 0), ("witness_family_demo.py", 0), ("witness_family_demo.py", 1),
+])
+def test_a_demo_whose_reader_closes_early_exits_141_with_nothing_on_stderr(script, lines):
+    # as `immtools gen pk 30 | head -1` does.  Each line of the witness
+    # demo follows a search, so the reader closes before the next write;
+    # a run in which the demo still wrote every line first shows nothing
+    # and is run again
+    for _ in range(5):
+        code, err = _closed_early(script, lines)
+        if code:
+            break
+    assert (code, err) == (141, "")
+
+
 def test_every_catalogued_mutant_still_applies():
     # a mutant whose fragment no longer occurs exactly once, or whose
     # tests are gone, would be reported stale by scripts/mutants.py

@@ -538,3 +538,14 @@ def test_searching_leaves_equality_unchanged():
         find_immersion(G, H, strong=strong)
     assert (G, H) == fresh
     assert repr((G, H)) == repr(fresh)
+
+
+def test_a_search_caches_no_table_per_edge():
+    # a certificate builds its own edge sets: what the search keeps on
+    # the host is its index and counts, nothing more per edge
+    G = gen_random_multigraph(2000, 6000, 1, 1)
+    H = gen_complete(4)
+    assert find_immersion(G, H).status == "found"
+    fields = {"vertices", "edges"}
+    assert sorted(vars(G).keys() - fields) == ["counts", "index"]
+    assert sorted(vars(H).keys() - fields) == ["counts", "degree_order", "earlier_twins", "index"]
