@@ -113,6 +113,16 @@ CATALOGUE: Tuple[Mutant, ...] = (
         " once caught only by the CI timeout (first made for the"
         " smaller-side split network)",
     ),
+    Mutant(
+        "flow-layout-keeps-loops",
+        "src/immtools/flow.py",
+        "ends = [numbering.ends[k] for k in kept]",
+        "ends = list(numbering.ends)",
+        ("tests/test_flow.py::test_flow_core_agrees_with_the_oracle",),
+        "a loop is laid out as an arc pair, so every later pair is one"
+        " place past its edge id and the paths name the wrong edges (first"
+        " made for the network laid out from the numbering)",
+    ),
     # -- the split loop
     Mutant(
         "zero-cut-unlinked",
@@ -185,11 +195,12 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "bridge-search-skips-the-parent-vertex",
         "src/immtools/multigraph.py",
-        "stack.append([u, links[u] & ~e, len(pending)])",
-        "stack.append([u, links[u] & ~links[v], len(pending)])",
+        "came[v] = -1",
+        "pass",
         (_PAIR_COUNTS, _RULED_OUT),
-        "a doubled edge counts as a bridge, so a host has too few"
-        " 2-edge-connected pairs (first made for the pair-count rule)",
+        "every edge back to the parent is skipped, so a doubled edge counts"
+        " as a bridge and a host has too few 2-edge-connected pairs (first"
+        " made for the pair-count rule, re-expressed on neighbour lists)",
     ),
     Mutant(
         "p2-not-compared",
@@ -353,12 +364,24 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "index-counts-a-loop-once",
         "src/immtools/multigraph.py",
-        "            degree[u] += 1\n            degree[v] += 1\n",
-        "            degree[u] += 1\n            degree[v] += u != v\n",
+        "        degree[u] += 1\n        degree[v] += 1\n",
+        "        degree[u] += 1\n        degree[v] += u != v\n",
         (_CACHED_FACTS,),
-        "a loop adds 1, not 2, to index.degree, so the degree sequence, the"
-        " spare capacity and the pattern order are wrong for looped graphs"
-        " (first made for the degrees counted in the index's own edge loop)",
+        "a loop adds 1, not 2, to numbering.degree, so the degree sequence,"
+        " the spare capacity and the pattern order are wrong for looped"
+        " graphs (first made for the degrees counted in the index's own"
+        " edge loop, re-expressed on the numbering's)",
+    ),
+    Mutant(
+        "numbering-keeps-insertion-order",
+        "src/immtools/multigraph.py",
+        "edges = tuple(sorted(G.edges))",
+        "edges = tuple(G.edges)",
+        (_CACHED_FACTS,),
+        "edge positions follow insertion order, not edge ids, so bits and"
+        " positions no longer compare ids, and the search's edge order and"
+        " first certificate depend on how a graph was built (first made for"
+        " the one numbering)",
     ),
     Mutant(
         "counts-a-loop-as-a-pair",
@@ -554,13 +577,13 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "refinement-counts-a-loop-once",
         "src/immtools/iso.py",
-        "        degree[i] += 1\n        degree[j] += 1\n",
-        "        degree[i] += 1\n        degree[j] += i != j\n",
+        "_rank(list(zip(degree, loops)))",
+        "_rank([(d - k, k) for d, k in zip(degree, loops)])",
         (_SWEEP_KEYS,),
         "a loop adds 1, not 2, to the start colour's degree, so a looped"
         " vertex ranks below an unlooped one of its degree and the key"
         " differs (first made for the degrees counted in the refinement's"
-        " own edge pass)",
+        " own edge pass, re-expressed on the numbering's degrees)",
     ),
     Mutant(
         "discrete-pairs-unordered",

@@ -38,11 +38,11 @@ _ROOT = -1  # ... of a source, and of a closed node
 
 
 class FlowNetwork:
-    """The network of a multigraph G.  Node i is `names[i]`, the i-th
-    vertex of G in sorted order, and `index` maps each vertex to its node.
-    Each non-loop edge is one undirected unit arc pair, pairs in the
-    order of `edge_ids`, G's non-loop edge ids sorted (`_lay_out`).  A
-    caller may set an arc's capacity to 0.
+    """The network of a multigraph G, laid out from `G.numbering`.  Node
+    i is `names[i]`, G's vertex i, and `index` maps each vertex to its
+    node.  Each non-loop edge is one undirected unit arc pair, pairs in
+    the order of `edge_ids`, G's non-loop edge ids sorted (`_lay_out`).
+    A caller may set an arc's capacity to 0.
 
     A network made by `split` lays out its pairs in the order it met them,
     and keeps no edge ids: flow values and residual sides do not depend
@@ -50,24 +50,24 @@ class FlowNetwork:
     """
 
     def __init__(self, G: Multigraph):
-        edges = G.edges
-        self.edge_ids = ids = sorted(e for e, (a, b) in edges.items() if a != b)
-        self._lay_out(sorted(G.vertices), map(edges.__getitem__, ids), [1] * (2 * len(ids)))
+        numbering = G.numbering
+        kept = [k for k, (a, b) in enumerate(numbering.ends) if a != b]
+        self.edge_ids = [numbering.edges[k] for k in kept]
+        ends = [numbering.ends[k] for k in kept]
+        self._lay_out(list(numbering.names), ends, [1] * (2 * len(ends)))
 
-    def _lay_out(self, names: List[str], ends: Iterable[Tuple[str, str]], cap: List[int]) -> None:
-        """Lay the network out on the nodes `names`: the j-th pair (a, b) of
-        `ends` becomes arc 2j from a to b, with capacity cap[2j], and its
-        companion 2j + 1, with capacity cap[2j + 1], and every node lists
-        its arcs in pair order."""
-        index = dict(zip(names, range(len(names))))
+    def _lay_out(self, names: List[str], ends: Iterable[Tuple[int, int]], cap: List[int]) -> None:
+        """Lay the network out on the nodes `names`, a list it then owns:
+        the j-th node pair (a, b) of `ends` becomes arc 2j from a to b, with
+        capacity cap[2j], and its companion 2j + 1, with capacity
+        cap[2j + 1], and every node lists its arcs in pair order."""
         adj: List[List[int]] = [[] for _ in names]
         head: List[int] = []
         for a, b in ends:
-            a, b = index[a], index[b]
             adj[a].append(len(head))
             adj[b].append(len(head) + 1)
             head += (b, a)
-        self.names, self.index = names, index
+        self.names, self.index = names, dict(zip(names, range(len(names))))
         self.adj, self.head, self.cap = adj, head, cap
         self.dead_arcs = 0
 
@@ -151,34 +151,37 @@ class FlowNetwork:
         of the network; a later flow here still pays for the dead nodes
         and arcs, so a caller copies the network once most of it is dead.
         """
-        adj, head, cap, names = self.adj, self.head, self.cap, self.names
-        inside = set(side)
-        ends: List[Tuple[str, str]] = []  # the moved pairs, then the cut's
+        adj, head, cap = self.adj, self.head, self.cap
+        local = dict(zip(side, range(len(side))))  # node -> its node there
+        ends: List[Tuple[int, int]] = []  # the moved pairs, then the cut's
         caps: List[int] = []
         cut: List[int] = []  # the arcs leaving side
-        for u in side:
+        for j, u in enumerate(side):
             for i in adj[u]:
-                if head[i] not in inside:
+                w = local.get(head[i])
+                if w is None:
                     cut.append(i)
                 elif not i & 1:  # each pair once, from its first arc
-                    ends.append((names[u], names[head[i]]))
+                    ends.append((j, w))
                     caps += (cap[i], cap[i ^ 1])
         self.dead_arcs += len(caps)
-        moved = [names[u] for u in side]
+        moved = [self.names[u] for u in side]
         rest = None
         if cut:
             assert glue is not None and rest_glue is not None, "a cut needs glue nodes"
             moved.append(glue)
             for i in cut:
-                ends.append((names[head[i ^ 1]], glue))
+                ends.append((local[head[i ^ 1]], len(side)))
                 caps += (cap[i], cap[i ^ 1])
             rest = len(adj)
             adj.append(cut)  # each cut arc now leaves the new node ...
             for i in cut:
                 head[i ^ 1] = rest  # ... and its companion enters it
-            names.append(rest_glue)
+            self.names.append(rest_glue)
             self.index[rest_glue] = rest
-        return _SplitNetwork(moved, ends, caps), rest
+        net = object.__new__(FlowNetwork)
+        net._lay_out(moved, ends, caps)
+        return net, rest
 
     # -- flow decomposition -------------------------------------------
 
@@ -224,9 +227,3 @@ class FlowNetwork:
         ids = self.edge_ids
         return [ids[i >> 1] for i in arcs]
 
-
-class _SplitNetwork(FlowNetwork):
-    """A network that `split` lays out from a moved side."""
-
-    def __init__(self, names: List[str], ends: Iterable[Tuple[str, str]], cap: List[int]):
-        self._lay_out(names, ends, cap)

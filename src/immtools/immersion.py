@@ -23,15 +23,18 @@ children are taken in.
 
 Verification reads only the host edges that a certificate names and
 builds no index, so its cost follows the certificate, not the host.  The
-search runs on each graph's integer index (`Multigraph.index`, built
-once per graph and kept): vertex ids in name order, one bit per edge in
-id order, and incidence as edge masks: per vertex, the bits of its
-non-loop edges (`links`) and of its loops (`loops`), and per edge, the
-xor of its end ids (`other`), so the edge k leads from v to
-other[k] ^ v.  The available host edges are one int bitmask, and branch
-images and slack are lists indexed by vertex id.  The pattern's vertex
-order and twins, and the counts that rule a query out before the search
-(`Multigraph.counts`), are also kept on each graph.
+search runs on each graph's integer numbering (`Multigraph.numbering`,
+built once per graph and kept): vertex ids in name order and edge
+positions in id order, with their end ids and the degrees.  The host
+adds its incidence masks (`Multigraph.index`): one bit per edge
+position, per vertex the bits of its non-loop edges (`links`) and of
+its loops (`loops`), and per edge the xor of its end ids (`other`), so
+the edge k leads from v to other[k] ^ v.  The available host edges are
+one int bitmask, and branch images and slack are lists indexed by vertex
+id.  The pattern's vertex order and twins, and the counts that rule a
+query out before the search (`Multigraph.counts`), are also kept on each
+graph; the counts read the numbering, not the masks, so a query they
+rule out builds no masks.
 
 The search is one loop over an explicit stack of frames: one frame per
 assigned pattern vertex, per pattern edge being routed, and per vertex of
@@ -317,15 +320,15 @@ class _Searcher:
         """The immersions the search reaches, in depth-first order, until
         the budget runs out; the pruning skips those that differ from an
         earlier one only by swapping parallel host edges or twins' images."""
-        gindex, hindex = self.G.index, self.H.index
-        links, loops, other, gdeg = gindex.links, gindex.loops, gindex.other, gindex.degree
+        gindex, gnum, hnum = self.G.index, self.G.numbering, self.H.numbering
+        links, loops, other, gdeg = gindex.links, gindex.loops, gindex.other, gnum.degree
         ng = len(gdeg)
         order, twin = self.H.degree_order, self.H.earlier_twins
-        hdeg, hends = hindex.degree, hindex.ends
+        hdeg, hends = hnum.degree, hnum.ends
         nh, mh = len(order), len(hends)
         strong = self.strong
         limit = sys.maxsize if self.budget is None else self.budget
-        full = (1 << len(gindex.edges)) - 1
+        full = (1 << len(gnum.edges)) - 1
 
         img = [-1] * nh  # pattern vertex id -> host vertex id
         used = [False] * ng
@@ -536,10 +539,10 @@ class _Searcher:
         """The immersion of the routes now open: pattern edge k takes the
         host edges of level_avail[k] that level k + 1 lacks."""
         G, H = self.G, self.H
-        gedges = G.index.edges
+        gedges = G.numbering.edges
         edge_map: Dict[str, FrozenSet[str]] = {}
         before = level_avail[0]
-        for k, he in enumerate(H.index.edges):
+        for k, he in enumerate(H.numbering.edges):
             after = level_avail[k + 1]
             route = before & ~after
             before = after
@@ -549,7 +552,7 @@ class _Searcher:
                 names.append(gedges[e.bit_length() - 1])
                 route ^= e
             edge_map[he] = frozenset(names)
-        hnames, gnames = H.index.vertices, G.index.vertices
+        hnames, gnames = H.numbering.names, G.numbering.names
         return ImmersionCertificate(
             vertex_map={hnames[h]: gnames[img[h]] for h in H.degree_order},
             edge_map=edge_map,

@@ -6,12 +6,13 @@ put its blocks in rank order.  The colouring is isomorphism-invariant, so
 the key determines G up to isomorphism: two multigraphs are isomorphic
 exactly when their keys are equal.
 
-- Integer refinement.  Vertex i is the i-th smallest name.  One pass
-  over the edges gives the id pairs, the neighbour lists, the degrees and
-  the loop counts, so keying builds no cached fact of G (not even its
-  degree map).  The colours start from the degree and the loop count, and
-  each round adds the sorted colours of a vertex's neighbours, until the
-  number of colours stops growing or every vertex has its own.
+- Integer refinement.  Vertex i is the i-th smallest name: the ids, end
+  pairs and degrees are G's `Numbering`, built here by
+  `multigraph.number` without caching it, so keying builds no cached fact
+  of G (not even its degree map); the neighbour lists and loop counts
+  follow from it.  The colours start from the degree and the loop count,
+  and each round adds the sorted colours of a vertex's neighbours, until
+  the number of colours stops growing or every vertex has its own.
 - The twin-pruned product.  Two vertices are twins when they have the
   same loop count and the same multiplicity to every third vertex, and
   `multigraph.twin_classes` finds the classes of each block (a block
@@ -39,31 +40,20 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from . import pathdecomp
-from .multigraph import Multigraph, twin_classes
+from .multigraph import Multigraph, neighbour_lists, number, twin_classes
 
 Pair = Tuple[int, int]
 
 
 def _refined(G: Multigraph):
-    """(n, G's edges as id pairs (i <= j), the final colour of each id, the
-    number of colours, each id's neighbour ids)."""
-    names = sorted(G.vertices)
-    n = len(names)
-    ids = dict(zip(names, range(n)))
-    degree = [0] * n
-    loops = [0] * n
-    nbrs: List[List[int]] = [[] for _ in names]
-    pairs: List[Pair] = []
-    for a, b in G.edges.values():
-        i, j = ids[a], ids[b]  # a <= b, so i <= j
-        pairs.append((i, j))
-        degree[i] += 1
-        degree[j] += 1
-        if i == j:
-            loops[i] += 1
-        else:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
+    """(n, G's edges as id pairs (i <= j) of its numbering, the final
+    colour of each id, the number of colours, each id's neighbour ids)."""
+    numbering = number(G)
+    degree = numbering.degree
+    nbrs = neighbour_lists(numbering)
+    n = len(nbrs)
+    # a loop adds 2 to the degree of its vertex and nothing to its list
+    loops = [(d - len(nb)) // 2 for d, nb in zip(degree, nbrs)]
     ranks, count = _rank(list(zip(degree, loops)))
     while count < n:
         refined, new_count = _rank(
@@ -74,7 +64,7 @@ def _refined(G: Multigraph):
         if new_count == count:
             break
         ranks, count = refined, new_count
-    return n, pairs, ranks, count, nbrs
+    return n, numbering.ends, ranks, count, nbrs
 
 
 def _rank(colors: List[tuple]) -> Tuple[List[int], int]:

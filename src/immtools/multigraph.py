@@ -5,7 +5,7 @@ distinct entries with equal endpoint pairs; a loop stores the same vertex
 twice.  All operations are pure and return new graphs.
 
 The general queries scan the edge list.  Each graph works out its degree
-map, and the integer index and the facts that the immersion search reads
+map, its integer numbering and the facts that the immersion search reads
 (see `Multigraph`), once, on the first read, and keeps them: they are
 shared by every later query and caller, and must not be modified.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from collections.abc import Iterable
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
@@ -45,7 +46,7 @@ def bit_positions(mask: int) -> Iterator[int]:
 def twin_classes(group: Sequence[int], nbrs: Sequence[List[int]]) -> List[List[int]]:
     """The twin classes of `group`, vertex ids of one degree, each in group
     order, the classes in the order of their first members.  nbrs[v] holds
-    the other end of each non-loop edge at v.
+    the other end of each non-loop edge at v (see `neighbour_lists`).
 
     Twins have the same loop count and the same multiplicity to every third
     vertex; at one degree the second gives the first.  Twinhood is an
@@ -73,23 +74,52 @@ def twin_classes(group: Sequence[int], nbrs: Sequence[List[int]]) -> List[List[i
     return list(keyed.values())
 
 
-class GraphIndex(NamedTuple):
-    """A multigraph on integers, for the immersion search and the facts it
-    compares.  Vertex i is the i-th smallest vertex name and the edge with
-    the k-th smallest id is the bit 1 << k, so comparing ids or bits
-    compares names.  Incidence is kept as edge masks: the edges at v are
-    links[v] | loops[v], and the non-loop edge k leads from v to
-    other[k] ^ v.  The masks of a graph take space quadratic in its size,
-    so the general queries and the certificate verifier do not read
-    them."""
+class Numbering(NamedTuple):
+    """A multigraph on integers, each fact linear in its size: vertex i is
+    the i-th smallest name and position k the k-th smallest edge id, so
+    comparing ids or positions compares names."""
 
-    vertices: Tuple[str, ...]  # vertex id -> name
-    edges: Tuple[str, ...]  # k -> the edge id of bit 1 << k
-    ends: Tuple[Tuple[int, int], ...]  # k -> end ids, the smaller first
+    names: Tuple[str, ...]  # vertex id -> name
+    edges: Tuple[str, ...]  # position -> edge id, sorted
+    ends: Tuple[Tuple[int, int], ...]  # position -> end ids, the smaller first
+    degree: Tuple[int, ...]  # vertex id -> degree, a loop counting 2
+
+
+def number(G: Multigraph) -> Numbering:
+    """G's `Numbering`, in one pass over its sorted edge ids."""
+    names = tuple(sorted(G.vertices))
+    ids = dict(zip(names, range(len(names))))
+    edges = tuple(sorted(G.edges))
+    ends = []
+    degree = [0] * len(names)
+    for e in edges:
+        a, b = G.edges[e]
+        u, v = ids[a], ids[b]
+        ends.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+    return Numbering(names, edges, tuple(ends), tuple(degree))
+
+
+def neighbour_lists(numbering: Numbering) -> List[List[int]]:
+    """vertex id -> the other end of each non-loop edge at it, by position."""
+    nbrs: List[List[int]] = [[] for _ in numbering.names]
+    for u, v in numbering.ends:
+        if u != v:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+    return nbrs
+
+
+class GraphIndex(NamedTuple):
+    """The immersion search's masks over a `Numbering`: position k is the
+    bit 1 << k, the edges at v are links[v] | loops[v], and the non-loop
+    edge k leads from v to other[k] ^ v.  The masks take space quadratic
+    in the size of the graph, so nothing but the search builds them."""
+
     links: Tuple[int, ...]  # vertex id -> the bits of its non-loop edges
     loops: Tuple[int, ...]  # vertex id -> the bits of its loops
     other: Tuple[int, ...]  # k -> the xor of its end ids (0 for a loop)
-    degree: Tuple[int, ...]  # vertex id -> degree, a loop counting 2
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -123,23 +153,24 @@ class Multigraph:
     more; equality still compares only the vertices and edges):
 
     - `degrees`, the map behind `degree()`;
-    - `index`: the `GraphIndex` that the immersion search runs on, and
-      the facts below are read from.  It counts the degrees in its own
-      edge loop, so building it does not build `degrees`.  `incident`,
-      `neighbors`, `adjacency()` and `verify_immersion` read the edge
-      list instead, so a graph that is not searched never builds it;
+    - `numbering`: the one `Numbering` of G, which the facts below, its
+      flow networks and a search's certificates read.  It counts degrees
+      in its own edge loop, so it does not build `degrees`;
+    - `index`: the search's `GraphIndex` masks, built from `numbering`.
+      Nothing else reads them, so a graph that is not searched, or whose
+      query `counts` rules out, never builds them;
     - `counts`: one `GraphCounts` record of the vertex and edge counts,
       the pairs in one component and in one component once the bridges
       are removed, the cycle rank, the sorted degrees, pair
-      multiplicities and loop counts (read off `index.ends`), and the
+      multiplicities and loop counts (read off `numbering.ends`), and the
       spare capacity;
     - `degree_order`: vertex ids by descending degree, then name; the
       order in which a pattern's vertices are assigned;
     - `earlier_twins`: for each place in `degree_order`, the id of the
       member before it in its class of `twin_classes`, or -1.
 
-    No fact but `index` keeps a value per edge: a search's certificates
-    build their own edge sets.
+    No fact but `numbering` and `index` keeps a value per edge: a
+    search's certificates build their own edge sets.
     """
 
     vertices: FrozenSet[str]
@@ -203,15 +234,15 @@ class Multigraph:
             deg[b] += 1
         return deg
 
+    numbering = functools.cached_property(number)
+
     @functools.cached_property
     def counts(self) -> GraphCounts:
-        n, m = len(self.vertices), len(self.edges)
+        numbering = self.numbering
+        n, m = len(numbering.names), len(numbering.edges)
         p1, p2, components = self._bridge_search()
-        index = self.index
-        sequence = tuple(sorted(index.degree, reverse=True))
-        mult: Dict[Tuple[int, int], int] = {}  # end ids -> edges between them
-        for ends in index.ends:
-            mult[ends] = mult.get(ends, 0) + 1
+        sequence = tuple(sorted(numbering.degree, reverse=True))
+        mult = Counter(numbering.ends)  # end ids -> edges between them
         pairs, loops = [], []
         for (u, v), k in mult.items():
             (loops if u == v else pairs).append(k)
@@ -226,13 +257,13 @@ class Multigraph:
         minus its bridges, and the number of components, one per root.
         One depth-first search on an explicit stack finds the bridges
         (Tarjan, "A note on finding the bridges of a graph", IPL 1974).  A
-        frame holds the edges at its vertex that it has not scanned, less
-        the edge it came in by, not every edge back to the parent, so a
-        doubled edge is never a bridge."""
-        links, other = self.index.links, self.index.other
-        n = len(links)
+        frame skips one entry for its parent in its vertex's neighbour
+        list, the edge it came in by, so a doubled edge is never a bridge."""
+        nbrs = neighbour_lists(self.numbering)
+        n = len(nbrs)
         disc = [0] * n  # discovery time from 1; 0 while unseen
         low = [0] * n  # the earliest disc reached by one back edge below
+        came = [-1] * n  # the parent, until the edge from it is skipped
         pending: List[int] = []  # vertices whose 2-edge-connected class is open
         p1 = p2 = time = roots = 0
         for root in range(n):
@@ -241,21 +272,20 @@ class Multigraph:
             roots += 1
             time += 1
             disc[root] = low[root] = time
-            # [vertex, its unscanned edges, len(pending) when it was found]
-            stack = [[root, links[root], len(pending)]]
+            # (vertex, its unscanned neighbours, len(pending) when it was found)
+            stack = [(root, iter(nbrs[root]), len(pending))]
             pending.append(root)
             while stack:
-                f = stack[-1]
-                v, m, at = f
-                while m:
-                    e = m & -m
-                    m ^= e
-                    u = other[e.bit_length() - 1] ^ v
+                v, scan, at = stack[-1]
+                for u in scan:
+                    if u == came[v]:
+                        came[v] = -1
+                        continue
                     if not disc[u]:
-                        f[1] = m
                         time += 1
                         disc[u] = low[u] = time
-                        stack.append([u, links[u] & ~e, len(pending)])
+                        came[u] = v
+                        stack.append((u, iter(nbrs[u]), len(pending)))
                         pending.append(u)
                         break
                     if disc[u] < low[v]:
@@ -278,47 +308,28 @@ class Multigraph:
 
     @functools.cached_property
     def index(self) -> GraphIndex:
-        names = tuple(sorted(self.vertices))
-        ids = {v: i for i, v in enumerate(names)}
-        edges = tuple(sorted(self.edges))
-        ends = []
-        other = []
-        links = [0] * len(names)
-        loops = [0] * len(names)
-        degree = [0] * len(names)
-        for k, e in enumerate(edges):
-            a, b = self.edges[e]
-            u, v = ids[a], ids[b]
+        numbering = self.numbering
+        links, loops = [0] * len(numbering.names), [0] * len(numbering.names)
+        for k, (u, v) in enumerate(numbering.ends):
             bit = 1 << k
-            ends.append((u, v))
-            other.append(u ^ v)
-            degree[u] += 1
-            degree[v] += 1
             if u == v:
                 loops[u] |= bit
             else:
                 links[u] |= bit
                 links[v] |= bit
-        return GraphIndex(
-            names, edges, tuple(ends), tuple(links), tuple(loops), tuple(other), tuple(degree)
-        )
+        return GraphIndex(tuple(links), tuple(loops), tuple(u ^ v for u, v in numbering.ends))
 
     @functools.cached_property
     def degree_order(self) -> Tuple[int, ...]:
-        degree = self.index.degree
+        degree = self.numbering.degree
         return tuple(sorted(range(len(degree)), key=lambda v: -degree[v]))
 
     @functools.cached_property
     def earlier_twins(self) -> Tuple[int, ...]:
         """Twins have equal degree, so each run of `degree_order` at one
         degree is split by `twin_classes`."""
-        index = self.index
-        order, degree = self.degree_order, index.degree
-        nbrs: List[List[int]] = [[] for _ in order]
-        for u, v in index.ends:
-            if u != v:
-                nbrs[u].append(v)
-                nbrs[v].append(u)
+        order, degree = self.degree_order, self.numbering.degree
+        nbrs = neighbour_lists(self.numbering)
         prev = [-1] * len(order)  # vertex id -> the one before it in its class
         runs: Dict[int, List[int]] = {}  # degree -> its run of degree_order
         for v in order:

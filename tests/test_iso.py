@@ -174,10 +174,11 @@ def test_regular_inputs_need_few_labelled_forms():
 
 def test_keys_build_no_cached_fact():
     # the immersion sweep keys its graphs in setup; the degree map, the
-    # incidence index and the counts are first built by the timed searches
+    # numbering, the incidence index and the counts are first built by the
+    # timed searches
     G = mg("abcd", {"1": "ab", "2": "ab", "3": "bc", "4": "cd", "l": "dd"})
     canonical_key(G)
-    assert not {"degrees", "index", "counts"} & vars(G).keys()
+    assert not {"degrees", "numbering", "index", "counts"} & vars(G).keys()
 
 
 def cycle(n: int) -> Multigraph:

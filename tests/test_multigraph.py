@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -320,11 +321,11 @@ def test_cached_search_facts_match_a_fresh_computation():
         deg = {v: sum((a == v) + (b == v) for a, b in G.edges.values()) for v in names}
         assert G.counts.degree_sequence == tuple(sorted(deg.values(), reverse=True))
 
-        index = G.index
-        assert index.vertices == tuple(names)
-        assert index.edges == tuple(edges)
-        assert index.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
-        assert index.degree == tuple(deg[v] for v in names)
+        numbering = G.numbering
+        assert numbering.names == tuple(names)
+        assert numbering.edges == tuple(edges)
+        assert numbering.ends == tuple(tuple(names.index(x) for x in G.edges[e]) for e in edges)
+        assert numbering.degree == tuple(deg[v] for v in names)
 
         order = sorted(names, key=lambda v: (-deg[v], v))
         assert [names[i] for i in G.degree_order] == order
@@ -542,10 +543,35 @@ def test_searching_leaves_equality_unchanged():
 
 def test_a_search_caches_no_table_per_edge():
     # a certificate builds its own edge sets: what the search keeps on
-    # the host is its index and counts, nothing more per edge
+    # the host is its numbering, index and counts, nothing more per edge,
+    # and the pattern needs no masks
     G = gen_random_multigraph(2000, 6000, 1, 1)
     H = gen_complete(4)
     assert find_immersion(G, H).status == "found"
     fields = {"vertices", "edges"}
-    assert sorted(vars(G).keys() - fields) == ["counts", "index"]
-    assert sorted(vars(H).keys() - fields) == ["counts", "degree_order", "earlier_twins", "index"]
+    assert sorted(vars(G).keys() - fields) == ["counts", "index", "numbering"]
+    assert sorted(vars(H).keys() - fields) == [
+        "counts", "degree_order", "earlier_twins", "numbering"
+    ]
+
+
+def test_a_query_the_counts_rule_out_builds_no_masks():
+    # K30's degrees exceed the host's: the counts answer, and they read
+    # the numbering, not the search's masks
+    G = gen_random_multigraph(2000, 6000, 1, 1)
+    assert find_immersion(G, gen_complete(30)).status == "absent"
+    assert sorted(vars(G).keys() - {"vertices", "edges"}) == ["counts", "numbering"]
+
+
+def test_the_counts_of_a_large_sparse_host_stay_linear():
+    # the counts walk neighbour lists, not edge masks: a few hundred
+    # bytes per edge, where masks of up to 30,000 bits a vertex took thousands
+    m = 30_000
+    G = gen_random_multigraph(10_000, m, 1, 1)
+    tracemalloc.start()
+    try:
+        G.counts
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500 * m, peak
