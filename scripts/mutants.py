@@ -563,6 +563,28 @@ CATALOGUE: Tuple[Mutant, ...] = (
         "a separator flow runs through the linearizing set A (first made"
         " for the separators on G's own network)",
     ),
+    # -- the one work limit
+    Mutant(
+        "work-limit-reached-counts-as-over",
+        "src/immtools/multigraph.py",
+        "if done > _WORK_LIMIT:",
+        "if done >= _WORK_LIMIT:",
+        ("tests/test_pathdecomp.py::test_linearizing_search_answers_at_exactly_its_node_count",),
+        "a search that needs exactly the limit's units raises instead of"
+        " answering (first made for the one work check in multigraph.py)",
+    ),
+    Mutant(
+        "key-forms-checked-before-the-last-factor",
+        "src/immtools/iso.py",
+        "            forms *= math.comb(placed, len(cls))\n"
+        "            _check_work(forms, \"labelled forms\", \"canonical key\")\n",
+        "            _check_work(forms, \"labelled forms\", \"canonical key\")\n"
+        "            forms *= math.comb(placed, len(cls))\n",
+        ("tests/test_iso.py::test_keys_past_the_work_limit_are_refused_before_any_form_is_made",),
+        "keying checks the forms before the last class's factor, so at limit"
+        " 100 C5's 120 forms pass (first made for the one work check in"
+        " multigraph.py)",
+    ),
     # -- canonical keys
     Mutant(
         "start-colour-drops-the-loop-count",

@@ -32,7 +32,7 @@ from .immersion import (
     verify_immersion,
 )
 from .iso import canonical_key
-from .multigraph import Multigraph, consolidate
+from .multigraph import Multigraph, SizeLimitError, consolidate
 from .pathdecomp import (
     NOT_PATH_SHAPED,
     SMALL_CUT,
@@ -40,7 +40,6 @@ from .pathdecomp import (
     FailureWitness,
     LinearityCertificate,
     PathLikeDecomposition,
-    SizeLimitError,
     build_auxiliary_graph,
     compute_separator,
     has_k1k_minor,

@@ -4,8 +4,9 @@ Subcommands read and write the shared JSON formats on files or standard
 streams ("-" means stdin).  Exit codes: 0 success, 1 malformed input,
 2 verification or decomposition rejection, 3 a resource limit reached:
 the immersion search budget ran out, a linearity search (smallest
-linearizing set, star minor) went over its work limit of 100,000
-decision nodes or center sets, an integer argument or a bound has more
+linearizing set, star minor) went over the one work limit that those
+searches and canonical keys share (`multigraph._WORK_LIMIT`, 100,000
+decision nodes or center sets), an integer argument or a bound has more
 decimal digits than the interpreter converts, or the process ran out of
 memory (one stderr line, "error: out of memory"); 70 (EX_SOFTWARE in
 sysexits.h) a fault of the program, any other exception, with its
@@ -55,13 +56,8 @@ from .jsonio import (
     structure_to_json,
     torso_to_json,
 )
-from .multigraph import Multigraph, _check_known
-from .pathdecomp import (
-    FailureWitness,
-    SizeLimitError,
-    linear_decompose,
-    verify_linear_certificate,
-)
+from .multigraph import Multigraph, SizeLimitError, _check_known
+from .pathdecomp import FailureWitness, linear_decompose, verify_linear_certificate
 from .treecut import edge_sum, structure_decompose, torso_at, verify_structure
 
 EXIT_OK = 0

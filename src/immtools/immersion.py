@@ -153,6 +153,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from .flow import FlowNetwork
 from .multigraph import Multigraph, _fresh_name
+from .pathdecomp import build_auxiliary_graph
 from .simplegraph import StarMinorModel, _spread
 
 FOUND = "found"
@@ -603,8 +604,6 @@ def star_minor_to_immersion(
     through used leaves blocked); each pattern edge, in sorted order,
     takes the next path at each of its ends and becomes their union.
     """
-    from .pathdecomp import build_auxiliary_graph
-
     W = frozenset(W)
     if m < 2 * len(F.edges):
         raise ValueError("m must be at least twice the pattern's edge count")

@@ -29,8 +29,9 @@ The search stays small when refinement splits G finely or its blocks are
 twin classes (K_n and the edgeless graph need one form, K_{n,n} one per
 arrangement of its two sides).  A regular graph without twins, such as a
 long cycle, keeps one block of n vertices and has n! forms.  Keying
-counts the forms first and raises `SizeLimitError` past the linearity
-searches' work limit of 100,000: C_8 has a key (40,320 forms), C_9 none.
+counts the forms first and raises `SizeLimitError` past the one work
+limit, `multigraph._WORK_LIMIT` = 100,000, that the linearity searches
+share: C_8 has a key (40,320 forms), C_9 none.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from . import pathdecomp
-from .multigraph import Multigraph, neighbour_lists, number, twin_classes
+from .multigraph import Multigraph, _check_work, neighbour_lists, number, twin_classes
 
 Pair = Tuple[int, int]
 
@@ -95,7 +95,7 @@ def _block_orders(
     ranks: List[int], count: int, nbrs: List[List[int]]
 ) -> List[List[List[int]]]:
     """For each block in rank order, the orders of its vertices to try: one
-    per arrangement of its twin classes.  Past `pathdecomp._WORK_LIMIT`
+    per arrangement of its twin classes.  Past `multigraph._WORK_LIMIT`
     forms, a product of multinomials of the class sizes, it raises
     SizeLimitError first, so a shuffled block has at most 8 classes."""
     blocks: List[List[int]] = [[] for _ in range(count)]
@@ -108,8 +108,7 @@ def _block_orders(
         for cls in block[1:]:  # the first class adds one factor of 1
             placed += len(cls)
             forms *= math.comb(placed, len(cls))
-            if forms > pathdecomp._WORK_LIMIT:
-                raise pathdecomp._over_limit("labelled forms", "canonical key")
+            _check_work(forms, "labelled forms", "canonical key")
     return [_shuffles(block) for block in classes]
 
 
@@ -136,7 +135,8 @@ def canonical_key(G: Multigraph) -> Tuple:
     """Hashable invariant determining G up to isomorphism: (n, the least
     labelled form).  It compares one form per arrangement of the twin
     classes of each colour block, and raises SizeLimitError when there
-    are more than 100,000 of them (a cycle on 9 or more vertices)."""
+    are more than `multigraph._WORK_LIMIT` = 100,000 of them (a cycle on 9
+    or more vertices)."""
     n, pairs, ranks, count, nbrs = _refined(G)
     if count == n:  # every vertex has its own colour: one labelled form
         pos = ranks

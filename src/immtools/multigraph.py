@@ -19,6 +19,24 @@ from collections.abc import Iterable
 from itertools import accumulate
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
+# the work limit of every search but the immersion search, whose budget
+# the caller sets: decision nodes of one linearizing-set search, center
+# sets of one star-minor search, labelled forms of one canonical key
+_WORK_LIMIT = 100_000
+
+
+class SizeLimitError(ValueError):
+    """The input is valid but larger than a search or an output accepts."""
+
+
+def _check_work(done: int, units: str, search: str) -> None:
+    """Raise SizeLimitError if a search has done more than `_WORK_LIMIT`
+    of its units."""
+    if done > _WORK_LIMIT:
+        raise SizeLimitError(
+            f"more than {_WORK_LIMIT} {units}, the work limit of the {search} search"
+        )
+
 
 def _check_known(X: FrozenSet[str], vertices: FrozenSet[str], what: str) -> None:
     """Raise a ValueError that names, after `what`, the members of X outside

@@ -20,7 +20,7 @@ from typing import (
 
 from .connectivity import CutWitness, _set_flow, _witness
 from .flow import FlowNetwork
-from .multigraph import Multigraph, _check_known, bit_positions
+from .multigraph import Multigraph, _check_known, _check_work, bit_positions
 from .simplegraph import (
     MaskGraph, SimpleGraph, StarMinorModel, _components, _is_path_union, _join,
 )
@@ -28,15 +28,6 @@ from .simplegraph import (
 SMALL_CUT = "small-cut"
 STAR_MINOR = "star-minor"
 NOT_PATH_SHAPED = "not-path-shaped"
-
-# decision nodes of one linearizing-set search, center sets tested by one
-# star-minor search
-_WORK_LIMIT = 100_000
-
-
-class SizeLimitError(ValueError):
-    """The input is valid but larger than a search or an output accepts."""
-
 
 @dataclasses.dataclass(frozen=True)
 class PathLikeDecomposition:
@@ -263,19 +254,19 @@ def build_auxiliary_graph(G: Multigraph, W: Iterable[str], m: int) -> SimpleGrap
 def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
     """A K_{1,k} minor model (as a subtree with k leaves and a non-leaf
     vertex) or False after exhaustive search over connected center sets,
-    by increasing size, each size in lexicographic order.  The search
-    tests at most `_WORK_LIMIT` center sets, and raises SizeLimitError
-    past that."""
+    by increasing size up to n - k (a larger set leaves no room for k
+    leaves), each size in lexicographic order; False at once when k >= n.
+    The search tests at most `multigraph._WORK_LIMIT` center sets, and
+    raises SizeLimitError past that."""
     if k < 2:
         raise ValueError("k must be at least 2")
     verts, nbr = aux = H.masks
     n = len(verts)
     tested = 0
-    for size in range(1, n + 1):
+    for size in range(1, n - k + 1):
         for combo in itertools.combinations(range(n), size):
             tested += 1
-            if tested > _WORK_LIMIT:
-                raise _over_limit("center sets", "star-minor")
+            _check_work(tested, "center sets", "star-minor")
             C = outside = 0
             for i in combo:
                 C |= 1 << i
@@ -284,13 +275,6 @@ def has_k1k_minor(H: SimpleGraph, k: int) -> Union[StarMinorModel, bool]:
             if outside.bit_count() >= k and len(_components(nbr, C)) == 1:
                 return _star_model(aux, C, itertools.islice(bit_positions(outside), k))
     return False
-
-
-def _over_limit(units: str, search: str) -> SizeLimitError:
-    """The error of a search that went over `_WORK_LIMIT` of its units."""
-    return SizeLimitError(
-        f"more than {_WORK_LIMIT} {units}, the work limit of the {search} search"
-    )
 
 
 def _path_ordering(nbr: List[int], keep: int) -> List[int]:
@@ -377,7 +361,7 @@ class _LinearizingSearch:
 
     The search runs on an explicit stack, so its depth is not bounded by
     the interpreter's recursion limit.  `nodes` counts the decision nodes
-    made; one search makes at most `_WORK_LIMIT`, and raises
+    made; one search makes at most `multigraph._WORK_LIMIT`, and raises
     SizeLimitError past that."""
 
     def __init__(self, nbr: List[int]):
@@ -424,8 +408,7 @@ class _LinearizingSearch:
                 stack.pop()
                 continue
             self.nodes += 1
-            if self.nodes > _WORK_LIMIT:
-                raise _over_limit("decision nodes", "linearizing-set")
+            _check_work(self.nodes, "decision nodes", "linearizing-set")
             live, kept, k, deleted = node
             if not k:
                 if _is_path_union(nbr, live):

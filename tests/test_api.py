@@ -69,21 +69,34 @@ def _modules():
     ]
 
 
+def _member_name(node):
+    """The name a class-body statement defines as a member: a method's, or
+    the one target of an assignment of a `cached_property(...)` call (as
+    `numbering = functools.cached_property(number)`); else None."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if (
+        isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func).rpartition(".")[2] == "cached_property"
+        and [type(t) for t in node.targets] == [ast.Name]
+    ):
+        return node.targets[0].id
+    return None
+
+
 def _definitions():
     """(owner, syntax tree) of each top-level definition of src/immtools,
-    `__init__.py` aside: a function by its name, each method of a class as
-    "Class.method", the rest of a class's body by the class name, and
-    module level code as None."""
+    `__init__.py` aside: a function by its name, each member of a class
+    (see `_member_name`) as "Class.member", the rest of a class's body by
+    the class name, and module level code as None."""
     for _, tree in _modules():
         for top in tree.body:
             if not isinstance(top, ast.ClassDef):
                 yield getattr(top, "name", None), top
                 continue
             for node in top.body:
-                if isinstance(node, ast.FunctionDef):
-                    yield f"{top.name}.{node.name}", node
-                else:
-                    yield top.name, node
+                member = _member_name(node)
+                yield (f"{top.name}.{member}" if member else top.name), node
 
 
 def _callers():
@@ -109,12 +122,12 @@ def _members():
     """The methods and cached properties that the exported classes define,
     dunder methods aside, as "Class.member" -> member."""
     classes = {n for n in immtools.__all__ if inspect.isclass(getattr(immtools, n))}
-    return {
-        owner: node.name
-        for owner, node in _definitions()
-        if isinstance(node, ast.FunctionDef) and owner.partition(".")[0] in classes
-        and not node.name.startswith("__")
-    }
+    members = {}
+    for owner, _ in _definitions():
+        cls, _, member = (owner or "").partition(".")
+        if member and cls in classes and not member.startswith("__"):
+            members[owner] = member
+    return members
 
 
 def _without_src_caller():
@@ -145,6 +158,10 @@ def test_every_public_method_has_a_reader_in_src_or_a_listed_reason():
     unread = {n for n in _without_src_caller() if "." in n}
     assert sorted(unread - NO_SRC_READER.keys()) == []
     assert set(NO_SRC_READER) <= set(_members())
+
+
+def test_a_cached_property_made_by_assignment_is_a_member():
+    assert _members()["Multigraph.numbering"] == "numbering"
 
 
 def test_every_listed_method_still_has_no_src_reader():

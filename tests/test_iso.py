@@ -7,7 +7,7 @@ import pytest
 
 import oracle_iso
 from enumerate_graphs import multigraphs
-from immtools import Multigraph, SizeLimitError, canonical_key, pathdecomp
+from immtools import Multigraph, SizeLimitError, canonical_key, multigraph
 from immtools.iso import _block_orders, _refined
 from helpers import isomorphic_with_pins, mg
 
@@ -199,8 +199,8 @@ def test_keys_past_the_work_limit_are_refused_before_any_form_is_made(monkeypatc
         assert time.perf_counter() - start < 0.1, n
     assert labelled_forms(cycle(8)) == math.factorial(8)
     assert canonical_key(cycle(8)) == oracle_iso.canonical_key(cycle(8))
-    # the limit is pathdecomp's, read when a key is made
-    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 100)
+    # the limit is multigraph's one work limit, read when a key is made
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 100)
     with pytest.raises(SizeLimitError, match="more than 100 labelled forms"):
         canonical_key(cycle(5))
     assert canonical_key(cycle(4)) == oracle_iso.canonical_key(cycle(4))

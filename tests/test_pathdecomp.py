@@ -30,7 +30,7 @@ from immtools import (
     min_linearizing_set,
     verify_linear_certificate,
 )
-from immtools import pathdecomp
+from immtools import multigraph, pathdecomp
 from helpers import mg, sg
 from oracle_pathdecomp import boundedness, width, xi_cut
 from test_acceptance import _rand_graph
@@ -502,7 +502,7 @@ def test_searches_have_no_vertex_ceiling():
 def test_linearizing_search_stops_at_the_work_limit(monkeypatch):
     # AUX_15 takes more decision nodes than any of these limits
     for limit in (2, 7, 40):
-        monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", limit)
+        monkeypatch.setattr(multigraph, "_WORK_LIMIT", limit)
         search = pathdecomp._LinearizingSearch(AUX_15)
         with pytest.raises(SizeLimitError, match=(
             f"^more than {limit} decision nodes, the work limit of the linearizing-set"
@@ -513,9 +513,9 @@ def test_linearizing_search_stops_at_the_work_limit(monkeypatch):
 
 
 def test_linearizing_search_answers_at_exactly_its_node_count(monkeypatch):
-    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES)
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", AUX_15_NODES)
     assert pathdecomp._LinearizingSearch(AUX_15).first_smallest() == AUX_15_SET
-    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", AUX_15_NODES - 1)
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", AUX_15_NODES - 1)
     with pytest.raises(SizeLimitError):
         pathdecomp._LinearizingSearch(AUX_15).first_smallest()
 
@@ -525,14 +525,37 @@ def test_star_search_stops_at_the_work_limit(monkeypatch):
     verts = [f"v{i}" for i in range(20)]
     path = sg(verts, zip(verts, verts[1:]))
     with pytest.raises(SizeLimitError, match=(
-        f"^more than {pathdecomp._WORK_LIMIT} center sets, the work limit of the"
+        f"^more than {multigraph._WORK_LIMIT} center sets, the work limit of the"
         " star-minor search$"
     )):
         has_k1k_minor(path, 3)
-    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 2 ** 12 - 1)  # the subsets of 12 vertices
+    # a 12-vertex path has 4,016 center sets of 1 to 9 vertices, which
+    # leave room for 3 leaves; a 13-vertex path has 8,099
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 2 ** 12 - 1)
     assert has_k1k_minor(sg(verts[:12], zip(verts, verts[1:12])), 3) is False
     with pytest.raises(SizeLimitError):
         has_k1k_minor(sg(verts[:13], zip(verts, verts[1:13])), 3)
+
+
+def test_star_search_tests_no_center_set_without_room_for_k_leaves(monkeypatch):
+    # on 20 vertices a center set has room for 18 leaves only at sizes 1
+    # and 2: 20 + 190 = 210 sets; for 20 leaves there is no room at all
+    verts = [f"v{i}" for i in range(20)]
+    path = sg(verts, zip(verts, verts[1:]))
+    assert has_k1k_minor(path, 18) is False
+    assert has_k1k_minor(path, 20) is False
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 210)
+    assert has_k1k_minor(path, 18) is False
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 209)
+    with pytest.raises(SizeLimitError, match="^more than 209 center sets"):
+        has_k1k_minor(path, 18)
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 0)
+    assert has_k1k_minor(path, 20) is False
+    assert has_k1k_minor(path, 21) is False
+    # a star with k leaves is found at k = n - 1, its one center set
+    star = sg(verts, [(verts[0], v) for v in verts[1:]])
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 1)
+    assert has_k1k_minor(star, 19).violations(star) == []
 
 
 def test_linearizing_search_needs_no_call_stack_on_a_large_complete_graph():

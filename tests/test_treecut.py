@@ -31,7 +31,7 @@ from immtools import (
     verify_linear_certificate,
     verify_structure,
 )
-from immtools import pathdecomp, treecut
+from immtools import multigraph, treecut
 from immtools.flow import FlowNetwork
 from immtools.pathdecomp import NOT_PATH_SHAPED, SMALL_CUT, STAR_MINOR
 from immtools.jsonio import structure_to_json
@@ -517,7 +517,7 @@ def _structure_outcome(G, alpha):
 def test_structure_outcome_matches_the_recursion(monkeypatch):
     # a work limit low enough that a few linearity searches go over it, so
     # that the limit outcome is compared too
-    monkeypatch.setattr(pathdecomp, "_WORK_LIMIT", 100)
+    monkeypatch.setattr(multigraph, "_WORK_LIMIT", 100)
     cases = [(G, alpha) for G in _structure_inputs() for alpha in range(1, 6)]
     got = [_structure_outcome(G, alpha) for G, alpha in cases]
     monkeypatch.setattr(treecut, "_structure_tree", oracle_treecut.structure_tree)
