@@ -11,9 +11,10 @@ m, 2, seed)` over a range of seeds, searched at --budget steps (1,200,000
 by default).  The planted family is --planted pairs from `tests/planted.py`
 (hosts that hold a strong immersion of their pattern by design), both
 strengths, at --planted-budget steps; an "absent" answer there is wrong.
-Each family prints its answers by status, and the total and median steps
-over its queries, a query out of budget counting budget + 1.  Every found
-certificate is verified.  Only the standard library is used.
+Each query is one `find_immersion` call.  Each family prints its answers
+by status, and the total and median of the steps the calls report, a
+query out of budget counting budget + 1.  Every found certificate is
+verified.  Only the standard library is used.
 """
 
 import argparse
@@ -27,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from immtools import gen_complete, gen_random_multigraph, verify_immersion  # noqa: E402
-from immtools.immersion import ABSENT, BUDGET, FOUND, _dominated, _Searcher  # noqa: E402
+from immtools.immersion import ABSENT, BUDGET, FOUND, find_immersion  # noqa: E402
 
 # name, pattern size, strong, host vertices, host edges, seeds
 FAMILIES = (
@@ -40,17 +41,12 @@ FAMILIES = (
 
 
 def search(G, H, strong, budget):
-    """The status and the step count of `find_immersion(G, H, strong,
-    budget)`; a query the counting rules rule out takes no step."""
-    if not _dominated(G, H, strong):
-        return ABSENT, 0
-    searcher = _Searcher(G, H, strong, budget)
-    cert = next(searcher.immersions(), None)
-    if cert is not None:
-        if verify_immersion(G, H, cert, strong):
-            raise AssertionError("the search emitted a bad certificate")
-        return FOUND, searcher.steps
-    return (BUDGET if searcher.steps > budget else ABSENT), searcher.steps
+    """The status and the steps of `find_immersion(G, H, strong, budget)`,
+    its certificate verified."""
+    result = find_immersion(G, H, strong, budget)
+    if result.certificate and verify_immersion(G, H, result.certificate, strong):
+        raise AssertionError("the search emitted a bad certificate")
+    return result.status, result.steps
 
 
 def report(name, answers, seconds):

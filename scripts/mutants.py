@@ -307,11 +307,20 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "budget-answered-at-the-limit",
         "src/immtools/immersion.py",
-        "if budget is not None and searcher.steps > budget:",
-        "if budget is not None and searcher.steps >= budget:",
+        "if budget is not None and steps > budget:",
+        "if budget is not None and steps >= budget:",
         ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
         "a search that ends absent on exactly its budget's last step answers"
         " budget (first made for the step count as the one budget signal)",
+    ),
+    Mutant(
+        "searched-absent-reports-no-steps",
+        "src/immtools/immersion.py",
+        "return SearchResult(ABSENT, steps=steps)",
+        "return _NO_IMMERSION",
+        ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
+        "a search that ends absent returns the counting rules' shared result,"
+        " which reports 0 steps (first made for the steps in SearchResult)",
     ),
     # -- the counting rules, against planted immersions: each unsound
     # variant answers absent on hosts that hold an immersion by design

@@ -170,14 +170,17 @@ class ImmersionCertificate:
 
 @dataclasses.dataclass(frozen=True)
 class SearchResult:
+    """An answer and the search steps it took: 0 when the counting tests
+    answer, budget + 1 when the budget ran out.  Equality ignores steps."""
+
     status: str
     certificate: Optional[ImmersionCertificate] = None
+    steps: int = dataclasses.field(default=0, compare=False)
 
 
-# The answers without a certificate.  A result is immutable, so every such
-# answer is one of these two objects.
+# The answer of every query the counting tests rule out; a result is
+# immutable, so they share this one object.
 _NO_IMMERSION = SearchResult(status=ABSENT)
-_OUT_OF_BUDGET = SearchResult(status=BUDGET)
 
 
 # -- verification -----------------------------------------------------
@@ -571,19 +574,22 @@ def find_immersion(
     allows none); None means no cap.  A query that the counting tests
     rule out (see the module docstring) is absent without a step,
     whatever the budget.  A search that finds no immersion answers
-    budget exactly when it took more steps than the budget.  A certificate
-    is not re-checked here: `verify_immersion` checks one when asked."""
+    budget exactly when it took more steps than the budget.  The result's
+    `steps` are those the search took: 0 when the counting tests answer,
+    budget + 1 when the budget ran out.  A certificate is not re-checked
+    here: `verify_immersion` checks one when asked."""
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if not _dominated(G, H, strong):
         return _NO_IMMERSION
     searcher = _Searcher(G, H, strong, budget)
     cert = next(searcher.immersions(), None)
+    steps = searcher.steps
     if cert is not None:
-        return SearchResult(status=FOUND, certificate=cert)
-    if budget is not None and searcher.steps > budget:
-        return _OUT_OF_BUDGET
-    return _NO_IMMERSION
+        return SearchResult(FOUND, cert, steps)
+    if budget is not None and steps > budget:
+        return SearchResult(BUDGET, steps=steps)
+    return SearchResult(ABSENT, steps=steps)
 
 
 # -- star minor to immersion ------------------------------------------

@@ -13,7 +13,9 @@ each exported class are checked by the same rule against
 rest of its class.  A read is matched by name alone, so
 `Multigraph.adjacency` counts as read where `SimpleGraph.adjacency` is.
 Every name a module other than `__init__.py` imports is read somewhere
-in that module.
+in that module.  No script in `scripts/` uses a private name of
+`immtools` or assigns to an attribute of what it imports from there, so
+that each measures the library as callers get it.
 """
 
 import ast
@@ -23,6 +25,7 @@ from pathlib import Path
 import immtools
 
 SRC = Path(immtools.__file__).parent
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 # Several of these are also looked up by name by bench/tracer.py, which
 # times the calls into each layer.
@@ -181,3 +184,38 @@ def test_every_imported_name_is_read():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unread += [f"{name}: {n}" for n in sorted(imported - read)]
     assert unread == []
+
+
+def _script_forks(tree):
+    """Each private `immtools` name that a script imports or reads, and
+    each assignment to an attribute of a name it imports from `immtools`."""
+    bound, forks = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0]
+                      for a in node.names if a.name.split(".")[0] == "immtools"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "immtools":
+            bound |= {a.asname or a.name for a in node.names}
+            forks += [f"imports {node.module}.{a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if not (isinstance(node, ast.Attribute) and isinstance(root, ast.Name)
+                and root.id in bound):
+            continue
+        if not isinstance(node.ctx, ast.Load):
+            forks.append(f"assigns {ast.unparse(node)}")
+        elif node.attr.startswith("_"):
+            forks.append(f"reads {ast.unparse(node)}")
+    return forks
+
+
+def test_no_script_uses_a_private_name_or_patches_immtools():
+    forks = [
+        f"{path.name}: {fork}"
+        for path in sorted(SCRIPTS.glob("*.py"))
+        for fork in _script_forks(ast.parse(path.read_text()))
+    ]
+    assert forks == []

@@ -413,7 +413,9 @@ def test_degree_domination_answers_without_a_step():
          "7": "ad", "8": "be"},
     )
     for strong in (True, False):
-        assert find_immersion(G, gen_complete(4), strong=strong, budget=0).status == ABSENT
+        r = find_immersion(G, gen_complete(4), strong=strong, budget=0)
+        assert r.status == ABSENT
+        assert r.steps == 0
 
 
 # Hosts whose degrees and counts dominate K3's but which have fewer pairs in
@@ -431,7 +433,9 @@ def test_pair_counts_answer_without_a_step(host, counts):
     pairs = [(X.counts.p1, X.counts.p2) for X in (host, K3)]
     assert pairs == [counts, (3, 3)]
     for strong in (True, False):
-        assert find_immersion(host, K3, strong=strong, budget=0).status == ABSENT
+        r = find_immersion(host, K3, strong=strong, budget=0)
+        assert r.status == ABSENT
+        assert r.steps == 0
         assert oracle_search.find_immersion(host, K3, strong=strong).status == ABSENT
 
 
@@ -458,7 +462,9 @@ def test_pair_counts_answer_without_a_step(host, counts):
     ids=["rank", "edge-budget", "spare-vertices", "strong-K4-in-pk_chorded3"],
 )
 def test_cycle_rank_and_direct_edges_answer_without_a_step(host, pattern, strong):
-    assert find_immersion(host, pattern, strong, budget=0).status == ABSENT
+    r = find_immersion(host, pattern, strong, budget=0)
+    assert r.status == ABSENT
+    assert r.steps == 0
     assert oracle_search.find_immersion(host, pattern, strong=strong).status == ABSENT
 
 
@@ -584,6 +590,7 @@ C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
 # Step counts of the depth-first order, pinned where the budget runs out:
 # the query answers with its count and returns "budget" with one step less,
 # where the search itself yields nothing and stops at its count, budget + 1.
+# Both results report that count.
 @pytest.mark.parametrize(
     "host, pattern, strong, steps, status",
     [
@@ -610,8 +617,12 @@ C4 = mg("abcd", {"1": "ab", "2": "bc", "3": "cd", "4": "ad"})
          "strong-K4-in-pk_chorded8"],
 )
 def test_budget_boundary_pins_the_search_order(host, pattern, strong, steps, status):
-    assert find_immersion(host, pattern, strong, budget=steps).status == status
-    assert find_immersion(host, pattern, strong, budget=steps - 1).status == BUDGET
+    answered = find_immersion(host, pattern, strong, budget=steps)
+    assert answered.status == status
+    assert answered.steps == steps
+    spent = find_immersion(host, pattern, strong, budget=steps - 1)
+    assert spent.status == BUDGET
+    assert spent.steps == steps
     searcher = _Searcher(host, pattern, strong, budget=steps - 1)
     assert list(searcher.immersions()) == []
     assert searcher.steps == steps
@@ -624,8 +635,8 @@ DOUBLED_K4 = Multigraph(
 
 
 # A search of S steps, where the assignment descends several levels in one
-# pass, under every budget: each budget below S runs out, and S gives the
-# answer of the unlimited search.
+# pass, under every budget: each budget b below S runs out at b + 1 steps,
+# and S gives the answer of the unlimited search.
 @pytest.mark.parametrize(
     "host, pattern, strong, steps, status",
     [
@@ -643,7 +654,9 @@ def test_every_budget_runs_out_below_the_step_count(host, pattern, strong, steps
     unlimited = find_immersion(host, pattern, strong)
     assert unlimited.status == status
     for budget in range(steps):
-        assert find_immersion(host, pattern, strong, budget=budget).status == BUDGET
+        spent = find_immersion(host, pattern, strong, budget=budget)
+        assert spent.status == BUDGET
+        assert spent.steps == budget + 1
     assert find_immersion(host, pattern, strong, budget=steps) == unlimited
 
 
