@@ -11,8 +11,10 @@ Each mutant is reported as
   killed     a named test failed (or the mutated code did not import);
   survived   every named test passed;
   timeout    the tests ran past the timeout;
-  stale      the fragment is not in the file exactly once, or pytest
-             found none of the named tests.
+  stale      the fragment is not in the file exactly once, the mutated
+             file does not compile (a fragment that also matches at
+             another indentation), or pytest found none of the named
+             tests.
 
 A change that makes an entry stale re-expresses it, or retires it with a
 reason in CHANGES.md.
@@ -167,8 +169,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "slack-not-given-back",
         "src/immtools/immersion.py",
-        "                if cur != x:\n                    slack[cur] += 2",
-        "                if cur != x:\n                    pass",
+        "                        if cur != x:\n                            slack[cur] += 2",
+        "                        if cur != x:\n                            pass",
         (_CRITERION_2,),
         "a weak route that backs out of a branch image keeps its two"
         " edge-ends taken (first made for the residual-slack rule)",
@@ -176,11 +178,21 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "refuted-states-kept-across-assignments",
         "src/immtools/immersion.py",
-        "                    refuted.clear()\n",
+        "                refuted.clear()\n",
         "",
         (_CRITERION_2,),
         "a route state refuted under one vertex map is skipped under the"
         " next (first made for the refuted-state record)",
+    ),
+    Mutant(
+        "image-kept-on-backtrack",
+        "src/immtools/immersion.py",
+        "            used[gv] = False\n",
+        "",
+        (_CRITERION_2,),
+        "a pattern vertex that backtracks keeps its image taken, so no later"
+        " assignment uses that host vertex and immersions are missed (first"
+        " made for the assignment loop)",
     ),
     Mutant(
         "bridge-test-not-strict",
@@ -253,8 +265,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "parallel-edges-tried-again",
         "src/immtools/immersion.py",
-        "                untried &= ~links[nb]\n",
-        "                untried &= ~e\n",
+        "                        untried &= ~links[nb]\n",
+        "                        untried &= ~e\n",
         ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
         "a path tries each parallel edge to a neighbour, not only the first;"
         " no answer changes, only the step counts (first made for the route"
@@ -263,8 +275,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "x-frame-step-not-counted",
         "src/immtools/immersion.py",
-        "                    untried = avail & links[x]\n                    steps += 1\n",
-        "                    untried = avail & links[x]\n",
+        "                            untried = avail & links[x]\n                            steps += 1\n",
+        "                            untried = avail & links[x]\n",
         ("tests/test_immersion.py::test_budget_boundary_pins_the_search_order",),
         "the route frame that turns into the path frame at x counts no step,"
         " so every budget boundary moves (first made for the route kernel on"
@@ -283,8 +295,8 @@ CATALOGUE: Tuple[Mutant, ...] = (
     Mutant(
         "closing-frame-drops-its-other-edges",
         "src/immtools/immersion.py",
-        "                    nb = y\n",
-        "                    nb = y\n                    untried = 0\n",
+        "                            nb = y\n",
+        "                            nb = y\n                            untried = 0\n",
         ("tests/test_immersion.py::test_enumeration_pins_the_immersions_and_steps",),
         "a path whose closing edge failed tries none of its other edges."
         " No status changes: a later route through the closing edge could"
@@ -766,15 +778,30 @@ def _pytest(copy: Path, tests: Sequence[str], timeout: float) -> Tuple[Optional[
     return done.returncode, failed
 
 
+def mutate(mutant: Mutant, source: str) -> Tuple[Optional[str], str]:
+    """The mutated source, or None and why the mutant is stale: its
+    fragment is not in the source exactly once, or the mutated source
+    does not compile."""
+    found = source.count(mutant.fragment)
+    if found != 1:
+        return None, f"fragment found {found} times in {mutant.path}"
+    mutated = source.replace(mutant.fragment, mutant.replacement)
+    try:
+        compile(mutated, mutant.path, "exec")
+    except SyntaxError as exc:
+        return None, f"the mutated {mutant.path} does not compile: {exc}"
+    return mutated, ""
+
+
 def run_mutant(copy: Path, mutant: Mutant) -> Tuple[str, str]:
     """Apply one mutant to the copy, run its tests and restore the file:
     the outcome and a detail line."""
     target = copy / mutant.path
     source = target.read_text()
-    found = source.count(mutant.fragment)
-    if found != 1:
-        return "stale", f"fragment found {found} times in {mutant.path}"
-    target.write_text(source.replace(mutant.fragment, mutant.replacement))
+    mutated, stale = mutate(mutant, source)
+    if mutated is None:
+        return "stale", stale
+    target.write_text(mutated)
     try:
         code, failed = _pytest(copy, mutant.tests, TIMEOUT)
     finally:

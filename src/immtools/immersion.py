@@ -36,27 +36,31 @@ query out before the search (`Multigraph.counts`), are also kept on each
 graph; the counts read the numbering, not the masks, so a query they
 rule out builds no masks.
 
-The search is one loop over an explicit stack of frames: one frame per
-assigned pattern vertex, per pattern edge being routed, and per vertex of
-the path being grown after its first; the path frame at a route's first
-vertex x is the route frame itself.  So its depth is bounded by memory,
-not by the interpreter's recursion limit, and a route may run along
-thousands of host vertices.  Each frame is one search step, and so is a
-route frame's turn into the path frame at x.  The frames come in the
-depth-first order of a recursion (assign, then route, then extend the
-path), so step counts, the budget boundary and the first certificate are
-those of the recursive search this loop replaced.  A path frame holds its
-untried edges as one mask: the available non-loop edges at its vertex
-that it has not tried yet.
+The search is two loops, one per part of the definition.  The assignment
+loop keeps a place i in the pattern order and the images taken so far: a
+place with no next image backtracks to the place before it, which gives
+its image back and takes its next one.  Each complete assignment then
+runs the routing loop over an explicit stack of frames, one per pattern
+edge being routed and one per vertex of the path being grown after its
+first; the path frame at a route's first vertex x is the route frame
+itself.  So the depth is bounded by memory, not by the interpreter's
+recursion limit, and a route may run along thousands of host vertices.
+The start of the assignment, each image taken, the start of a routing,
+each frame pushed and a route frame's turn into the path frame at x are
+one search step each.  The order is the depth-first order of a recursion
+(assign, then route, then extend the path), so step counts, the budget
+boundary and the first certificate are those of the recursive search the
+loops replaced.  A path frame holds its untried edges as one mask: the
+available non-loop edges at its vertex that it has not tried yet.
 
-A descent of the assignment is taken in one pass of the loop: once a
-pattern vertex takes an image, each next one takes its first feasible
-image, one frame per level, and a complete assignment starts its
-routing, before the loop checks the budget again.  Likewise a route frame
-takes its first path step in the pass that turns it into the path frame
-at x.  So a descent or that step may push frames past the limit, as a
-skipped subtree (below) may charge steps past it.  None of these yields
-an immersion, so the search stops where a check per frame would stop it,
+The assignment loop checks the budget before each descent, and the
+routing loop before each of its passes.  A descent takes an image at one
+place, the first feasible image at each next place, and the start of the
+routing of a complete assignment, with no check between them.  Likewise
+a route frame takes its first path step in the pass that turns it into
+the path frame at x.  So a descent or that step may go past the limit, as
+a skipped subtree (below) may charge steps past it.  None of these yields
+an immersion, so the search stops where a check per step would stop it,
 and its step count reads limit + 1.
 
 Route states that have failed are not searched again.  Once the
@@ -293,8 +297,8 @@ def _dominated(G: Multigraph, H: Multigraph, strong: bool) -> bool:
     return not strong or need <= g.spare_capacity[g.n - h.n]
 
 
-# Frame kinds of the search stack.
-_ASSIGN, _ROUTE, _STEP = 0, 1, 2
+# Frame kinds of the routing stack.
+_ROUTE, _STEP = 0, 1
 # The slack of a host vertex that is no branch image: a path may always
 # pass through it.
 _FREE = 1 << 62
@@ -302,12 +306,13 @@ _FREE = 1 << 62
 
 class _Searcher:
     """Depth-first search for immersions of H in G on their integer
-    indexes; see the module docstring.  `steps` counts the search steps
-    so far, a skipped subtree's steps charged as if they were taken.  A
-    descent of the assignment, a route's first path step and a skipped
-    subtree may each go past the budget in one pass; when the budget runs
-    out, `immersions()` returns with `steps` at budget + 1, the one sign
-    of a spent budget.
+    indexes: a loop over the branch images, and a routing loop per
+    complete assignment; see the module docstring.  `steps` counts the
+    search steps so far, a skipped subtree's steps charged as if they
+    were taken.  A descent of the assignment, a route's first path step
+    and a skipped subtree may each go past the budget at once; when the
+    budget runs out, `immersions()` returns with `steps` at budget + 1,
+    the one sign of a spent budget.
     `refuted_hits` counts the route frames skipped as refuted states, and
     `refuted_steps` the steps charged for them."""
 
@@ -340,10 +345,7 @@ class _Searcher:
         # to route there, for branch images in weak routing; 0 (never pass)
         # for branch images in strong routing; _FREE for every other vertex
         slack = [_FREE] * ng
-        # per route level: its ends, its first path edge, and the available
-        # edges when it began (so its route is what later levels lack)
-        xs, ys, firsts = [-1] * mh, [-1] * mh, [0] * mh
-        level_avail = [0] * (mh + 1)
+        firsts = [0] * mh  # route level -> its first path edge
         # (route level, available edges) -> the steps its subtree took, for
         # the route frames of the current assignment that yielded nothing;
         # starts[j]: the step count when level j began, -1 when it is not
@@ -351,203 +353,190 @@ class _Searcher:
         # yield, and the find level mh)
         refuted: Dict[Tuple[int, int], int] = {}
         starts = [-1] * (mh + 1)
-        j = -1  # the route level being built
-        x = y = -1
-        first = 0
-        # the non-loop edges at y, for a route with y != x; 0 for a loop
-        to_y = 0
 
-        # Frames:
-        #   [_ASSIGN, i, gv]: pattern vertex order[i] takes image gv (-1:
-        #     none yet); with i == nh, gv is 0 while its routing runs, and
-        #     -1 only in the start frame of a pattern without vertices;
-        #   [_ROUTE, phase, untried, avail]: route pattern edge j; phase 0
-        #     to start (or to skip a refuted state), 1 after the loop
-        #     route, 2 while it is the path frame at x; j == mh is a find;
-        #   [_STEP, cur, untried, path vertices (bits), avail]: a path of
-        #     level j at cur.
-        # untried: the available non-loop edges at the path's vertex that
-        # it has not tried.  Pushing a frame is one search step, and so is
-        # a route frame's turn to the path at x.  A frame resumes with its
-        # own avail, which undoes its children's routes, and a path frame
-        # gives back its vertex's slack when it is popped.
-        steps = 1
-        stack: List[list] = [[_ASSIGN, 0, -1]]
-        while stack:
-            if steps > limit:
-                # a descent, a route's first path step or a skipped
-                # subtree may take steps past the limit at once
-                steps = limit + 1
-                break
-            f = stack[-1]
-            kind = f[0]
-            if kind == _STEP:
-                _, cur, untried, visited, avail = f
-            elif kind == _ROUTE:
-                _, phase, untried, avail = f
-                if phase == 0:
-                    if j == mh:
-                        level_avail[mh] = avail
-                        self.steps = steps
-                        yield self._certificate(img, level_avail)
-                        # every open route level leads to this immersion
-                        for k in range(2, mh):
-                            starts[k] = -1
-                        phase = 3  # the route frame ends without a path
-                    elif j > 1 and (full ^ avail).bit_count() > j:
-                        skipped = refuted.get((j, avail))
-                        if skipped is None:
-                            starts[j] = steps
+        steps = 1  # the start of the assignment
+        i = low = 0  # the place order[i] takes an image from low on
+        while steps <= limit:
+            # the descent: this and each next place take their first
+            # feasible image, one step each, with no budget check between
+            while i < nh:
+                hv = order[i]
+                need = hdeg[hv]
+                if twin[i] >= 0 and img[twin[i]] >= low:
+                    low = img[twin[i]] + 1
+                for gv in range(low, ng):
+                    if not used[gv] and gdeg[gv] >= need:
+                        break
+                else:
+                    break
+                img[hv] = gv
+                used[gv] = True
+                i += 1
+                steps += 1
+                low = 0
+            if i == nh:
+                # The assignment is complete: route it.  Frames:
+                #   [_ROUTE, phase, untried, avail]: route pattern edge j;
+                #     phase 0 to start (or to skip a refuted state), 1
+                #     after the loop route, 2 while it is the path frame
+                #     at x; j == mh is a find;
+                #   [_STEP, cur, untried, path vertices (bits), avail].
+                # untried: the available non-loop edges at the path's
+                # vertex that it has not tried.  A frame resumes with its
+                # own avail, which undoes its children's routes, and a
+                # path frame gives back its vertex's slack when popped.
+                for hv in range(nh):
+                    gv = img[hv]
+                    slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
+                refuted.clear()
+                stack: List[list] = [[_ROUTE, 0, 0, full]]
+                j, x = 0, -1  # the route level being built, and its first end
+                steps += 1
+                while stack:
+                    if steps > limit:
+                        break
+                    f = stack[-1]
+                    if f[0] == _STEP:
+                        _, cur, untried, visited, avail = f
+                    else:
+                        _, phase, untried, avail = f
+                        if phase == 0:
+                            if j == mh:
+                                self.steps = steps
+                                yield self._certificate(img, stack)
+                                # every open route level leads to this immersion
+                                for k in range(2, mh):
+                                    starts[k] = -1
+                                phase = 3  # the route frame ends without a path
+                            elif j > 1 and (full ^ avail).bit_count() > j:
+                                skipped = refuted.get((j, avail))
+                                if skipped is None:
+                                    starts[j] = steps
+                                else:
+                                    # the subtree of this state has failed
+                                    # before: charge its steps and leave it
+                                    steps += skipped
+                                    self.refuted_hits += 1
+                                    self.refuted_steps += skipped
+                                    starts[j] = -1
+                                    phase = 3
+                            elif j > 1:
+                                # every route below is one edge: a new state
+                                starts[j] = -1
+                            if phase == 0:
+                                hu, hv = hends[j]
+                                x, y = img[hu], img[hv]
+                                # the non-loop edges at y, or 0 for a loop
+                                to_y = links[y] if y != x else 0
+                                # Two available loops at x are swapped by a
+                                # host automorphism that fixes everything
+                                # chosen so far, so only the first is
+                                # offered, before the cycles.
+                                loop = avail & loops[x] if hu == hv else 0
+                                if loop:
+                                    f[1] = 1
+                                    stack.append([_ROUTE, 0, 0, avail & ~(loop & -loop)])
+                                    j += 1
+                                    steps += 1
+                                    continue
+                        if phase < 2:
+                            # the route frame turns into the path frame at x
+                            f[1] = 2
+                            untried = avail & links[x]
+                            steps += 1
+                        # the path at x: nb is never x, so its vertex set is
+                        # wanted only by the frame it pushes
+                        cur, visited = x, 0
+
+                    # The path at cur tries its lowest untried edge to y
+                    # first, when y != x, and then its other untried edges
+                    # in edge order.  Every edge joining cur and the
+                    # neighbour nb leaves the untried set at once: a later
+                    # parallel edge is also available and off the path, so
+                    # swapping it with the tried edge is a host automorphism
+                    # fixing the assignment, the earlier routes and the path
+                    # so far, and its completions mirror ones that have
+                    # already failed (or, past a visited or saturated nb,
+                    # fail the same way).
+                    while untried:
+                        e = untried & to_y
+                        if e:
+                            e &= -e
+                            nb = y
                         else:
-                            # the subtree of this state has failed before:
-                            # charge its steps and leave it
-                            steps += skipped
-                            self.refuted_hits += 1
-                            self.refuted_steps += skipped
-                            starts[j] = -1
-                            phase = 3
-                    elif j > 1:
-                        # every route below is one edge: a new state
-                        starts[j] = -1
-                    if phase == 0:
-                        level_avail[j] = avail
-                        hu, hv = hends[j]
-                        x = xs[j] = img[hu]
-                        y = ys[j] = img[hv]
-                        to_y = links[y] if y != x else 0
-                        # Two available loops at x are swapped by a host
-                        # automorphism that fixes everything chosen so far,
-                        # so only the first is offered, before the cycles.
-                        loop = avail & loops[x] if hu == hv else 0
-                        if loop:
-                            f[1] = 1
-                            stack.append([_ROUTE, 0, 0, avail & ~(loop & -loop)])
+                            e = untried & -untried
+                            nb = other[e.bit_length() - 1] ^ cur
+                        untried &= ~links[nb]
+                        if nb == y:
+                            # With y == x the closing edge e ends a cycle
+                            # that the search also walks the other way
+                            # round, leaving x by e and returning by the
+                            # first edge.  Both end edges are tried from x
+                            # in edge order, so keeping the traversal that
+                            # leaves by the smaller one keeps each cycle's
+                            # first occurrence and the order of the
+                            # distinct routes.
+                            if y == x and e < first:
+                                continue
+                            f[2] = untried
+                            stack.append([_ROUTE, 0, 0, avail & ~e])
                             j += 1
                             steps += 1
-                            continue
-                if phase < 2:
-                    # the route frame turns into the path frame at x
-                    f[1] = 2
-                    untried = avail & links[x]
-                    steps += 1
-                # the path at x: nb is never x, so its vertex set is
-                # wanted only by the frame it pushes
-                cur, visited = x, 0
-            else:
-                _, i, gv = f
-                if gv >= 0:
-                    if i == nh:
-                        # the routing under this assignment is over
-                        stack.pop()
-                        for gv in img:
-                            slack[gv] = _FREE
-                        continue
-                    used[gv] = False
-                # The descent: this and each next pattern vertex take their
-                # first feasible image, one pushed frame (one step) per
-                # level, in this one pass.
-                low = gv + 1
-                while i < nh:
-                    hv = order[i]
-                    need = hdeg[hv]
-                    if twin[i] >= 0 and img[twin[i]] >= low:
-                        low = img[twin[i]] + 1
-                    for gv in range(low, ng):
-                        if not used[gv] and gdeg[gv] >= need:
                             break
+                        if visited >> nb & 1:
+                            continue
+                        # passing through a branch image takes two of its
+                        # edge-ends, and its remaining pattern edges need
+                        # theirs
+                        s = slack[nb]
+                        if s < 2:
+                            continue
+                        slack[nb] = s - 2
+                        f[2] = untried
+                        if cur == x:
+                            first = firsts[j] = e
+                            visited = 1 << x
+                        rest = avail & ~e
+                        stack.append([_STEP, nb, rest & links[nb], visited | 1 << nb, rest])
+                        steps += 1
+                        break
                     else:
                         stack.pop()
-                        break
-                    f[2] = img[hv] = gv
-                    used[gv] = True
-                    i += 1
-                    f = [_ASSIGN, i, -1]
-                    stack.append(f)
-                    steps += 1
-                    low = 0
-                else:
-                    # the assignment is complete: start the routing
-                    f[2] = 0
-                    for hv in range(nh):
-                        gv = img[hv]
-                        slack[gv] = 0 if strong else gdeg[gv] - hdeg[hv]
-                    refuted.clear()
-                    stack.append([_ROUTE, 0, 0, full])
-                    j = 0
-                    steps += 1
-                continue
-
-            # The path at cur tries its lowest untried edge to y first, when
-            # y != x, and then its other untried edges in edge order.  Every
-            # edge joining cur and the neighbour nb leaves the untried set
-            # at once: a later parallel edge is also available and off the
-            # path, so swapping it with the tried edge is a host
-            # automorphism fixing the assignment, the earlier routes and
-            # the path so far, and its completions mirror ones that have
-            # already failed (or, past a visited or saturated nb, fail
-            # the same way).
-            while untried:
-                e = untried & to_y
-                if e:
-                    e &= -e
-                    nb = y
-                else:
-                    e = untried & -untried
-                    nb = other[e.bit_length() - 1] ^ cur
-                untried &= ~links[nb]
-                if nb == y:
-                    # With y == x the closing edge e ends a cycle that the
-                    # search also walks the other way round, leaving x by e
-                    # and returning by the first edge.  Both end edges are
-                    # tried from x in edge order, so keeping the traversal
-                    # that leaves by the smaller one keeps each cycle's
-                    # first occurrence and the order of the distinct routes.
-                    if y == x and e < first:
-                        continue
-                    f[2] = untried
-                    stack.append([_ROUTE, 0, 0, avail & ~e])
-                    j += 1
-                    steps += 1
-                    break
-                if visited >> nb & 1:
-                    continue
-                # passing through a branch image takes two of its
-                # edge-ends, and its remaining pattern edges need theirs
-                s = slack[nb]
-                if s < 2:
-                    continue
-                slack[nb] = s - 2
-                f[2] = untried
-                if cur == x:
-                    first = firsts[j] = e
-                    visited = 1 << x
-                rest = avail & ~e
-                stack.append([_STEP, nb, rest & links[nb], visited | 1 << nb, rest])
-                steps += 1
+                        if cur != x:
+                            slack[cur] += 2
+                        else:
+                            # the route frame of level j ends
+                            if starts[j] >= 0:
+                                refuted[j, avail] = steps - starts[j]
+                            j -= 1
+                            if j >= 0:
+                                hu, hv = hends[j]
+                                x, y, first = img[hu], img[hv], firsts[j]
+                                to_y = links[y] if y != x else 0
+                for gv in img:
+                    slack[gv] = _FREE
+            # the last pattern vertex with an image takes its next one
+            i -= 1
+            if i < 0:
                 break
-            else:
-                stack.pop()
-                if cur != x:
-                    slack[cur] += 2
-                else:
-                    # the route frame of level j ends
-                    if starts[j] >= 0:
-                        refuted[j, avail] = steps - starts[j]
-                    j -= 1
-                    if j >= 0:
-                        x, y, first = xs[j], ys[j], firsts[j]
-                        to_y = links[y] if y != x else 0
-        self.steps = steps
+            gv = img[order[i]]
+            used[gv] = False
+            low = gv + 1
+        # a descent, a route's first path step or a skipped subtree may
+        # take steps past the limit at once
+        self.steps = min(steps, limit + 1)
 
-    def _certificate(self, img: List[int], level_avail: List[int]) -> ImmersionCertificate:
+    def _certificate(self, img: List[int], stack: List[list]) -> ImmersionCertificate:
         """The immersion of the routes now open: pattern edge k takes the
-        host edges of level_avail[k] that level k + 1 lacks."""
+        host edges available to route frame k that route frame k + 1
+        lacks."""
         G, H = self.G, self.H
         gedges = G.numbering.edges
+        levels = [f[3] for f in stack if f[0] == _ROUTE]
         edge_map: Dict[str, FrozenSet[str]] = {}
-        before = level_avail[0]
+        before = levels[0]
         for k, he in enumerate(H.numbering.edges):
-            after = level_avail[k + 1]
+            after = levels[k + 1]
             route = before & ~after
             before = after
             names = []

@@ -463,7 +463,10 @@ def verify_structure(
     alpha: int,
 ) -> List[str]:
     """Near-partition validity, adhesion strictly below alpha, and one
-    accepted alpha-basic certificate per torso."""
+    accepted alpha-basic certificate per torso.  An alpha below 1 raises
+    ValueError, as in `structure_decompose`."""
+    if alpha < 1:
+        raise ValueError("alpha must be positive")
     out = D.violations(G)
     if out:
         return out

@@ -126,13 +126,14 @@ def test_criterion_02_oracle_equivalence():
     hosts = multigraph_classes(4, 6)
     patterns = multigraph_classes(4, 5)
     pattern_keys = [(H, canonical_key(H)) for H in patterns]
-    checked = verified = 0
+    checked = verified = steps = 0
     for G in hosts:
         closures = {True: strong_closure(G), False: weak_closure(G)}
         for H, key in pattern_keys:
             for strong in (True, False):
                 expected = key in closures[strong]
                 result = find_immersion(G, H, strong=strong)
+                steps += result.steps
                 got = result.status == FOUND
                 assert got == expected, (
                     f"disagreement (strong={strong}): host {sorted(G.edges.values())}"
@@ -147,9 +148,12 @@ def test_criterion_02_oracle_equivalence():
                     )
                     verified += 1
                 checked += 1
+    # the search steps that scripts/replay_search.py sums over the same
+    # queries; a change to the step accounting on purpose re-pins both
+    assert steps == 1_348_811, steps
     return (
         f"{len(hosts)} hosts x {len(patterns)} patterns, {checked} checks agree,"
-        f" {verified} certificates verify"
+        f" {verified} certificates verify, {steps} search steps"
     )
 
 

@@ -189,6 +189,19 @@ def test_decompose_structure_and_verify(tmp_path, capsys):
     assert code == 0
 
 
+def test_an_alpha_below_1_is_malformed_input_to_decompose_and_verify(tmp_path, capsys):
+    _, host, _ = run(capsys, "gen", "pk", "3")
+    g = write(tmp_path, "g.json", json.loads(host))
+    _, out, _ = run(capsys, "decompose", "structure", "--graph", g, "--alpha", "4")
+    s = write(tmp_path, "s.json", json.loads(out))
+    for argv in (
+        ["decompose", "structure", "--graph", g, "--alpha", "0"],
+        ["verify", "structure", "--graph", g, "--structure", s, "--alpha", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: alpha must be positive\n"), argv
+
+
 def _two_triangles_and_a_path():
     edges = {"1": "ab", "2": "bc", "3": "ac", "4": "de", "5": "ef", "6": "df"}
     edges.update({f"p{i}": (f"x{i}", f"x{i + 1}") for i in range(12)})

@@ -853,3 +853,16 @@ def test_alpha_basic_decides_as_the_verifier_does():
     assert min(kinds[k] for k in ("certificate", SMALL_CUT, STAR_MINOR, NOT_PATH_SHAPED)) >= 5, (
         kinds
     )
+
+
+@pytest.mark.parametrize("alpha", [0, -3])
+def test_an_alpha_below_1_raises_before_any_other_check(alpha):
+    G = gen_pk(3)
+    result = structure_decompose(G, 4)
+    for call in (
+        lambda: structure_decompose(G, alpha),
+        lambda: is_alpha_basic(G, alpha),
+        lambda: verify_structure(G, result.decomposition, result.certificates, alpha),
+    ):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            call()
